@@ -216,14 +216,14 @@ class RunSetup:
         return TargetSpec(u0, u1, float(tg["rho0"]), float(tg["rho1"]))
 
     def dual_options(self, seed: int | None = None) -> DualOptions:
+        # 'grad_tol' and 'polish' are accepted in configs and have no effect:
+        # the dual solve is exact and aims inside the balls by itself
         opt = self.config.get("optimizer", {})
         return DualOptions(
             max_iters=int(opt.get("max_iters", 20000)),
             tol_vi=float(opt.get("tol_vi", 1e-6)),
-            grad_tol=float(opt.get("grad_tol", 1e-10)),
             vi_samples=int(opt.get("vi_samples", 100)),
             seed=self.seed if seed is None else seed,
-            polish=bool(opt.get("polish", True)),
         )
 
     def header(self) -> dict:

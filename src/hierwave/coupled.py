@@ -126,6 +126,9 @@ class CoupledEngine:
         self.tau = trapezoid_weights(mesh.Nt + 1, mesh.dt)
         self._zeros_full = np.zeros(mesh.Ny + 1)
         self._coupled_lu = None
+        # adjoint-trace columns and Gram matrix of the leader's dual, per delta;
+        # they do not depend on targets or radii, so a radii ladder shares them
+        self.leader_grams: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- elementary solves ---------------------------------------------------
 
@@ -358,7 +361,8 @@ def solve_nash_system(w1: Trace, cfg: FollowerConfig, method: str = "picard") ->
                 raise
             logger.warning("picard stalled (%s); using direct coupled solve", err)
             state, lam, w2 = eng.direct_pair(w1v, utilde)
-            iters, residuals, how = cfg.picard.max_iters, err.residual_history, "monolithic-fallback"
+            residuals, how = err.residual_history, "monolithic-fallback"
+            iters = len(residuals)
     u = Field(state, mesh).check_finite()
     p = Field(eng.companion_field(lam), mesh)
     w2_trace = Trace(w2, cfg.partition.mask2, mesh)

@@ -319,6 +319,7 @@ def test_picard_divergence_and_fallback(mesh41, overlap41, w1_smooth):
     cfg2 = FollowerConfig(sigma=1e-6, partition=overlap41, picard=rescued_opts)
     sol = solve_nash_system(w1_smooth, cfg2)
     assert sol.method == "monolithic-fallback"
+    assert sol.iterations == len(sol.residual_history)
     direct = solve_nash_system(w1_smooth, cfg2, method="direct")
     scale = np.max(np.abs(direct.u.values))
     assert np.max(np.abs(sol.u.values - direct.u.values)) < 1e-10 * scale

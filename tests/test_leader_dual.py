@@ -15,7 +15,6 @@ from hierwave.grid import (
 from hierwave.coupled import FollowerConfig, cost_J, solve_free_part, solve_nash_system
 from hierwave.wave_core import final_value_profile, final_velocity_profile
 from hierwave.leader_dual import (
-    DualOptions,
     DualPoint,
     TargetSpec,
     check_target_reached,
@@ -238,6 +237,8 @@ def test_gap_scaling_invariance(small_setup):
     _, _, rep2 = minimize_dual(targets_scaled, cfg_scaled)
     assert rep2.primal_J == pytest.approx(c**2 * rep1.primal_J, rel=1e-5)
     assert rep2.gap_rel <= 1e-4
+    # the secular residuals are scale free, so the Newton path is too
+    assert rep2.iterations == rep1.iterations
 
 
 def test_radius_monotonicity(small_setup):
@@ -251,20 +252,11 @@ def test_radius_monotonicity(small_setup):
             frac * hminus1_norm_physical(targets.u_target1),
         )
         _, _, rep = minimize_dual(tg, cfg)
+        assert rep.reached == (True, True), frac
+        assert rep.certified, frac
+        assert rep.iterations <= 12, frac
         costs.append(rep.primal_J)
     assert costs[0] >= costs[1] >= costs[2]
-
-
-def test_matrix_free_matches_materialized(small_setup):
-    mesh, cfg, _, targets = small_setup
-    opts_mat = DualOptions(max_iters=3000, materialize=True)
-    opts_free = DualOptions(max_iters=3000, materialize=False)
-    _, w_mat, rep_mat = minimize_dual(targets, cfg, 0.0, opts_mat)
-    _, w_free, rep_free = minimize_dual(targets, cfg, 0.0, opts_free)
-    assert rep_free.primal_J == pytest.approx(rep_mat.primal_J, rel=1e-6)
-    scale = np.max(np.abs(w_mat.values)) + 1e-30
-    # both runs stop at the certificate tolerance; the minimizers agree to that level
-    assert np.max(np.abs(w_mat.values - w_free.values)) < 1e-4 * scale
 
 
 def test_minimize_with_delta_outer_loop(small_setup):
@@ -340,8 +332,9 @@ def test_minimize_time_split_partition():
 
 @pytest.mark.parametrize("sigma", [0.1, 10.0])
 def test_minimize_robust_across_follower_weights(sigma):
-    """Both ball flags must hold away from the reference weight; the
-    two-block polish handles opposing constraint sensitivities."""
+    """Both ball flags must hold away from the reference weight; the two
+    ball multipliers are solved for jointly, so opposing constraint
+    sensitivities of the two blocks are handled exactly."""
     mesh = Mesh.auto(DomainSpec(k=0.1, T=4.0), 24)
     part = SigmaPartition.overlap(mesh.Nt + 1)
     Y, T = np.meshgrid(mesh.y, mesh.times, indexing="ij")
@@ -361,5 +354,6 @@ def test_minimize_robust_across_follower_weights(sigma):
     _, w1_star, rep = minimize_dual(targets, cfg)
     assert rep.reached == (True, True)
     assert rep.certified
+    assert rep.iterations <= 12
     assert rep.gap_rel <= 1e-4
     assert rep.primal_J <= cost_J(w1_ref) + 1e-3
