@@ -17,10 +17,27 @@ Systems provided (all with zero initial data for the state):
 * adjoint pair (phi, psi): the transposed coupled system behind the reach
   operator's adjoint.
 
-The fixed point in every case is a boundary trace at the controlled
-endpoint; it is solved by relaxed Picard iteration (relaxation auto-halves
-when the residual grows) with a direct sparse factorization of the coupled
-system as rescue path and as the fast route for operator applications.
+Every system is solved in the follower's boundary trace.  Let S = M^-1 E be
+the state's response to unit Dirichlet data at the controlled endpoint and
+H = S^T W S (:meth:`~hierwave.wave_core.WaveOperator.boundary_response`,
+built once per mesh by one batched march).  On the follower's nodes the
+equilibrium trace solves the symmetric positive definite system
+
+    (sigma diag(tau) + H)_22 w2 = (S^T W u_tilde - H chi1 w1)_2,
+
+well posed for every sigma > 0; its Cholesky factor is kept per engine, so
+each solve is exact, with no iteration, relaxation or fallback.  The state
+then takes one forward solve and the companion one transposed solve.  The
+reach operator needs only the last three time levels of S, and its adjoint
+only S^T on them, so neither runs a wave solve.  This is the control-space
+(Schur complement) reduction of HUM: Lions, SIAM Review 30 (1988);
+Glowinski, Lions & He, Exact and Approximate Controllability for
+Distributed Parameter Systems, CUP 2008.
+
+``method="picard"`` (relaxed Picard on the trace, with the coupled LU as
+rescue) and ``method="direct"`` (one LU of the assembled coupled system)
+remain callable as independent oracles for the tests and
+:mod:`hierwave.verify`; no default path uses them.
 """
 
 from __future__ import annotations
@@ -29,6 +46,7 @@ import logging
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -64,8 +82,13 @@ __all__ = [
 ]
 
 
+METHODS = ("schur", "direct", "picard")
+
+
 @dataclass(frozen=True)
 class PicardOptions:
+    """Settings of the relaxed Picard oracle (``method="picard"`` only)."""
+
     max_iters: int = 600
     tol: float = 1e-11
     relaxation: float = 1.0
@@ -75,7 +98,10 @@ class PicardOptions:
 
 @dataclass
 class FollowerConfig:
-    """Follower cost weight, desired trajectory, and boundary partition."""
+    """Follower cost weight, desired trajectory, and boundary partition.
+
+    ``picard`` acts only on the explicit Picard oracle.
+    """
 
     sigma: float
     partition: SigmaPartition
@@ -94,7 +120,7 @@ class NashSolution:
     w2: Trace
     iterations: int
     residual_history: list[float]
-    method: str = "picard"
+    method: str = "schur"
 
 
 @dataclass
@@ -104,7 +130,7 @@ class AdjointPair:
     leader_trace: Trace
     iterations: int
     residual_history: list[float]
-    method: str = "picard"
+    method: str = "schur"
 
 
 class CoupledEngine:
@@ -126,6 +152,8 @@ class CoupledEngine:
         self.tau = trapezoid_weights(mesh.Nt + 1, mesh.dt)
         self._zeros_full = np.zeros(mesh.Ny + 1)
         self._coupled_lu = None
+        self._idx2 = np.flatnonzero(partition.mask2)
+        self._schur = None
         # adjoint-trace columns and Gram matrix of the leader's dual, per delta;
         # they do not depend on targets or radii, so a radii ladder shares them
         self.leader_grams: dict[float, tuple[np.ndarray, np.ndarray]] = {}
@@ -162,6 +190,72 @@ class CoupledEngine:
         # overflow to inf is fine here: divergence is detected from the norm
         with np.errstate(over="ignore"):
             return float(np.sqrt(np.sum(self.tau * values**2)))
+
+    # -- the follower reduced to its boundary trace -----------------------------
+
+    def follower_trace(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve (sigma tau + H)_22 x_2 = rhs_2; x vanishes off the follower's nodes.
+
+        ``rhs`` has shape (N+1,) or (N+1, m).  The Cholesky factor is built on
+        first use and kept with the engine.
+        """
+        out = np.zeros_like(rhs)
+        i = self._idx2
+        if i.size == 0:
+            return out
+        if self._schur is None:
+            H = self.op.boundary_response().H
+            self._schur = scipy.linalg.cho_factor(
+                H[np.ix_(i, i)] + np.diag(self.sigma * self.tau[i])
+            )
+        out[i] = scipy.linalg.cho_solve(self._schur, rhs[i])
+        return out
+
+    def schur_bc(self, w1_values: np.ndarray, utilde: np.ndarray | None = None):
+        """Equilibrium boundary data chi1 w1 + chi2 w2 and the follower trace w2.
+
+        S^T W u_tilde, the boundary row of one transposed solve, is the only
+        wave solve; none when ``utilde`` is None.
+        """
+        bc1 = self.chi1 * w1_values
+        rhs = -(self.op.boundary_response().H @ bc1)
+        if utilde is not None:
+            rhs += self.multiplier_solve(self.W * utilde)[0, :]
+        w2 = self.follower_trace(rhs)
+        return bc1 + self.chi2 * w2, w2
+
+    def schur_pair(self, w1_values: np.ndarray, utilde: np.ndarray | None):
+        """Equilibrium fields from the reduced solve.
+
+        Returns (state, lam, w2, residual): one forward solve for the state,
+        one transposed solve for the multiplier, and the trace residual
+        between w2 and the follower trace read back from that multiplier.
+        """
+        bc, w2 = self.schur_bc(w1_values, utilde)
+        state = self.state_solve(bc)
+        misfit = state if utilde is None else state - utilde
+        lam = self.multiplier_solve(self.W * misfit)
+        residual = self.trace_norm((self.chi2 / self.sigma) * self.normal_trace(lam) - w2)
+        return state, lam, w2, residual
+
+    def schur_adjoint(self, rho_tails: np.ndarray):
+        """Reduced solves of the transposed coupled system, one per column.
+
+        ``rho_tails`` holds cotangents on the last three time levels, shape
+        (J+1, 3, m).  Returns (s, mu0), each (N+1, m): the boundary data of
+        psi and the boundary row of the multiplier mu, from
+        (sigma tau + H)_22 z_2 = (S^T rho)_2, s = -z and mu0 = S^T rho - H z.
+        On the follower's nodes mu0 is taken as sigma tau z, the same
+        equation's left side, so that sigma psi(0, t) = -mu0 / tau holds
+        there exactly.
+        """
+        resp = self.op.boundary_response()
+        y = resp.transpose_tail(rho_tails)
+        z = self.follower_trace(y)
+        mu0 = y - resp.H @ z
+        i = self._idx2
+        mu0[i] = (self.sigma * self.tau[i])[:, None] * z[i]
+        return -z, mu0
 
     # -- relaxed Picard on the coupling trace ---------------------------------
 
@@ -336,40 +430,52 @@ def _masked_values(trace: Trace, mask: np.ndarray) -> np.ndarray:
     return np.where(mask, trace.values, 0.0)
 
 
-def solve_nash_system(w1: Trace, cfg: FollowerConfig, method: str = "picard") -> NashSolution:
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ConfigurationError(f"unknown coupled-solve method {method!r}; use one of {METHODS}")
+
+
+def _pair(eng: CoupledEngine, w1v: np.ndarray, utilde: np.ndarray | None, cfg: FollowerConfig, method: str):
+    """(state, lam, w2, iterations, residual history, method taken) by ``method``."""
+    _check_method(method)
+    if method == "schur":
+        state, lam, w2, residual = eng.schur_pair(w1v, utilde)
+        return state, lam, w2, 1, [residual], "schur"
+    if method == "direct":
+        state, lam, w2 = eng.direct_pair(w1v, utilde)
+        return state, lam, w2, 0, [], "direct"
+    try:
+        state, lam, w2, iters, residuals = eng.picard_pair(w1v, utilde, cfg.picard)
+        return state, lam, w2, iters, residuals, "picard"
+    except ConvergenceError as err:
+        if not (cfg.picard.allow_fallback and eng.mesh.Ny <= 64):
+            raise
+        logger.warning("picard stalled (%s); using direct coupled solve", err)
+        state, lam, w2 = eng.direct_pair(w1v, utilde)
+        residuals = err.residual_history
+        return state, lam, w2, len(residuals), residuals, "monolithic-fallback"
+
+
+def solve_nash_system(w1: Trace, cfg: FollowerConfig, method: str = "schur") -> NashSolution:
     """Equilibrium pair for a fixed leader control.
 
-    Picard iteration on the follower trace: solve the state with the current
-    follower, the companion with the tracking misfit, update the follower
-    from the companion's boundary derivative, relax, repeat.  Falls back to
-    the direct coupled factorization when the iteration stalls (grids up to
-    Ny = 64).
+    The follower trace comes from one Cholesky solve in the boundary trace
+    (see the module docstring), the state from one forward solve and the
+    companion from one transposed solve.  ``method="direct"`` and
+    ``method="picard"`` select the oracles.
     """
     mesh = w1.mesh
     eng = get_engine(mesh, cfg)
     utilde = _utilde_values(cfg, mesh)
     w1v = _masked_values(w1, cfg.partition.mask1)
-    if method == "direct":
-        state, lam, w2 = eng.direct_pair(w1v, utilde)
-        iters, residuals, how = 0, [], "direct"
-    else:
-        try:
-            state, lam, w2, iters, residuals = eng.picard_pair(w1v, utilde, cfg.picard)
-            how = "picard"
-        except ConvergenceError as err:
-            if not (cfg.picard.allow_fallback and mesh.Ny <= 64):
-                raise
-            logger.warning("picard stalled (%s); using direct coupled solve", err)
-            state, lam, w2 = eng.direct_pair(w1v, utilde)
-            residuals, how = err.residual_history, "monolithic-fallback"
-            iters = len(residuals)
+    state, lam, w2, iters, residuals, how = _pair(eng, w1v, utilde, cfg, method)
     u = Field(state, mesh).check_finite()
     p = Field(eng.companion_field(lam), mesh)
     w2_trace = Trace(w2, cfg.partition.mask2, mesh)
     return NashSolution(u, p, w2_trace, iters, residuals, how)
 
 
-def solve_free_part(cfg: FollowerConfig, mesh: Mesh | None = None, method: str = "picard"):
+def solve_free_part(cfg: FollowerConfig, mesh: Mesh | None = None, method: str = "schur"):
     """Pair (u0, p0): the equilibrium with zero leader control."""
     mesh = _mesh_from_cfg(cfg, mesh)
     zero = Trace.zeros(mesh, cfg.partition.mask1)
@@ -377,35 +483,33 @@ def solve_free_part(cfg: FollowerConfig, mesh: Mesh | None = None, method: str =
     return sol.u, sol.p
 
 
-def solve_leader_part(w1: Trace, cfg: FollowerConfig, method: str = "picard"):
+def solve_leader_part(w1: Trace, cfg: FollowerConfig, method: str = "schur"):
     """Pair (g, q): the leader-linear part (tracked trajectory removed)."""
     mesh = w1.mesh
     eng = get_engine(mesh, cfg)
     w1v = _masked_values(w1, cfg.partition.mask1)
-    if method == "direct":
-        state, lam, _ = eng.direct_pair(w1v, None)
-    else:
-        try:
-            state, lam, _, _, _ = eng.picard_pair(w1v, None, cfg.picard)
-        except ConvergenceError:
-            if not (cfg.picard.allow_fallback and mesh.Ny <= 64):
-                raise
-            state, lam, _ = eng.direct_pair(w1v, None)
+    state, lam, _, _, _, _ = _pair(eng, w1v, None, cfg, method)
     g = Field(state, mesh).check_finite()
     q = Field(eng.companion_field(lam), mesh)
     return g, q
 
 
-def apply_A(w1: Trace, cfg: FollowerConfig, delta: float = 0.0, method: str = "auto"):
-    """Reach operator: leader control to (final velocity + delta * value, -value)."""
+def apply_A(w1: Trace, cfg: FollowerConfig, delta: float = 0.0, method: str = "schur"):
+    """Reach operator: leader control to (final velocity + delta * value, -value).
+
+    On the default path the final levels are S_tail (chi1 w1 + chi2 w2), with
+    no wave solve.
+    """
     if delta < 0.0:
         raise ConfigurationError("delta must be nonnegative")
+    _check_method(method)
     mesh = w1.mesh
     eng = get_engine(mesh, cfg)
     w1v = _masked_values(w1, cfg.partition.mask1)
-    if method == "auto":
-        method = "direct" if mesh.Ny <= 64 else "picard"
-    if method == "direct":
+    if method == "schur":
+        bc, _ = eng.schur_bc(w1v)
+        state = eng.op.boundary_response().terminal_levels(bc)
+    elif method == "direct":
         state, _, _ = eng.direct_pair(w1v, None)
     else:
         state, _, _, _, _ = eng.picard_pair(w1v, None, cfg.picard)
@@ -419,13 +523,16 @@ def apply_A_star(
     f1: SpatialProfile,
     cfg: FollowerConfig,
     delta: float = 0.0,
-    method: str = "auto",
+    method: str = "schur",
 ) -> AdjointPair:
     """Adjoint of the reach operator through the transposed coupled system.
 
     The returned trace is minus the boundary derivative of the first adjoint
     field on the leader's part of the boundary; it satisfies the duality
-    identity against :func:`apply_A` exactly (to solver tolerance).
+    identity against :func:`apply_A` exactly (to solver tolerance).  On the
+    default path the trace and psi's boundary data both come from one
+    reduced solve; the fields psi and phi then take one forward and one
+    transposed wave solve.
     """
     mesh = f0.mesh
     scale0 = np.max(np.abs(f0.values)) if f0.values.size else 0.0
@@ -433,21 +540,30 @@ def apply_A_star(
         raise ConfigurationError("f0 plays the zero-boundary role: endpoints must vanish")
     if f1.mesh.key() != mesh.key():
         raise ConfigurationError("f0 and f1 must share a mesh")
+    _check_method(method)
     eng = get_engine(mesh, cfg)
     wy = trapezoid_weights(mesh.Ny + 1, mesh.dy)
     aT = mesh.alphas[-1]
     theta1 = aT * wy * f0.values
     theta2 = aT * wy * f1.values
     rho = terminal_adjoint(mesh, theta1, theta2, delta)
-    if method == "auto":
-        method = "direct" if mesh.Ny <= 64 else "picard"
-    if method == "direct":
+    if method == "schur":
+        s, mu0 = eng.schur_adjoint(rho[:, -3:, None])
+        s, mu0 = s[:, 0], mu0[:, 0]
+        zeros_t, zeros_y = np.zeros(mesh.Nt + 1), np.zeros(mesh.Ny + 1)
+        # the march carries the Dirichlet data s into psi's boundary row exactly
+        psi = eng.op.march(s, zeros_t, zeros_y, zeros_y)
+        mu = eng.multiplier_solve(rho + eng.W * psi)
+        iters, residuals, how = 1, [eng.trace_norm((mu[0, :] - mu0) / eng.tau)], "schur"
+    elif method == "direct":
         mu, psi = eng.direct_adjoint_pair(rho)
+        mu0 = mu[0, :]
         iters, residuals, how = 0, [], "direct"
     else:
         mu, psi, _, iters, residuals = eng.picard_adjoint_pair(rho, cfg.picard)
+        mu0 = mu[0, :]
         how = "picard"
-    trace_vals = np.where(cfg.partition.mask1, mu[0, :] / eng.tau, 0.0)
+    trace_vals = np.where(cfg.partition.mask1, mu0 / eng.tau, 0.0)
     phi_vals = eng.companion_field(mu)
     phi_vals[:, -1] = f0.values
     phi_vals[:, -2] = terminal_first_step(mesh, f0.values, f1.values, psi[:, -1])

@@ -10,7 +10,6 @@ mutually consistent.
 
 from __future__ import annotations
 
-import csv as _csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -319,16 +318,25 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_csv(path, header_comments: dict | None, columns: list[str], rows) -> None:
+def _fmt_all(values: np.ndarray) -> list[str]:
+    return [f"{v:.17g}" for v in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+def _write_csv(path, header_comments: dict | None, columns: list[str], cells: list[list[str]]) -> None:
+    """Comment lines, a header row, then one row per index of ``cells``.
+
+    ``cells`` holds one list of formatted values per column.  Rows end in
+    "\r\n" and comment lines in "\n", byte for byte what csv.writer
+    wrote: no cell here contains a separator or a quote, so none is quoted.
+    The file is written in one call.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    parts = [f"# {key}: {val}\n" for key, val in (header_comments or {}).items()]
+    parts.append(",".join(columns) + "\r\n")
+    parts.extend(f"{row}\r\n" for row in map(",".join, zip(*cells)))
     with open(path, "w", newline="") as fh:
-        for key, val in (header_comments or {}).items():
-            fh.write(f"# {key}: {val}\n")
-        writer = _csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write("".join(parts))
 
 
 def _read_csv(path) -> tuple[dict, list[str], np.ndarray]:
@@ -359,7 +367,7 @@ def save_profile_csv(path, profile: SpatialProfile, extra_header: dict | None = 
     header = {"kind": "profile", "time": _fmt(profile.time), "Ny": profile.mesh.Ny}
     header.update(extra_header or {})
     x = profile.alpha * profile.mesh.y
-    _write_csv(path, header, ["coordinate", "value"], zip(x, profile.values))
+    _write_csv(path, header, ["coordinate", "value"], [_fmt_all(x), _fmt_all(profile.values)])
 
 
 def load_profile_csv(path, mesh: Mesh, time: float) -> SpatialProfile:
@@ -378,7 +386,7 @@ def load_profile_csv(path, mesh: Mesh, time: float) -> SpatialProfile:
 def save_trace_csv(path, trace: Trace, extra_header: dict | None = None) -> None:
     header = {"kind": "trace", "side": trace.side, "Nt": trace.mesh.Nt}
     header.update(extra_header or {})
-    _write_csv(path, header, ["coordinate", "value"], zip(trace.mesh.times, trace.values))
+    _write_csv(path, header, ["coordinate", "value"], [_fmt_all(trace.mesh.times), _fmt_all(trace.values)])
 
 
 def load_trace_csv(path, mesh: Mesh, mask: np.ndarray | None = None, side: str = "y=0") -> Trace:
@@ -406,11 +414,8 @@ def load_field_csv(path, mesh: Mesh) -> Field:
 def save_field_csv(path, fld: Field, extra_header: dict | None = None) -> None:
     header = {"kind": "field", "Ny": fld.mesh.Ny, "Nt": fld.mesh.Nt}
     header.update(extra_header or {})
-    y = fld.mesh.y
-    t = fld.mesh.times
-    rows = (
-        (y[j], t[n], fld.values[j, n])
-        for n in range(fld.mesh.Nt + 1)
-        for j in range(fld.mesh.Ny + 1)
-    )
-    _write_csv(path, header, ["y", "t", "value"], rows)
+    # rows run over j fastest, then n; each coordinate is formatted once
+    n_y = fld.mesh.Ny + 1
+    y_cells = _fmt_all(fld.mesh.y) * (fld.mesh.Nt + 1)
+    t_cells = [t for t in _fmt_all(fld.mesh.times) for _ in range(n_y)]
+    _write_csv(path, header, ["y", "t", "value"], [y_cells, t_cells, _fmt_all(fld.values.T)])

@@ -55,7 +55,7 @@ from .grid import (
     trapezoid_weights,
 )
 from .coupled import FollowerConfig, apply_A, cost_J, get_engine
-from .wave_core import extract_terminal, terminal_adjoint
+from .wave_core import extract_terminal, terminal_adjoint_levels
 
 logger = logging.getLogger(__name__)
 
@@ -189,8 +189,9 @@ def _free_terminal(mesh: Mesh, cfg: FollowerConfig) -> tuple[np.ndarray, np.ndar
             zero = np.zeros(mesh.Ny + 1)
             out = (zero, zero.copy())
         else:
-            state, _, _ = eng.direct_pair(np.zeros(mesh.Nt + 1), utilde)
-            vel, neg_val = extract_terminal(mesh, state, 0.0)
+            bc, _ = eng.schur_bc(np.zeros(mesh.Nt + 1), utilde)
+            levels = eng.op.boundary_response().terminal_levels(bc)
+            vel, neg_val = extract_terminal(mesh, levels, 0.0)
             out = (-neg_val, vel)
         _FREE_TERMINAL_CACHE[key] = out
     return out
@@ -251,25 +252,19 @@ class _DualModel:
 
     # -- operator plumbing ---------------------------------------------------
 
-    def _astar_trace_from_profiles(self, f0_vals: np.ndarray, f1_vals: np.ndarray) -> np.ndarray:
-        rho = terminal_adjoint(
-            self.mesh, self.omega * f0_vals, self.omega * f1_vals, self.delta
-        )
-        mu, _ = self.eng.direct_adjoint_pair(rho)
-        return np.where(self.cfg.partition.mask1, mu[0, :] / self.eng.tau, 0.0)
-
     def _build_gram(self) -> tuple[np.ndarray, np.ndarray]:
-        cols = np.empty((self.mesh.Nt + 1, self.m))
-        f0 = np.zeros(self.n1)
-        f1 = np.zeros(self.n1)
-        for i in range(self.n0):
-            f0[:] = 0.0
-            f0[i + 1] = 1.0
-            cols[:, i] = self._astar_trace_from_profiles(f0, np.zeros(self.n1))
-        for i in range(self.n1):
-            f1[:] = 0.0
-            f1[i] = 1.0
-            cols[:, self.n0 + i] = self._astar_trace_from_profiles(np.zeros(self.n1), f1)
+        """Adjoint traces of the unit coordinates, and their Gram matrix.
+
+        Every column comes from one reduced transposed solve on the
+        engine's Schur complement, with no wave solve.
+        """
+        theta1 = np.zeros((self.n1, self.m))
+        theta2 = np.zeros((self.n1, self.m))
+        theta1[1:-1, : self.n0] = np.diag(self.omega[1:-1])
+        theta2[:, self.n0 :] = np.diag(self.omega)
+        rho_tails = terminal_adjoint_levels(self.mesh, theta1, theta2, self.delta)
+        _, mu0 = self.eng.schur_adjoint(rho_tails)
+        cols = np.where(self.cfg.partition.mask1[:, None], mu0 / self.eng.tau[:, None], 0.0)
         w = self.eng.tau * self.cfg.partition.mask1
         G = cols.T @ (w[:, None] * cols)
         return cols, 0.5 * (G + G.T)
@@ -396,7 +391,7 @@ def dual_functional(
 def _gT_from(w1_current: Trace | None, cfg: FollowerConfig, delta: float, mesh: Mesh) -> np.ndarray:
     if delta == 0.0 or w1_current is None:
         return np.zeros(mesh.Ny + 1)
-    _, c2 = apply_A(w1_current, cfg, 0.0, method="auto")
+    _, c2 = apply_A(w1_current, cfg, 0.0)
     return -c2.values
 
 
@@ -490,7 +485,7 @@ def duality_gap(
     The ball-constraint indicator must be finite, so the control is required
     to reach both targets first.
     """
-    c1, c2 = apply_A(w1_star, cfg, delta, method="auto")
+    c1, c2 = apply_A(w1_star, cfg, delta)
     mesh = targets.mesh
     u0T, u0pT = _free_terminal(mesh, cfg)
     gT = -c2.values
@@ -555,10 +550,12 @@ def _secular_newton(
 
         free = (cd > 0.0) | (n > radii)
         res = float(np.max(np.abs(n[free] / radii[free] - 1.0), initial=0.0))
+        # a stall is an iterate that does not halve the best residual so far:
+        # Newton's steps do far better until the round-off floor, where tiny
+        # new minima must not keep the iteration going
+        stall = 0 if res < 0.5 * best_res else stall + 1
         if res < best_res:
-            best_res, best_point, stall = res, (fvec, cd.copy()), 0
-        else:
-            stall += 1
+            best_res, best_point = res, (fvec, cd.copy())
         # stop when converged, or once round-off keeps the residual from falling
         if res <= SECULAR_RTOL or stall >= 2:
             break
@@ -620,7 +617,7 @@ def minimize_dual(
         if delta == 0.0:
             break
         w1 = Trace(model.astar_trace(fvec), cfg.partition.mask1, mesh)
-        _, c2 = apply_A(w1, cfg, 0.0, method="auto")
+        _, c2 = apply_A(w1, cfg, 0.0)
         gT_new = -c2.values
         drift = float(np.max(np.abs(gT_new - gT))) / max(1.0, float(np.max(np.abs(gT_new))))
         gT = gT_new
@@ -631,7 +628,7 @@ def minimize_dual(
     w1_star = Trace(model.astar_trace(fvec), cfg.partition.mask1, mesh)
 
     # honest terminal state from one reach-operator application
-    c1, c2 = apply_A(w1_star, cfg, delta, method="auto")
+    c1, c2 = apply_A(w1_star, cfg, delta)
     gT_fin = -c2.values
     gpT_fin = c1.values - delta * gT_fin
     T = mesh.domain.T

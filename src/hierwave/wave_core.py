@@ -15,7 +15,10 @@ local in time.
 Every solve is also available through one sparse space-time operator M
 (forward substitution of M is exactly the march).  Transposed solves of M
 provide the exact discrete adjoints that the coupled optimality systems
-are built from; see :mod:`hierwave.coupled`.
+are built from; see :mod:`hierwave.coupled`.  The same march run on all
+unit Dirichlet data at y = 0 at once gives the boundary response
+S = M^-1 E, reduced to the Gram matrix S^T W S and the last three time
+levels of S (:meth:`WaveOperator.boundary_response`).
 
 Backward problems (data at t = T) are marched by the substitution
 tau = T - t, which flips the sign of the mixed-derivative coefficient and
@@ -32,12 +35,13 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import ConfigurationError, InstabilityError
-from .grid import Field, Mesh, SpatialProfile, Trace
+from .grid import Field, Mesh, SpatialProfile, Trace, space_time_weights
 from .geometry import alpha
 
 __all__ = [
     "WaveProblem",
     "WaveOperator",
+    "BoundaryResponse",
     "get_operator",
     "solve_forward",
     "solve_backward",
@@ -46,6 +50,7 @@ __all__ = [
     "final_velocity_profile",
     "extract_terminal",
     "terminal_adjoint",
+    "terminal_adjoint_levels",
     "profile_derivative_matrix",
 ]
 
@@ -95,6 +100,41 @@ def profile_derivative_matrix(n_nodes: int, dy: float) -> np.ndarray:
 # the space-time operator
 # ---------------------------------------------------------------------------
 
+# time levels per product when H is accumulated
+_RESPONSE_BLOCK = 16
+
+
+@dataclass(frozen=True)
+class BoundaryResponse:
+    """The march's response to unit Dirichlet data at y = 0, in reduced form.
+
+    Column m of S = M^-1 E is the field driven by a unit datum at time node
+    m, with zero initial data and zero data at y = 1.  S itself is never
+    held (at Ny = 128 it takes 513 MB); what the coupled systems need is
+
+    * ``H = S^T W S``, shape (N+1, N+1), with W the space-time quadrature
+      weights of :func:`~hierwave.grid.space_time_weights`;
+    * ``tail``, shape (J+1, 3, N+1): time levels N-2, N-1 and N of S, from
+      which final values and velocities are read.
+    """
+
+    H: np.ndarray
+    tail: np.ndarray
+
+    def terminal_levels(self, bc: np.ndarray) -> np.ndarray:
+        """Last three time levels, shape (J+1, 3), of the field S bc."""
+        return self.tail @ bc
+
+    def transpose_tail(self, rho_tails: np.ndarray) -> np.ndarray:
+        """S^T rho for cotangents living on the last three time levels.
+
+        ``rho_tails`` has shape (J+1, 3, m); column k of the result, shape
+        (N+1, m), is the boundary row of M^-T applied to cotangent k.
+        """
+        J1 = self.tail.shape[0]
+        return self.tail.reshape(3 * J1, -1).T @ rho_tails.reshape(3 * J1, -1)
+
+
 class WaveOperator:
     """Stepper plus sparse space-time matrix for one direction of the sweep.
 
@@ -120,6 +160,7 @@ class WaveOperator:
         self.d = 2.0 * k**2 * y[None, :] / a[:, None] ** 2
         self._matrix = None
         self._lu = None
+        self._response = None
 
     # -- index layout: flat id = n * (J + 1) + j ----------------------------
 
@@ -201,6 +242,86 @@ class WaveOperator:
                         step=n + 1,
                     )
         return v
+
+    # -- the response to unit boundary data, all columns in one march -------
+
+    def boundary_response(self) -> BoundaryResponse:
+        """H = S^T W S and the last three levels of S, built once per operator.
+
+        One march over all N+1 unit data at y = 0 together: each step is one
+        banded solve whose right-hand side holds the active columns only
+        (level n is nonzero only in columns 0..n, the data already seen).
+        H is accumulated level by level, so S is never held whole.
+        """
+        if self._response is None:
+            self._response = self._march_boundary_response()
+        return self._response
+
+    def _unit_levels(self):
+        """Yield (n, level) for the march driven by every unit datum at y = 0.
+
+        ``level`` has shape (J+1, N+1), column m being driven by the datum at
+        time node m; only columns 0..n are nonzero.  The arrays are reused
+        from one step to the next.  The arithmetic is :meth:`march`'s, with
+        the active columns as a batch of right-hand sides.
+        """
+        J, N, dy, dt = self.J, self.N, self.dy, self.dt
+        prev = np.zeros((J + 1, N + 1))
+        cur = np.zeros((J + 1, N + 1))
+        nxt = np.zeros((J + 1, N + 1))
+        cur[0, 0] = 1.0
+        yield 0, cur
+        nxt[1:-1, :1] = 0.5 * dt**2 * (
+            self.c[0, 1:-1, None] * _dyy(cur[:, :1], dy)
+            - self.d[0, 1:-1, None] * _dc(cur[:, :1], dy)
+        )
+        nxt[0, 1] = 1.0
+        prev, cur, nxt = cur, nxt, prev
+        yield 1, cur
+
+        inv_dt2 = 1.0 / dt**2
+        ab = np.zeros((3, J - 1))
+        ab[1, :] = inv_dt2
+        for n in range(1, N):
+            a = n + 2
+            b_n = self.b[n, 1:-1, None]
+            q = b_n[:, 0] / (4.0 * dy * dt)
+            vn, vp = cur[:, :a], prev[:, :a]
+            rhs = (
+                (2.0 * vn[1:-1] - vp[1:-1]) * inv_dt2
+                + self.c[n, 1:-1, None] * _dyy(vn, dy)
+                - self.d[n, 1:-1, None] * _dc(vn, dy)
+                - (b_n / (2.0 * dt)) * _dc(vp, dy)
+            )
+            # the new level's own datum, in column n + 1, moved to the right
+            rhs[0, n + 1] -= q[0]
+            ab[0, 1:] = -q[:-1]
+            ab[2, :-1] = q[1:]
+            nxt[1:-1, :a] = scipy.linalg.solve_banded((1, 1), ab, rhs)
+            nxt[0, :] = 0.0
+            nxt[0, n + 1] = 1.0
+            prev, cur, nxt = cur, nxt, prev
+            yield n + 1, cur
+
+    def _march_boundary_response(self) -> BoundaryResponse:
+        J, N = self.J, self.N
+        sqrt_w = np.sqrt(space_time_weights(self.mesh))
+        H = np.zeros((N + 1, N + 1))
+        tail = np.zeros((J + 1, 3, N + 1))
+        # weighted levels enter H a block at a time: one product per level
+        # spends most of the build on adding into H
+        block = np.zeros((_RESPONSE_BLOCK, J + 1, N + 1))
+        for n, level in self._unit_levels():
+            i = n % _RESPONSE_BLOCK
+            block[i, :, : n + 1] = sqrt_w[:, n, None] * level[:, : n + 1]
+            if i == _RESPONSE_BLOCK - 1 or n == N:
+                x = block[: i + 1, :, : n + 1].reshape(-1, n + 1)
+                H[: n + 1, : n + 1] += x.T @ x
+            if n >= N - 2:
+                tail[:, n - (N - 2), :] = level
+        if not np.all(np.isfinite(H)):
+            raise InstabilityError("unstable march of the boundary response", step=N)
+        return BoundaryResponse(0.5 * (H + H.T), tail)
 
     # -- sparse space-time matrix and LU ------------------------------------
 
@@ -459,13 +580,16 @@ def final_velocity_profile(field: Field) -> SpatialProfile:
 
 
 def extract_terminal(mesh: Mesh, values: np.ndarray, delta: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """(u_t(T) + delta u(T), -u(T)) as raw arrays; the reach-operator output."""
-    N = mesh.Nt
-    v_t = (3.0 * values[:, N] - 4.0 * values[:, N - 1] + values[:, N - 2]) / (2.0 * mesh.dt)
+    """(u_t(T) + delta u(T), -u(T)) as raw arrays; the reach-operator output.
+
+    Only the last three time levels of ``values`` are read, so a field or
+    just those levels (shape (Ny+1, 3)) will do.
+    """
+    v_t = (3.0 * values[:, -1] - 4.0 * values[:, -2] + values[:, -3]) / (2.0 * mesh.dt)
     aT = mesh.alphas[-1]
     D = profile_derivative_matrix(mesh.Ny + 1, mesh.dy)
-    u_t = v_t - (mesh.domain.k * mesh.y / aT) * (D @ values[:, N])
-    return u_t + delta * values[:, N], -values[:, N]
+    u_t = v_t - (mesh.domain.k * mesh.y / aT) * (D @ values[:, -1])
+    return u_t + delta * values[:, -1], -values[:, -1]
 
 
 def terminal_first_step(
@@ -497,15 +621,25 @@ def terminal_first_step(
     return out
 
 
-def terminal_adjoint(mesh: Mesh, theta1: np.ndarray, theta2: np.ndarray, delta: float = 0.0) -> np.ndarray:
-    """Exact transpose of :func:`extract_terminal`; returns a cotangent field."""
-    N = mesh.Nt
-    rho = np.zeros((mesh.Ny + 1, N + 1))
+def terminal_adjoint_levels(
+    mesh: Mesh, theta1: np.ndarray, theta2: np.ndarray, delta: float = 0.0
+) -> np.ndarray:
+    """Time levels N-2, N-1 and N of :func:`terminal_adjoint`'s cotangent.
+
+    The cotangent vanishes on every earlier level.  ``theta1`` and
+    ``theta2`` have shape (Ny+1,) or (Ny+1, m); the result has shape
+    (Ny+1, 3) or (Ny+1, 3, m).
+    """
     inv2dt = 1.0 / (2.0 * mesh.dt)
     aT = mesh.alphas[-1]
     D = profile_derivative_matrix(mesh.Ny + 1, mesh.dy)
-    rho[:, N] += 3.0 * inv2dt * theta1 + delta * theta1 - theta2
-    rho[:, N] -= D.T @ ((mesh.domain.k * mesh.y / aT) * theta1)
-    rho[:, N - 1] -= 4.0 * inv2dt * theta1
-    rho[:, N - 2] += inv2dt * theta1
+    drift = (mesh.domain.k * mesh.y / aT).reshape((-1,) + (1,) * (np.ndim(theta1) - 1))
+    last = 3.0 * inv2dt * theta1 + delta * theta1 - theta2 - D.T @ (drift * theta1)
+    return np.stack([inv2dt * theta1, -4.0 * inv2dt * theta1, last], axis=1)
+
+
+def terminal_adjoint(mesh: Mesh, theta1: np.ndarray, theta2: np.ndarray, delta: float = 0.0) -> np.ndarray:
+    """Exact transpose of :func:`extract_terminal`; returns a cotangent field."""
+    rho = np.zeros((mesh.Ny + 1, mesh.Nt + 1))
+    rho[:, -3:] = terminal_adjoint_levels(mesh, theta1, theta2, delta)
     return rho

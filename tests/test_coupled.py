@@ -208,7 +208,7 @@ def test_apply_A_zero_and_linear(mesh41, cfg41_plain):
     assert np.max(np.abs(c2b.values - 2.5 * c2a.values)) < 1e-10 * (np.max(np.abs(c2a.values)) + 1)
 
 
-def _transpose_worst(mesh, cfg, trials, method, delta=0.0, seed=42):
+def _transpose_worst(mesh, cfg, trials, method="schur", delta=0.0, seed=42):
     rng = np.random.default_rng(seed)
     tau = trapezoid_weights(mesh.Nt + 1, mesh.dt)
     worst = 0.0
@@ -239,6 +239,19 @@ def test_transpose_identity_time_split(mesh41):
 
 def test_transpose_identity_with_delta(mesh41, cfg41_plain):
     assert _transpose_worst(mesh41, cfg41_plain, 4, "direct", delta=0.5) < 1e-8
+
+
+@pytest.mark.parametrize("mode", ["overlap", "time-split"])
+def test_transpose_identity_default_path(mode):
+    """The reduced solve at Ny = 80 over the follower weights where relaxed
+    Picard, the default there before, diverged (sigma = 1e-4)."""
+    mesh = Mesh.auto(DomainSpec(k=0.1, T=4.0), 80)
+    n = mesh.Nt + 1
+    part = SigmaPartition.overlap(n) if mode == "overlap" else SigmaPartition.time_split(n)
+    for sigma in (1e-4, 1.0, 100.0):
+        cfg = FollowerConfig(sigma=sigma, partition=part)
+        for delta in (0.0, 0.5):
+            assert _transpose_worst(mesh, cfg, 2, delta=delta) < 1e-8, (sigma, delta)
 
 
 def test_apply_A_star_zero(mesh41, cfg41_plain):
@@ -311,13 +324,13 @@ def test_picard_divergence_and_fallback(mesh41, overlap41, w1_smooth):
     stubborn = PicardOptions(max_iters=60, allow_fallback=False)
     cfg = FollowerConfig(sigma=1e-6, partition=overlap41, picard=stubborn)
     with pytest.raises(ConvergenceError) as err:
-        solve_nash_system(w1_smooth, cfg)
+        solve_nash_system(w1_smooth, cfg, method="picard")
     hist = err.value.residual_history
     assert len(hist) >= 2 and hist[-2] > hist[0]
 
     rescued_opts = PicardOptions(max_iters=60, allow_fallback=True)
     cfg2 = FollowerConfig(sigma=1e-6, partition=overlap41, picard=rescued_opts)
-    sol = solve_nash_system(w1_smooth, cfg2)
+    sol = solve_nash_system(w1_smooth, cfg2, method="picard")
     assert sol.method == "monolithic-fallback"
     assert sol.iterations == len(sol.residual_history)
     direct = solve_nash_system(w1_smooth, cfg2, method="direct")

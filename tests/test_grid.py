@@ -237,3 +237,62 @@ def test_csv_mismatch_rejected(tmp_path):
     save_profile_csv(tmp_path / "p.csv", prof)
     with pytest.raises(ConfigurationError):
         load_profile_csv(tmp_path / "p.csv", other, 2.0)
+
+
+def _csv_writer_bytes(path, header, columns, rows):
+    """The earlier row-by-row writer, kept as the byte-level reference."""
+    import csv
+
+    with open(path, "w", newline="") as fh:
+        for key, val in header.items():
+            fh.write(f"# {key}: {val}\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([f"{v:.17g}" for v in row])
+    return path.read_bytes()
+
+
+def test_csv_bytes_match_csv_writer(tmp_path):
+    mesh = Mesh.auto(DomainSpec(k=0.25, T=2.0), 12)
+    rng = np.random.default_rng(9)
+    special = np.array([0.0, -0.0, 1e-300, 1e300, -1e300, -1e-300, -2.5, 1.0 / 3.0])
+    header = {"config_hash": "abc", "seed": 3, "warnings": "none"}
+
+    vals = rng.standard_normal((mesh.Ny + 1, mesh.Nt + 1))
+    vals.ravel()[: special.size] = special
+    fld = Field(vals, mesh)
+    save_field_csv(tmp_path / "f.csv", fld, header)
+    rows = (
+        (mesh.y[j], mesh.times[n], vals[j, n])
+        for n in range(mesh.Nt + 1)
+        for j in range(mesh.Ny + 1)
+    )
+    ref = _csv_writer_bytes(
+        tmp_path / "f_ref.csv", {"kind": "field", "Ny": mesh.Ny, "Nt": mesh.Nt, **header}, ["y", "t", "value"], rows
+    )
+    assert (tmp_path / "f.csv").read_bytes() == ref
+
+    pvals = rng.standard_normal(mesh.Ny + 1)
+    pvals[: special.size] = special
+    prof = SpatialProfile(pvals, 2.0, mesh)
+    save_profile_csv(tmp_path / "p.csv", prof, header)
+    ref = _csv_writer_bytes(
+        tmp_path / "p_ref.csv",
+        {"kind": "profile", "time": "2", "Ny": mesh.Ny, **header},
+        ["coordinate", "value"],
+        zip(prof.alpha * mesh.y, pvals),
+    )
+    assert (tmp_path / "p.csv").read_bytes() == ref
+
+    tvals = rng.standard_normal(mesh.Nt + 1)
+    tvals[: special.size] = special
+    tr = Trace(tvals, np.ones(mesh.Nt + 1, bool), mesh)
+    save_trace_csv(tmp_path / "t.csv", tr, header)
+    ref = _csv_writer_bytes(
+        tmp_path / "t_ref.csv",
+        {"kind": "trace", "side": "y=0", "Nt": mesh.Nt, **header},
+        ["coordinate", "value"],
+        zip(mesh.times, tvals),
+    )
+    assert (tmp_path / "t.csv").read_bytes() == ref

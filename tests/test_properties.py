@@ -1,0 +1,119 @@
+"""Properties of the method that every follower solve path must keep.
+
+Each example draws a grid, a domain, a follower weight, a partition and
+seeded smooth data, solves on the default path and checks it against
+properties computed here from scratch: the state re-marched from the two
+controls, the follower's first-order condition, the one-shot coupled
+oracle of ``verify.monolithic_solve``, and the transpose identity between
+the reach operator and its adjoint.  Weights and pairings are written out
+below rather than taken from the program.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from hierwave.coupled import (
+    FollowerConfig,
+    apply_A,
+    apply_A_star,
+    clear_engine_cache,
+    solve_nash_system,
+)
+from hierwave.geometry import DomainSpec, SigmaPartition, min_control_time
+from hierwave.grid import Field, Mesh, SpatialProfile, Trace
+from hierwave.verify import monolithic_solve
+from hierwave.wave_core import WaveOperator, clear_operator_cache
+
+# T is drawn from [T0, T0 + 2] with T0 = min(T*(k), T_CAP): T*(k) passes 6
+# near k = 0.17 and is 444 at k = 0.4, where a grid would need 10^4 steps.
+# None of the properties below depends on T >= T*.
+T_CAP = 6.0
+MARCH_RTOL = 1e-7
+FOC_RTOL = 1e-6
+FOC_DIRECTIONS = 3
+# the bound hierwave verify puts on the Picard oracle against the same solve
+ORACLE_RTOL = 1e-6
+TRANSPOSE_RTOL = 1e-8
+
+
+def trap(n_nodes, spacing):
+    w = np.full(n_nodes, spacing)
+    w[0] = w[-1] = spacing / 2.0
+    return w
+
+
+def smooth_inputs(mesh, rng):
+    """A leader trace of three time modes and a separable tracked field."""
+    t = mesh.times / mesh.domain.T
+    leader = sum(rng.normal() * np.sin((i + 1) * np.pi * t + rng.uniform(0, 1)) for i in range(3))
+    space = np.sin(np.pi * rng.integers(1, 3) * mesh.y)
+    time = np.cos(rng.uniform(0.5, 3.0) * np.pi * t)
+    return leader, rng.uniform(0.1, 1.0) * np.outer(space, time)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    Ny=st.integers(8, 24),
+    k=st.floats(0.01, 0.5, exclude_max=True),
+    T_extra=st.floats(0.0, 2.0),
+    log_sigma=st.floats(-4.0, 2.0),
+    time_split=st.booleans(),
+    delta=st.sampled_from([0.0, 0.5]),
+    seed=st.integers(0, 2**16),
+)
+def test_default_path_properties(Ny, k, T_extra, log_sigma, time_split, delta, seed):
+    T = min(min_control_time(k), T_CAP) + T_extra
+    sigma = 10.0**log_sigma
+    mesh = Mesh.auto(DomainSpec(k=k, T=T), Ny)
+    n = mesh.Nt + 1
+    part = SigmaPartition.time_split(n) if time_split else SigmaPartition.overlap(n)
+    chi1, chi2 = part.mask1.astype(float), part.mask2.astype(float)
+    rng = np.random.default_rng(seed)
+    leader, tracked = smooth_inputs(mesh, rng)
+    cfg = FollowerConfig(sigma=sigma, partition=part, u_tilde2=Field(tracked, mesh))
+    w1 = Trace(leader, part.mask1, mesh)
+    try:
+        sol = solve_nash_system(w1, cfg)
+        u, w2 = sol.u.values, sol.w2.values
+
+        # the state, re-marched from the two controls
+        op = WaveOperator(mesh)
+        zeros_t, zeros_y = np.zeros(n), np.zeros(Ny + 1)
+
+        def march(bc):
+            return op.march(bc, zeros_t, zeros_y, zeros_y)
+
+        scale = max(float(np.max(np.abs(u))), 1e-300)
+        drift = float(np.max(np.abs(march(chi1 * leader + chi2 * w2) - u)))
+        assert drift <= MARCH_RTOL * scale, drift / scale
+
+        # the follower's first-order condition along random directions
+        tau = trap(n, mesh.dt)
+        W = np.outer(trap(Ny + 1, mesh.dy), tau * (1.0 + k * mesh.times))
+        for _ in range(FOC_DIRECTIONS):
+            h = chi2 * rng.standard_normal(n)
+            parts1 = W * (u - tracked) * march(h)
+            parts2 = sigma * tau * w2 * h
+            defect = abs(parts1.sum() + parts2.sum())
+            assert defect <= FOC_RTOL * (np.abs(parts1).sum() + np.abs(parts2).sum())
+
+        # the one-shot coupled oracle
+        mono = monolithic_solve("nash", mesh, cfg, w1=w1)["state"].values
+        gap = float(np.max(np.abs(u - mono)))
+        assert gap <= ORACLE_RTOL * max(float(np.max(np.abs(mono))), 1e-300), gap
+
+        # the transpose identity, reach operator against its adjoint
+        plain = FollowerConfig(sigma=sigma, partition=part)
+        omega = (1.0 + k * T) * trap(Ny + 1, mesh.dy)
+        f0v = rng.standard_normal(Ny + 1)
+        f0v[0] = f0v[-1] = 0.0
+        f1v = rng.standard_normal(Ny + 1)
+        c1, c2 = apply_A(w1, plain, delta)
+        lhs = float(np.sum(omega * (c1.values * f0v + c2.values * f1v)))
+        pair = apply_A_star(SpatialProfile(f0v, T, mesh), SpatialProfile(f1v, T, mesh), plain, delta)
+        rhs = float(np.sum(tau * chi1 * pair.leader_trace.values * leader))
+        assert abs(lhs - rhs) <= TRANSPOSE_RTOL * (abs(lhs) + abs(rhs)), (lhs, rhs)
+    finally:
+        # every example has its own mesh: keep the module caches from growing
+        clear_engine_cache()
+        clear_operator_cache()
