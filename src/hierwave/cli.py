@@ -274,12 +274,11 @@ def cmd_nash(config: dict, out_dir: Path) -> int:
     w1 = setup.build_time_trace(config.get("leader"), setup.partition.mask1)
     sol = solve_nash_system(w1, setup.follower)
     rng = np.random.default_rng(setup.seed)
-    el_samples = []
-    for _ in range(8):
-        direction = Trace(
-            rng.standard_normal(setup.mesh.Nt + 1), setup.partition.mask2, setup.mesh
-        )
-        el_samples.append(euler_lagrange_residual(sol, w1, setup.follower, direction))
+    directions = [
+        Trace(rng.standard_normal(setup.mesh.Nt + 1), setup.partition.mask2, setup.mesh)
+        for _ in range(8)
+    ]
+    el_samples = euler_lagrange_residual(sol, w1, setup.follower, directions)
     save_field_csv(out_dir / "u.csv", sol.u, header)
     save_field_csv(out_dir / "p.csv", sol.p, header)
     save_trace_csv(out_dir / "w2.csv", sol.w2, header)

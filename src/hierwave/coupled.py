@@ -1,9 +1,12 @@
 """Coupled leader/follower optimality systems and the reach operator.
 
 All couplings run through one discrete principle: the state solves the
-sparse space-time operator M, the companion (adjoint) field solves M^T, and
-the boundary-derivative trace that closes the loop is read off the
-transposed solve.  With the quadrature weights fixed once, the discrete
+sparse space-time operator M (the march), the companion (adjoint) field
+solves M^T (the exact backward sweep of
+:meth:`~hierwave.wave_core.WaveOperator.solve_adjoint`), and the
+boundary-derivative trace that closes the loop is read off the transposed
+solve.  Neither factors M: both run over its pre-factored tridiagonal step
+matrices.  With the quadrature weights fixed once, the discrete
 first-order conditions then hold to solver tolerance rather than to scheme
 order, and the reach operator and its adjoint are exact transposes of each
 other.  Both facts are what the verification suite leans on.
@@ -27,7 +30,7 @@ equilibrium trace solves the symmetric positive definite system
 
 well posed for every sigma > 0; its Cholesky factor is kept per engine, so
 each solve is exact, with no iteration, relaxation or fallback.  The state
-then takes one forward solve and the companion one transposed solve.  The
+then takes one forward march and the companion one backward sweep.  The
 reach operator needs only the last three time levels of S, and its adjoint
 only S^T on them, so neither runs a wave solve.  This is the control-space
 (Schur complement) reduction of HUM: Lions, SIAM Review 30 (1988);
@@ -43,6 +46,7 @@ remain callable as independent oracles for the tests and
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -151,6 +155,7 @@ class CoupledEngine:
         self.W = space_time_weights(mesh)
         self.tau = trapezoid_weights(mesh.Nt + 1, mesh.dt)
         self._zeros_full = np.zeros(mesh.Ny + 1)
+        self._zeros_t = np.zeros(mesh.Nt + 1)
         self._coupled_lu = None
         self._idx2 = np.flatnonzero(partition.mask2)
         self._schur = None
@@ -161,11 +166,15 @@ class CoupledEngine:
     # -- elementary solves ---------------------------------------------------
 
     def state_solve(self, bc_values: np.ndarray) -> np.ndarray:
-        """Forward solve with Dirichlet data at the fixed endpoint, zero data."""
-        return self.op.solve_lu(bc_values, np.zeros(self.mesh.Nt + 1), np.zeros(self.mesh.Ny - 1), self._zeros_full)
+        """Forward march with Dirichlet data at the fixed endpoint, zero initial data.
+
+        ``bc_values`` of shape (N+1, m) marches m boundary data at once and
+        gives fields of shape (J+1, N+1, m).
+        """
+        return self.op.march(bc_values, self._zeros_t, self._zeros_full, self._zeros_full)
 
     def multiplier_solve(self, rho: np.ndarray) -> np.ndarray:
-        """Transposed solve against a full-grid cotangent."""
+        """Exact transposed solve M^T lambda = rho: one backward sweep."""
         return self.op.solve_adjoint(rho)
 
     def normal_trace(self, lam: np.ndarray) -> np.ndarray:
@@ -214,7 +223,7 @@ class CoupledEngine:
     def schur_bc(self, w1_values: np.ndarray, utilde: np.ndarray | None = None):
         """Equilibrium boundary data chi1 w1 + chi2 w2 and the follower trace w2.
 
-        S^T W u_tilde, the boundary row of one transposed solve, is the only
+        S^T W u_tilde, the boundary row of one transposed sweep, is the only
         wave solve; none when ``utilde`` is None.
         """
         bc1 = self.chi1 * w1_values
@@ -227,8 +236,8 @@ class CoupledEngine:
     def schur_pair(self, w1_values: np.ndarray, utilde: np.ndarray | None):
         """Equilibrium fields from the reduced solve.
 
-        Returns (state, lam, w2, residual): one forward solve for the state,
-        one transposed solve for the multiplier, and the trace residual
+        Returns (state, lam, w2, residual): one forward march for the state,
+        one transposed sweep for the multiplier, and the trace residual
         between w2 and the follower trace read back from that multiplier.
         """
         bc, w2 = self.schur_bc(w1_values, utilde)
@@ -460,8 +469,8 @@ def solve_nash_system(w1: Trace, cfg: FollowerConfig, method: str = "schur") -> 
     """Equilibrium pair for a fixed leader control.
 
     The follower trace comes from one Cholesky solve in the boundary trace
-    (see the module docstring), the state from one forward solve and the
-    companion from one transposed solve.  ``method="direct"`` and
+    (see the module docstring), the state from one forward march and the
+    companion from one backward sweep.  ``method="direct"`` and
     ``method="picard"`` select the oracles.
     """
     mesh = w1.mesh
@@ -531,8 +540,8 @@ def apply_A_star(
     field on the leader's part of the boundary; it satisfies the duality
     identity against :func:`apply_A` exactly (to solver tolerance).  On the
     default path the trace and psi's boundary data both come from one
-    reduced solve; the fields psi and phi then take one forward and one
-    transposed wave solve.
+    reduced solve; the fields psi and phi then take one forward march and
+    one transposed sweep.
     """
     mesh = f0.mesh
     scale0 = np.max(np.abs(f0.values)) if f0.values.size else 0.0
@@ -550,9 +559,8 @@ def apply_A_star(
     if method == "schur":
         s, mu0 = eng.schur_adjoint(rho[:, -3:, None])
         s, mu0 = s[:, 0], mu0[:, 0]
-        zeros_t, zeros_y = np.zeros(mesh.Nt + 1), np.zeros(mesh.Ny + 1)
         # the march carries the Dirichlet data s into psi's boundary row exactly
-        psi = eng.op.march(s, zeros_t, zeros_y, zeros_y)
+        psi = eng.state_solve(s)
         mu = eng.multiplier_solve(rho + eng.W * psi)
         iters, residuals, how = 1, [eng.trace_norm((mu[0, :] - mu0) / eng.tau)], "schur"
     elif method == "direct":
@@ -593,18 +601,23 @@ def cost_J(w1: Trace) -> float:
 
 
 def euler_lagrange_residual(
-    sol: NashSolution, w1: Trace, cfg: FollowerConfig, what2: Trace
-) -> float:
+    sol: NashSolution, w1: Trace, cfg: FollowerConfig, what2: Trace | Sequence[Trace]
+) -> float | np.ndarray:
     """First-variation of the follower cost at ``sol`` in the direction ``what2``.
 
-    Zero (to solver tolerance) exactly when ``sol`` is the equilibrium.
+    Zero (to solver tolerance) exactly when ``sol`` is the equilibrium.  A
+    sequence of directions is answered by one batched march, with one
+    residual per direction.
     """
     mesh = sol.u.mesh
     eng = get_engine(mesh, cfg)
     utilde = _utilde_values(cfg, mesh)
     misfit = sol.u.values if utilde is None else sol.u.values - utilde
-    hat_vals = _masked_values(what2, cfg.partition.mask2)
-    u_hat = eng.state_solve(eng.chi2 * hat_vals)
-    term1 = float(np.sum(eng.W * misfit * u_hat))
-    term2 = float(cfg.sigma * np.sum(eng.tau * eng.chi2 * sol.w2.values * hat_vals))
-    return term1 + term2
+    batched = not isinstance(what2, Trace)
+    directions = list(what2) if batched else [what2]
+    hat_vals = np.stack([_masked_values(d, cfg.partition.mask2) for d in directions], axis=1)
+    u_hat = eng.state_solve(eng.chi2[:, None] * hat_vals)
+    term1 = np.einsum("jn,jnm->m", eng.W * misfit, u_hat)
+    term2 = cfg.sigma * ((eng.tau * eng.chi2 * sol.w2.values) @ hat_vals)
+    residuals = term1 + term2
+    return residuals if batched else float(residuals[0])

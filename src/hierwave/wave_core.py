@@ -12,13 +12,21 @@ each step solves a small tridiagonal system (the matrix is I/dt^2 plus an
 antisymmetric perturbation and is always invertible); the march remains
 local in time.
 
-Every solve is also available through one sparse space-time operator M
-(forward substitution of M is exactly the march).  Transposed solves of M
-provide the exact discrete adjoints that the coupled optimality systems
-are built from; see :mod:`hierwave.coupled`.  The same march run on all
-unit Dirichlet data at y = 0 at once gives the boundary response
-S = M^-1 E, reduced to the Gram matrix S^T W S and the last three time
-levels of S (:meth:`WaveOperator.boundary_response`).
+The march is forward substitution of one sparse space-time operator M,
+which is block lower-triangular in time with the step matrices on its
+diagonal.  Each step's tridiagonal matrix is factored once per operator
+(LAPACK dgttrf), so a march costs one pre-factored solve per step for any
+number of columns, and M^T lambda = rho is solved exactly by one backward
+sweep over the same factors: the reverse (discrete-adjoint) sweep of
+Griewank & Walther, Evaluating Derivatives, SIAM 2008.  Both take O(N J)
+memory.  The transposed solves are the exact discrete adjoints that the
+coupled optimality systems are built from; see :mod:`hierwave.coupled`.
+The same march run on all unit Dirichlet data at y = 0 at once gives the
+boundary response S = M^-1 E, reduced to the Gram matrix S^T W S and the
+last three time levels of S (:meth:`WaveOperator.boundary_response`).
+M itself is assembled only for the independent oracles: its sparse LU
+(:meth:`WaveOperator.solve_lu`) in the tests and the direct solves of
+:mod:`hierwave.verify`.
 
 Backward problems (data at t = T) are marched by the substitution
 tau = T - t, which flips the sign of the mixed-derivative coefficient and
@@ -71,14 +79,14 @@ def _dyy(z: np.ndarray, dy: float) -> np.ndarray:
 
 def _dc_T(mu: np.ndarray, dy: float, n_full: int) -> np.ndarray:
     """Transpose of :func:`_dc`: interior-indexed input, full-grid output."""
-    out = np.zeros(n_full)
+    out = np.zeros((n_full,) + mu.shape[1:])
     out[2:] += mu / (2.0 * dy)
     out[: n_full - 2] -= mu / (2.0 * dy)
     return out
 
 
 def _dyy_T(mu: np.ndarray, dy: float, n_full: int) -> np.ndarray:
-    out = np.zeros(n_full)
+    out = np.zeros((n_full,) + mu.shape[1:])
     out[2:] += mu / dy**2
     out[1:-1] -= 2.0 * mu / dy**2
     out[: n_full - 2] += mu / dy**2
@@ -158,6 +166,17 @@ class WaveOperator:
         self.b = sign * 2.0 * k * y[None, :] / a[:, None]
         self.c = (1.0 - (k * y[None, :]) ** 2) / a[:, None] ** 2
         self.d = 2.0 * k**2 * y[None, :] / a[:, None] ** 2
+        # Step n, the step to level n+1, reads at interior node j
+        #   v[j, n+1] / dt^2 - q (v[j+1, n+1] - v[j-1, n+1])
+        #     = below v[j-1, n] + centre v[j, n] + above v[j+1, n]
+        #       - v[j, n-1] / dt^2 - q (v[j+1, n-1] - v[j-1, n-1]) + source;
+        # the tables have shape (N+1, J-1, 1), so a column batch broadcasts.
+        c, d = self.c[:, 1:-1, None], self.d[:, 1:-1, None]
+        self.q = self.b[:, 1:-1, None] / (4.0 * self.dy * self.dt)
+        self.below = c / self.dy**2 + d / (2.0 * self.dy)
+        self.centre = 2.0 / self.dt**2 - 2.0 * c / self.dy**2
+        self.above = c / self.dy**2 - d / (2.0 * self.dy)
+        self._steps = None
         self._matrix = None
         self._lu = None
         self._response = None
@@ -169,6 +188,41 @@ class WaveOperator:
 
     def _unflatten(self, vec: np.ndarray) -> np.ndarray:
         return vec.reshape(self.N + 1, self.J + 1).T.copy()
+
+    # -- the step matrices, factored once ------------------------------------
+
+    def _step_factors(self) -> list:
+        """LAPACK ``dgttrf`` factors of every step's tridiagonal matrix.
+
+        Entry n (1 <= n < N) factors the matrix of the step to level n+1 on
+        the interior nodes: 1/dt^2 on the diagonal, -q_n above and q_n below.
+        Together they take O(N J) memory; entry 0 is unused.
+        """
+        if self._steps is None:
+            diag = np.full(self.J - 1, 1.0 / self.dt**2)
+            steps = [None]
+            for n in range(1, self.N):
+                q = self.q[n, :, 0]
+                *factors, info = scipy.linalg.lapack.dgttrf(q[1:], diag, -q[:-1])
+                if info != 0:
+                    raise InstabilityError(f"singular step matrix at time step {n + 1}", step=n + 1)
+                steps.append(tuple(factors))
+            self._steps = steps
+        return self._steps
+
+    def _step_rhs(self, n: int, vn: np.ndarray, vp: np.ndarray) -> np.ndarray:
+        """Interior right-hand side of the step to level n+1 from levels n and n-1.
+
+        ``vn`` and ``vp`` are full-grid levels, shape (J+1,) + batch; the new
+        level's boundary values and the source are not included.
+        """
+        return (
+            self.below[n] * vn[:-2]
+            + self.centre[n] * vn[1:-1]
+            + self.above[n] * vn[2:]
+            - vp[1:-1] / self.dt**2
+            - self.q[n] * (vp[2:] - vp[:-2])
+        )
 
     # -- marching (forward substitution of M) -------------------------------
 
@@ -187,11 +241,26 @@ class WaveOperator:
         a_init:   full initial profile (endpoints must match bc at n=0);
         m_init:   full initial cylinder velocity v_t(y, 0);
         source:   optional (J+1, N+1) nodal source.
+
+        A batch of problems marches at once when ``bc0`` has shape (N+1, m):
+        the other inputs then carry the same trailing axis or are shared by
+        every column, and the field has shape (J+1, N+1, m).  Each step is
+        one solve with the step's pre-factored tridiagonal matrix.
         """
         J, N, dy, dt = self.J, self.N, self.dy, self.dt
-        v = np.zeros((J + 1, N + 1))
-        v[:, 0] = a_init
-        v[0, 0], v[J, 0] = bc0[0], bc1[0]
+        bc0 = np.asarray(bc0, dtype=float)
+        batched = bc0.ndim == 2
+        width = bc0.shape[1] if batched else 1
+
+        def columns(x, rows):
+            return np.broadcast_to(np.asarray(x, dtype=float).reshape(rows, -1), (rows, width))
+
+        bc0, bc1 = columns(bc0, N + 1), columns(bc1, N + 1)
+        a_init, m_init = columns(a_init, J + 1), columns(m_init, J + 1)
+        if source is not None:
+            source = np.broadcast_to(
+                np.asarray(source, dtype=float).reshape(J + 1, N + 1, -1), (J + 1, N + 1, width)
+            )
         data_scale = max(
             float(np.max(np.abs(a_init))),
             float(np.max(np.abs(m_init))),
@@ -201,47 +270,86 @@ class WaveOperator:
             1.0,
         )
         blowup = 1e100 * data_scale
-        S0 = source[:, 0] if source is not None else np.zeros(J + 1)
+        # levels are held time-major, so that each step writes one block
+        v = np.zeros((N + 1, J + 1, width))
+        v[0] = a_init
+        v[:, 0], v[:, J] = bc0, bc1
         acc0 = (
-            self.b[0, 1:-1] * _dc(m_init, dy)
-            + self.c[0, 1:-1] * _dyy(v[:, 0], dy)
-            - self.d[0, 1:-1] * _dc(v[:, 0], dy)
-            + S0[1:-1]
+            self.b[0, 1:-1, None] * _dc(m_init, dy)
+            + self.c[0, 1:-1, None] * _dyy(v[0], dy)
+            - self.d[0, 1:-1, None] * _dc(v[0], dy)
         )
-        v[1:-1, 1] = v[1:-1, 0] + dt * m_init[1:-1] + 0.5 * dt**2 * acc0
-        v[0, 1], v[J, 1] = bc0[1], bc1[1]
+        if source is not None:
+            acc0 += source[1:-1, 0]
+        v[1, 1:-1] = v[0, 1:-1] + dt * m_init[1:-1] + 0.5 * dt**2 * acc0
+        # the new level's boundary columns, moved to the right-hand side
+        edge0 = -self.q[:-1, 0] * bc0[1:]
+        edge1 = self.q[:-1, -1] * bc1[1:]
 
-        inv_dt2 = 1.0 / dt**2
+        steps = self._step_factors()
         for n in range(1, N):
-            b_n = self.b[n, 1:-1]
-            q = b_n / (4.0 * dy * dt)
-            rhs = (
-                (2.0 * v[1:-1, n] - v[1:-1, n - 1]) * inv_dt2
-                + self.c[n, 1:-1] * _dyy(v[:, n], dy)
-                - self.d[n, 1:-1] * _dc(v[:, n], dy)
-                - (b_n / (2.0 * dt)) * _dc(v[:, n - 1], dy)
-            )
+            rhs = self._step_rhs(n, v[n], v[n - 1])
             if source is not None:
-                rhs = rhs + source[1:-1, n]
-            # move the new level's boundary columns to the right-hand side
-            rhs[0] -= q[0] * bc0[n + 1]
-            rhs[-1] += q[-1] * bc1[n + 1]
-            nin = J - 1
-            ab = np.zeros((3, nin))
-            ab[1, :] = inv_dt2
-            ab[0, 1:] = -q[:-1]
-            ab[2, :-1] = q[1:]
-            v[1:-1, n + 1] = scipy.linalg.solve_banded((1, 1), ab, rhs)
-            v[0, n + 1], v[J, n + 1] = bc0[n + 1], bc1[n + 1]
+                rhs += source[1:-1, n]
+            rhs[0] += edge0[n]
+            rhs[-1] += edge1[n]
+            x = scipy.linalg.lapack.dgttrs(*steps[n], rhs)[0]
+            v[n + 1, 1:-1] = x
             if check:
-                peak = float(np.max(np.abs(v[1:-1, n + 1])))
+                peak = float(np.abs(x).max())
                 if not np.isfinite(peak) or peak > blowup:
                     raise InstabilityError(
                         f"unstable march at time step {n + 1} (t = {(n + 1) * dt:.4g}, "
                         f"amplitude {peak:.3e})",
                         step=n + 1,
                     )
-        return v
+        field = np.ascontiguousarray(v.transpose(1, 0, 2))
+        return field if batched else field[:, :, 0]
+
+    # -- the exact transposed sweep (backward substitution of M^T) ---------
+
+    def solve_adjoint(self, rho: np.ndarray) -> np.ndarray:
+        """Multiplier field lambda with M^T lambda = rho (rho full-grid).
+
+        M is block lower-triangular in time, so M^T is solved exactly by one
+        backward sweep from t = T: each level takes the transposed factors
+        of its own step matrix, after the levels above it have pushed their
+        couplings down.  ``rho`` of shape (J+1, N+1, m) solves m cotangents
+        at once.
+        """
+        J, N, dy, dt = self.J, self.N, self.dy, self.dt
+        batched = np.ndim(rho) == 3
+        # time-major copy of rho; each level is overwritten by its solution
+        lam = np.array(np.moveaxis(np.asarray(rho, dtype=float).reshape(J + 1, N + 1, -1), 1, 0))
+        steps = self._step_factors()
+        for n in range(N, -1, -1):
+            r = lam[n]
+            if n + 2 <= N:
+                # rows of level n + 2 (step n + 1) on the columns of level n
+                mu = lam[n + 2, 1:-1]
+                qmu = self.q[n + 1] * mu
+                r[1:-1] -= mu / dt**2
+                r[:-2] += qmu
+                r[2:] -= qmu
+            if n >= 1 and n + 1 <= N:
+                # rows of level n + 1 (step n) on the columns of level n
+                mu = lam[n + 1, 1:-1]
+                r[:-2] += self.below[n] * mu
+                r[1:-1] += self.centre[n] * mu
+                r[2:] += self.above[n] * mu
+            elif n == 0:
+                # the first step's rows on the initial level
+                mu = lam[1, 1:-1]
+                c, d = self.c[0, 1:-1, None], self.d[0, 1:-1, None]
+                r += 0.5 * dt**2 * (_dyy_T(c * mu, dy, J + 1) - _dc_T(d * mu, dy, J + 1))
+            if n >= 2:
+                # level n's own step matrix, transposed
+                r[1:-1] = scipy.linalg.lapack.dgttrs(*steps[n - 1], r[1:-1], trans="T")[0]
+        # the boundary columns of levels 2..N, which no lower level reads
+        lam[2:, 0] -= self.q[1:N, 0] * lam[2:, 1]
+        lam[2:, J] += self.q[1:N, -1] * lam[2:, J - 1]
+        field = np.ascontiguousarray(lam.transpose(1, 0, 2))
+        return field if batched else field[:, :, 0]
 
     # -- the response to unit boundary data, all columns in one march -------
 
@@ -279,25 +387,13 @@ class WaveOperator:
         prev, cur, nxt = cur, nxt, prev
         yield 1, cur
 
-        inv_dt2 = 1.0 / dt**2
-        ab = np.zeros((3, J - 1))
-        ab[1, :] = inv_dt2
+        steps = self._step_factors()
         for n in range(1, N):
             a = n + 2
-            b_n = self.b[n, 1:-1, None]
-            q = b_n[:, 0] / (4.0 * dy * dt)
-            vn, vp = cur[:, :a], prev[:, :a]
-            rhs = (
-                (2.0 * vn[1:-1] - vp[1:-1]) * inv_dt2
-                + self.c[n, 1:-1, None] * _dyy(vn, dy)
-                - self.d[n, 1:-1, None] * _dc(vn, dy)
-                - (b_n / (2.0 * dt)) * _dc(vp, dy)
-            )
+            rhs = self._step_rhs(n, cur[:, :a], prev[:, :a])
             # the new level's own datum, in column n + 1, moved to the right
-            rhs[0, n + 1] -= q[0]
-            ab[0, 1:] = -q[:-1]
-            ab[2, :-1] = q[1:]
-            nxt[1:-1, :a] = scipy.linalg.solve_banded((1, 1), ab, rhs)
+            rhs[0, n + 1] -= self.q[n, 0, 0]
+            nxt[1:-1, :a] = scipy.linalg.lapack.dgttrs(*steps[n], rhs)[0]
             nxt[0, :] = 0.0
             nxt[0, n + 1] = 1.0
             prev, cur, nxt = cur, nxt, prev
@@ -323,7 +419,7 @@ class WaveOperator:
             raise InstabilityError("unstable march of the boundary response", step=N)
         return BoundaryResponse(0.5 * (H + H.T), tail)
 
-    # -- sparse space-time matrix and LU ------------------------------------
+    # -- sparse space-time matrix (the oracles' form of the operator) --------
 
     def matrix(self) -> scipy.sparse.csc_matrix:
         if self._matrix is not None:
@@ -432,16 +528,12 @@ class WaveOperator:
         S_cot[1:-1, 1:N] = lam[1:-1, 2 : N + 1]
         return {"bc0": bc0_cot, "bc1": bc1_cot, "a_interior": a_cot, "m_full": m_cot, "source": S_cot}
 
-    # -- LU-backed solves ----------------------------------------------------
+    # -- the LU oracle -------------------------------------------------------
 
     def solve_lu(self, bc0, bc1, a_interior, m_full, source=None) -> np.ndarray:
+        """M^-1 through the sparse LU of M: an independent check on :meth:`march`."""
         r = self.rhs_vector(bc0, bc1, a_interior, m_full, source)
         return self._unflatten(self.lu().solve(r))
-
-    def solve_adjoint(self, rho: np.ndarray) -> np.ndarray:
-        """Multiplier field lambda with M^T lambda = rho (rho full-grid)."""
-        lam = self.lu().solve(self._flatten(rho), trans="T")
-        return self._unflatten(lam)
 
 
 _OPERATOR_CACHE: dict[tuple, WaveOperator] = {}
@@ -511,7 +603,7 @@ def _cylinder_velocity(mesh: Mesh, value: np.ndarray, velocity: np.ndarray, time
     return velocity + (mesh.domain.k * mesh.y / a) * (D @ value)
 
 
-def solve_forward(problem: WaveProblem, use_lu: bool = False) -> Field:
+def solve_forward(problem: WaveProblem) -> Field:
     """March the state equation from t = 0."""
     if problem.direction != "forward":
         raise ConfigurationError("solve_forward needs a forward problem")
@@ -521,14 +613,11 @@ def solve_forward(problem: WaveProblem, use_lu: bool = False) -> Field:
     a_full = problem.data[0].values
     m_cyl = _cylinder_velocity(mesh, a_full, problem.data[1].values, 0.0)
     src = problem.source.values if problem.source is not None else None
-    if use_lu:
-        vals = op.solve_lu(problem.bc0.values, problem.bc1.values, a_full[1:-1], m_cyl, src)
-    else:
-        vals = op.march(problem.bc0.values, problem.bc1.values, a_full, m_cyl, src)
+    vals = op.march(problem.bc0.values, problem.bc1.values, a_full, m_cyl, src)
     return Field(vals, mesh).check_finite()
 
 
-def solve_backward(problem: WaveProblem, use_lu: bool = False) -> Field:
+def solve_backward(problem: WaveProblem) -> Field:
     """March a final-data problem by the reversed-time substitution."""
     if problem.direction != "backward":
         raise ConfigurationError("solve_backward needs a backward problem")
@@ -540,10 +629,7 @@ def solve_backward(problem: WaveProblem, use_lu: bool = False) -> Field:
     bc0_rev = problem.bc0.values[::-1].copy()
     bc1_rev = problem.bc1.values[::-1].copy()
     src = problem.source.values[:, ::-1].copy() if problem.source is not None else None
-    if use_lu:
-        vals = op.solve_lu(bc0_rev, bc1_rev, f0[1:-1], -v_t_final, src)
-    else:
-        vals = op.march(bc0_rev, bc1_rev, f0, -v_t_final, src)
+    vals = op.march(bc0_rev, bc1_rev, f0, -v_t_final, src)
     return Field(vals[:, ::-1].copy(), mesh).check_finite()
 
 

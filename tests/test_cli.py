@@ -151,13 +151,23 @@ def test_nash_ny80_small_sigma_solves(tmp_path, sigma):
     assert summary["el_residual_max_abs"] <= nash_el_bound(summary, 4.0)
 
 
-def test_default_paths_factor_no_coupled_lu(tmp_path, monkeypatch):
+def test_default_paths_factor_no_sparse_lu(tmp_path, monkeypatch):
+    """simulate, nash and leader run without the sparse LU of the wave
+    operator M or of the coupled system: the march, the transposed sweep and
+    the follower's dense Cholesky carry every default path."""
     from hierwave.coupled import CoupledEngine
+    from hierwave.wave_core import WaveOperator
 
-    def refuse(self):
-        raise AssertionError("the coupled LU was factored on a default path")
+    def refuse(what):
+        def factor(self):
+            raise AssertionError(f"the {what} was factored on a default path")
 
-    monkeypatch.setattr(CoupledEngine, "coupled_lu", refuse)
+        return factor
+
+    monkeypatch.setattr(CoupledEngine, "coupled_lu", refuse("coupled LU"))
+    monkeypatch.setattr(WaveOperator, "lu", refuse("wave LU"))
+    sim_cfg = base_config(grid={"Ny": 41}, control={"family": "sine", "amplitude": 1.0, "frequency": 1.0})
+    assert main(["simulate", "--config", write_config(tmp_path, "s.json", sim_cfg), "--out", str(tmp_path / "sim")]) == 0
     ref_spec = {"family": "gaussian", "amplitude": 1.0, "center": 0.4, "width": 0.15}
     tracked = {
         "space": {"family": "sine", "frequency": 1, "amplitude": 0.3},

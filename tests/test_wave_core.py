@@ -264,3 +264,57 @@ def test_convergence_order_quick():
     rows = convergence_study(case)
     for row in rows[1:]:
         assert 1.5 <= row["order"] <= 2.5
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    Ny=st.integers(8, 24),
+    k=st.floats(0.01, 0.5),
+    T=st.floats(0.5, 2.0),
+    mirrored=st.booleans(),
+    width=st.sampled_from([1, 3]),
+    seed=st.integers(0, 1000),
+)
+def test_transposed_sweep_and_batched_march(Ny, k, T, mirrored, width, seed):
+    """The backward sweep solves M^T exactly, and a batch marches column by column."""
+    import scipy.sparse.linalg
+
+    mesh = Mesh.auto(DomainSpec(k=k, T=T), Ny)
+    op = get_operator(mesh, mirrored)
+    rng = np.random.default_rng(seed)
+    J, N = mesh.Ny, mesh.Nt
+    rho = rng.standard_normal((J + 1, N + 1, width))
+    lam = op.solve_adjoint(rho if width > 1 else rho[:, :, 0]).reshape(J + 1, N + 1, width)
+    for i in range(width):
+        flat = op._flatten(rho[:, :, i])
+        for ref in (op.lu().solve(flat, trans="T"), scipy.sparse.linalg.spsolve(op.matrix().T.tocsc(), flat)):
+            ref = op._unflatten(ref)
+            assert np.max(np.abs(lam[:, :, i] - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    bc0 = rng.standard_normal((N + 1, width))
+    bc1 = rng.standard_normal(N + 1)
+    m = rng.standard_normal(J + 1)
+    S = rng.standard_normal((J + 1, N + 1))
+    a_full = rng.standard_normal(J + 1)
+    fields = op.march(bc0, bc1, a_full, m, S)
+    assert fields.shape == (J + 1, N + 1, width)
+    for i in range(width):
+        assert np.array_equal(fields[:, :, i], op.march(bc0[:, i], bc1, a_full, m, S))
+
+
+@settings(max_examples=15, deadline=None)
+@given(Ny=st.integers(8, 24), k=st.floats(0.01, 0.5), T=st.floats(0.5, 2.0), mirrored=st.booleans())
+def test_boundary_response_matches_per_column_marches(Ny, k, T, mirrored):
+    """H = S^T W S and the last three levels of S, against S marched one unit datum at a time."""
+    from hierwave.grid import space_time_weights
+    from hierwave.wave_core import WaveOperator
+
+    mesh = Mesh.auto(DomainSpec(k=k, T=T), Ny)
+    op = WaveOperator(mesh, mirrored)
+    J, N = mesh.Ny, mesh.Nt
+    zeros_t, zeros_y = np.zeros(N + 1), np.zeros(J + 1)
+    S = np.stack([op.march(np.eye(N + 1)[m], zeros_t, zeros_y, zeros_y) for m in range(N + 1)], axis=2)
+    H = np.einsum("jna,jn,jnb->ab", S, space_time_weights(mesh), S)
+    resp = op.boundary_response()
+    assert np.max(np.abs(resp.H - H)) <= 1e-12 * np.max(np.abs(H))
+    assert np.array_equal(resp.tail, S[:, N - 2 :, :])
