@@ -54,7 +54,7 @@ def main(out_dir="runs/manufactured", Ny="41"):
     print(f"reference leader cost     J(ref) = {cost_J(w1_ref):.6f}")
 
     t0 = time.perf_counter()
-    f_star, w1_star, rep = minimize_dual(targets, cfg, 0.0, DualOptions(seed=0))
+    f_star, w1_star, rep = minimize_dual(targets, cfg, DualOptions(seed=0))
     elapsed = time.perf_counter() - t0
     gap = duality_gap(w1_star, f_star, targets, cfg)
     print(f"optimal leader cost       J(w1*) = {rep.primal_J:.6f}")

@@ -157,7 +157,14 @@ class RunSetup:
             raise ConfigurationError(f"unknown partition mode {mode!r}")
 
         self.seed = int(config.get("seed", 0))
-        self.delta = float(config.get("delta", 0.0))
+        # delta only reparameterizes the reach operator: the leader's balls are
+        # on u(T) and u_t(T), so it leaves the leader's problem unchanged
+        try:
+            delta = float(config.get("delta", 0.0))
+        except (TypeError, ValueError):
+            delta = np.nan
+        if not (np.isfinite(delta) and delta >= 0.0):
+            raise ConfigurationError(f"delta must be a finite number >= 0, got {config['delta']!r}")
         self.warnings = list(report.warnings)
         if mode == "time-split":
             self.warnings.append("time_split_experimental")
@@ -305,9 +312,7 @@ def cmd_leader(config: dict, out_dir: Path) -> int:
     setup = RunSetup(config)
     header = setup.header()
     targets = setup.build_targets()
-    f_star, w1_star, report = minimize_dual(
-        targets, setup.follower, setup.delta, setup.dual_options()
-    )
+    f_star, w1_star, report = minimize_dual(targets, setup.follower, setup.dual_options())
     save_trace_csv(out_dir / "w1_star.csv", w1_star, header)
     save_profile_csv(out_dir / "f0.csv", f_star.f0, header)
     save_profile_csv(out_dir / "f1.csv", f_star.f1, header)
@@ -390,7 +395,7 @@ def _run_sweep_cell(args: tuple) -> tuple[int, dict]:
     rho1 = cell["rho_rel"] * max(hminus1_norm_physical(ut_T), 1e-12)
     targets = TargetSpec(u_T, ut_T, rho0, rho1)
     _, w1_star, report = minimize_dual(
-        targets, setup.follower, setup.delta, setup.dual_options(seed=cell_config["seed"])
+        targets, setup.follower, setup.dual_options(seed=cell_config["seed"])
     )
     result = {
         **cell,

@@ -159,9 +159,10 @@ class CoupledEngine:
         self._coupled_lu = None
         self._idx2 = np.flatnonzero(partition.mask2)
         self._schur = None
-        # adjoint-trace columns and Gram matrix of the leader's dual, per delta;
-        # they do not depend on targets or radii, so a radii ladder shares them
-        self.leader_grams: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        # adjoint-trace columns and Gram matrix of the leader's dual; they do
+        # not depend on targets, radii or delta, so a radii ladder shares them
+        self.leader_gram: tuple[np.ndarray, np.ndarray] | None = None
+        self._free_terminals: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- elementary solves ---------------------------------------------------
 
@@ -265,6 +266,20 @@ class CoupledEngine:
         i = self._idx2
         mu0[i] = (self.sigma * self.tau[i])[:, None] * z[i]
         return -z, mu0
+
+    def free_terminal(self, utilde: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """Final value and physical velocity of the zero-leader equilibrium
+        tracking ``utilde``, kept per tracked trajectory."""
+        if utilde is None:
+            zero = np.zeros(self.mesh.Ny + 1)
+            return zero, zero.copy()
+        key = hash(utilde.tobytes())
+        out = self._free_terminals.get(key)
+        if out is None:
+            bc, _ = self.schur_bc(self._zeros_t, utilde)
+            vel, neg_val = extract_terminal(self.mesh, self.op.boundary_response().terminal_levels(bc))
+            out = self._free_terminals[key] = (-neg_val, vel)
+        return out
 
     # -- relaxed Picard on the coupling trace ---------------------------------
 

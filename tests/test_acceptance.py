@@ -159,7 +159,7 @@ def test_criterion_3_nash_optimality(acc):
 def test_criterion_4_approximate_controllability(acc):
     mesh, cfg, _, _, targets = acc
     with Timer(600.0) as tm:
-        f_star, w1_star, rep = minimize_dual(targets, cfg, 0.0, DualOptions(seed=0))
+        f_star, w1_star, rep = minimize_dual(targets, cfg, DualOptions(seed=0))
         hist = [h["dual_value"] for h in rep.history]
         monotone = all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
         vi = vi_residual(f_star, targets, cfg, sample_count=100, seed=1)
@@ -174,7 +174,7 @@ def test_criterion_4_approximate_controllability(acc):
 def test_criterion_5_duality_gap(acc):
     mesh, cfg, _, _, targets = acc
     with Timer(600.0) as tm:
-        f_star, w1_star, rep = minimize_dual(targets, cfg, 0.0, DualOptions(seed=0))
+        f_star, w1_star, rep = minimize_dual(targets, cfg, DualOptions(seed=0))
         gap = duality_gap(w1_star, f_star, targets, cfg)
         rel = gap / max(rep.primal_J, 1e-30)
         ok = rel <= 1e-4
@@ -216,7 +216,7 @@ def test_criterion_7_zero_control_optimality(acc):
         targets = TargetSpec(
             final_value_profile(u0), final_velocity_profile(u0), 0.05, 0.05
         )
-        f_star, w1_star, rep = minimize_dual(targets, cfg, 0.0, DualOptions(seed=0))
+        f_star, w1_star, rep = minimize_dual(targets, cfg, DualOptions(seed=0))
         ok = w1_star.norm() <= 1e-8 and abs(rep.dual_value) <= 1e-10
     report("criterion 7: zero-control optimality", ok, tm)
     assert w1_star.norm() <= 1e-8
@@ -234,7 +234,7 @@ def test_criterion_8_radius_monotonicity(acc):
                 frac * l2_norm_physical(targets.u_target0),
                 frac * hminus1_norm_physical(targets.u_target1),
             )
-            _, _, rep = minimize_dual(tg, cfg, 0.0, DualOptions(seed=0))
+            _, _, rep = minimize_dual(tg, cfg, DualOptions(seed=0))
             costs.append(rep.primal_J)
         ok = costs[0] >= costs[1] >= costs[2]
     report("criterion 8: radius monotonicity", ok, tm)

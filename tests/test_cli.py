@@ -241,6 +241,38 @@ def test_leader_manufactured_via_csv_targets(tmp_path):
     ][0]
     assert header_line.strip() == "iter,dual_value,vi_residual,dist_L2,dist_Hm1"
 
+    # The balls are on u(T) and u_t(T), which delta does not touch: every
+    # delta poses the delta = 0 problem and gets its certified answer.  A
+    # loop that froze delta g(T) into the data term cost more at delta = 3
+    # and missed a ball at delta = 1000.
+    def answer(run_dir):
+        report = json.loads((run_dir / "report.json").read_text())
+        del report["header"]
+        return report, [line for line in open(run_dir / "w1_star.csv") if not line.startswith("#")]
+
+    for delta in (0.3, 3.0, 1000.0):
+        other = tmp_path / f"leader{delta}"
+        path = write_config(tmp_path, f"l{delta}.json", {**leader_cfg, "delta": delta})
+        assert main(["leader", "--config", path, "--out", str(other)]) == 0
+        assert answer(other) == answer(out), delta
+
+
+@pytest.mark.parametrize("delta", [-1.0, float("nan"), "abc"])
+def test_leader_invalid_delta_exits_2(tmp_path, capsys, delta):
+    cfg = base_config(
+        delta=delta,
+        targets={
+            "u0": {"family": "constant", "value": 0.0},
+            "u1": {"family": "constant", "value": 0.0},
+            "rho0": 0.1,
+            "rho1": 0.1,
+        },
+    )
+    out = tmp_path / "leader"
+    assert main(["leader", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 2
+    assert "delta" in capsys.readouterr().err
+    assert not out.exists()
+
 
 def test_leader_uncertified_exits_4(tmp_path):
     # Below the controllability time the balls are still reachable on this

@@ -259,14 +259,6 @@ def test_radius_monotonicity(small_setup):
     assert costs[0] >= costs[1] >= costs[2]
 
 
-def test_minimize_with_delta_outer_loop(small_setup):
-    mesh, cfg, w1_ref, targets = small_setup
-    f_star, w1_star, rep = minimize_dual(targets, cfg, delta=0.3)
-    assert rep.reached == (True, True)
-    assert rep.gap_rel <= 1e-3
-    assert rep.primal_J <= cost_J(w1_ref) + 1e-3
-
-
 def test_dual_point_validation(small_setup):
     mesh, _, _, _ = small_setup
     T = mesh.domain.T
