@@ -13,7 +13,7 @@ from hierwave.grid import (
     hminus1_norm_physical,
 )
 from hierwave.coupled import FollowerConfig, cost_J, solve_free_part, solve_nash_system
-from hierwave.wave_core import final_value_profile, final_velocity_profile
+from hierwave.wave_core import extract_terminal, final_value_profile, final_velocity_profile
 from hierwave.leader_dual import (
     DualPoint,
     TargetSpec,
@@ -291,6 +291,28 @@ def test_ball_slack_zero_control(small_setup):
     _, w1_star, rep = minimize_dual(shifted, cfg)
     assert w1_star.norm() <= 1e-8
     assert rep.reached == (True, True)
+
+
+def test_minimize_with_delta_outer_loop(small_setup):
+    """No outer loop over delta is needed: the balls are on u(T) and u_t(T),
+    and the delta = 0.3 reach output (u_t(T) + delta u(T), -u(T)) of the
+    delta = 0 answer, mapped back to (u(T), u_t(T)), lands in both balls at
+    no more cost than the reference control."""
+    mesh, cfg, w1_ref, targets = small_setup
+    delta = 0.3
+    f_star, w1_star, rep = minimize_dual(targets, cfg)
+    assert rep.reached == (True, True)
+    assert rep.gap_rel <= 1e-3
+    assert rep.primal_J <= cost_J(w1_ref) + 1e-3
+    u = solve_nash_system(w1_star, cfg).u
+    c1, c2 = extract_terminal(mesh, u.values, delta)
+    T = mesh.domain.T
+    u_T = SpatialProfile(-c2, T, mesh)
+    ut_T = SpatialProfile(c1 + delta * c2, T, mesh)
+    assert np.allclose(u_T.values, final_value_profile(u).values)
+    assert np.allclose(ut_T.values, final_velocity_profile(u).values)
+    _, _, r0, r1 = check_target_reached(u_T, ut_T, targets)
+    assert (r0, r1) == (True, True)
 
 
 def test_minimize_time_split_partition():
