@@ -50,7 +50,7 @@ def main(out_dir="runs/manufactured", Ny="41"):
     targets = TargetSpec(
         u_T, ut_T, 0.05 * l2_norm_physical(u_T), 0.05 * hminus1_norm_physical(ut_T)
     )
-    print(f"grid Ny={mesh.Ny} Nt={mesh.Nt}; equilibrium by the {sol.method} solve")
+    print(f"grid Ny={mesh.Ny} Nt={mesh.Nt}; equilibrium by the schur solve")
     print(f"reference leader cost     J(ref) = {cost_J(w1_ref):.6f}")
 
     t0 = time.perf_counter()

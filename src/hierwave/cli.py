@@ -53,7 +53,6 @@ from .wave_core import (
 )
 from .coupled import (
     FollowerConfig,
-    PicardOptions,
     cost_J,
     cost_J2,
     euler_lagrange_residual,
@@ -90,20 +89,33 @@ def load_config(path) -> dict:
     return config
 
 
+def read_number(conf: dict, name: str, default, kind=float):
+    """The key ``name`` (dotted path, last part looked up in ``conf``) as ``kind``.
+
+    ``default`` stands in for a missing key; a value that ``kind`` cannot
+    convert is a configuration error.
+    """
+    value = conf.get(name.rsplit(".", 1)[-1], default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as err:
+        raise ConfigurationError(f"{name} must be a number, got {value!r}") from err
+
+
 def eval_profile(spec: dict, xi: np.ndarray) -> np.ndarray:
     """Evaluate an analytic profile on the normalized coordinate xi in [0, 1]."""
     if not isinstance(spec, dict) or "family" not in spec:
         raise ConfigurationError(f"profile spec must name a family: {spec!r}")
     fam = spec["family"]
     if fam == "sine":
-        a = float(spec.get("amplitude", 1.0))
-        freq = float(spec.get("frequency", 1.0))
-        phase = float(spec.get("phase", 0.0))
+        a = read_number(spec, "sine.amplitude", 1.0)
+        freq = read_number(spec, "sine.frequency", 1.0)
+        phase = read_number(spec, "sine.phase", 0.0)
         return a * np.sin(np.pi * freq * xi + phase)
     if fam == "gaussian":
-        a = float(spec.get("amplitude", 1.0))
-        c = float(spec.get("center", 0.5))
-        w = float(spec.get("width", 0.1))
+        a = read_number(spec, "gaussian.amplitude", 1.0)
+        c = read_number(spec, "gaussian.center", 0.5)
+        w = read_number(spec, "gaussian.width", 0.1)
         if w <= 0:
             raise ConfigurationError("gaussian width must be positive")
         return a * np.exp(-0.5 * ((xi - c) / w) ** 2)
@@ -113,7 +125,7 @@ def eval_profile(spec: dict, xi: np.ndarray) -> np.ndarray:
             raise ConfigurationError("polynomial profile needs coefficients")
         return np.polynomial.polynomial.polyval(xi, np.asarray(coeffs, dtype=float))
     if fam == "constant":
-        return np.full_like(xi, float(spec.get("value", 0.0)))
+        return np.full_like(xi, read_number(spec, "constant.value", 0.0))
     raise ConfigurationError(f"unknown profile family {fam!r}")
 
 
@@ -125,8 +137,8 @@ class RunSetup:
         dom_conf = config.get("domain")
         if not isinstance(dom_conf, dict):
             raise ConfigurationError("config needs a 'domain' object with k and T")
-        k = float(dom_conf.get("k", 0.0))
-        T = float(dom_conf.get("T", 0.0))
+        k = read_number(dom_conf, "domain.k", 0.0)
+        T = read_number(dom_conf, "domain.T", 0.0)
         allow0 = bool(dom_conf.get("allow_k_zero", False))
         report = check_admissible(k, T, allow_k_zero=allow0)
         if report.hard_error:
@@ -135,13 +147,13 @@ class RunSetup:
         self.domain = DomainSpec(k=k, T=T, allow_k_zero=allow0)
 
         grid_conf = config.get("grid", {})
-        Ny = int(grid_conf.get("Ny", 41))
-        cfl = float(grid_conf.get("cfl_safety", 0.8))
-        Nt = grid_conf.get("Nt")
-        if Nt is None:
+        Ny = read_number(grid_conf, "grid.Ny", 41, int)
+        cfl = read_number(grid_conf, "grid.cfl_safety", 0.8)
+        if grid_conf.get("Nt") is None:
             self.mesh = Mesh.auto(self.domain, Ny, cfl)
         else:
-            self.mesh = Mesh(self.domain, GridSpec(Ny=Ny, Nt=int(Nt), cfl_safety=cfl))
+            Nt = read_number(grid_conf, "grid.Nt", None, int)
+            self.mesh = Mesh(self.domain, GridSpec(Ny=Ny, Nt=Nt, cfl_safety=cfl))
             self.mesh.require_cfl()
 
         part_conf = config.get("partition", {"mode": "overlap"})
@@ -151,38 +163,28 @@ class RunSetup:
             self.partition = SigmaPartition.overlap(n_nodes)
         elif mode == "time-split":
             self.partition = SigmaPartition.time_split(
-                n_nodes, float(part_conf.get("split_fraction", 0.5))
+                n_nodes, read_number(part_conf, "partition.split_fraction", 0.5)
             )
         else:
             raise ConfigurationError(f"unknown partition mode {mode!r}")
 
-        self.seed = int(config.get("seed", 0))
+        self.seed = read_number(config, "seed", 0, int)
         # delta only reparameterizes the reach operator: the leader's balls are
         # on u(T) and u_t(T), so it leaves the leader's problem unchanged
-        try:
-            delta = float(config.get("delta", 0.0))
-        except (TypeError, ValueError):
-            delta = np.nan
+        delta = read_number(config, "delta", 0.0)
         if not (np.isfinite(delta) and delta >= 0.0):
             raise ConfigurationError(f"delta must be a finite number >= 0, got {config['delta']!r}")
         self.warnings = list(report.warnings)
         if mode == "time-split":
             self.warnings.append("time_split_experimental")
 
+        # 'follower.picard' is accepted and has no effect: the follower solve
+        # is exact and has no iteration to tune
         fol = config.get("follower", {})
-        pic = fol.get("picard", {})
-        picard = PicardOptions(
-            max_iters=int(pic.get("max_iters", 600)),
-            tol=float(pic.get("tol", 1e-11)),
-            relaxation=float(pic.get("relaxation", 1.0)),
-            min_relaxation=float(pic.get("min_relaxation", 0.125)),
-            allow_fallback=bool(pic.get("allow_fallback", True)),
-        )
         self.follower = FollowerConfig(
-            sigma=float(fol.get("sigma", 1.0)),
+            sigma=read_number(fol, "follower.sigma", 1.0),
             partition=self.partition,
             u_tilde2=self._build_field(fol.get("u_tilde2")),
-            picard=picard,
         )
 
     # -- builders ------------------------------------------------------------
@@ -220,16 +222,18 @@ class RunSetup:
         T = self.domain.T
         u0 = self.build_space_profile(tg["u0"], T)
         u1 = self.build_space_profile(tg["u1"], T)
-        return TargetSpec(u0, u1, float(tg["rho0"]), float(tg["rho1"]))
+        rho0 = read_number(tg, "targets.rho0", None)
+        rho1 = read_number(tg, "targets.rho1", None)
+        return TargetSpec(u0, u1, rho0, rho1)
 
     def dual_options(self, seed: int | None = None) -> DualOptions:
         # 'grad_tol' and 'polish' are accepted in configs and have no effect:
         # the dual solve is exact and aims inside the balls by itself
         opt = self.config.get("optimizer", {})
         return DualOptions(
-            max_iters=int(opt.get("max_iters", 20000)),
-            tol_vi=float(opt.get("tol_vi", 1e-6)),
-            vi_samples=int(opt.get("vi_samples", 100)),
+            max_iters=read_number(opt, "optimizer.max_iters", 20000, int),
+            tol_vi=read_number(opt, "optimizer.tol_vi", 1e-6),
+            vi_samples=read_number(opt, "optimizer.vi_samples", 100, int),
             seed=self.seed if seed is None else seed,
         )
 
@@ -301,7 +305,7 @@ def cmd_nash(config: dict, out_dir: Path) -> int:
             "J": cost_J(w1),
             "el_residual_max_abs": float(np.max(np.abs(el_samples))),
             "iterations": sol.iterations,
-            "method": sol.method,
+            "method": "schur",
             "residual_tail": sol.residual_history[-5:],
         },
     )
@@ -381,7 +385,7 @@ def _run_sweep_cell(args: tuple) -> tuple[int, dict]:
     cell_config["domain"]["k"] = cell["k"]
     cell_config["domain"]["T"] = cell["T"]
     cell_config.setdefault("follower", {})["sigma"] = cell["sigma"]
-    cell_config["seed"] = int(config.get("seed", 0)) + index
+    cell_config["seed"] = read_number(config, "seed", 0, int) + index
     setup = RunSetup(cell_config)
     ref_spec = config["sweep"].get(
         "reference_control",
@@ -423,7 +427,7 @@ def cmd_sweep(config: dict, out_dir: Path, workers: int = 1) -> int:
                 results[idx] = res
     header = {
         "config_hash": _config_hash(config),
-        "seed": int(config.get("seed", 0)),
+        "seed": read_number(config, "seed", 0, int),
         "cells": len(cells),
     }
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -37,17 +37,18 @@ only S^T on them, so neither runs a wave solve.  This is the control-space
 Glowinski, Lions & He, Exact and Approximate Controllability for
 Distributed Parameter Systems, CUP 2008.
 
-``method="picard"`` (relaxed Picard on the trace, with the coupled LU as
-rescue) and ``method="direct"`` (one LU of the assembled coupled system)
-remain callable as independent oracles for the tests and
-:mod:`hierwave.verify`; no default path uses them.
+The public functions below take this path and no other.  Two independent
+oracles remain as :class:`CoupledEngine` methods, reached by name from the
+tests and :mod:`hierwave.verify`: relaxed Picard on the coupling trace
+(:meth:`~CoupledEngine.picard_pair`, :meth:`~CoupledEngine.picard_adjoint_pair`)
+and one LU of the assembled coupled system (:meth:`~CoupledEngine.direct_pair`,
+:meth:`~CoupledEngine.direct_adjoint_pair`).
 """
 
 from __future__ import annotations
 
-import logging
 from collections.abc import Sequence
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -65,8 +66,6 @@ from .grid import (
     trapezoid_weights,
 )
 from .wave_core import extract_terminal, get_operator, terminal_adjoint, terminal_first_step
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "PicardOptions",
@@ -86,31 +85,27 @@ __all__ = [
 ]
 
 
-METHODS = ("schur", "direct", "picard")
+# the Picard oracle's relaxation: it starts undamped and halves on residual
+# growth down to this floor
+PICARD_RELAXATION = 1.0
+PICARD_MIN_RELAXATION = 0.125
 
 
 @dataclass(frozen=True)
 class PicardOptions:
-    """Settings of the relaxed Picard oracle (``method="picard"`` only)."""
+    """Stopping rule of the relaxed Picard oracle."""
 
     max_iters: int = 600
     tol: float = 1e-11
-    relaxation: float = 1.0
-    min_relaxation: float = 0.125
-    allow_fallback: bool = True
 
 
 @dataclass
 class FollowerConfig:
-    """Follower cost weight, desired trajectory, and boundary partition.
-
-    ``picard`` acts only on the explicit Picard oracle.
-    """
+    """Follower cost weight, desired trajectory, and boundary partition."""
 
     sigma: float
     partition: SigmaPartition
     u_tilde2: Field | None = None
-    picard: PicardOptions = dc_field(default_factory=PicardOptions)
 
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma > 0.0):
@@ -124,7 +119,6 @@ class NashSolution:
     w2: Trace
     iterations: int
     residual_history: list[float]
-    method: str = "schur"
 
 
 @dataclass
@@ -134,7 +128,6 @@ class AdjointPair:
     leader_trace: Trace
     iterations: int
     residual_history: list[float]
-    method: str = "schur"
 
 
 class CoupledEngine:
@@ -283,15 +276,15 @@ class CoupledEngine:
 
     # -- relaxed Picard on the coupling trace ---------------------------------
 
-    def _relaxed_fixed_point(self, sweep, opts: PicardOptions, scale: float, warm=None):
+    def _relaxed_fixed_point(self, sweep, opts: PicardOptions, scale: float):
         """Drive a trace fixed point: relax, auto-halve on residual growth,
         accept a stall at the round-off floor.
 
         ``sweep(trace)`` returns (payload, next_trace); the converged payload
         and trace are returned together with the residual history.
         """
-        trace = np.zeros(self.mesh.Nt + 1) if warm is None else warm.copy()
-        theta = opts.relaxation
+        trace = np.zeros(self.mesh.Nt + 1)
+        theta = PICARD_RELAXATION
         residuals: list[float] = []
         prev_res = np.inf
         best_res = np.inf
@@ -316,8 +309,8 @@ class CoupledEngine:
             if stall >= 40 and res <= 1e-7 * level:
                 # round-off floor of the factorized solves
                 return payload, trace_next, it, residuals
-            if res > prev_res and theta > opts.min_relaxation:
-                theta = max(theta / 2.0, opts.min_relaxation)
+            if res > prev_res and theta > PICARD_MIN_RELAXATION:
+                theta = max(theta / 2.0, PICARD_MIN_RELAXATION)
             prev_res = res
             trace = (1.0 - theta) * trace + theta * trace_next
         raise ConvergenceError(
@@ -330,8 +323,7 @@ class CoupledEngine:
         self,
         w1_values: np.ndarray,
         utilde: np.ndarray | None,
-        opts: PicardOptions,
-        warm: np.ndarray | None = None,
+        opts: PicardOptions = PicardOptions(),
     ):
         """Iterate state/companion solves until the coupling trace settles.
 
@@ -351,7 +343,7 @@ class CoupledEngine:
             w2_next = (self.chi2 / self.sigma) * self.normal_trace(lam)
             return (state, lam), w2_next
 
-        (state, lam), w2, it, residuals = self._relaxed_fixed_point(sweep, opts, scale, warm)
+        (state, lam), w2, it, residuals = self._relaxed_fixed_point(sweep, opts, scale)
         return state, lam, w2, it, residuals
 
     # -- direct (sparse-factorized) coupled solves ---------------------------
@@ -401,7 +393,7 @@ class CoupledEngine:
         psi = self.op._unflatten(sol[size:])
         return mu, psi
 
-    def picard_adjoint_pair(self, rho_terminal: np.ndarray, opts: PicardOptions, warm=None):
+    def picard_adjoint_pair(self, rho_terminal: np.ndarray, opts: PicardOptions = PicardOptions()):
         """Picard version of :meth:`direct_adjoint_pair` on the psi boundary trace."""
         scale = float(np.sqrt(np.sum(rho_terminal**2)))
 
@@ -411,7 +403,7 @@ class CoupledEngine:
             s_next = (self.chi2 / self.sigma) * self.normal_trace(mu)
             return (mu, psi), s_next
 
-        (mu, psi), s, it, residuals = self._relaxed_fixed_point(sweep, opts, scale, warm)
+        (mu, psi), s, it, residuals = self._relaxed_fixed_point(sweep, opts, scale)
         return mu, psi, s, it, residuals
 
 
@@ -454,90 +446,55 @@ def _masked_values(trace: Trace, mask: np.ndarray) -> np.ndarray:
     return np.where(mask, trace.values, 0.0)
 
 
-def _check_method(method: str) -> None:
-    if method not in METHODS:
-        raise ConfigurationError(f"unknown coupled-solve method {method!r}; use one of {METHODS}")
-
-
-def _pair(eng: CoupledEngine, w1v: np.ndarray, utilde: np.ndarray | None, cfg: FollowerConfig, method: str):
-    """(state, lam, w2, iterations, residual history, method taken) by ``method``."""
-    _check_method(method)
-    if method == "schur":
-        state, lam, w2, residual = eng.schur_pair(w1v, utilde)
-        return state, lam, w2, 1, [residual], "schur"
-    if method == "direct":
-        state, lam, w2 = eng.direct_pair(w1v, utilde)
-        return state, lam, w2, 0, [], "direct"
-    try:
-        state, lam, w2, iters, residuals = eng.picard_pair(w1v, utilde, cfg.picard)
-        return state, lam, w2, iters, residuals, "picard"
-    except ConvergenceError as err:
-        if not (cfg.picard.allow_fallback and eng.mesh.Ny <= 64):
-            raise
-        logger.warning("picard stalled (%s); using direct coupled solve", err)
-        state, lam, w2 = eng.direct_pair(w1v, utilde)
-        residuals = err.residual_history
-        return state, lam, w2, len(residuals), residuals, "monolithic-fallback"
-
-
-def solve_nash_system(w1: Trace, cfg: FollowerConfig, method: str = "schur") -> NashSolution:
+def solve_nash_system(w1: Trace, cfg: FollowerConfig) -> NashSolution:
     """Equilibrium pair for a fixed leader control.
 
     The follower trace comes from one Cholesky solve in the boundary trace
     (see the module docstring), the state from one forward march and the
-    companion from one backward sweep.  ``method="direct"`` and
-    ``method="picard"`` select the oracles.
+    companion from one backward sweep.
     """
     mesh = w1.mesh
     eng = get_engine(mesh, cfg)
     utilde = _utilde_values(cfg, mesh)
     w1v = _masked_values(w1, cfg.partition.mask1)
-    state, lam, w2, iters, residuals, how = _pair(eng, w1v, utilde, cfg, method)
+    state, lam, w2, residual = eng.schur_pair(w1v, utilde)
     u = Field(state, mesh).check_finite()
     p = Field(eng.companion_field(lam), mesh)
     w2_trace = Trace(w2, cfg.partition.mask2, mesh)
-    return NashSolution(u, p, w2_trace, iters, residuals, how)
+    return NashSolution(u, p, w2_trace, 1, [residual])
 
 
-def solve_free_part(cfg: FollowerConfig, mesh: Mesh | None = None, method: str = "schur"):
+def solve_free_part(cfg: FollowerConfig, mesh: Mesh | None = None):
     """Pair (u0, p0): the equilibrium with zero leader control."""
     mesh = _mesh_from_cfg(cfg, mesh)
     zero = Trace.zeros(mesh, cfg.partition.mask1)
-    sol = solve_nash_system(zero, cfg, method=method)
+    sol = solve_nash_system(zero, cfg)
     return sol.u, sol.p
 
 
-def solve_leader_part(w1: Trace, cfg: FollowerConfig, method: str = "schur"):
+def solve_leader_part(w1: Trace, cfg: FollowerConfig):
     """Pair (g, q): the leader-linear part (tracked trajectory removed)."""
     mesh = w1.mesh
     eng = get_engine(mesh, cfg)
     w1v = _masked_values(w1, cfg.partition.mask1)
-    state, lam, _, _, _, _ = _pair(eng, w1v, None, cfg, method)
+    state, lam, _, _ = eng.schur_pair(w1v, None)
     g = Field(state, mesh).check_finite()
     q = Field(eng.companion_field(lam), mesh)
     return g, q
 
 
-def apply_A(w1: Trace, cfg: FollowerConfig, delta: float = 0.0, method: str = "schur"):
+def apply_A(w1: Trace, cfg: FollowerConfig, delta: float = 0.0):
     """Reach operator: leader control to (final velocity + delta * value, -value).
 
-    On the default path the final levels are S_tail (chi1 w1 + chi2 w2), with
-    no wave solve.
+    The final levels are S_tail (chi1 w1 + chi2 w2), with no wave solve.
     """
     if delta < 0.0:
         raise ConfigurationError("delta must be nonnegative")
-    _check_method(method)
     mesh = w1.mesh
     eng = get_engine(mesh, cfg)
     w1v = _masked_values(w1, cfg.partition.mask1)
-    if method == "schur":
-        bc, _ = eng.schur_bc(w1v)
-        state = eng.op.boundary_response().terminal_levels(bc)
-    elif method == "direct":
-        state, _, _ = eng.direct_pair(w1v, None)
-    else:
-        state, _, _, _, _ = eng.picard_pair(w1v, None, cfg.picard)
-    c1, c2 = extract_terminal(mesh, state, delta)
+    bc, _ = eng.schur_bc(w1v)
+    c1, c2 = extract_terminal(mesh, eng.op.boundary_response().terminal_levels(bc), delta)
     T = mesh.domain.T
     return SpatialProfile(c1, T, mesh), SpatialProfile(c2, T, mesh)
 
@@ -547,16 +504,14 @@ def apply_A_star(
     f1: SpatialProfile,
     cfg: FollowerConfig,
     delta: float = 0.0,
-    method: str = "schur",
 ) -> AdjointPair:
     """Adjoint of the reach operator through the transposed coupled system.
 
     The returned trace is minus the boundary derivative of the first adjoint
     field on the leader's part of the boundary; it satisfies the duality
-    identity against :func:`apply_A` exactly (to solver tolerance).  On the
-    default path the trace and psi's boundary data both come from one
-    reduced solve; the fields psi and phi then take one forward march and
-    one transposed sweep.
+    identity against :func:`apply_A` exactly (to solver tolerance).  The
+    trace and psi's boundary data both come from one reduced solve; the
+    fields psi and phi then take one forward march and one transposed sweep.
     """
     mesh = f0.mesh
     scale0 = np.max(np.abs(f0.values)) if f0.values.size else 0.0
@@ -564,28 +519,18 @@ def apply_A_star(
         raise ConfigurationError("f0 plays the zero-boundary role: endpoints must vanish")
     if f1.mesh.key() != mesh.key():
         raise ConfigurationError("f0 and f1 must share a mesh")
-    _check_method(method)
     eng = get_engine(mesh, cfg)
     wy = trapezoid_weights(mesh.Ny + 1, mesh.dy)
     aT = mesh.alphas[-1]
     theta1 = aT * wy * f0.values
     theta2 = aT * wy * f1.values
     rho = terminal_adjoint(mesh, theta1, theta2, delta)
-    if method == "schur":
-        s, mu0 = eng.schur_adjoint(rho[:, -3:, None])
-        s, mu0 = s[:, 0], mu0[:, 0]
-        # the march carries the Dirichlet data s into psi's boundary row exactly
-        psi = eng.state_solve(s)
-        mu = eng.multiplier_solve(rho + eng.W * psi)
-        iters, residuals, how = 1, [eng.trace_norm((mu[0, :] - mu0) / eng.tau)], "schur"
-    elif method == "direct":
-        mu, psi = eng.direct_adjoint_pair(rho)
-        mu0 = mu[0, :]
-        iters, residuals, how = 0, [], "direct"
-    else:
-        mu, psi, _, iters, residuals = eng.picard_adjoint_pair(rho, cfg.picard)
-        mu0 = mu[0, :]
-        how = "picard"
+    s, mu0 = eng.schur_adjoint(rho[:, -3:, None])
+    s, mu0 = s[:, 0], mu0[:, 0]
+    # the march carries the Dirichlet data s into psi's boundary row exactly
+    psi = eng.state_solve(s)
+    mu = eng.multiplier_solve(rho + eng.W * psi)
+    residual = eng.trace_norm((mu[0, :] - mu0) / eng.tau)
     trace_vals = np.where(cfg.partition.mask1, mu0 / eng.tau, 0.0)
     phi_vals = eng.companion_field(mu)
     phi_vals[:, -1] = f0.values
@@ -593,7 +538,7 @@ def apply_A_star(
     phi = Field(phi_vals, mesh)
     psi_field = Field(psi, mesh)
     leader_trace = Trace(trace_vals, cfg.partition.mask1, mesh)
-    return AdjointPair(phi, psi_field, leader_trace, iters, residuals, how)
+    return AdjointPair(phi, psi_field, leader_trace, 1, [residual])
 
 
 def cost_J2(u: Field, w2: Trace, cfg: FollowerConfig) -> float:

@@ -3,7 +3,7 @@
 Each oracle is algorithmically independent of the code path it checks:
 closed-form characteristics for the fixed-domain limit, one-shot direct
 solves of the assembled coupled systems against the reduced (Schur) solve
-and the Picard iterations, a two-sided duality identity, and
+that every default path takes, a two-sided duality identity, and
 grid-refinement order studies against either exact solutions or a
 fine-grid reference.  The discretization itself is validated only against
 closed forms; the direct coupled solves share the stencils on purpose, so
@@ -33,7 +33,7 @@ from .grid import (
     space_time_weights,
     trapezoid_weights,
 )
-from .coupled import FollowerConfig, apply_A, apply_A_star, get_engine
+from .coupled import FollowerConfig, apply_A, apply_A_star, get_engine, solve_nash_system
 from .wave_core import WaveProblem, solve_forward, terminal_adjoint, terminal_first_step
 
 __all__ = [
@@ -206,7 +206,6 @@ def transpose_check(
     trials: int = 20,
     seed: int = 0,
     delta: float = 0.0,
-    method: str = "schur",
 ) -> TransposeReport:
     """Compare the reach-operator pairing against the adjoint-trace pairing.
 
@@ -226,9 +225,9 @@ def transpose_check(
         f0v[0] = f0v[-1] = 0.0
         f0 = SpatialProfile(f0v, T, mesh)
         f1 = SpatialProfile(rng.standard_normal(mesh.Ny + 1), T, mesh)
-        c1, c2 = apply_A(w1, cfg, delta, method=method)
+        c1, c2 = apply_A(w1, cfg, delta)
         lhs = duality_pairing(c1, f0) + l2_inner_physical(c2, f1)
-        pair = apply_A_star(f0, f1, cfg, delta, method=method)
+        pair = apply_A_star(f0, f1, cfg, delta)
         rhs = float(np.sum(tau * mask1 * pair.leader_trace.values * w1.values))
         denom = abs(lhs) + abs(rhs) + 1e-300
         rel = abs(lhs - rhs) / denom
@@ -411,20 +410,17 @@ def run_verification(level: str = "fast", seed: int = 0) -> dict:
         rep = transpose_check(mesh, cfg, trials=20 if mode == "overlap" else 10, seed=seed)
         record(f"transpose_identity_{mode}", rep.max_rel_error, 1e-8, rep.max_rel_error <= 1e-8)
 
-    # direct vs iterative agreement on the equilibrium pair
+    # one-shot direct solve against the reduced solve on the equilibrium pair
     Y, Tm = np.meshgrid(mesh.y, mesh.times, indexing="ij")
     ut2 = Field(np.sin(np.pi * Y) * np.sin(Tm), mesh)
     part = SigmaPartition.overlap(mesh.Nt + 1)
     cfg = FollowerConfig(sigma=1.0, partition=part, u_tilde2=ut2)
-    from .coupled import solve_nash_system
-
     w1 = Trace(np.sin(np.pi * mesh.times / domain.T), part.mask1, mesh)
     mono = monolithic_solve("nash", mesh, cfg, w1=w1)
     mono_scale = max(np.max(np.abs(mono["state"].values)), 1e-300)
-    for method in ("schur", "picard"):
-        sol = solve_nash_system(w1, cfg, method=method)
-        err = float(np.max(np.abs(sol.u.values - mono["state"].values)) / mono_scale)
-        record(f"nash_{method}_vs_monolithic", err, 1e-6, err <= 1e-6)
+    sol = solve_nash_system(w1, cfg)
+    err = float(np.max(np.abs(sol.u.values - mono["state"].values)) / mono_scale)
+    record("nash_schur_vs_monolithic", err, 1e-6, err <= 1e-6)
     record("monolithic_residual", mono["residual"], 1e-10, mono["residual"] <= 1e-10)
 
     return {

@@ -690,16 +690,17 @@ def terminal_first_step(
     terminal layer of multiplier-normalized adjoint fields, whose step rows
     stop one level short of the final time.
     """
-    op = get_operator(mesh, mirrored=True)
     dy, dt = mesh.dy, mesh.dt
     D = profile_derivative_matrix(mesh.Ny + 1, dy)
     aT = mesh.alphas[-1]
-    m_rev = -((mesh.domain.k * mesh.y / aT) * (D @ f0_vals) + f1_vals)
+    k, y = mesh.domain.k, mesh.y[1:-1]
+    m_rev = -((k * mesh.y / aT) * (D @ f0_vals) + f1_vals)
     S0 = source_at_T[1:-1] if source_at_T is not None else 0.0
+    # the mirrored operator's coefficients b, c, d at its first level, t = T
     acc = (
-        op.b[0, 1:-1] * _dc(m_rev, dy)
-        + op.c[0, 1:-1] * _dyy(f0_vals, dy)
-        - op.d[0, 1:-1] * _dc(f0_vals, dy)
+        (-2.0 * k * y / aT) * _dc(m_rev, dy)
+        + ((1.0 - (k * y) ** 2) / aT**2) * _dyy(f0_vals, dy)
+        - (2.0 * k**2 * y / aT**2) * _dc(f0_vals, dy)
         + S0
     )
     out = np.zeros_like(f0_vals)

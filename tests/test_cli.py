@@ -114,7 +114,7 @@ def nash_el_bound(summary, T):
 
 def test_nash_tiny_sigma_solves(tmp_path):
     # Relaxed Picard diverged here; the reduced solve is exact for every
-    # sigma > 0, and the Picard keys act only on the Picard oracle.
+    # sigma > 0, and the Picard keys are accepted and ignored.
     cfg = base_config(
         leader={"family": "gaussian", "amplitude": 1.0, "center": 0.4, "width": 0.15},
         follower={
@@ -153,19 +153,22 @@ def test_nash_ny80_small_sigma_solves(tmp_path, sigma):
 
 def test_default_paths_factor_no_sparse_lu(tmp_path, monkeypatch):
     """simulate, nash and leader run without the sparse LU of the wave
-    operator M or of the coupled system: the march, the transposed sweep and
-    the follower's dense Cholesky carry every default path."""
+    operator M or of the coupled system, and without the coupled-solve
+    oracles: the march, the transposed sweep and the follower's dense
+    Cholesky carry every default path."""
     from hierwave.coupled import CoupledEngine
     from hierwave.wave_core import WaveOperator
 
     def refuse(what):
-        def factor(self):
-            raise AssertionError(f"the {what} was factored on a default path")
+        def call(self, *args, **kwargs):
+            raise AssertionError(f"{what} ran on a default path")
 
-        return factor
+        return call
 
-    monkeypatch.setattr(CoupledEngine, "coupled_lu", refuse("coupled LU"))
-    monkeypatch.setattr(WaveOperator, "lu", refuse("wave LU"))
+    monkeypatch.setattr(CoupledEngine, "coupled_lu", refuse("the coupled LU"))
+    monkeypatch.setattr(WaveOperator, "lu", refuse("the wave LU"))
+    for oracle in ("picard_pair", "picard_adjoint_pair", "direct_pair", "direct_adjoint_pair"):
+        monkeypatch.setattr(CoupledEngine, oracle, refuse(oracle))
     sim_cfg = base_config(grid={"Ny": 41}, control={"family": "sine", "amplitude": 1.0, "frequency": 1.0})
     assert main(["simulate", "--config", write_config(tmp_path, "s.json", sim_cfg), "--out", str(tmp_path / "sim")]) == 0
     ref_spec = {"family": "gaussian", "amplitude": 1.0, "center": 0.4, "width": 0.15}
@@ -255,6 +258,30 @@ def test_leader_manufactured_via_csv_targets(tmp_path):
         path = write_config(tmp_path, f"l{delta}.json", {**leader_cfg, "delta": delta})
         assert main(["leader", "--config", path, "--out", str(other)]) == 0
         assert answer(other) == answer(out), delta
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [(None, "seed"), ("grid", "Ny"), ("follower", "sigma"), ("targets", "rho0"), ("optimizer", "max_iters")],
+)
+def test_non_numeric_config_value_exits_2(tmp_path, capsys, section, key):
+    """A numeric key that does not parse exits 2; it used to exit 1 with a
+    ValueError traceback."""
+    cfg = base_config(
+        targets={
+            "u0": {"family": "constant", "value": 0.0},
+            "u1": {"family": "constant", "value": 0.0},
+            "rho0": 0.1,
+            "rho1": 0.1,
+        },
+        optimizer={"max_iters": 50},
+    )
+    (cfg if section is None else cfg[section])[key] = "x"
+    out = tmp_path / "leader"
+    assert main(["leader", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 2
+    name = key if section is None else f"{section}.{key}"
+    assert f"{name} must be a number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("delta", [-1.0, float("nan"), "abc"])

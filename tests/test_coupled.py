@@ -25,7 +25,14 @@ from hierwave.coupled import (
     solve_leader_part,
     solve_nash_system,
 )
-from hierwave.wave_core import WaveProblem, solve_backward, trace_normal_derivative
+from hierwave.wave_core import (
+    WaveProblem,
+    extract_terminal,
+    solve_backward,
+    terminal_adjoint,
+    terminal_first_step,
+    trace_normal_derivative,
+)
 
 
 def rand_trace(mesh, mask, rng):
@@ -40,6 +47,40 @@ def rand_dual_profiles(mesh, rng):
         SpatialProfile(f0v, T, mesh),
         SpatialProfile(rng.standard_normal(mesh.Ny + 1), T, mesh),
     )
+
+
+def terminal_rho(mesh, f0, f1, delta=0.0):
+    """The terminal cotangent that apply_A_star drives the adjoint pair with."""
+    wy = trapezoid_weights(mesh.Ny + 1, mesh.dy)
+    aT = mesh.alphas[-1]
+    return terminal_adjoint(mesh, aT * wy * f0.values, aT * wy * f1.values, delta)
+
+
+def direct_adjoint(f0, f1, cfg, delta=0.0):
+    """apply_A_star's phi and leader trace through the coupled LU."""
+    mesh = f0.mesh
+    eng = get_engine(mesh, cfg)
+    mu, psi = eng.direct_adjoint_pair(terminal_rho(mesh, f0, f1, delta))
+    phi = eng.companion_field(mu)
+    phi[:, -1] = f0.values
+    phi[:, -2] = terminal_first_step(mesh, f0.values, f1.values, psi[:, -1])
+    return phi, np.where(cfg.partition.mask1, mu[0, :] / eng.tau, 0.0)
+
+
+def direct_reach(w1, f0, f1, cfg, delta):
+    """apply_A and apply_A_star's leader trace through the coupled LU."""
+    mesh = w1.mesh
+    eng = get_engine(mesh, cfg)
+    state, _, _ = eng.direct_pair(np.where(cfg.partition.mask1, w1.values, 0.0), None)
+    c1, c2 = extract_terminal(mesh, state, delta)
+    T = mesh.domain.T
+    _, trace = direct_adjoint(f0, f1, cfg, delta)
+    return SpatialProfile(c1, T, mesh), SpatialProfile(c2, T, mesh), trace
+
+
+def reach(w1, f0, f1, cfg, delta):
+    c1, c2 = apply_A(w1, cfg, delta)
+    return c1, c2, apply_A_star(f0, f1, cfg, delta).leader_trace.values
 
 
 def el_scale(sol, cfg, direction):
@@ -134,12 +175,15 @@ def test_follower_cost_increases(mesh41, cfg41, w1_smooth):
 
 
 def test_picard_matches_direct(mesh41, cfg41, w1_smooth):
-    picard = solve_nash_system(w1_smooth, cfg41, method="picard")
-    direct = solve_nash_system(w1_smooth, cfg41, method="direct")
-    scale = np.max(np.abs(direct.u.values))
-    assert np.max(np.abs(picard.u.values - direct.u.values)) < 1e-8 * scale
-    assert picard.method == "picard" and picard.iterations > 1
-    assert picard.residual_history[-1] < picard.residual_history[0]
+    eng = get_engine(mesh41, cfg41)
+    w1v = np.where(cfg41.partition.mask1, w1_smooth.values, 0.0)
+    utilde = cfg41.u_tilde2.values
+    picard_u, _, _, iterations, residuals = eng.picard_pair(w1v, utilde)
+    direct_u, _, _ = eng.direct_pair(w1v, utilde)
+    scale = np.max(np.abs(direct_u))
+    assert np.max(np.abs(picard_u - direct_u)) < 1e-8 * scale
+    assert iterations > 1
+    assert residuals[-1] < residuals[0]
 
 
 def test_companion_matches_natural_backward(mesh41, cfg41, w1_smooth):
@@ -208,37 +252,32 @@ def test_apply_A_zero_and_linear(mesh41, cfg41_plain):
     assert np.max(np.abs(c2b.values - 2.5 * c2a.values)) < 1e-10 * (np.max(np.abs(c2a.values)) + 1)
 
 
-def _transpose_worst(mesh, cfg, trials, method="schur", delta=0.0, seed=42):
+def _transpose_worst(mesh, cfg, trials, solve=reach, delta=0.0, seed=42):
     rng = np.random.default_rng(seed)
     tau = trapezoid_weights(mesh.Nt + 1, mesh.dt)
     worst = 0.0
     for _ in range(trials):
         w1 = rand_trace(mesh, cfg.partition.mask1, rng)
         f0, f1 = rand_dual_profiles(mesh, rng)
-        c1, c2 = apply_A(w1, cfg, delta, method=method)
+        c1, c2, trace = solve(w1, f0, f1, cfg, delta)
         lhs = duality_pairing(c1, f0) + l2_inner_physical(c2, f1)
-        pair = apply_A_star(f0, f1, cfg, delta, method=method)
-        rhs = float(np.sum(tau * cfg.partition.mask1 * pair.leader_trace.values * w1.values))
+        rhs = float(np.sum(tau * cfg.partition.mask1 * trace * w1.values))
         worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300))
     return worst
 
 
 def test_transpose_identity_direct(mesh41, cfg41_plain):
-    assert _transpose_worst(mesh41, cfg41_plain, 5, "direct") < 1e-8
-
-
-def test_transpose_identity_picard(mesh41, cfg41_plain):
-    assert _transpose_worst(mesh41, cfg41_plain, 3, "picard") < 1e-8
+    assert _transpose_worst(mesh41, cfg41_plain, 5, direct_reach) < 1e-8
 
 
 def test_transpose_identity_time_split(mesh41):
     part = SigmaPartition.time_split(mesh41.Nt + 1)
     cfg = FollowerConfig(sigma=1.0, partition=part)
-    assert _transpose_worst(mesh41, cfg, 5, "direct") < 1e-8
+    assert _transpose_worst(mesh41, cfg, 5, direct_reach) < 1e-8
 
 
 def test_transpose_identity_with_delta(mesh41, cfg41_plain):
-    assert _transpose_worst(mesh41, cfg41_plain, 4, "direct", delta=0.5) < 1e-8
+    assert _transpose_worst(mesh41, cfg41_plain, 4, direct_reach, delta=0.5) < 1e-8
 
 
 @pytest.mark.parametrize("mode", ["overlap", "time-split"])
@@ -268,18 +307,14 @@ def test_apply_A_star_decoupled_limit(mesh41, overlap41):
     cfg = FollowerConfig(sigma=1e14, partition=overlap41)
     rng = np.random.default_rng(13)
     f0, f1 = rand_dual_profiles(mesh41, rng)
-    pair = apply_A_star(f0, f1, cfg, method="picard")
-    from hierwave.wave_core import terminal_adjoint
-    from hierwave.grid import trapezoid_weights as tw
-
     eng = get_engine(mesh41, cfg)
-    wy = tw(mesh41.Ny + 1, mesh41.dy)
-    aT = mesh41.alphas[-1]
-    rho = terminal_adjoint(mesh41, aT * wy * f0.values, aT * wy * f1.values, 0.0)
+    rho = terminal_rho(mesh41, f0, f1)
+    mu_pair, _, _, _, _ = eng.picard_adjoint_pair(rho)
+    pair_trace = np.where(overlap41.mask1, mu_pair[0, :] / eng.tau, 0.0)
     mu = eng.multiplier_solve(rho)
     single = np.where(overlap41.mask1, mu[0, :] / eng.tau, 0.0)
     scale = np.max(np.abs(single)) + 1e-30
-    assert np.max(np.abs(pair.leader_trace.values - single)) < 1e-10 * scale
+    assert np.max(np.abs(pair_trace - single)) < 1e-10 * scale
 
 
 def test_adjoint_pair_invariants(mesh41, cfg41_plain):
@@ -303,13 +338,13 @@ def test_adjoint_pair_consistent_with_natural_solve(mesh41, overlap41):
     T = mesh41.domain.T
     f0 = SpatialProfile(0.7 * np.sin(np.pi * mesh41.y), T, mesh41)
     f1 = SpatialProfile(0.4 * np.cos(2 * np.pi * mesh41.y), T, mesh41)
-    pair = apply_A_star(f0, f1, cfg, method="direct")
+    phi, _ = direct_adjoint(f0, f1, cfg)
     mask = np.ones(mesh41.Nt + 1, bool)
     z0 = Trace(np.zeros(mesh41.Nt + 1), mask, mesh41)
     z1 = Trace(np.zeros(mesh41.Nt + 1), mask, mesh41, side="y=1")
     phi_nat = solve_backward(WaveProblem("backward", z0, z1, None, (f0, f1)))
     scale = np.max(np.abs(phi_nat.values))
-    assert np.max(np.abs(pair.phi.values - phi_nat.values)) < 1e-2 * scale
+    assert np.max(np.abs(phi - phi_nat.values)) < 1e-2 * scale
 
 
 def test_apply_A_star_rejects_bad_f0(mesh41, cfg41_plain):
@@ -320,22 +355,14 @@ def test_apply_A_star_rejects_bad_f0(mesh41, cfg41_plain):
         apply_A_star(f0, f1, cfg41_plain)
 
 
-def test_picard_divergence_and_fallback(mesh41, overlap41, w1_smooth):
-    stubborn = PicardOptions(max_iters=60, allow_fallback=False)
-    cfg = FollowerConfig(sigma=1e-6, partition=overlap41, picard=stubborn)
+def test_picard_divergence(mesh41, overlap41, w1_smooth):
+    cfg = FollowerConfig(sigma=1e-6, partition=overlap41)
+    eng = get_engine(mesh41, cfg)
+    w1v = np.where(overlap41.mask1, w1_smooth.values, 0.0)
     with pytest.raises(ConvergenceError) as err:
-        solve_nash_system(w1_smooth, cfg, method="picard")
+        eng.picard_pair(w1v, None, PicardOptions(max_iters=60))
     hist = err.value.residual_history
     assert len(hist) >= 2 and hist[-2] > hist[0]
-
-    rescued_opts = PicardOptions(max_iters=60, allow_fallback=True)
-    cfg2 = FollowerConfig(sigma=1e-6, partition=overlap41, picard=rescued_opts)
-    sol = solve_nash_system(w1_smooth, cfg2, method="picard")
-    assert sol.method == "monolithic-fallback"
-    assert sol.iterations == len(sol.residual_history)
-    direct = solve_nash_system(w1_smooth, cfg2, method="direct")
-    scale = np.max(np.abs(direct.u.values))
-    assert np.max(np.abs(sol.u.values - direct.u.values)) < 1e-10 * scale
 
 
 def test_time_split_nash(mesh41):
@@ -371,7 +398,7 @@ def test_equilibrium_trace_characterization(mesh41, cfg41, w1_smooth):
     lam = eng.multiplier_solve(eng.W * (sol.u.values - cfg41.u_tilde2.values))
     rhs = eng.chi2 * eng.normal_trace(lam)
     diff = np.sqrt(np.sum(eng.tau * (cfg41.sigma * sol.w2.values - rhs) ** 2))
-    assert diff <= 10 * cfg41.picard.tol * max(1.0, sol.w2.norm())
+    assert diff <= 10 * PicardOptions().tol * max(1.0, sol.w2.norm())
 
 
 def test_energy_identity_cross_check(mesh41, cfg41_plain):
@@ -383,15 +410,11 @@ def test_energy_identity_cross_check(mesh41, cfg41_plain):
     w1v = rng.standard_normal(mesh41.Nt + 1)
     g_state, lam_q, _ = eng.direct_pair(w1v, None)
 
-    from hierwave.wave_core import terminal_adjoint
-    from hierwave.grid import trapezoid_weights as tw
-
     f0v = rng.standard_normal(mesh41.Ny + 1)
     f0v[0] = f0v[-1] = 0.0
     f1v = rng.standard_normal(mesh41.Ny + 1)
-    wy = tw(mesh41.Ny + 1, mesh41.dy)
-    aT = mesh41.alphas[-1]
-    rho = terminal_adjoint(mesh41, aT * wy * f0v, aT * wy * f1v, 0.0)
+    T = mesh41.domain.T
+    rho = terminal_rho(mesh41, SpatialProfile(f0v, T, mesh41), SpatialProfile(f1v, T, mesh41))
     mu, psi = eng.direct_adjoint_pair(rho)
 
     lhs = float(np.sum(eng.W * g_state * psi))

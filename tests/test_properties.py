@@ -35,7 +35,7 @@ T_CAP = 6.0
 MARCH_RTOL = 1e-7
 FOC_RTOL = 1e-6
 FOC_DIRECTIONS = 3
-# the bound hierwave verify puts on the Picard oracle against the same solve
+# the bound hierwave verify puts on the reduced solve against the same oracle
 ORACLE_RTOL = 1e-6
 TRANSPOSE_RTOL = 1e-8
 # the leader's answer: ball membership, as the program's REACHED_RTOL, and

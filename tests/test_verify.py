@@ -15,7 +15,8 @@ from hierwave.grid import (
     l2_inner_physical,
     trapezoid_weights,
 )
-from hierwave.coupled import FollowerConfig, apply_A, apply_A_star, solve_nash_system
+from hierwave.coupled import FollowerConfig, apply_A, apply_A_star, get_engine
+from hierwave.wave_core import terminal_adjoint
 from hierwave.verify import (
     OracleCase,
     TransposeReport,
@@ -82,10 +83,12 @@ def test_monolithic_residual_and_agreement(setup41):
     mesh, cfg, w1 = setup41
     out = monolithic_solve("nash", mesh, cfg, w1=w1)
     assert out["residual"] <= 1e-10
-    picard = solve_nash_system(w1, cfg, method="picard")
+    eng = get_engine(mesh, cfg)
+    w1v = np.where(cfg.partition.mask1, w1.values, 0.0)
+    state, lam, _, _, _ = eng.picard_pair(w1v, cfg.u_tilde2.values)
     scale = np.max(np.abs(out["state"].values))
-    assert np.max(np.abs(picard.u.values - out["state"].values)) <= 1e-6 * scale
-    assert np.max(np.abs(picard.p.values - out["companion"].values)) <= 1e-6 * scale
+    assert np.max(np.abs(state - out["state"].values)) <= 1e-6 * scale
+    assert np.max(np.abs(eng.companion_field(lam) - out["companion"].values)) <= 1e-6 * scale
 
 
 def test_monolithic_leader_and_free(setup41):
@@ -108,9 +111,14 @@ def test_monolithic_adjoint_pair(setup41):
     f1 = SpatialProfile(rng.standard_normal(mesh.Ny + 1), T, mesh)
     out = monolithic_solve("adjoint_pair", mesh, cfg, f=(f0, f1))
     assert out["residual"] <= 1e-9
-    pair = apply_A_star(f0, f1, cfg, method="picard")
+    eng = get_engine(mesh, cfg)
+    wy = trapezoid_weights(mesh.Ny + 1, mesh.dy)
+    aT = mesh.alphas[-1]
+    rho = terminal_adjoint(mesh, aT * wy * f0.values, aT * wy * f1.values, 0.0)
+    mu, _, _, _, _ = eng.picard_adjoint_pair(rho)
+    trace = np.where(cfg.partition.mask1, mu[0, :] / eng.tau, 0.0)
     scale = np.max(np.abs(out["leader_trace"].values))
-    assert np.max(np.abs(pair.leader_trace.values - out["leader_trace"].values)) <= 1e-6 * scale
+    assert np.max(np.abs(trace - out["leader_trace"].values)) <= 1e-6 * scale
 
 
 def test_monolithic_memory_guard():
@@ -208,7 +216,7 @@ def test_run_verification_fast_and_report(tmp_path):
     rep = run_verification("fast", seed=0)
     assert rep["passed"]
     names = {c["name"] for c in rep["checks"]}
-    assert {"dalembert_order", "transpose_identity_overlap", "nash_picard_vs_monolithic"} <= names
+    assert {"dalembert_order", "transpose_identity_overlap", "nash_schur_vs_monolithic"} <= names
     for check in rep["checks"]:
         assert set(check) == {"name", "metric", "threshold", "passed"}
     write_verification_report(rep, tmp_path / "report.json")
@@ -229,13 +237,12 @@ def test_run_verification_bad_level():
 
 def test_monolithic_leader_part_vs_picard(setup41):
     mesh, cfg, w1 = setup41
-    from hierwave.coupled import solve_leader_part
-
-    g, q = solve_leader_part(w1, cfg, method="picard")
+    eng = get_engine(mesh, cfg)
+    g, lam, _, _, _ = eng.picard_pair(np.where(cfg.partition.mask1, w1.values, 0.0), None)
     mono = monolithic_solve("leader_part", mesh, cfg, w1=w1)
     scale = np.max(np.abs(mono["state"].values))
-    assert np.max(np.abs(g.values - mono["state"].values)) <= 1e-6 * scale
-    assert np.max(np.abs(q.values - mono["companion"].values)) <= 1e-6 * scale
+    assert np.max(np.abs(g - mono["state"].values)) <= 1e-6 * scale
+    assert np.max(np.abs(eng.companion_field(lam) - mono["companion"].values)) <= 1e-6 * scale
 
 
 def test_run_verification_full_passes():
