@@ -89,17 +89,45 @@ def load_config(path) -> dict:
     return config
 
 
+def _as_number(value, name: str, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as err:
+        raise ConfigurationError(f"{name} must be a number, got {value!r}") from err
+
+
 def read_number(conf: dict, name: str, default, kind=float):
     """The key ``name`` (dotted path, last part looked up in ``conf``) as ``kind``.
 
     ``default`` stands in for a missing key; a value that ``kind`` cannot
     convert is a configuration error.
     """
+    return _as_number(conf.get(name.rsplit(".", 1)[-1], default), name, kind)
+
+
+_REQUIRED = object()
+
+
+def read_key(conf: dict, name: str, default=_REQUIRED, kind=dict):
+    """The key ``name`` (dotted path, last part looked up in ``conf``), which
+    must hold a JSON object (``kind=dict``) or array (``kind=list``).
+
+    ``default`` stands in for a missing key; without one the key is
+    required.  A missing required key or a value of another type is a
+    configuration error.
+    """
     value = conf.get(name.rsplit(".", 1)[-1], default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as err:
-        raise ConfigurationError(f"{name} must be a number, got {value!r}") from err
+    if value is _REQUIRED:
+        raise ConfigurationError(f"config needs {name}")
+    if value is not default and not isinstance(value, kind):
+        what = "an object" if kind is dict else "an array"
+        raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def read_numbers(conf: dict, name: str, default=_REQUIRED) -> list[float]:
+    """The array at key ``name`` (see :func:`read_key`) as floats."""
+    return [_as_number(value, name) for value in read_key(conf, name, default, list)]
 
 
 def eval_profile(spec: dict, xi: np.ndarray) -> np.ndarray:
@@ -120,10 +148,10 @@ def eval_profile(spec: dict, xi: np.ndarray) -> np.ndarray:
             raise ConfigurationError("gaussian width must be positive")
         return a * np.exp(-0.5 * ((xi - c) / w) ** 2)
     if fam == "polynomial":
-        coeffs = spec.get("coefficients")
+        coeffs = read_numbers(spec, "polynomial.coefficients")
         if not coeffs:
             raise ConfigurationError("polynomial profile needs coefficients")
-        return np.polynomial.polynomial.polyval(xi, np.asarray(coeffs, dtype=float))
+        return np.polynomial.polynomial.polyval(xi, np.asarray(coeffs))
     if fam == "constant":
         return np.full_like(xi, read_number(spec, "constant.value", 0.0))
     raise ConfigurationError(f"unknown profile family {fam!r}")
@@ -134,9 +162,7 @@ class RunSetup:
 
     def __init__(self, config: dict):
         self.config = config
-        dom_conf = config.get("domain")
-        if not isinstance(dom_conf, dict):
-            raise ConfigurationError("config needs a 'domain' object with k and T")
+        dom_conf = read_key(config, "domain")
         k = read_number(dom_conf, "domain.k", 0.0)
         T = read_number(dom_conf, "domain.T", 0.0)
         allow0 = bool(dom_conf.get("allow_k_zero", False))
@@ -146,7 +172,7 @@ class RunSetup:
         self.adm_report = report
         self.domain = DomainSpec(k=k, T=T, allow_k_zero=allow0)
 
-        grid_conf = config.get("grid", {})
+        grid_conf = read_key(config, "grid", {})
         Ny = read_number(grid_conf, "grid.Ny", 41, int)
         cfl = read_number(grid_conf, "grid.cfl_safety", 0.8)
         if grid_conf.get("Nt") is None:
@@ -156,7 +182,7 @@ class RunSetup:
             self.mesh = Mesh(self.domain, GridSpec(Ny=Ny, Nt=Nt, cfl_safety=cfl))
             self.mesh.require_cfl()
 
-        part_conf = config.get("partition", {"mode": "overlap"})
+        part_conf = read_key(config, "partition", {})
         mode = part_conf.get("mode", "overlap")
         n_nodes = self.mesh.Nt + 1
         if mode == "overlap":
@@ -180,11 +206,11 @@ class RunSetup:
 
         # 'follower.picard' is accepted and has no effect: the follower solve
         # is exact and has no iteration to tune
-        fol = config.get("follower", {})
+        fol = read_key(config, "follower", {})
         self.follower = FollowerConfig(
             sigma=read_number(fol, "follower.sigma", 1.0),
             partition=self.partition,
-            u_tilde2=self._build_field(fol.get("u_tilde2")),
+            u_tilde2=self._build_field(read_key(fol, "follower.u_tilde2", None)),
         )
 
     # -- builders ------------------------------------------------------------
@@ -201,27 +227,23 @@ class RunSetup:
         )
         return Field(np.outer(space, time), self.mesh)
 
-    def build_time_trace(self, spec, mask) -> Trace:
-        if spec is None:
-            raise ConfigurationError("missing control profile")
+    def build_time_trace(self, spec: dict, mask) -> Trace:
         if "csv" in spec:
             return load_trace_csv(spec["csv"], self.mesh, mask)
         vals = eval_profile(spec, self.mesh.times / self.domain.T)
         return Trace(vals, mask, self.mesh)
 
-    def build_space_profile(self, spec, time: float) -> SpatialProfile:
+    def build_space_profile(self, spec: dict, time: float) -> SpatialProfile:
         if "csv" in spec:
             return load_profile_csv(spec["csv"], self.mesh, time)
         vals = eval_profile(spec, self.mesh.y)
         return SpatialProfile(vals, time, self.mesh)
 
     def build_targets(self) -> TargetSpec:
-        tg = self.config.get("targets")
-        if not isinstance(tg, dict):
-            raise ConfigurationError("config needs a 'targets' object for leader runs")
+        tg = read_key(self.config, "targets")
         T = self.domain.T
-        u0 = self.build_space_profile(tg["u0"], T)
-        u1 = self.build_space_profile(tg["u1"], T)
+        u0 = self.build_space_profile(read_key(tg, "targets.u0"), T)
+        u1 = self.build_space_profile(read_key(tg, "targets.u1"), T)
         rho0 = read_number(tg, "targets.rho0", None)
         rho1 = read_number(tg, "targets.rho1", None)
         return TargetSpec(u0, u1, rho0, rho1)
@@ -229,7 +251,7 @@ class RunSetup:
     def dual_options(self, seed: int | None = None) -> DualOptions:
         # 'grad_tol' and 'polish' are accepted in configs and have no effect:
         # the dual solve is exact and aims inside the balls by itself
-        opt = self.config.get("optimizer", {})
+        opt = read_key(self.config, "optimizer", {})
         return DualOptions(
             max_iters=read_number(opt, "optimizer.max_iters", 20000, int),
             tol_vi=read_number(opt, "optimizer.tol_vi", 1e-6),
@@ -259,9 +281,7 @@ def _write_summary(out_dir: Path, name: str, header: dict, payload: dict) -> Non
 def cmd_simulate(config: dict, out_dir: Path) -> int:
     setup = RunSetup(config)
     header = setup.header()
-    control = setup.build_time_trace(
-        config.get("control"), np.ones(setup.mesh.Nt + 1, dtype=bool)
-    )
+    control = setup.build_time_trace(read_key(config, "control"), np.ones(setup.mesh.Nt + 1, dtype=bool))
     problem = WaveProblem(direction="forward", bc0=control)
     field = solve_forward(problem)
     observation = trace_normal_derivative(field, side="y=0")
@@ -282,7 +302,7 @@ def cmd_simulate(config: dict, out_dir: Path) -> int:
 def cmd_nash(config: dict, out_dir: Path) -> int:
     setup = RunSetup(config)
     header = setup.header()
-    w1 = setup.build_time_trace(config.get("leader"), setup.partition.mask1)
+    w1 = setup.build_time_trace(read_key(config, "leader"), setup.partition.mask1)
     sol = solve_nash_system(w1, setup.follower)
     rng = np.random.default_rng(setup.seed)
     directions = [
@@ -304,9 +324,10 @@ def cmd_nash(config: dict, out_dir: Path) -> int:
             "J2": cost_J2(sol.u, sol.w2, setup.follower),
             "J": cost_J(w1),
             "el_residual_max_abs": float(np.max(np.abs(el_samples))),
-            "iterations": sol.iterations,
+            # kept for readers of summary.json: the reduced solve is one step
+            "iterations": 1,
             "method": "schur",
-            "residual_tail": sol.residual_history[-5:],
+            "residual_tail": [sol.residual],
         },
     )
     return EXIT_OK
@@ -361,13 +382,13 @@ def cmd_threshold(k_values: list[float], out_dir: Path | None) -> int:
 
 
 def _sweep_cells(config: dict) -> list[dict]:
-    sw = config.get("sweep")
-    if not isinstance(sw, dict):
-        raise ConfigurationError("config needs a 'sweep' object")
-    ks = [float(v) for v in sw.get("k", [config.get("domain", {}).get("k", 0.1)])]
-    Ts = [float(v) for v in sw.get("T", [config.get("domain", {}).get("T", 4.0)])]
-    sigmas = [float(v) for v in sw.get("sigma", [config.get("follower", {}).get("sigma", 1.0)])]
-    rhos = [float(v) for v in sw.get("rho_rel", [0.05])]
+    sw = read_key(config, "sweep")
+    dom = read_key(config, "domain", {})
+    fol = read_key(config, "follower", {})
+    ks = read_numbers(sw, "sweep.k", [dom.get("k", 0.1)])
+    Ts = read_numbers(sw, "sweep.T", [dom.get("T", 4.0)])
+    sigmas = read_numbers(sw, "sweep.sigma", [fol.get("sigma", 1.0)])
+    rhos = read_numbers(sw, "sweep.rho_rel", [0.05])
     cells = []
     for k in ks:
         for T in Ts:
@@ -387,8 +408,9 @@ def _run_sweep_cell(args: tuple) -> tuple[int, dict]:
     cell_config.setdefault("follower", {})["sigma"] = cell["sigma"]
     cell_config["seed"] = read_number(config, "seed", 0, int) + index
     setup = RunSetup(cell_config)
-    ref_spec = config["sweep"].get(
-        "reference_control",
+    ref_spec = read_key(
+        config["sweep"],
+        "sweep.reference_control",
         {"family": "gaussian", "amplitude": 1.0, "center": 0.4, "width": 0.15},
     )
     w1_ref = setup.build_time_trace(ref_spec, setup.partition.mask1)

@@ -89,6 +89,9 @@ __all__ = [
 # growth down to this floor
 PICARD_RELAXATION = 1.0
 PICARD_MIN_RELAXATION = 0.125
+# the coupled LU's memory guard: its factors hold 9.7M nonzeros at Ny = 64
+# and 52M at Ny = 128
+COUPLED_LU_MAX_NY = 64
 
 
 @dataclass(frozen=True)
@@ -117,8 +120,7 @@ class NashSolution:
     u: Field
     p: Field
     w2: Trace
-    iterations: int
-    residual_history: list[float]
+    residual: float
 
 
 @dataclass
@@ -126,8 +128,7 @@ class AdjointPair:
     phi: Field
     psi: Field
     leader_trace: Trace
-    iterations: int
-    residual_history: list[float]
+    residual: float
 
 
 class CoupledEngine:
@@ -188,6 +189,25 @@ class CoupledEngine:
         vals[0, :] = 0.0
         vals[-1, :] = 0.0
         return vals
+
+    def terminal_cotangent(self, f0_vals: np.ndarray, f1_vals: np.ndarray, delta: float = 0.0) -> np.ndarray:
+        """Cotangent that drives the adjoint pair: the transpose of the reach
+        output, paired against final data (f0, f1) on (0, alpha(T))."""
+        mesh = self.mesh
+        wy = trapezoid_weights(mesh.Ny + 1, mesh.dy)
+        aT = mesh.alphas[-1]
+        return terminal_adjoint(mesh, aT * wy * f0_vals, aT * wy * f1_vals, delta)
+
+    def phi_field(self, mu: np.ndarray, psi: np.ndarray, f0_vals: np.ndarray, f1_vals: np.ndarray) -> np.ndarray:
+        """Nodal values of the adjoint pair's phi from its multiplier mu.
+
+        The step rows stop one level short of T, so the final level carries
+        f0 and the one before it the reversed march's first step.
+        """
+        phi = self.companion_field(mu)
+        phi[:, -1] = f0_vals
+        phi[:, -2] = terminal_first_step(self.mesh, f0_vals, f1_vals, psi[:, -1])
+        return phi
 
     def trace_norm(self, values: np.ndarray) -> float:
         # overflow to inf is fine here: divergence is detected from the norm
@@ -364,20 +384,34 @@ class CoupledEngine:
         return K
 
     def coupled_lu(self):
+        """Sparse LU of :meth:`coupled_matrix`, built on first use and kept
+        with the engine; refused above Ny = ``COUPLED_LU_MAX_NY``."""
+        if self.mesh.Ny > COUPLED_LU_MAX_NY:
+            raise ConfigurationError(
+                f"the coupled LU is limited to Ny <= {COUPLED_LU_MAX_NY}, got {self.mesh.Ny}"
+            )
         if self._coupled_lu is None:
             self._coupled_lu = scipy.sparse.linalg.splu(self.coupled_matrix())
         return self._coupled_lu
 
+    def coupled_rhs(self, w1_values: np.ndarray, utilde: np.ndarray | None) -> np.ndarray:
+        """Right-hand side of :meth:`coupled_matrix` for the leader data and
+        the tracked trajectory (None means zero)."""
+        size = self.W.size
+        rhs = np.zeros(2 * size)
+        rhs[np.arange(self.mesh.Nt + 1) * (self.mesh.Ny + 1)] = self.chi1 * w1_values
+        if utilde is not None:
+            rhs[size:] = -self.op._flatten(self.W * utilde)
+        return rhs
+
+    def adjoint_rhs(self, rho_terminal: np.ndarray) -> np.ndarray:
+        """Right-hand side of the transposed coupled matrix for a terminal cotangent."""
+        return np.concatenate([self.op._flatten(rho_terminal), np.zeros(self.W.size)])
+
     def direct_pair(self, w1_values: np.ndarray, utilde: np.ndarray | None):
         """Solve the coupled system in one shot.  Same unknowns as the Picard path."""
-        mesh = self.mesh
-        size = (mesh.Ny + 1) * (mesh.Nt + 1)
-        stride = mesh.Ny + 1
-        rhs = np.zeros(2 * size)
-        rhs[np.arange(mesh.Nt + 1) * stride] = self.chi1 * w1_values
-        if utilde is not None:
-            rhs[size:] = -np.ascontiguousarray((self.W * utilde).T).ravel()
-        sol = self.coupled_lu().solve(rhs)
+        sol = self.coupled_lu().solve(self.coupled_rhs(w1_values, utilde))
+        size = self.W.size
         state = self.op._unflatten(sol[:size])
         lam = self.op._unflatten(sol[size:])
         w2 = (self.chi2 / self.sigma) * self.normal_trace(lam)
@@ -385,10 +419,8 @@ class CoupledEngine:
 
     def direct_adjoint_pair(self, rho_terminal: np.ndarray):
         """Solve the transposed coupled system driven by a terminal cotangent."""
-        size = (self.mesh.Ny + 1) * (self.mesh.Nt + 1)
-        rhs = np.zeros(2 * size)
-        rhs[:size] = np.ascontiguousarray(rho_terminal.T).ravel()
-        sol = self.coupled_lu().solve(rhs, trans="T")
+        sol = self.coupled_lu().solve(self.adjoint_rhs(rho_terminal), trans="T")
+        size = self.W.size
         mu = self.op._unflatten(sol[:size])
         psi = self.op._unflatten(sol[size:])
         return mu, psi
@@ -461,7 +493,7 @@ def solve_nash_system(w1: Trace, cfg: FollowerConfig) -> NashSolution:
     u = Field(state, mesh).check_finite()
     p = Field(eng.companion_field(lam), mesh)
     w2_trace = Trace(w2, cfg.partition.mask2, mesh)
-    return NashSolution(u, p, w2_trace, 1, [residual])
+    return NashSolution(u, p, w2_trace, residual)
 
 
 def solve_free_part(cfg: FollowerConfig, mesh: Mesh | None = None):
@@ -520,11 +552,7 @@ def apply_A_star(
     if f1.mesh.key() != mesh.key():
         raise ConfigurationError("f0 and f1 must share a mesh")
     eng = get_engine(mesh, cfg)
-    wy = trapezoid_weights(mesh.Ny + 1, mesh.dy)
-    aT = mesh.alphas[-1]
-    theta1 = aT * wy * f0.values
-    theta2 = aT * wy * f1.values
-    rho = terminal_adjoint(mesh, theta1, theta2, delta)
+    rho = eng.terminal_cotangent(f0.values, f1.values, delta)
     s, mu0 = eng.schur_adjoint(rho[:, -3:, None])
     s, mu0 = s[:, 0], mu0[:, 0]
     # the march carries the Dirichlet data s into psi's boundary row exactly
@@ -532,13 +560,9 @@ def apply_A_star(
     mu = eng.multiplier_solve(rho + eng.W * psi)
     residual = eng.trace_norm((mu[0, :] - mu0) / eng.tau)
     trace_vals = np.where(cfg.partition.mask1, mu0 / eng.tau, 0.0)
-    phi_vals = eng.companion_field(mu)
-    phi_vals[:, -1] = f0.values
-    phi_vals[:, -2] = terminal_first_step(mesh, f0.values, f1.values, psi[:, -1])
-    phi = Field(phi_vals, mesh)
-    psi_field = Field(psi, mesh)
+    phi = Field(eng.phi_field(mu, psi, f0.values, f1.values), mesh)
     leader_trace = Trace(trace_vals, cfg.partition.mask1, mesh)
-    return AdjointPair(phi, psi_field, leader_trace, 1, [residual])
+    return AdjointPair(phi, Field(psi, mesh), leader_trace, residual)
 
 
 def cost_J2(u: Field, w2: Trace, cfg: FollowerConfig) -> float:

@@ -247,17 +247,15 @@ def h10_norm_physical(f: SpatialProfile) -> float:
 
 
 def duality_pairing(f: SpatialProfile, g: SpatialProfile) -> float:
-    """Physical-coordinate trapezoid of f * g; pairs a rough f against g with zero ends."""
+    """Physical-coordinate trapezoid of f * g on (0, alpha(t)): the L2 inner
+    product, and the pairing of a rough f against g with zero ends."""
     _require_same_profile_grid(f, g)
     w = trapezoid_weights(f.mesh.Ny + 1, f.mesh.dy)
     return float(f.alpha * np.sum(w * f.values * g.values))
 
 
-def l2_inner_physical(f: SpatialProfile, g: SpatialProfile) -> float:
-    """Physical-coordinate trapezoid inner product on (0, alpha(t))."""
-    _require_same_profile_grid(f, g)
-    w = trapezoid_weights(f.mesh.Ny + 1, f.mesh.dy)
-    return float(f.alpha * np.sum(w * f.values * g.values))
+# one rule, two names: the name says which pairing a caller means
+l2_inner_physical = duality_pairing
 
 
 class PoissonRiesz:

@@ -653,16 +653,19 @@ def final_value_profile(field: Field) -> SpatialProfile:
     return field.profile_at(field.mesh.Nt)
 
 
-def final_velocity_profile(field: Field) -> SpatialProfile:
-    """Physical u_t at t = T: one-sided in time minus the moving-frame drift."""
-    mesh = field.mesh
-    v = field.values
-    N = mesh.Nt
-    v_t = (3.0 * v[:, N] - 4.0 * v[:, N - 1] + v[:, N - 2]) / (2.0 * mesh.dt)
+def _terminal_velocity(mesh: Mesh, values: np.ndarray) -> np.ndarray:
+    """Physical u_t at t = T from the last three time levels of ``values``:
+    one-sided in time minus the moving-frame drift."""
+    v_t = (3.0 * values[:, -1] - 4.0 * values[:, -2] + values[:, -3]) / (2.0 * mesh.dt)
     aT = mesh.alphas[-1]
     D = profile_derivative_matrix(mesh.Ny + 1, mesh.dy)
-    u_t = v_t - (mesh.domain.k * mesh.y / aT) * (D @ v[:, N])
-    return SpatialProfile(u_t, mesh.domain.T, mesh)
+    return v_t - (mesh.domain.k * mesh.y / aT) * (D @ values[:, -1])
+
+
+def final_velocity_profile(field: Field) -> SpatialProfile:
+    """Physical u_t at t = T."""
+    mesh = field.mesh
+    return SpatialProfile(_terminal_velocity(mesh, field.values), mesh.domain.T, mesh)
 
 
 def extract_terminal(mesh: Mesh, values: np.ndarray, delta: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -671,11 +674,7 @@ def extract_terminal(mesh: Mesh, values: np.ndarray, delta: float = 0.0) -> tupl
     Only the last three time levels of ``values`` are read, so a field or
     just those levels (shape (Ny+1, 3)) will do.
     """
-    v_t = (3.0 * values[:, -1] - 4.0 * values[:, -2] + values[:, -3]) / (2.0 * mesh.dt)
-    aT = mesh.alphas[-1]
-    D = profile_derivative_matrix(mesh.Ny + 1, mesh.dy)
-    u_t = v_t - (mesh.domain.k * mesh.y / aT) * (D @ values[:, -1])
-    return u_t + delta * values[:, -1], -values[:, -1]
+    return _terminal_velocity(mesh, values) + delta * values[:, -1], -values[:, -1]
 
 
 def terminal_first_step(

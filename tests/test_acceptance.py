@@ -189,13 +189,12 @@ def test_criterion_6_discretization_order():
                 "dal",
                 DomainSpec(k=0.0, T=2.0, allow_k_zero=True),
                 (64, 128, 256),
-                0.0,
                 reference="closed-form",
             )
         )
         orders_dal = [r["order"] for r in dal if "order" in r]
         slf = convergence_study(
-            OracleCase("self", DomainSpec(k=0.1, T=1.0), (50, 100, 200), 0.0, reference="self")
+            OracleCase("self", DomainSpec(k=0.1, T=1.0), (50, 100, 200), reference="self")
         )
         orders_self = [r["order"] for r in slf if "order" in r]
         drift = energy_drift(Ny=200, T=2.0)

@@ -284,6 +284,42 @@ def test_non_numeric_config_value_exits_2(tmp_path, capsys, section, key):
     assert not out.exists()
 
 
+SWEEP_REF = {"family": "gaussian", "amplitude": 1.0, "center": 0.4, "width": 0.15}
+ZERO_TARGETS = {
+    "u0": {"family": "constant", "value": 0.0},
+    "u1": {"family": "constant", "value": 0.0},
+    "rho0": 0.1,
+    "rho1": 0.1,
+}
+
+
+@pytest.mark.parametrize(
+    "command, change",
+    [
+        ("nash", {"grid": 5}),
+        ("nash", {"follower": [1]}),
+        ("sweep", {"sweep": {"rho_rel": ["x"], "reference_control": SWEEP_REF}}),
+        ("sweep", {"sweep": {"k": 0.2, "reference_control": SWEEP_REF}}),
+        ("nash", {"leader": {"family": "polynomial", "coefficients": ["x"]}}),
+        ("leader", {"targets": {key: v for key, v in ZERO_TARGETS.items() if key != "u0"}}),
+    ],
+    ids=["grid-number", "follower-array", "sweep-axis-text", "sweep-axis-number", "coefficient-text", "targets-no-u0"],
+)
+def test_malformed_config_exits_2(tmp_path, capsys, command, change):
+    """A section, sweep axis or required key of the wrong shape exits 2 with
+    a message; each used to exit 1 with a traceback."""
+    cfg = base_config(
+        leader={"family": "constant", "value": 0.0},
+        targets=ZERO_TARGETS,
+        sweep={"rho_rel": [0.05], "reference_control": SWEEP_REF},
+    )
+    cfg.update(change)
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("delta", [-1.0, float("nan"), "abc"])
 def test_leader_invalid_delta_exits_2(tmp_path, capsys, delta):
     cfg = base_config(

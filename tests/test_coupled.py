@@ -25,14 +25,8 @@ from hierwave.coupled import (
     solve_leader_part,
     solve_nash_system,
 )
-from hierwave.wave_core import (
-    WaveProblem,
-    extract_terminal,
-    solve_backward,
-    terminal_adjoint,
-    terminal_first_step,
-    trace_normal_derivative,
-)
+from hierwave.verify import monolithic_solve
+from hierwave.wave_core import WaveProblem, extract_terminal, solve_backward, trace_normal_derivative
 
 
 def rand_trace(mesh, mask, rng):
@@ -49,32 +43,13 @@ def rand_dual_profiles(mesh, rng):
     )
 
 
-def terminal_rho(mesh, f0, f1, delta=0.0):
-    """The terminal cotangent that apply_A_star drives the adjoint pair with."""
-    wy = trapezoid_weights(mesh.Ny + 1, mesh.dy)
-    aT = mesh.alphas[-1]
-    return terminal_adjoint(mesh, aT * wy * f0.values, aT * wy * f1.values, delta)
-
-
-def direct_adjoint(f0, f1, cfg, delta=0.0):
-    """apply_A_star's phi and leader trace through the coupled LU."""
-    mesh = f0.mesh
-    eng = get_engine(mesh, cfg)
-    mu, psi = eng.direct_adjoint_pair(terminal_rho(mesh, f0, f1, delta))
-    phi = eng.companion_field(mu)
-    phi[:, -1] = f0.values
-    phi[:, -2] = terminal_first_step(mesh, f0.values, f1.values, psi[:, -1])
-    return phi, np.where(cfg.partition.mask1, mu[0, :] / eng.tau, 0.0)
-
-
 def direct_reach(w1, f0, f1, cfg, delta):
     """apply_A and apply_A_star's leader trace through the coupled LU."""
     mesh = w1.mesh
-    eng = get_engine(mesh, cfg)
-    state, _, _ = eng.direct_pair(np.where(cfg.partition.mask1, w1.values, 0.0), None)
+    state = monolithic_solve("leader_part", mesh, cfg, w1=w1)["state"].values
     c1, c2 = extract_terminal(mesh, state, delta)
     T = mesh.domain.T
-    _, trace = direct_adjoint(f0, f1, cfg, delta)
+    trace = monolithic_solve("adjoint_pair", mesh, cfg, f=(f0, f1), delta=delta)["leader_trace"].values
     return SpatialProfile(c1, T, mesh), SpatialProfile(c2, T, mesh), trace
 
 
@@ -99,7 +74,7 @@ def test_zero_fixed_point(mesh41, overlap41):
     assert np.all(sol.u.values == 0.0)
     assert np.all(sol.p.values == 0.0)
     assert np.all(sol.w2.values == 0.0)
-    assert sol.iterations == 1
+    assert sol.residual == 0.0
 
 
 def test_linearity_in_data(mesh41, overlap41):
@@ -308,7 +283,7 @@ def test_apply_A_star_decoupled_limit(mesh41, overlap41):
     rng = np.random.default_rng(13)
     f0, f1 = rand_dual_profiles(mesh41, rng)
     eng = get_engine(mesh41, cfg)
-    rho = terminal_rho(mesh41, f0, f1)
+    rho = eng.terminal_cotangent(f0.values, f1.values)
     mu_pair, _, _, _, _ = eng.picard_adjoint_pair(rho)
     pair_trace = np.where(overlap41.mask1, mu_pair[0, :] / eng.tau, 0.0)
     mu = eng.multiplier_solve(rho)
@@ -338,7 +313,7 @@ def test_adjoint_pair_consistent_with_natural_solve(mesh41, overlap41):
     T = mesh41.domain.T
     f0 = SpatialProfile(0.7 * np.sin(np.pi * mesh41.y), T, mesh41)
     f1 = SpatialProfile(0.4 * np.cos(2 * np.pi * mesh41.y), T, mesh41)
-    phi, _ = direct_adjoint(f0, f1, cfg)
+    phi = monolithic_solve("adjoint_pair", mesh41, cfg, f=(f0, f1))["phi"].values
     mask = np.ones(mesh41.Nt + 1, bool)
     z0 = Trace(np.zeros(mesh41.Nt + 1), mask, mesh41)
     z1 = Trace(np.zeros(mesh41.Nt + 1), mask, mesh41, side="y=1")
@@ -353,6 +328,15 @@ def test_apply_A_star_rejects_bad_f0(mesh41, cfg41_plain):
     f1 = SpatialProfile(np.zeros(mesh41.Ny + 1), T, mesh41)
     with pytest.raises(ConfigurationError):
         apply_A_star(f0, f1, cfg41_plain)
+
+
+def test_coupled_lu_memory_guard():
+    """The coupled LU refuses grids above Ny = 64 wherever it is reached
+    from, not only through verify.monolithic_solve."""
+    mesh = Mesh.auto(DomainSpec(k=0.1, T=1.0), 80)
+    eng = get_engine(mesh, FollowerConfig(sigma=1.0, partition=SigmaPartition.overlap(mesh.Nt + 1)))
+    with pytest.raises(ConfigurationError, match="Ny <= 64"):
+        eng.direct_pair(np.zeros(mesh.Nt + 1), None)
 
 
 def test_picard_divergence(mesh41, overlap41, w1_smooth):
@@ -413,9 +397,7 @@ def test_energy_identity_cross_check(mesh41, cfg41_plain):
     f0v = rng.standard_normal(mesh41.Ny + 1)
     f0v[0] = f0v[-1] = 0.0
     f1v = rng.standard_normal(mesh41.Ny + 1)
-    T = mesh41.domain.T
-    rho = terminal_rho(mesh41, SpatialProfile(f0v, T, mesh41), SpatialProfile(f1v, T, mesh41))
-    mu, psi = eng.direct_adjoint_pair(rho)
+    mu, psi = eng.direct_adjoint_pair(eng.terminal_cotangent(f0v, f1v))
 
     lhs = float(np.sum(eng.W * g_state * psi))
     qn = eng.normal_trace(lam_q)

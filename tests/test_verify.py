@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-import scipy.sparse
+import scipy.sparse.linalg
 
 from hierwave.errors import ConfigurationError
 from hierwave.geometry import DomainSpec, SigmaPartition
@@ -16,11 +16,9 @@ from hierwave.grid import (
     trapezoid_weights,
 )
 from hierwave.coupled import FollowerConfig, apply_A, apply_A_star, get_engine
-from hierwave.wave_core import terminal_adjoint
 from hierwave.verify import (
     OracleCase,
     TransposeReport,
-    _direct_solve,
     convergence_study,
     dalembert_reference,
     energy_drift,
@@ -112,10 +110,7 @@ def test_monolithic_adjoint_pair(setup41):
     out = monolithic_solve("adjoint_pair", mesh, cfg, f=(f0, f1))
     assert out["residual"] <= 1e-9
     eng = get_engine(mesh, cfg)
-    wy = trapezoid_weights(mesh.Ny + 1, mesh.dy)
-    aT = mesh.alphas[-1]
-    rho = terminal_adjoint(mesh, aT * wy * f0.values, aT * wy * f1.values, 0.0)
-    mu, _, _, _, _ = eng.picard_adjoint_pair(rho)
+    mu, _, _, _, _ = eng.picard_adjoint_pair(eng.terminal_cotangent(f0.values, f1.values))
     trace = np.where(cfg.partition.mask1, mu[0, :] / eng.tau, 0.0)
     scale = np.max(np.abs(out["leader_trace"].values))
     assert np.max(np.abs(trace - out["leader_trace"].values)) <= 1e-6 * scale
@@ -128,10 +123,35 @@ def test_monolithic_memory_guard():
         monolithic_solve("free_part", mesh, cfg)
 
 
-def test_direct_solve_singular_matrix():
-    singular = scipy.sparse.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(ConfigurationError):
-        _direct_solve(singular, np.array([1.0, 2.0]))
+def test_monolithic_factors_once(monkeypatch):
+    """Every system on one engine is solved through the engine's coupled LU:
+    one factorization and no further sparse solve."""
+    mesh = Mesh.auto(DomainSpec(k=0.1, T=2.0), 16)
+    part = SigmaPartition.overlap(mesh.Nt + 1)
+    Y, T = np.meshgrid(mesh.y, mesh.times, indexing="ij")
+    cfg = FollowerConfig(sigma=0.7, partition=part, u_tilde2=Field(np.sin(np.pi * Y) * np.cos(T), mesh))
+    w1 = Trace(np.sin(np.pi * mesh.times / 2.0), part.mask1, mesh)
+    f0v = np.sin(np.pi * mesh.y)
+    f = (SpatialProfile(f0v, 2.0, mesh), SpatialProfile(np.cos(np.pi * mesh.y), 2.0, mesh))
+    calls = {"splu": 0, "spsolve": 0}
+
+    def counted(name):
+        original = getattr(scipy.sparse.linalg, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(scipy.sparse.linalg, name, counted(name))
+    # a fresh engine, so that no earlier test's factorization is reused
+    monkeypatch.setattr("hierwave.coupled._ENGINE_CACHE", {})
+    for system in ("nash", "free_part", "leader_part"):
+        assert monolithic_solve(system, mesh, cfg, w1=w1)["residual"] <= 1e-10
+    assert monolithic_solve("adjoint_pair", mesh, cfg, f=f)["residual"] <= 1e-9
+    assert calls == {"splu": 1, "spsolve": 0}
 
 
 def test_transpose_check_report(setup41):
@@ -188,14 +208,13 @@ def test_convergence_orders():
             "dal",
             DomainSpec(k=0.0, T=2.0, allow_k_zero=True),
             (64, 128, 256),
-            0.0,
             reference="closed-form",
         )
     )
     for row in dal[1:]:
         assert 1.7 <= row["order"] <= 2.3
     slf = convergence_study(
-        OracleCase("self", DomainSpec(k=0.1, T=1.0), (50, 100, 200), 0.0, reference="self")
+        OracleCase("self", DomainSpec(k=0.1, T=1.0), (50, 100, 200), reference="self")
     )
     for row in slf[1:]:
         assert 1.7 <= row["order"] <= 2.3
@@ -203,7 +222,7 @@ def test_convergence_orders():
 
 def test_linear_solution_exact():
     rows = convergence_study(
-        OracleCase("lin", DomainSpec(k=0.3, T=2.0), (16, 32), 1e-12, reference="linear-exact")
+        OracleCase("lin", DomainSpec(k=0.3, T=2.0), (16, 32), reference="linear-exact")
     )
     assert all(r["error"] <= 1e-12 for r in rows)
 

@@ -258,7 +258,6 @@ def test_convergence_order_quick():
         name="quick",
         domain=DomainSpec(k=0.0, T=1.5, allow_k_zero=True),
         grids=(32, 64, 128),
-        tolerance=0.0,
         reference="closed-form",
     )
     rows = convergence_study(case)
