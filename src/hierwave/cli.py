@@ -165,7 +165,9 @@ class RunSetup:
         dom_conf = read_key(config, "domain")
         k = read_number(dom_conf, "domain.k", 0.0)
         T = read_number(dom_conf, "domain.T", 0.0)
-        allow0 = bool(dom_conf.get("allow_k_zero", False))
+        allow0 = dom_conf.get("allow_k_zero", False)
+        if not isinstance(allow0, bool):
+            raise ConfigurationError(f"domain.allow_k_zero must be true or false, got {allow0!r}")
         report = check_admissible(k, T, allow_k_zero=allow0)
         if report.hard_error:
             raise ConfigurationError(report.hard_error)

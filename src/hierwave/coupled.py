@@ -65,7 +65,7 @@ from .grid import (
     space_time_weights,
     trapezoid_weights,
 )
-from .wave_core import extract_terminal, get_operator, terminal_adjoint, terminal_first_step
+from .wave_core import WaveOperator, extract_terminal, terminal_adjoint, terminal_first_step
 
 __all__ = [
     "PicardOptions",
@@ -92,6 +92,10 @@ PICARD_MIN_RELAXATION = 0.125
 # the coupled LU's memory guard: its factors hold 9.7M nonzeros at Ny = 64
 # and 52M at Ny = 128
 COUPLED_LU_MAX_NY = 64
+# engines kept by get_engine, least recently used first out: the bench's
+# nash-sigma-ladder revisits 7 (six sigma at Ny = 64, plus the Ny = 80 op)
+# and leader-rho-sweep 2; an engine and its operator hold about 27 MB at Ny = 128
+ENGINE_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -132,9 +136,13 @@ class AdjointPair:
 
 
 class CoupledEngine:
-    """Shared machinery for one (mesh, sigma, partition) triple."""
+    """Shared machinery for one (mesh, sigma, partition) triple.
 
-    def __init__(self, mesh: Mesh, sigma: float, partition: SigmaPartition):
+    ``op`` is the mesh's :class:`~hierwave.wave_core.WaveOperator`, which
+    engines on one mesh share; None builds a new one.
+    """
+
+    def __init__(self, mesh: Mesh, sigma: float, partition: SigmaPartition, op: WaveOperator | None = None):
         if partition.mask1.shape != (mesh.Nt + 1,):
             raise ConfigurationError(
                 f"partition masks have length {partition.mask1.shape[0]}, grid wants {mesh.Nt + 1}"
@@ -145,7 +153,7 @@ class CoupledEngine:
         self.partition = partition
         self.chi1 = partition.mask1.astype(float)
         self.chi2 = partition.mask2.astype(float)
-        self.op = get_operator(mesh, mirrored=False)
+        self.op = WaveOperator(mesh) if op is None else op
         self.W = space_time_weights(mesh)
         self.tau = trapezoid_weights(mesh.Nt + 1, mesh.dt)
         self._zeros_full = np.zeros(mesh.Ny + 1)
@@ -443,16 +451,21 @@ _ENGINE_CACHE: dict[tuple, CoupledEngine] = {}
 
 
 def get_engine(mesh: Mesh, cfg: FollowerConfig) -> CoupledEngine:
+    """The engine of (mesh, sigma, partition), from the cache when kept there.
+
+    A new engine takes the wave operator of a kept engine on the same mesh;
+    the operator is freed with the last engine that holds it.
+    """
     key = (mesh.key(), float(cfg.sigma), cfg.partition.fingerprint())
-    eng = _ENGINE_CACHE.get(key)
+    # dict order is the recency order: a hit moves to the back
+    eng = _ENGINE_CACHE.pop(key, None)
     if eng is None:
-        eng = CoupledEngine(mesh, cfg.sigma, cfg.partition)
-        _ENGINE_CACHE[key] = eng
+        op = next((e.op for k, e in _ENGINE_CACHE.items() if k[0] == key[0]), None)
+        eng = CoupledEngine(mesh, cfg.sigma, cfg.partition, op)
+    _ENGINE_CACHE[key] = eng
+    while len(_ENGINE_CACHE) > ENGINE_CACHE_SIZE:
+        del _ENGINE_CACHE[next(iter(_ENGINE_CACHE))]
     return eng
-
-
-def clear_engine_cache() -> None:
-    _ENGINE_CACHE.clear()
 
 
 def _mesh_from_cfg(cfg: FollowerConfig, mesh: Mesh | None, *parts) -> Mesh:

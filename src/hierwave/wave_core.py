@@ -50,7 +50,6 @@ __all__ = [
     "WaveProblem",
     "WaveOperator",
     "BoundaryResponse",
-    "get_operator",
     "solve_forward",
     "solve_backward",
     "trace_normal_derivative",
@@ -233,7 +232,6 @@ class WaveOperator:
         a_init: np.ndarray,
         m_init: np.ndarray,
         source: np.ndarray | None = None,
-        check: bool = True,
     ) -> np.ndarray:
         """Explicit-in-time sweep.  Inputs are cylinder quantities:
 
@@ -295,14 +293,13 @@ class WaveOperator:
             rhs[-1] += edge1[n]
             x = scipy.linalg.lapack.dgttrs(*steps[n], rhs)[0]
             v[n + 1, 1:-1] = x
-            if check:
-                peak = float(np.abs(x).max())
-                if not np.isfinite(peak) or peak > blowup:
-                    raise InstabilityError(
-                        f"unstable march at time step {n + 1} (t = {(n + 1) * dt:.4g}, "
-                        f"amplitude {peak:.3e})",
-                        step=n + 1,
-                    )
+            peak = float(np.abs(x).max())
+            if not np.isfinite(peak) or peak > blowup:
+                raise InstabilityError(
+                    f"unstable march at time step {n + 1} (t = {(n + 1) * dt:.4g}, "
+                    f"amplitude {peak:.3e})",
+                    step=n + 1,
+                )
         field = np.ascontiguousarray(v.transpose(1, 0, 2))
         return field if batched else field[:, :, 0]
 
@@ -536,22 +533,6 @@ class WaveOperator:
         return self._unflatten(self.lu().solve(r))
 
 
-_OPERATOR_CACHE: dict[tuple, WaveOperator] = {}
-
-
-def get_operator(mesh: Mesh, mirrored: bool = False) -> WaveOperator:
-    key = (*mesh.key(), mirrored)
-    op = _OPERATOR_CACHE.get(key)
-    if op is None:
-        op = WaveOperator(mesh, mirrored)
-        _OPERATOR_CACHE[key] = op
-    return op
-
-
-def clear_operator_cache() -> None:
-    _OPERATOR_CACHE.clear()
-
-
 # ---------------------------------------------------------------------------
 # public solve interface
 # ---------------------------------------------------------------------------
@@ -609,7 +590,7 @@ def solve_forward(problem: WaveProblem) -> Field:
         raise ConfigurationError("solve_forward needs a forward problem")
     mesh = problem.bc0.mesh
     mesh.require_cfl()
-    op = get_operator(mesh, mirrored=False)
+    op = WaveOperator(mesh)
     a_full = problem.data[0].values
     m_cyl = _cylinder_velocity(mesh, a_full, problem.data[1].values, 0.0)
     src = problem.source.values if problem.source is not None else None
@@ -623,7 +604,7 @@ def solve_backward(problem: WaveProblem) -> Field:
         raise ConfigurationError("solve_backward needs a backward problem")
     mesh = problem.bc0.mesh
     mesh.require_cfl()
-    op = get_operator(mesh, mirrored=True)
+    op = WaveOperator(mesh, mirrored=True)
     f0 = problem.data[0].values
     v_t_final = _cylinder_velocity(mesh, f0, problem.data[1].values, mesh.domain.T)
     bc0_rev = problem.bc0.values[::-1].copy()

@@ -91,6 +91,17 @@ def test_invalid_speed_exits_2(tmp_path, capsys):
     assert "0 <= k < 1" in err
 
 
+@pytest.mark.parametrize("flag", ["false", 1, "yes"])
+def test_allow_k_zero_must_be_boolean(tmp_path, capsys, flag):
+    cfg = base_config(control={"family": "constant", "value": 0.0})
+    cfg["domain"].update(k=0.0, allow_k_zero=flag)
+    code = main(
+        ["simulate", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    assert "allow_k_zero must be true or false" in capsys.readouterr().err
+
+
 def test_missing_config_exits_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 2
 

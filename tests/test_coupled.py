@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from hierwave.grid import (
     l2_inner_physical,
     trapezoid_weights,
 )
+from hierwave import coupled
 from hierwave.coupled import (
     FollowerConfig,
     PicardOptions,
@@ -337,6 +341,35 @@ def test_coupled_lu_memory_guard():
     eng = get_engine(mesh, FollowerConfig(sigma=1.0, partition=SigmaPartition.overlap(mesh.Nt + 1)))
     with pytest.raises(ConfigurationError, match="Ny <= 64"):
         eng.direct_pair(np.zeros(mesh.Nt + 1), None)
+
+
+def test_engines_on_one_mesh_share_the_operator(mesh41, overlap41):
+    """The sigma ladder builds each mesh's step factors and H once."""
+    eng = get_engine(mesh41, FollowerConfig(sigma=1.0, partition=overlap41))
+    other = get_engine(mesh41, FollowerConfig(sigma=0.1, partition=overlap41))
+    assert other is not eng
+    assert other.op is eng.op
+
+
+def test_engine_cache_evicts_least_recent(monkeypatch):
+    """The least recently used engine is dropped, and its wave operator with it."""
+    monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
+
+    def engine(Ny):
+        mesh = Mesh.auto(DomainSpec(k=0.1, T=1.0), Ny)
+        return get_engine(mesh, FollowerConfig(sigma=1.0, partition=SigmaPartition.overlap(mesh.Nt + 1)))
+
+    first_op = weakref.ref(engine(8).op)
+    for Ny in range(9, 9 + coupled.ENGINE_CACHE_SIZE):
+        engine(Ny)
+    gc.collect()
+    assert first_op() is None
+    assert len(coupled._ENGINE_CACHE) == coupled.ENGINE_CACHE_SIZE
+    # a hit makes the engine the most recent, so the next one out is Ny = 10
+    engine(9)
+    engine(9 + coupled.ENGINE_CACHE_SIZE)
+    kept = [key[0][0] for key in coupled._ENGINE_CACHE]
+    assert kept == [*range(11, 9 + coupled.ENGINE_CACHE_SIZE), 9, 9 + coupled.ENGINE_CACHE_SIZE]
 
 
 def test_picard_divergence(mesh41, overlap41, w1_smooth):

@@ -19,14 +19,13 @@ from hierwave.coupled import (
     FollowerConfig,
     apply_A,
     apply_A_star,
-    clear_engine_cache,
     solve_nash_system,
 )
 from hierwave.geometry import DomainSpec, SigmaPartition, min_control_time
 from hierwave.grid import Field, Mesh, SpatialProfile, Trace
 from hierwave.leader_dual import TargetSpec, dual_functional, minimize_dual
 from hierwave.verify import monolithic_solve
-from hierwave.wave_core import WaveOperator, clear_operator_cache
+from hierwave.wave_core import WaveOperator
 
 # T is drawn from [T0, T0 + 2] with T0 = min(T*(k), T_CAP): T*(k) passes 6
 # near k = 0.17 and is 444 at k = 0.4, where a grid would need 10^4 steps.
@@ -83,51 +82,46 @@ def test_default_path_properties(Ny, k, T_extra, log_sigma, time_split, delta, s
     leader, tracked = smooth_inputs(mesh, rng)
     cfg = FollowerConfig(sigma=sigma, partition=part, u_tilde2=Field(tracked, mesh))
     w1 = Trace(leader, part.mask1, mesh)
-    try:
-        sol = solve_nash_system(w1, cfg)
-        u, w2 = sol.u.values, sol.w2.values
+    sol = solve_nash_system(w1, cfg)
+    u, w2 = sol.u.values, sol.w2.values
 
-        # the state, re-marched from the two controls
-        op = WaveOperator(mesh)
-        zeros_t, zeros_y = np.zeros(n), np.zeros(Ny + 1)
+    # the state, re-marched from the two controls
+    op = WaveOperator(mesh)
+    zeros_t, zeros_y = np.zeros(n), np.zeros(Ny + 1)
 
-        def march(bc):
-            return op.march(bc, zeros_t, zeros_y, zeros_y)
+    def march(bc):
+        return op.march(bc, zeros_t, zeros_y, zeros_y)
 
-        scale = max(float(np.max(np.abs(u))), 1e-300)
-        drift = float(np.max(np.abs(march(chi1 * leader + chi2 * w2) - u)))
-        assert drift <= MARCH_RTOL * scale, drift / scale
+    scale = max(float(np.max(np.abs(u))), 1e-300)
+    drift = float(np.max(np.abs(march(chi1 * leader + chi2 * w2) - u)))
+    assert drift <= MARCH_RTOL * scale, drift / scale
 
-        # the follower's first-order condition along random directions
-        tau = trap(n, mesh.dt)
-        W = np.outer(trap(Ny + 1, mesh.dy), tau * (1.0 + k * mesh.times))
-        for _ in range(FOC_DIRECTIONS):
-            h = chi2 * rng.standard_normal(n)
-            parts1 = W * (u - tracked) * march(h)
-            parts2 = sigma * tau * w2 * h
-            defect = abs(parts1.sum() + parts2.sum())
-            assert defect <= FOC_RTOL * (np.abs(parts1).sum() + np.abs(parts2).sum())
+    # the follower's first-order condition along random directions
+    tau = trap(n, mesh.dt)
+    W = np.outer(trap(Ny + 1, mesh.dy), tau * (1.0 + k * mesh.times))
+    for _ in range(FOC_DIRECTIONS):
+        h = chi2 * rng.standard_normal(n)
+        parts1 = W * (u - tracked) * march(h)
+        parts2 = sigma * tau * w2 * h
+        defect = abs(parts1.sum() + parts2.sum())
+        assert defect <= FOC_RTOL * (np.abs(parts1).sum() + np.abs(parts2).sum())
 
-        # the one-shot coupled oracle
-        mono = monolithic_solve("nash", mesh, cfg, w1=w1)["state"].values
-        gap = float(np.max(np.abs(u - mono)))
-        assert gap <= ORACLE_RTOL * max(float(np.max(np.abs(mono))), 1e-300), gap
+    # the one-shot coupled oracle
+    mono = monolithic_solve("nash", mesh, cfg, w1=w1)["state"].values
+    gap = float(np.max(np.abs(u - mono)))
+    assert gap <= ORACLE_RTOL * max(float(np.max(np.abs(mono))), 1e-300), gap
 
-        # the transpose identity, reach operator against its adjoint
-        plain = FollowerConfig(sigma=sigma, partition=part)
-        omega = (1.0 + k * T) * trap(Ny + 1, mesh.dy)
-        f0v = rng.standard_normal(Ny + 1)
-        f0v[0] = f0v[-1] = 0.0
-        f1v = rng.standard_normal(Ny + 1)
-        c1, c2 = apply_A(w1, plain, delta)
-        lhs = float(np.sum(omega * (c1.values * f0v + c2.values * f1v)))
-        pair = apply_A_star(SpatialProfile(f0v, T, mesh), SpatialProfile(f1v, T, mesh), plain, delta)
-        rhs = float(np.sum(tau * chi1 * pair.leader_trace.values * leader))
-        assert abs(lhs - rhs) <= TRANSPOSE_RTOL * (abs(lhs) + abs(rhs)), (lhs, rhs)
-    finally:
-        # every example has its own mesh: keep the module caches from growing
-        clear_engine_cache()
-        clear_operator_cache()
+    # the transpose identity, reach operator against its adjoint
+    plain = FollowerConfig(sigma=sigma, partition=part)
+    omega = (1.0 + k * T) * trap(Ny + 1, mesh.dy)
+    f0v = rng.standard_normal(Ny + 1)
+    f0v[0] = f0v[-1] = 0.0
+    f1v = rng.standard_normal(Ny + 1)
+    c1, c2 = apply_A(w1, plain, delta)
+    lhs = float(np.sum(omega * (c1.values * f0v + c2.values * f1v)))
+    pair = apply_A_star(SpatialProfile(f0v, T, mesh), SpatialProfile(f1v, T, mesh), plain, delta)
+    rhs = float(np.sum(tau * chi1 * pair.leader_trace.values * leader))
+    assert abs(lhs - rhs) <= TRANSPOSE_RTOL * (abs(lhs) + abs(rhs)), (lhs, rhs)
 
 
 def final_state(mesh, u):
@@ -181,38 +175,34 @@ def test_leader_default_path_properties(Ny, k, T_extra, log_sigma, time_split, s
     leader, tracked = smooth_inputs(mesh, rng)
     cfg = FollowerConfig(sigma=10.0**log_sigma, partition=part, u_tilde2=Field(tracked, mesh))
     tau = trap(n, mesh.dt)
-    try:
-        # targets: the final state of a reference leader, so the balls are reachable
-        u_T, ut_T = final_state(mesh, solve_nash_system(Trace(leader, part.mask1, mesh), cfg).u.values)
-        costs = []
-        for rho_rel in (0.05, 0.1):
-            targets = TargetSpec(
-                SpatialProfile(u_T, T, mesh),
-                SpatialProfile(ut_T, T, mesh),
-                rho_rel * l2_norm(mesh, u_T),
-                rho_rel * hminus1_norm(mesh, ut_T),
-            )
-            f_star, w1_star, rep = minimize_dual(targets, cfg)
-            assert rep.certified, rep.notes
+    # targets: the final state of a reference leader, so the balls are reachable
+    u_T, ut_T = final_state(mesh, solve_nash_system(Trace(leader, part.mask1, mesh), cfg).u.values)
+    costs = []
+    for rho_rel in (0.05, 0.1):
+        targets = TargetSpec(
+            SpatialProfile(u_T, T, mesh),
+            SpatialProfile(ut_T, T, mesh),
+            rho_rel * l2_norm(mesh, u_T),
+            rho_rel * hminus1_norm(mesh, ut_T),
+        )
+        f_star, w1_star, rep = minimize_dual(targets, cfg)
+        assert rep.certified, rep.notes
 
-            # the reach, replayed through the equilibrium solve
-            v_T, vt_T = final_state(mesh, solve_nash_system(w1_star, cfg).u.values)
-            assert l2_norm(mesh, v_T - u_T) <= targets.rho0 * (1.0 + REACH_RTOL)
-            assert hminus1_norm(mesh, vt_T - ut_T) <= targets.rho1 * (1.0 + REACH_RTOL)
+        # the reach, replayed through the equilibrium solve
+        v_T, vt_T = final_state(mesh, solve_nash_system(w1_star, cfg).u.values)
+        assert l2_norm(mesh, v_T - u_T) <= targets.rho0 * (1.0 + REACH_RTOL)
+        assert hminus1_norm(mesh, vt_T - ut_T) <= targets.rho1 * (1.0 + REACH_RTOL)
 
-            # the cost, read back from the control by the trapezoid rule
-            J = 0.5 * float(np.sum(tau * part.mask1 * w1_star.values**2))
-            assert abs(J - rep.primal_J) <= 1e-12 * J
+        # the cost, read back from the control by the trapezoid rule
+        J = 0.5 * float(np.sum(tau * part.mask1 * w1_star.values**2))
+        assert abs(J - rep.primal_J) <= 1e-12 * J
 
-            # weak duality: J bounds -D from above, and the optimum closes the gap
-            excess = J + dual_functional(f_star, targets, cfg)
-            scale = J + targets.rho1 * h10_norm(mesh, f_star.f0.values) + targets.rho0 * l2_norm(
-                mesh, f_star.f1.values
-            )
-            assert DUALITY_LOW * J <= excess <= DUALITY_HIGH * scale, (excess, J, scale)
-            costs.append(J)
-        # a larger ball never costs more
-        assert costs[1] <= costs[0] * (1.0 - DUALITY_LOW), costs
-    finally:
-        clear_engine_cache()
-        clear_operator_cache()
+        # weak duality: J bounds -D from above, and the optimum closes the gap
+        excess = J + dual_functional(f_star, targets, cfg)
+        scale = J + targets.rho1 * h10_norm(mesh, f_star.f0.values) + targets.rho0 * l2_norm(
+            mesh, f_star.f1.values
+        )
+        assert DUALITY_LOW * J <= excess <= DUALITY_HIGH * scale, (excess, J, scale)
+        costs.append(J)
+    # a larger ball never costs more
+    assert costs[1] <= costs[0] * (1.0 - DUALITY_LOW), costs

@@ -6,11 +6,11 @@ from hierwave.errors import ConfigurationError, InstabilityError
 from hierwave.geometry import DomainSpec
 from hierwave.grid import Field, GridSpec, Mesh, SpatialProfile, Trace, trapezoid_weights
 from hierwave.wave_core import (
+    WaveOperator,
     WaveProblem,
     extract_terminal,
     final_value_profile,
     final_velocity_profile,
-    get_operator,
     solve_backward,
     solve_forward,
     terminal_adjoint,
@@ -40,7 +40,7 @@ def random_inputs(mesh, rng):
 
 def test_march_equals_matrix_solve():
     mesh = Mesh.auto(DomainSpec(k=0.2, T=1.5), 16)
-    op = get_operator(mesh)
+    op = WaveOperator(mesh)
     rng = np.random.default_rng(0)
     bc0, bc1, a_int, m, S = random_inputs(mesh, rng)
     a_full = np.concatenate([[bc0[0]], a_int, [bc1[0]]])
@@ -53,7 +53,7 @@ def test_adjoint_solve_dot_product():
     """<M^{-1} r(inputs), rho> must equal <inputs, input-cotangents> exactly."""
     mesh = Mesh.auto(DomainSpec(k=0.15, T=1.0), 12)
     for mirrored in (False, True):
-        op = get_operator(mesh, mirrored)
+        op = WaveOperator(mesh, mirrored)
         rng = np.random.default_rng(1 + mirrored)
         bc0, bc1, a_int, m, S = random_inputs(mesh, rng)
         rho = rng.standard_normal((mesh.Ny + 1, mesh.Nt + 1))
@@ -83,7 +83,7 @@ def test_zero_data_gives_zero_field():
 @given(a=st.floats(-3, 3), b=st.floats(-3, 3), seed=st.integers(0, 100))
 def test_solver_linearity(a, b, seed):
     mesh = Mesh.auto(DomainSpec(k=0.2, T=1.0), 10)
-    op = get_operator(mesh)
+    op = WaveOperator(mesh)
     rng = np.random.default_rng(seed)
     in1 = random_inputs(mesh, rng)
     in2 = random_inputs(mesh, rng)
@@ -177,7 +177,7 @@ def test_backward_matches_monolithic_direct():
     mesh = Mesh.auto(DomainSpec(k=0.1, T=4.0), 41)
     src = Field(np.ones((mesh.Ny + 1, mesh.Nt + 1)), mesh)
     back = solve_backward(WaveProblem("backward", zero_trace(mesh), source=src))
-    op = get_operator(mesh, mirrored=True)
+    op = WaveOperator(mesh, mirrored=True)
     r = op.rhs_vector(
         np.zeros(mesh.Nt + 1),
         np.zeros(mesh.Nt + 1),
@@ -215,7 +215,7 @@ def test_cfl_violation_raises():
 
 def test_instability_detected():
     mesh = Mesh(DomainSpec(k=0.1, T=40.0), GridSpec(Ny=32, Nt=400))
-    op = get_operator(mesh)
+    op = WaveOperator(mesh)
     bc = np.zeros(mesh.Nt + 1)
     a = np.sin(np.pi * mesh.y)
     m = np.zeros(mesh.Ny + 1)
@@ -279,7 +279,7 @@ def test_transposed_sweep_and_batched_march(Ny, k, T, mirrored, width, seed):
     import scipy.sparse.linalg
 
     mesh = Mesh.auto(DomainSpec(k=k, T=T), Ny)
-    op = get_operator(mesh, mirrored)
+    op = WaveOperator(mesh, mirrored)
     rng = np.random.default_rng(seed)
     J, N = mesh.Ny, mesh.Nt
     rho = rng.standard_normal((J + 1, N + 1, width))
@@ -306,7 +306,6 @@ def test_transposed_sweep_and_batched_march(Ny, k, T, mirrored, width, seed):
 def test_boundary_response_matches_per_column_marches(Ny, k, T, mirrored):
     """H = S^T W S and the last three levels of S, against S marched one unit datum at a time."""
     from hierwave.grid import space_time_weights
-    from hierwave.wave_core import WaveOperator
 
     mesh = Mesh.auto(DomainSpec(k=k, T=T), Ny)
     op = WaveOperator(mesh, mirrored)
