@@ -47,6 +47,7 @@ and one LU of the assembled coupled system (:meth:`~CoupledEngine.direct_pair`,
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -164,7 +165,9 @@ class CoupledEngine:
         # adjoint-trace columns and Gram matrix of the leader's dual; they do
         # not depend on targets, radii or delta, so a radii ladder shares them
         self.leader_gram: tuple[np.ndarray, np.ndarray] | None = None
-        self._free_terminals: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # schur_bc's S^T W u_tilde for the last u_tilde, keyed by its shape and
+        # a digest of its bytes; it depends on neither sigma nor w1
+        self._tracked_row: tuple[tuple, np.ndarray] | None = None
 
     # -- elementary solves ---------------------------------------------------
 
@@ -246,12 +249,15 @@ class CoupledEngine:
         """Equilibrium boundary data chi1 w1 + chi2 w2 and the follower trace w2.
 
         S^T W u_tilde, the boundary row of one transposed sweep, is the only
-        wave solve; none when ``utilde`` is None.
+        wave solve; none when ``utilde`` is None or its row is kept.
         """
         bc1 = self.chi1 * w1_values
         rhs = -(self.op.boundary_response().H @ bc1)
         if utilde is not None:
-            rhs += self.multiplier_solve(self.W * utilde)[0, :]
+            key = (utilde.shape, hashlib.sha256(utilde.tobytes()).digest())
+            if self._tracked_row is None or self._tracked_row[0] != key:
+                self._tracked_row = (key, self.multiplier_solve(self.W * utilde)[0, :])
+            rhs += self._tracked_row[1]
         w2 = self.follower_trace(rhs)
         return bc1 + self.chi2 * w2, w2
 
@@ -290,17 +296,13 @@ class CoupledEngine:
 
     def free_terminal(self, utilde: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
         """Final value and physical velocity of the zero-leader equilibrium
-        tracking ``utilde``, kept per tracked trajectory."""
+        tracking ``utilde``; with the tracked row kept, it runs no wave solve."""
         if utilde is None:
             zero = np.zeros(self.mesh.Ny + 1)
             return zero, zero.copy()
-        key = hash(utilde.tobytes())
-        out = self._free_terminals.get(key)
-        if out is None:
-            bc, _ = self.schur_bc(self._zeros_t, utilde)
-            vel, neg_val = extract_terminal(self.mesh, self.op.boundary_response().terminal_levels(bc))
-            out = self._free_terminals[key] = (-neg_val, vel)
-        return out
+        bc, _ = self.schur_bc(self._zeros_t, utilde)
+        vel, neg_val = extract_terminal(self.mesh, self.op.boundary_response().terminal_levels(bc))
+        return -neg_val, vel
 
     # -- relaxed Picard on the coupling trace ---------------------------------
 

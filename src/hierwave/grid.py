@@ -37,6 +37,7 @@ __all__ = [
     "save_trace_csv",
     "load_trace_csv",
     "save_field_csv",
+    "load_field_csv",
 ]
 
 
@@ -312,27 +313,24 @@ def hminus1_norm_physical(f: SpatialProfile) -> float:
 # row, then rows of 17-significant-digit decimals.
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _row_template(coords: np.ndarray, tail: str = "%.17g") -> str:
+    """One row per coordinate: its 17 significant digits, then ``tail``."""
+    return "".join(f"{c:.17g},{tail}\r\n" for c in np.asarray(coords, dtype=float).tolist())
 
 
-def _fmt_all(values: np.ndarray) -> list[str]:
-    return [f"{v:.17g}" for v in np.asarray(values, dtype=float).ravel().tolist()]
+def _write_csv(path, header_comments: dict | None, columns: list[str], template: str, values: np.ndarray) -> None:
+    """Comment lines, a header row, then ``template`` filled with ``values``.
 
-
-def _write_csv(path, header_comments: dict | None, columns: list[str], cells: list[list[str]]) -> None:
-    """Comment lines, a header row, then one row per index of ``cells``.
-
-    ``cells`` holds one list of formatted values per column.  Rows end in
-    "\r\n" and comment lines in "\n", byte for byte what csv.writer
-    wrote: no cell here contains a separator or a quote, so none is quoted.
-    The file is written in one call.
+    The template holds one "%.17g" slot per value in row order ("%.17g" % x
+    gives the bytes of f"{x:.17g}").  Rows end in "\r\n" and comment lines
+    in "\n": byte for byte what csv.writer wrote, as no cell needs quoting.
+    Comment lines stay outside the template, so a "%" in them is kept.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     parts = [f"# {key}: {val}\n" for key, val in (header_comments or {}).items()]
     parts.append(",".join(columns) + "\r\n")
-    parts.extend(f"{row}\r\n" for row in map(",".join, zip(*cells)))
+    parts.append(template % tuple(np.asarray(values, dtype=float).ravel().tolist()))
     with open(path, "w", newline="") as fh:
         fh.write("".join(parts))
 
@@ -362,10 +360,10 @@ def _read_csv(path) -> tuple[dict, list[str], np.ndarray]:
 
 
 def save_profile_csv(path, profile: SpatialProfile, extra_header: dict | None = None) -> None:
-    header = {"kind": "profile", "time": _fmt(profile.time), "Ny": profile.mesh.Ny}
+    header = {"kind": "profile", "time": f"{profile.time:.17g}", "Ny": profile.mesh.Ny}
     header.update(extra_header or {})
     x = profile.alpha * profile.mesh.y
-    _write_csv(path, header, ["coordinate", "value"], [_fmt_all(x), _fmt_all(profile.values)])
+    _write_csv(path, header, ["coordinate", "value"], _row_template(x), profile.values)
 
 
 def load_profile_csv(path, mesh: Mesh, time: float) -> SpatialProfile:
@@ -384,7 +382,7 @@ def load_profile_csv(path, mesh: Mesh, time: float) -> SpatialProfile:
 def save_trace_csv(path, trace: Trace, extra_header: dict | None = None) -> None:
     header = {"kind": "trace", "side": trace.side, "Nt": trace.mesh.Nt}
     header.update(extra_header or {})
-    _write_csv(path, header, ["coordinate", "value"], [_fmt_all(trace.mesh.times), _fmt_all(trace.values)])
+    _write_csv(path, header, ["coordinate", "value"], _row_template(trace.mesh.times), trace.values)
 
 
 def load_trace_csv(path, mesh: Mesh, mask: np.ndarray | None = None, side: str = "y=0") -> Trace:
@@ -405,15 +403,19 @@ def load_field_csv(path, mesh: Mesh) -> Field:
     n_expect = (mesh.Ny + 1) * (mesh.Nt + 1)
     if data.shape[0] != n_expect:
         raise ConfigurationError(f"{path}: expected {n_expect} field rows, found {data.shape[0]}")
-    vals = data[:, 2].reshape(mesh.Nt + 1, mesh.Ny + 1).T
-    return Field(vals.copy(), mesh)
+    y_col, t_col, vals = (data[:, c].reshape(mesh.Nt + 1, mesh.Ny + 1) for c in range(3))
+    if not np.allclose(y_col, mesh.y[None, :], atol=1e-8):
+        raise ConfigurationError(f"{path}: y column does not match the grid")
+    if not np.allclose(t_col, mesh.times[:, None], atol=1e-8 * max(1.0, mesh.domain.T)):
+        raise ConfigurationError(f"{path}: t column does not match the grid")
+    return Field(vals.T.copy(), mesh)
 
 
 def save_field_csv(path, fld: Field, extra_header: dict | None = None) -> None:
     header = {"kind": "field", "Ny": fld.mesh.Ny, "Nt": fld.mesh.Nt}
     header.update(extra_header or {})
-    # rows run over j fastest, then n; each coordinate is formatted once
-    n_y = fld.mesh.Ny + 1
-    y_cells = _fmt_all(fld.mesh.y) * (fld.mesh.Nt + 1)
-    t_cells = [t for t in _fmt_all(fld.mesh.times) for _ in range(n_y)]
-    _write_csv(path, header, ["y", "t", "value"], [y_cells, t_cells, _fmt_all(fld.values.T)])
+    # rows run over j fastest, then n: one time level's rows are formatted
+    # once, and each time is stamped into its copy
+    level = _row_template(fld.mesh.y, "\x00,%.17g")
+    template = "".join(level.replace("\x00", f"{t:.17g}") for t in fld.mesh.times.tolist())
+    _write_csv(path, header, ["y", "t", "value"], template, fld.values.T)

@@ -5,7 +5,15 @@ import pytest
 
 from hierwave.cli import main
 from hierwave.geometry import DomainSpec
-from hierwave.grid import Mesh, load_profile_csv, l2_norm_physical, hminus1_norm_physical
+from hierwave.grid import (
+    Field,
+    GridSpec,
+    Mesh,
+    hminus1_norm_physical,
+    l2_norm_physical,
+    load_profile_csv,
+    save_field_csv,
+)
 
 
 def write_config(tmp_path, name, config):
@@ -160,6 +168,26 @@ def test_nash_ny80_small_sigma_solves(tmp_path, sigma):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["method"] == "schur" and summary["iterations"] == 1
     assert summary["el_residual_max_abs"] <= nash_el_bound(summary, 4.0)
+
+
+@pytest.mark.parametrize("grid, T, code", [("own", 4.0, 0), ("swapped", 4.0, 2), ("own", 2.0, 2)])
+def test_nash_tracked_csv_from_another_mesh_exits_2(tmp_path, capsys, grid, T, code):
+    """A u_tilde2 file with the config's row count but another grid or
+    horizon used to load as garbage; now only the config's own mesh loads."""
+    mesh = Mesh.auto(DomainSpec(k=0.1, T=4.0), 20)
+    Ny, Nt = (mesh.Ny, mesh.Nt) if grid == "own" else (mesh.Nt, mesh.Ny)
+    other = Mesh(DomainSpec(k=0.1, T=T), GridSpec(Ny=Ny, Nt=Nt))
+    Y, S = np.meshgrid(other.y, other.times / T, indexing="ij")
+    save_field_csv(tmp_path / "ut.csv", Field(np.sin(np.pi * Y) * np.sin(np.pi * S), other))
+    cfg = base_config(
+        leader={"family": "constant", "value": 0.0},
+        follower={"sigma": 1.0, "u_tilde2": {"csv": str(tmp_path / "ut.csv")}},
+    )
+    out = tmp_path / "o"
+    assert main(["nash", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == code
+    if code == 2:
+        assert "column does not match the grid" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_default_paths_factor_no_sparse_lu(tmp_path, monkeypatch):

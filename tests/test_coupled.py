@@ -30,7 +30,13 @@ from hierwave.coupled import (
     solve_nash_system,
 )
 from hierwave.verify import monolithic_solve
-from hierwave.wave_core import WaveProblem, extract_terminal, solve_backward, trace_normal_derivative
+from hierwave.wave_core import (
+    WaveOperator,
+    WaveProblem,
+    extract_terminal,
+    solve_backward,
+    trace_normal_derivative,
+)
 
 
 def rand_trace(mesh, mask, rng):
@@ -370,6 +376,41 @@ def test_engine_cache_evicts_least_recent(monkeypatch):
     engine(9 + coupled.ENGINE_CACHE_SIZE)
     kept = [key[0][0] for key in coupled._ENGINE_CACHE]
     assert kept == [*range(11, 9 + coupled.ENGINE_CACHE_SIZE), 9, 9 + coupled.ENGINE_CACHE_SIZE]
+
+
+def test_warm_nash_sweeps_once(cfg41, w1_smooth, monkeypatch):
+    """A repeated tracked trajectory reuses its boundary row: the warm solve
+    runs the companion's sweep and no other."""
+    solve_nash_system(w1_smooth, cfg41)
+    calls = []
+    sweep = WaveOperator.solve_adjoint
+
+    def counted(self, rho):
+        calls.append(rho)
+        return sweep(self, rho)
+
+    monkeypatch.setattr(WaveOperator, "solve_adjoint", counted)
+    solve_nash_system(w1_smooth, cfg41)
+    assert len(calls) == 1
+
+
+def test_kept_row_follows_the_tracked_trajectory(mesh41, overlap41, utilde41, w1_smooth, monkeypatch):
+    """Alternating trajectories on one engine give a fresh engine's answers bit for bit."""
+    other = Field(np.roll(utilde41.values, 7, axis=1), mesh41)
+
+    def run(utilde):
+        cfg = FollowerConfig(sigma=0.5, partition=overlap41, u_tilde2=utilde)
+        sol = solve_nash_system(w1_smooth, cfg)
+        return sol.u.values, sol.p.values, sol.w2.values, *get_engine(mesh41, cfg).free_terminal(utilde.values)
+
+    monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
+    warm = [run(u) for u in (utilde41, other, utilde41)]
+    assert len(coupled._ENGINE_CACHE) == 1
+    for u, got in zip((utilde41, other, utilde41), warm):
+        monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
+        for a, b in zip(got, run(u)):
+            assert np.array_equal(a, b)
+    assert not np.array_equal(warm[0][0], warm[1][0])
 
 
 def test_picard_divergence(mesh41, overlap41, w1_smooth):

@@ -239,6 +239,19 @@ def test_csv_mismatch_rejected(tmp_path):
         load_profile_csv(tmp_path / "p.csv", other, 2.0)
 
 
+def test_field_csv_from_another_mesh_rejected(tmp_path):
+    """A field file with the right row count but another grid or horizon
+    used to load: transposed on the swapped grid, rescaled in time on T = 2."""
+    domain = DomainSpec(k=0.25, T=1.0)
+    mesh = Mesh(domain, GridSpec(Ny=8, Nt=12))
+    save_field_csv(tmp_path / "f.csv", Field(np.ones((mesh.Ny + 1, mesh.Nt + 1)), mesh))
+    assert np.array_equal(load_field_csv(tmp_path / "f.csv", mesh).values, np.ones((9, 13)))
+    with pytest.raises(ConfigurationError, match="y column"):
+        load_field_csv(tmp_path / "f.csv", Mesh(domain, GridSpec(Ny=12, Nt=8)))
+    with pytest.raises(ConfigurationError, match="t column"):
+        load_field_csv(tmp_path / "f.csv", Mesh(DomainSpec(k=0.25, T=2.0), GridSpec(Ny=8, Nt=12)))
+
+
 def _csv_writer_bytes(path, header, columns, rows):
     """The earlier row-by-row writer, kept as the byte-level reference."""
     import csv
@@ -256,8 +269,10 @@ def _csv_writer_bytes(path, header, columns, rows):
 def test_csv_bytes_match_csv_writer(tmp_path):
     mesh = Mesh.auto(DomainSpec(k=0.25, T=2.0), 12)
     rng = np.random.default_rng(9)
-    special = np.array([0.0, -0.0, 1e-300, 1e300, -1e300, -1e-300, -2.5, 1.0 / 3.0])
-    header = {"config_hash": "abc", "seed": 3, "warnings": "none"}
+    special = np.array(
+        [0.0, -0.0, 1e-300, 1e300, -1e300, -1e-300, -2.5, 1.0 / 3.0, np.inf, -np.inf, np.nan, 5e-324, 1e22]
+    )
+    header = {"config_hash": "abc", "seed": 3, "warnings": "none", "note": "100% of %s"}
 
     vals = rng.standard_normal((mesh.Ny + 1, mesh.Nt + 1))
     vals.ravel()[: special.size] = special
