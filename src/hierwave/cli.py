@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import hashlib
 import json
 import sys
@@ -493,8 +494,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing keeps no state in the parser, so one serves every call of main;
+# building it takes about a millisecond, near a tenth of a warm Ny = 41
+# leader op
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "verify":
             return cmd_verify(args.level, Path(args.out), seed=args.seed)

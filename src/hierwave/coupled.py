@@ -47,7 +47,6 @@ and one LU of the assembled coupled system (:meth:`~CoupledEngine.direct_pair`,
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -165,9 +164,6 @@ class CoupledEngine:
         # adjoint-trace columns and Gram matrix of the leader's dual; they do
         # not depend on targets, radii or delta, so a radii ladder shares them
         self.leader_gram: tuple[np.ndarray, np.ndarray] | None = None
-        # schur_bc's S^T W u_tilde for the last u_tilde, keyed by its shape and
-        # a digest of its bytes; it depends on neither sigma nor w1
-        self._tracked_row: tuple[tuple, np.ndarray] | None = None
 
     # -- elementary solves ---------------------------------------------------
 
@@ -249,15 +245,13 @@ class CoupledEngine:
         """Equilibrium boundary data chi1 w1 + chi2 w2 and the follower trace w2.
 
         S^T W u_tilde, the boundary row of one transposed sweep, is the only
-        wave solve; none when ``utilde`` is None or its row is kept.
+        wave solve; none when ``utilde`` is None or the mesh's operator
+        keeps its row (:meth:`~hierwave.wave_core.WaveOperator.tracked_row`).
         """
         bc1 = self.chi1 * w1_values
         rhs = -(self.op.boundary_response().H @ bc1)
         if utilde is not None:
-            key = (utilde.shape, hashlib.sha256(utilde.tobytes()).digest())
-            if self._tracked_row is None or self._tracked_row[0] != key:
-                self._tracked_row = (key, self.multiplier_solve(self.W * utilde)[0, :])
-            rhs += self._tracked_row[1]
+            rhs += self.op.tracked_row(utilde)
         w2 = self.follower_trace(rhs)
         return bc1 + self.chi2 * w2, w2
 

@@ -293,9 +293,10 @@ class PoissonRiesz:
     def pairing_values(self, f_values: np.ndarray, g_values: np.ndarray) -> float:
         return float(self.hx * np.sum(f_values[1:-1] * g_values[1:-1]))
 
-    def h10_values(self, g_values: np.ndarray) -> float:
-        d = np.diff(g_values)
-        return float(np.sqrt(np.sum(d * d) / self.hx))
+    def h10_values(self, g_values: np.ndarray):
+        """First-difference norm of nodal values; row-wise over a 2-D block."""
+        d = np.diff(g_values, axis=-1)
+        return np.sqrt(np.sum(d * d, axis=-1) / self.hx)
 
     def hminus1_values(self, f_values: np.ndarray) -> float:
         v = self.solve_values(f_values)

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -244,12 +243,13 @@ class _DualModel:
     def V(self, fvec: np.ndarray) -> np.ndarray:
         return self.G @ fvec + self.ell
 
-    def rho_norms(self, fvec: np.ndarray) -> tuple[float, float]:
-        f0 = np.zeros(self.n1)
-        f0[1:-1] = fvec[: self.n0]
+    def rho_norms(self, fvec: np.ndarray) -> tuple:
+        """(||f0||_H, ||f1||_L2) of one coordinate vector, or arrays of them
+        over the rows of a (count, m) block."""
+        f0 = np.zeros(fvec.shape[:-1] + (self.n1,))
+        f0[..., 1:-1] = fvec[..., : self.n0]
         n_h = self.poisson.h10_values(f0)
-        f1 = fvec[self.n0 :]
-        n_l2 = math.sqrt(float(np.sum(self.omega * f1**2)))
+        n_l2 = np.sqrt(np.sum(self.omega * fvec[..., self.n0 :] ** 2, axis=-1))
         return n_h, n_l2
 
     def value(self, fvec: np.ndarray) -> float:
@@ -265,9 +265,9 @@ class _DualModel:
         g1 = Vstack[self.n0 :] / self.omega
         return np.concatenate([g0[1:-1], g1])
 
-    def h_norm(self, fvec: np.ndarray) -> float:
+    def h_norm(self, fvec: np.ndarray):
         nh, nl = self.rho_norms(fvec)
-        return math.sqrt(nh**2 + nl**2)
+        return np.sqrt(nh**2 + nl**2)
 
     # -- reached/vi bookkeeping on the materialized state ---------------------
 
@@ -284,30 +284,23 @@ class _DualModel:
         e_val = -Vstack[self.n0 :] / self.omega
         return ev, e_val
 
-    def vi_min(self, fvec: np.ndarray, hat_list: list[np.ndarray]) -> float:
+    def vi_min(self, fvec: np.ndarray, hats: np.ndarray) -> float:
+        """Smallest normalized inequality defect over the comparison points,
+        the rows of ``hats``; 0 when no point moves any term."""
         ev, e_val = self.state_misfits(fvec)
         nh, nl = self.rho_norms(fvec)
-        rho0, rho1 = self.targets.rho0, self.targets.rho1
-        best = np.inf
-        for hat in hat_list:
-            dh = hat - fvec
-            nh_hat, nl_hat = self.rho_norms(hat)
-            lhs = (
-                float(ev[1:-1] @ (self.omega[1:-1] * dh[: self.n0]))
-                - float(e_val @ (self.omega * dh[self.n0 :]))
-                + rho1 * (nh_hat - nh)
-                + rho0 * (nl_hat - nl)
-            )
-            den = (
-                abs(float(ev[1:-1] @ (self.omega[1:-1] * dh[: self.n0])))
-                + abs(float(e_val @ (self.omega * dh[self.n0 :])))
-                + rho1 * abs(nh_hat - nh)
-                + rho0 * abs(nl_hat - nl)
-            )
-            if den == 0.0:
-                continue
-            best = min(best, lhs / den)
-        return 0.0 if best is np.inf else float(best)
+        nh_hat, nl_hat = self.rho_norms(hats)
+        dh = hats - fvec
+        terms = (
+            dh[:, : self.n0] @ (self.omega[1:-1] * ev[1:-1]),
+            -(dh[:, self.n0 :] @ (self.omega * e_val)),
+            self.targets.rho1 * (nh_hat - nh),
+            self.targets.rho0 * (nl_hat - nl),
+        )
+        lhs = sum(terms)
+        den = sum(np.abs(t) for t in terms)
+        moved = den != 0.0
+        return float(np.min(lhs[moved] / den[moved])) if moved.any() else 0.0
 
 
 def _pack(f: DualPoint) -> np.ndarray:
@@ -359,23 +352,24 @@ def check_target_reached(u_T: SpatialProfile, ut_T: SpatialProfile, targets: Tar
     return dist0, dist1, bool(reached0), bool(reached1)
 
 
-def _sample_points(model: _DualModel, fvec: np.ndarray, count: int, rng: np.random.Generator):
-    """Candidate comparison points: fresh random data, local perturbations, scalings."""
+def _sample_points(model: _DualModel, fvec: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Candidate comparison points, one per row: point i is fresh random data
+    (i % 3 == 0), a local perturbation (1) or a scaling of ``fvec`` (2).
+
+    The random points take one normal vector each, in the order of i; one
+    block draw gives the stream of those draws one at a time.
+    """
     base = model.h_norm(fvec)
     scale = base if base > 0 else 1.0
-    hats = []
-    for i in range(count):
-        kind = i % 3
-        if kind == 0:
-            hats.append(rng.standard_normal(model.m) * scale)
-        elif kind == 1:
-            direction = rng.standard_normal(model.m)
-            hn = model.h_norm(direction)
-            if hn > 0:
-                hats.append(fvec + 0.1 * scale * direction / hn)
-        else:
-            c = (0.0, 0.5, 0.9, 1.1, 2.0)[(i // 3) % 5]
-            hats.append(c * fvec)
+    kind = np.arange(count) % 3
+    drawn = kind[kind != 2]
+    normals = rng.standard_normal((drawn.size, model.m))
+    hats = np.empty((count, model.m))
+    hats[kind == 0] = normals[drawn == 0] * scale
+    direction = normals[drawn == 1]
+    hats[kind == 1] = fvec + 0.1 * scale * direction / model.h_norm(direction)[:, None]
+    scalings = np.array((0.0, 0.5, 0.9, 1.1, 2.0))[(np.flatnonzero(kind == 2) // 3) % 5]
+    hats[kind == 2] = scalings[:, None] * fvec
     return hats
 
 
@@ -516,14 +510,24 @@ def _secular_newton(model: _DualModel, opts: DualOptions, history: list[dict]) -
         if not np.all(np.isfinite(step)):
             break
         # halve the step until that objective does not rise: a full step can
-        # push a multiplier through zero and cycle between two clipped points
+        # push a multiplier through zero and cycle between two clipped points.
+        # Below the control time the multipliers can grow until s G s + B,
+        # with G numerically singular, loses definiteness in round-off; such
+        # a trial counts as a rise.
         for _ in range(MAX_HALVINGS):
             trial = cd.copy()
             trial[idx] = np.maximum(cd[idx] + step, 0.0)
-            out = solve(trial)
-            if out[-1] <= obj + OBJ_RTOL * abs(obj):
-                break
+            try:
+                out = solve(trial)
+            except np.linalg.LinAlgError:
+                out = None
+            else:
+                if out[-1] <= obj + OBJ_RTOL * abs(obj):
+                    break
             step = 0.5 * step
+        if out is None:
+            # not even the shortest step could be factored: keep the best iterate
+            break
         cd, obj_prev = trial, obj
         s, chol, fvec, obj = out
     return best_fvec

@@ -35,6 +35,7 @@ evaluates a at T - tau, then reuses the forward stepper.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,6 +180,9 @@ class WaveOperator:
         self._matrix = None
         self._lu = None
         self._response = None
+        # tracked_row's S^T W u_tilde for the last u_tilde, keyed by its
+        # shape and a digest of its bytes
+        self._tracked_row: tuple[tuple, np.ndarray] | None = None
 
     # -- index layout: flat id = n * (J + 1) + j ----------------------------
 
@@ -361,6 +365,18 @@ class WaveOperator:
         if self._response is None:
             self._response = self._march_boundary_response()
         return self._response
+
+    def tracked_row(self, utilde: np.ndarray) -> np.ndarray:
+        """S^T W u_tilde: the boundary row of the transposed sweep of W u_tilde.
+
+        It depends on the mesh and u_tilde alone, so every engine on the
+        mesh shares it; the row of the last u_tilde is kept.
+        """
+        key = (utilde.shape, hashlib.sha256(utilde.tobytes()).digest())
+        if self._tracked_row is None or self._tracked_row[0] != key:
+            row = self.solve_adjoint(space_time_weights(self.mesh) * utilde)[0, :]
+            self._tracked_row = (key, row)
+        return self._tracked_row[1]
 
     def _unit_levels(self):
         """Yield (n, level) for the march driven by every unit datum at y = 0.

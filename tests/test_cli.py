@@ -403,6 +403,29 @@ def test_leader_uncertified_exits_4(tmp_path):
     assert np.all(np.diff(dual) <= 1e-12)
 
 
+def test_leader_unfactorable_trial_step_exits_cleanly(tmp_path, capsys):
+    """Below the control time the multipliers grow until a trial step's
+    matrix is not numerically positive definite; that halves the step, and
+    the run ends with a verdict rather than a traceback."""
+    cfg = base_config(
+        grid={"Ny": 64},
+        targets={
+            "u0": {"family": "sine", "amplitude": 0.2, "frequency": 1},
+            "u1": {"family": "sine", "amplitude": 0.5, "frequency": 2},
+            "rho0": 0.001,
+            "rho1": 0.001,
+        },
+    )
+    cfg["domain"]["T"] = 2.0
+    cfg.pop("seed")
+    out = tmp_path / "out"
+    code = main(["leader", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)])
+    assert code in (3, 4)
+    assert "Traceback" not in capsys.readouterr().err
+    if code == 4:
+        assert not json.loads((out / "report.json").read_text())["certified"]
+
+
 def test_verify_fast(tmp_path, capsys):
     assert main(["verify", "--level", "fast", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "verification_report.json").read_text())

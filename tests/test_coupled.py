@@ -394,6 +394,24 @@ def test_warm_nash_sweeps_once(cfg41, w1_smooth, monkeypatch):
     assert len(calls) == 1
 
 
+def test_engines_on_one_mesh_share_the_tracked_row(mesh41, overlap41, utilde41, w1_smooth, monkeypatch):
+    """A second sigma on the mesh finds S^T W u_tilde with the shared operator:
+    its first solve runs the companion's sweep and no other."""
+    monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
+    solve_nash_system(w1_smooth, FollowerConfig(sigma=1.0, partition=overlap41, u_tilde2=utilde41))
+    calls = []
+    sweep = WaveOperator.solve_adjoint
+
+    def counted(self, rho):
+        calls.append(rho)
+        return sweep(self, rho)
+
+    monkeypatch.setattr(WaveOperator, "solve_adjoint", counted)
+    solve_nash_system(w1_smooth, FollowerConfig(sigma=0.3, partition=overlap41, u_tilde2=utilde41))
+    assert len(coupled._ENGINE_CACHE) == 2
+    assert len(calls) == 1
+
+
 def test_kept_row_follows_the_tracked_trajectory(mesh41, overlap41, utilde41, w1_smooth, monkeypatch):
     """Alternating trajectories on one engine give a fresh engine's answers bit for bit."""
     other = Field(np.roll(utilde41.values, 7, axis=1), mesh41)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from hierwave.coupled import FollowerConfig, cost_J, solve_free_part, solve_nash
 from hierwave.wave_core import extract_terminal, final_value_profile, final_velocity_profile
 from hierwave.leader_dual import (
     DualPoint,
+    _DualModel,
+    _sample_points,
     TargetSpec,
     check_target_reached,
     dual_functional,
@@ -371,3 +375,91 @@ def test_minimize_robust_across_follower_weights(sigma):
     assert rep.iterations <= 12
     assert rep.gap_rel <= 1e-4
     assert rep.primal_J <= cost_J(w1_ref) + 1e-3
+
+
+# -- the certificate on a block of comparison points --------------------------
+
+def _point_norms(model, fvec):
+    """(||f0||_H, ||f1||_L2) of one coordinate vector, as scalars."""
+    f0 = np.zeros(model.n1)
+    f0[1:-1] = fvec[: model.n0]
+    d = np.diff(f0)
+    n_h = float(np.sqrt(np.sum(d * d) / model.poisson.hx))
+    return n_h, math.sqrt(float(np.sum(model.omega * fvec[model.n0 :] ** 2)))
+
+
+def _point_h_norm(model, fvec):
+    n_h, n_l2 = _point_norms(model, fvec)
+    return math.sqrt(n_h**2 + n_l2**2)
+
+
+def _points_one_by_one(model, fvec, count, rng):
+    """Comparison points drawn one at a time, each with its own normal vector."""
+    base = _point_h_norm(model, fvec)
+    scale = base if base > 0 else 1.0
+    hats = []
+    for i in range(count):
+        if i % 3 == 0:
+            hats.append(rng.standard_normal(model.m) * scale)
+        elif i % 3 == 1:
+            direction = rng.standard_normal(model.m)
+            hats.append(fvec + 0.1 * scale * direction / _point_h_norm(model, direction))
+        else:
+            hats.append((0.0, 0.5, 0.9, 1.1, 2.0)[(i // 3) % 5] * fvec)
+    return hats
+
+
+def _vi_min_one_by_one(model, fvec, hats):
+    """The smallest normalized defect, one comparison point at a time."""
+    ev, e_val = model.state_misfits(fvec)
+    nh, nl = _point_norms(model, fvec)
+    rho0, rho1 = model.targets.rho0, model.targets.rho1
+    best = np.inf
+    for hat in hats:
+        dh = hat - fvec
+        nh_hat, nl_hat = _point_norms(model, hat)
+        terms = (
+            float(ev[1:-1] @ (model.omega[1:-1] * dh[: model.n0])),
+            -float(e_val @ (model.omega * dh[model.n0 :])),
+            rho1 * (nh_hat - nh),
+            rho0 * (nl_hat - nl),
+        )
+        den = sum(abs(t) for t in terms)
+        if den != 0.0:
+            best = min(best, sum(terms) / den)
+    return 0.0 if best == np.inf else best
+
+
+@pytest.fixture(scope="module")
+def model16():
+    mesh = Mesh.auto(DomainSpec(k=0.1, T=4.0), 16)
+    part = SigmaPartition.overlap(mesh.Nt + 1)
+    T = mesh.domain.T
+    targets = TargetSpec(
+        SpatialProfile(0.2 * np.sin(np.pi * mesh.y), T, mesh),
+        SpatialProfile(0.5 * np.sin(2 * np.pi * mesh.y), T, mesh),
+        0.01,
+        0.01,
+    )
+    return _DualModel(mesh, FollowerConfig(sigma=1.0, partition=part), targets)
+
+
+@pytest.mark.parametrize("count", [8, 100])
+@pytest.mark.parametrize("at", ["random", "zero"])
+def test_sample_points_match_draws_one_at_a_time(model16, count, at):
+    fvec = np.random.default_rng(1).standard_normal(model16.m) if at == "random" else np.zeros(model16.m)
+    got = _sample_points(model16, fvec, count, np.random.default_rng([4, count]))
+    want = _points_one_by_one(model16, fvec, count, np.random.default_rng([4, count]))
+    assert got.shape == (count, model16.m)
+    assert np.array_equal(got, np.array(want))
+
+
+@pytest.mark.parametrize("count", [8, 100])
+@pytest.mark.parametrize("at", ["random", "zero"])
+def test_vi_min_matches_the_point_loop(model16, count, at):
+    fvec = np.random.default_rng(2).standard_normal(model16.m) if at == "random" else np.zeros(model16.m)
+    hats = _sample_points(model16, fvec, count, np.random.default_rng(3))
+    want = _vi_min_one_by_one(model16, fvec, list(hats))
+    # away from zero, so that the relative bound means something
+    assert abs(want) > 1e-3
+    assert model16.vi_min(fvec, hats) == pytest.approx(want, rel=1e-12, abs=0.0)
