@@ -10,12 +10,20 @@ reference solves included), runs every op once through
                                  per-iterate certificate rows of its history
     leader_dual.vi_min           the sampled certificate's defect minimum
     leader_dual._sample_points   its comparison points
+    leader_dual._DualModel       the dual model's set-up (_DualModel.__init__):
+                                 the kept Gram and norm blocks, the free
+                                 state's final pair, and the data term
+    coupled.free_terminal        CoupledEngine.free_terminal, the free state's
+                                 final pair
+    grid.PoissonRiesz.solve_values  the tridiagonal Poisson solve behind the
+                                 Newton solve's gradient lift and the H^-1 norm
     grid.csv_io                  the grid module's CSV readers and writers
     cli.parse                    main's time outside load_config and the
                                  command: building and running the parser
 
-The first three nest: the last two run inside the Newton solve and once
-more after it.  Each stage reports the median over passes of its time per
+Stages nest: vi_min and _sample_points run inside the Newton solve and once
+more after it, free_terminal inside the model's set-up, and solve_values
+inside the Newton solve and the distance checks.  Each stage reports the median over passes of its time per
 pass, of its share of the pass's op time, and of its calls per pass;
 ``op_s_p50`` is the median warm op's wall time.  Wall times follow the
 host's speed, which can drift by tens of percent between runs on a shared
@@ -61,6 +69,9 @@ STAGES = {
     "leader_dual._secular_newton": [("hierwave.leader_dual", "_secular_newton")],
     "leader_dual.vi_min": [("hierwave.leader_dual", "_DualModel.vi_min")],
     "leader_dual._sample_points": [("hierwave.leader_dual", "_sample_points")],
+    "leader_dual._DualModel": [("hierwave.leader_dual", "_DualModel.__init__")],
+    "coupled.free_terminal": [("hierwave.coupled", "CoupledEngine.free_terminal")],
+    "grid.PoissonRiesz.solve_values": [("hierwave.grid", "PoissonRiesz.solve_values")],
     "grid.csv_io": [
         ("hierwave.grid", name)
         for name in (

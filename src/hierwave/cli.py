@@ -23,6 +23,7 @@ import concurrent.futures
 import functools
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -91,10 +92,15 @@ def load_config(path) -> dict:
 
 
 def _as_number(value, name: str, kind=float):
+    """``value`` as a finite ``kind``; anything else is a configuration error
+    that names the key."""
     try:
-        return kind(value)
-    except (TypeError, ValueError) as err:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as err:
         raise ConfigurationError(f"{name} must be a number, got {value!r}") from err
+    if isinstance(number, float) and not math.isfinite(number):
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
 def read_number(conf: dict, name: str, default, kind=float):
@@ -131,31 +137,34 @@ def read_numbers(conf: dict, name: str, default=_REQUIRED) -> list[float]:
     return [_as_number(value, name) for value in read_key(conf, name, default, list)]
 
 
-def eval_profile(spec: dict, xi: np.ndarray) -> np.ndarray:
-    """Evaluate an analytic profile on the normalized coordinate xi in [0, 1]."""
+def eval_profile(spec: dict, xi: np.ndarray, at: str) -> np.ndarray:
+    """Evaluate an analytic profile on the normalized coordinate xi in [0, 1].
+
+    ``at`` is the spec's dotted path in the config, which messages name.
+    """
     if not isinstance(spec, dict) or "family" not in spec:
-        raise ConfigurationError(f"profile spec must name a family: {spec!r}")
+        raise ConfigurationError(f"{at} must name a profile family: {spec!r}")
     fam = spec["family"]
     if fam == "sine":
-        a = read_number(spec, "sine.amplitude", 1.0)
-        freq = read_number(spec, "sine.frequency", 1.0)
-        phase = read_number(spec, "sine.phase", 0.0)
+        a = read_number(spec, f"{at}.amplitude", 1.0)
+        freq = read_number(spec, f"{at}.frequency", 1.0)
+        phase = read_number(spec, f"{at}.phase", 0.0)
         return a * np.sin(np.pi * freq * xi + phase)
     if fam == "gaussian":
-        a = read_number(spec, "gaussian.amplitude", 1.0)
-        c = read_number(spec, "gaussian.center", 0.5)
-        w = read_number(spec, "gaussian.width", 0.1)
+        a = read_number(spec, f"{at}.amplitude", 1.0)
+        c = read_number(spec, f"{at}.center", 0.5)
+        w = read_number(spec, f"{at}.width", 0.1)
         if w <= 0:
-            raise ConfigurationError("gaussian width must be positive")
+            raise ConfigurationError(f"{at}.width of a gaussian must be positive")
         return a * np.exp(-0.5 * ((xi - c) / w) ** 2)
     if fam == "polynomial":
-        coeffs = read_numbers(spec, "polynomial.coefficients")
+        coeffs = read_numbers(spec, f"{at}.coefficients")
         if not coeffs:
             raise ConfigurationError("polynomial profile needs coefficients")
         return np.polynomial.polynomial.polyval(xi, np.asarray(coeffs))
     if fam == "constant":
-        return np.full_like(xi, read_number(spec, "constant.value", 0.0))
-    raise ConfigurationError(f"unknown profile family {fam!r}")
+        return np.full_like(xi, read_number(spec, f"{at}.value", 0.0))
+    raise ConfigurationError(f"{at}: unknown profile family {fam!r}")
 
 
 class RunSetup:
@@ -198,6 +207,8 @@ class RunSetup:
             raise ConfigurationError(f"unknown partition mode {mode!r}")
 
         self.seed = read_number(config, "seed", 0, int)
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be a non-negative integer, got {config['seed']!r}")
         # delta only reparameterizes the reach operator: the leader's balls are
         # on u(T) and u_t(T), so it leaves the leader's problem unchanged
         delta = read_number(config, "delta", 0.0)
@@ -223,30 +234,35 @@ class RunSetup:
             return None
         if "csv" in spec:
             return load_field_csv(spec["csv"], self.mesh)
-        space = eval_profile(spec.get("space", {"family": "constant", "value": 1.0}), self.mesh.y)
+        space = eval_profile(
+            spec.get("space", {"family": "constant", "value": 1.0}), self.mesh.y, "follower.u_tilde2.space"
+        )
         time = eval_profile(
             spec.get("time", {"family": "constant", "value": 1.0}),
             self.mesh.times / self.domain.T,
+            "follower.u_tilde2.time",
         )
         return Field(np.outer(space, time), self.mesh)
 
-    def build_time_trace(self, spec: dict, mask) -> Trace:
+    def build_time_trace(self, spec: dict, mask, where: str) -> Trace:
+        """The trace of the config key ``where``, which holds ``spec``."""
         if "csv" in spec:
             return load_trace_csv(spec["csv"], self.mesh, mask)
-        vals = eval_profile(spec, self.mesh.times / self.domain.T)
+        vals = eval_profile(spec, self.mesh.times / self.domain.T, where)
         return Trace(vals, mask, self.mesh)
 
-    def build_space_profile(self, spec: dict, time: float) -> SpatialProfile:
+    def build_space_profile(self, spec: dict, time: float, where: str) -> SpatialProfile:
+        """The profile of the config key ``where``, which holds ``spec``."""
         if "csv" in spec:
             return load_profile_csv(spec["csv"], self.mesh, time)
-        vals = eval_profile(spec, self.mesh.y)
+        vals = eval_profile(spec, self.mesh.y, where)
         return SpatialProfile(vals, time, self.mesh)
 
     def build_targets(self) -> TargetSpec:
         tg = read_key(self.config, "targets")
         T = self.domain.T
-        u0 = self.build_space_profile(read_key(tg, "targets.u0"), T)
-        u1 = self.build_space_profile(read_key(tg, "targets.u1"), T)
+        u0 = self.build_space_profile(read_key(tg, "targets.u0"), T, "targets.u0")
+        u1 = self.build_space_profile(read_key(tg, "targets.u1"), T, "targets.u1")
         rho0 = read_number(tg, "targets.rho0", None)
         rho1 = read_number(tg, "targets.rho1", None)
         return TargetSpec(u0, u1, rho0, rho1)
@@ -284,7 +300,7 @@ def _write_summary(out_dir: Path, name: str, header: dict, payload: dict) -> Non
 def cmd_simulate(config: dict, out_dir: Path) -> int:
     setup = RunSetup(config)
     header = setup.header()
-    control = setup.build_time_trace(read_key(config, "control"), np.ones(setup.mesh.Nt + 1, dtype=bool))
+    control = setup.build_time_trace(read_key(config, "control"), np.ones(setup.mesh.Nt + 1, dtype=bool), "control")
     problem = WaveProblem(direction="forward", bc0=control)
     field = solve_forward(problem)
     observation = trace_normal_derivative(field, side="y=0")
@@ -305,7 +321,7 @@ def cmd_simulate(config: dict, out_dir: Path) -> int:
 def cmd_nash(config: dict, out_dir: Path) -> int:
     setup = RunSetup(config)
     header = setup.header()
-    w1 = setup.build_time_trace(read_key(config, "leader"), setup.partition.mask1)
+    w1 = setup.build_time_trace(read_key(config, "leader"), setup.partition.mask1, "leader")
     sol = solve_nash_system(w1, setup.follower)
     rng = np.random.default_rng(setup.seed)
     directions = [
@@ -416,7 +432,7 @@ def _run_sweep_cell(args: tuple) -> tuple[int, dict]:
         "sweep.reference_control",
         {"family": "gaussian", "amplitude": 1.0, "center": 0.4, "width": 0.15},
     )
-    w1_ref = setup.build_time_trace(ref_spec, setup.partition.mask1)
+    w1_ref = setup.build_time_trace(ref_spec, setup.partition.mask1, "sweep.reference_control")
     sol_ref = solve_nash_system(w1_ref, setup.follower)
     u_T = final_value_profile(sol_ref.u)
     ut_T = final_velocity_profile(sol_ref.u)

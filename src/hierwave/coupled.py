@@ -65,7 +65,13 @@ from .grid import (
     space_time_weights,
     trapezoid_weights,
 )
-from .wave_core import WaveOperator, extract_terminal, terminal_adjoint, terminal_first_step
+from .wave_core import (
+    WaveOperator,
+    content_key,
+    extract_terminal,
+    terminal_adjoint,
+    terminal_first_step,
+)
 
 __all__ = [
     "PicardOptions",
@@ -96,6 +102,31 @@ COUPLED_LU_MAX_NY = 64
 # nash-sigma-ladder revisits 7 (six sigma at Ny = 64, plus the Ny = 80 op)
 # and leader-rho-sweep 2; an engine and its operator hold about 27 MB at Ny = 128
 ENGINE_CACHE_SIZE = 8
+
+
+def _cho_factor(a: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of a symmetric positive definite ``a``.
+
+    LAPACK ``dpotrf`` called as :func:`scipy.linalg.cho_factor` calls it, so
+    the factor is the same to the bit, without that wrapper's per-call cost,
+    which dominates on the leader's systems of under a hundred unknowns.  As
+    there, a non-finite entry raises ValueError and a matrix that is not
+    numerically positive definite raises LinAlgError.
+    """
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    c, info = scipy.linalg.lapack.dpotrf(a, lower=False, clean=False)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    return c
+
+
+def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve with a factor of :func:`_cho_factor` by LAPACK ``dpotrs``, as
+    :func:`scipy.linalg.cho_solve` does; ``b`` is (n,) or (n, m)."""
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return scipy.linalg.lapack.dpotrs(c, b, lower=False)[0]
 
 
 @dataclass(frozen=True)
@@ -161,9 +192,12 @@ class CoupledEngine:
         self._coupled_lu = None
         self._idx2 = np.flatnonzero(partition.mask2)
         self._schur = None
-        # adjoint-trace columns and Gram matrix of the leader's dual; they do
-        # not depend on targets, radii or delta, so a radii ladder shares them
-        self.leader_gram: tuple[np.ndarray, np.ndarray] | None = None
+        # adjoint-trace columns, Gram matrix and norm blocks B of the leader's
+        # dual; they do not depend on targets, radii or delta, so a radii
+        # ladder shares them
+        self.leader_gram: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # free_terminal's pair for the last u_tilde, keyed by content_key
+        self._free_terminal: tuple[tuple, tuple[np.ndarray, np.ndarray]] | None = None
 
     # -- elementary solves ---------------------------------------------------
 
@@ -235,10 +269,8 @@ class CoupledEngine:
             return out
         if self._schur is None:
             H = self.op.boundary_response().H
-            self._schur = scipy.linalg.cho_factor(
-                H[np.ix_(i, i)] + np.diag(self.sigma * self.tau[i])
-            )
-        out[i] = scipy.linalg.cho_solve(self._schur, rhs[i])
+            self._schur = _cho_factor(H[np.ix_(i, i)] + np.diag(self.sigma * self.tau[i]))
+        out[i] = _cho_solve(self._schur, rhs[i])
         return out
 
     def schur_bc(self, w1_values: np.ndarray, utilde: np.ndarray | None = None):
@@ -290,13 +322,23 @@ class CoupledEngine:
 
     def free_terminal(self, utilde: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
         """Final value and physical velocity of the zero-leader equilibrium
-        tracking ``utilde``; with the tracked row kept, it runs no wave solve."""
+        tracking ``utilde``; with the tracked row kept, it runs no wave solve.
+
+        The pair of the last ``utilde`` is kept with the engine, read-only;
+        a repeated ``utilde`` runs no solve at all.
+        """
         if utilde is None:
             zero = np.zeros(self.mesh.Ny + 1)
             return zero, zero.copy()
-        bc, _ = self.schur_bc(self._zeros_t, utilde)
-        vel, neg_val = extract_terminal(self.mesh, self.op.boundary_response().terminal_levels(bc))
-        return -neg_val, vel
+        key = content_key(utilde)
+        if self._free_terminal is None or self._free_terminal[0] != key:
+            bc, _ = self.schur_bc(self._zeros_t, utilde)
+            vel, neg_val = extract_terminal(self.mesh, self.op.boundary_response().terminal_levels(bc))
+            pair = (-neg_val, vel)
+            for values in pair:
+                values.flags.writeable = False
+            self._free_terminal = (key, pair)
+        return self._free_terminal[1]
 
     # -- relaxed Picard on the coupling trace ---------------------------------
 

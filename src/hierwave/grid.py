@@ -10,6 +10,7 @@ mutually consistent.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -66,9 +67,13 @@ class Mesh:
     @classmethod
     def auto(cls, domain: DomainSpec, Ny: int, cfl_safety: float = 0.8) -> "Mesh":
         """Pick the smallest Nt satisfying dt <= cfl_safety * dy / (1 + k)."""
+        if not 0.0 < cfl_safety <= 1.0:
+            raise ConfigurationError(f"cfl_safety must lie in (0, 1], got {cfl_safety!r}")
         dy = 1.0 / Ny
-        Nt = int(np.ceil(domain.T * (1.0 + domain.k) / (cfl_safety * dy)))
-        Nt = max(Nt, 8)
+        steps = domain.T * (1.0 + domain.k) / (cfl_safety * dy)
+        if not np.isfinite(steps):
+            raise ConfigurationError(f"cfl_safety {cfl_safety!r} leaves no finite step count Nt")
+        Nt = max(int(np.ceil(steps)), 8)
         return cls(domain, GridSpec(Ny=Ny, Nt=Nt, cfl_safety=cfl_safety))
 
     @property
@@ -274,17 +279,23 @@ class PoissonRiesz:
         self.time = float(time)
         self.hx = float(alpha(mesh.domain, time)) * mesh.dy
         n = mesh.Ny - 1
-        # banded storage of tridiag(-1, 2, -1) / hx^2
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -1.0 / self.hx**2
-        ab[1, :] = 2.0 / self.hx**2
-        ab[2, :-1] = -1.0 / self.hx**2
-        self._ab = ab
+        # sub-, main and super-diagonal of tridiag(-1, 2, -1) / hx^2
+        off = np.full(n - 1, -1.0 / self.hx**2)
+        self._diagonals = (off, np.full(n, 2.0 / self.hx**2), off)
 
     def solve_values(self, f_values: np.ndarray) -> np.ndarray:
-        """Nodal solution of -v_xx = f with v(0) = v(alpha) = 0."""
+        """Nodal solution of -v_xx = f with v(0) = v(alpha) = 0.
+
+        LAPACK ``dgtsv`` on copies of the kept diagonals: the routine and
+        arguments that ``scipy.linalg.solve_banded((1, 1), ...)`` uses, so
+        the same bits, without that wrapper's per-call cost.  A non-finite
+        value raises ValueError, as there.
+        """
+        b = np.asarray(f_values[1:-1], float)
+        if not np.isfinite(b).all():
+            raise ValueError("array must not contain infs or NaNs")
         v = np.zeros_like(f_values, dtype=float)
-        v[1:-1] = scipy.linalg.solve_banded((1, 1), self._ab, np.asarray(f_values[1:-1], float))
+        v[1:-1] = scipy.linalg.lapack.dgtsv(*self._diagonals, b)[3]
         return v
 
     def solve(self, f: SpatialProfile) -> SpatialProfile:
@@ -315,8 +326,18 @@ def hminus1_norm_physical(f: SpatialProfile) -> float:
 # ---------------------------------------------------------------------------
 
 def _row_template(coords: np.ndarray, tail: str = "%.17g") -> str:
-    """One row per coordinate: its 17 significant digits, then ``tail``."""
-    return "".join(f"{c:.17g},{tail}\r\n" for c in np.asarray(coords, dtype=float).tolist())
+    """One row per coordinate: its 17 significant digits, then ``tail``.
+
+    A mesh's writes format the same coordinates each time, so the rows are
+    kept, keyed by the coordinates' bytes.
+    """
+    return _formatted_rows(np.asarray(coords, dtype=float).tobytes(), tail)
+
+
+@functools.lru_cache(maxsize=32)
+def _formatted_rows(coords: bytes, tail: str) -> str:
+    """:func:`_row_template` of the float64 array whose bytes are ``coords``."""
+    return "".join(f"{c:.17g},{tail}\r\n" for c in np.frombuffer(coords).tolist())
 
 
 def _write_csv(path, header_comments: dict | None, columns: list[str], template: str, values: np.ndarray) -> None:

@@ -44,6 +44,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -56,7 +57,7 @@ from .grid import (
     Trace,
     trapezoid_weights,
 )
-from .coupled import FollowerConfig, apply_A, cost_J, get_engine
+from .coupled import FollowerConfig, _cho_factor, _cho_solve, apply_A, cost_J, get_engine
 from .wave_core import terminal_adjoint_levels
 
 logger = logging.getLogger(__name__)
@@ -178,6 +179,17 @@ class DualReport:
 # dual model: coordinates, quadratic data, geometry
 # ---------------------------------------------------------------------------
 
+class _Point(NamedTuple):
+    """A coordinate vector f with the products that every evaluation at f
+    shares, each computed once: G f, V f = G f + ell, and the norms
+    (||f0||_H, ||f1||_L2)."""
+
+    f: np.ndarray
+    Gf: np.ndarray
+    Vf: np.ndarray
+    norms: tuple
+
+
 class _DualModel:
     """Coordinates and the materialized quadratic for one dual minimization.
 
@@ -186,9 +198,10 @@ class _DualModel:
     <grad, h> = V . h for the (H, L2) inner product after lifting, and
     g = -lift(V(f)) is the vector of the secular equation, whose block norms
     are the two target distances.
-    G and the adjoint traces behind it depend on the mesh and the follower
-    only, and are kept with the follower's engine; the targets enter through
-    ell alone.
+    G, the adjoint traces behind it and the norm blocks B depend on the mesh
+    and the follower only, and are kept with the follower's engine, as is
+    the free state's final pair for the last tracked trajectory; the targets
+    enter through ell alone.
     """
 
     def __init__(self, mesh: Mesh, cfg: FollowerConfig, targets: TargetSpec):
@@ -206,10 +219,7 @@ class _DualModel:
         self.poisson = PoissonRiesz(mesh, mesh.domain.T)
         if self.eng.leader_gram is None:
             self.eng.leader_gram = self._build_gram()
-        self.T_cols, self.G = self.eng.leader_gram
-        hx = self.poisson.hx
-        K = (2.0 * np.eye(self.n0) - np.eye(self.n0, k=1) - np.eye(self.n0, k=-1)) / hx
-        self.B = scipy.linalg.block_diag(K, np.diag(self.omega))
+        self.T_cols, self.G, self.B = self.eng.leader_gram
         utilde = cfg.u_tilde2.values if cfg.u_tilde2 is not None else None
         self.u0T, self.u0pT = self.eng.free_terminal(utilde)
         b0 = targets.u_target1.values - self.u0pT
@@ -218,8 +228,9 @@ class _DualModel:
 
     # -- operator plumbing ---------------------------------------------------
 
-    def _build_gram(self) -> tuple[np.ndarray, np.ndarray]:
-        """Adjoint traces of the unit coordinates, and their Gram matrix.
+    def _build_gram(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Adjoint traces of the unit coordinates, their Gram matrix, and the
+        block matrix B = blkdiag(K, Omega) of the two norms.
 
         Every column comes from one reduced transposed solve on the
         engine's Schur complement, with no wave solve.
@@ -233,15 +244,20 @@ class _DualModel:
         cols = np.where(self.cfg.partition.mask1[:, None], mu0 / self.eng.tau[:, None], 0.0)
         w = self.eng.tau * self.cfg.partition.mask1
         G = cols.T @ (w[:, None] * cols)
-        return cols, 0.5 * (G + G.T)
+        hx = self.poisson.hx
+        K = (2.0 * np.eye(self.n0) - np.eye(self.n0, k=1) - np.eye(self.n0, k=-1)) / hx
+        B = scipy.linalg.block_diag(K, np.diag(self.omega))
+        return cols, 0.5 * (G + G.T), B
 
     def astar_trace(self, fvec: np.ndarray) -> np.ndarray:
         return self.T_cols @ fvec
 
     # -- values, gradients, geometry -----------------------------------------
 
-    def V(self, fvec: np.ndarray) -> np.ndarray:
-        return self.G @ fvec + self.ell
+    def at(self, fvec: np.ndarray) -> _Point:
+        """``fvec`` with its shared products."""
+        Gf = self.G @ fvec
+        return _Point(fvec, Gf, Gf + self.ell, self.rho_norms(fvec))
 
     def rho_norms(self, fvec: np.ndarray) -> tuple:
         """(||f0||_H, ||f1||_L2) of one coordinate vector, or arrays of them
@@ -252,9 +268,9 @@ class _DualModel:
         n_l2 = np.sqrt(np.sum(self.omega * fvec[..., self.n0 :] ** 2, axis=-1))
         return n_h, n_l2
 
-    def value(self, fvec: np.ndarray) -> float:
-        nh, nl = self.rho_norms(fvec)
-        smooth = float(0.5 * fvec @ (self.G @ fvec) + self.ell @ fvec)
+    def value(self, point: _Point) -> float:
+        nh, nl = point.norms
+        smooth = float(0.5 * point.f @ point.Gf + self.ell @ point.f)
         return smooth + self.targets.rho1 * nh + self.targets.rho0 * nl
 
     def lift(self, Vstack: np.ndarray) -> np.ndarray:
@@ -265,32 +281,29 @@ class _DualModel:
         g1 = Vstack[self.n0 :] / self.omega
         return np.concatenate([g0[1:-1], g1])
 
-    def h_norm(self, fvec: np.ndarray):
-        nh, nl = self.rho_norms(fvec)
-        return np.sqrt(nh**2 + nl**2)
-
     # -- reached/vi bookkeeping on the materialized state ---------------------
 
-    def state_misfits(self, fvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def state_misfits(self, point: _Point) -> tuple[np.ndarray, np.ndarray]:
         """(velocity misfit u'(T) - target1, value misfit u(T) - target0).
 
         Endpoint values of the velocity misfit are not represented in the
         coordinate space; they do not enter any of the norms or pairings
         used here.
         """
-        Vstack = self.V(fvec)
+        Vstack = point.Vf
         ev = np.zeros(self.n1)
         ev[1:-1] = Vstack[: self.n0] / self.omega[1:-1]
         e_val = -Vstack[self.n0 :] / self.omega
         return ev, e_val
 
-    def vi_min(self, fvec: np.ndarray, hats: np.ndarray) -> float:
-        """Smallest normalized inequality defect over the comparison points,
-        the rows of ``hats``; 0 when no point moves any term."""
-        ev, e_val = self.state_misfits(fvec)
-        nh, nl = self.rho_norms(fvec)
+    def vi_min(self, point: _Point, hats: np.ndarray) -> float:
+        """Smallest normalized inequality defect at ``point`` over the
+        comparison points, the rows of ``hats``; 0 when no point moves any
+        term."""
+        ev, e_val = self.state_misfits(point)
+        nh, nl = point.norms
         nh_hat, nl_hat = self.rho_norms(hats)
-        dh = hats - fvec
+        dh = hats - point.f
         terms = (
             dh[:, : self.n0] @ (self.omega[1:-1] * ev[1:-1]),
             -(dh[:, self.n0 :] @ (self.omega * e_val)),
@@ -301,6 +314,12 @@ class _DualModel:
         den = sum(np.abs(t) for t in terms)
         moved = den != 0.0
         return float(np.min(lhs[moved] / den[moved])) if moved.any() else 0.0
+
+
+def _h_norm(norms: tuple):
+    """The (H, L2) norm from the pair of block norms."""
+    nh, nl = norms
+    return np.sqrt(nh**2 + nl**2)
 
 
 def _pack(f: DualPoint) -> np.ndarray:
@@ -321,7 +340,8 @@ def _unpack(fvec: np.ndarray, mesh: Mesh) -> DualPoint:
 
 def dual_functional(f: DualPoint, targets: TargetSpec, cfg: FollowerConfig) -> float:
     """Value of the dual objective at ``f``."""
-    return _DualModel(targets.mesh, cfg, targets).value(_pack(f))
+    model = _DualModel(targets.mesh, cfg, targets)
+    return model.value(model.at(_pack(f)))
 
 
 def dual_subgradient(f: DualPoint, targets: TargetSpec, cfg: FollowerConfig) -> DualPoint:
@@ -331,9 +351,10 @@ def dual_subgradient(f: DualPoint, targets: TargetSpec, cfg: FollowerConfig) -> 
     taken as zero (a valid subgradient choice).
     """
     model = _DualModel(targets.mesh, cfg, targets)
-    fvec = _pack(f)
-    grad = model.lift(model.V(fvec))
-    nh, nl = model.rho_norms(fvec)
+    point = model.at(_pack(f))
+    fvec = point.f
+    grad = model.lift(point.Vf)
+    nh, nl = point.norms
     if nh > 0.0:
         grad[: model.n0] += targets.rho1 * fvec[: model.n0] / nh
     if nl > 0.0:
@@ -352,14 +373,15 @@ def check_target_reached(u_T: SpatialProfile, ut_T: SpatialProfile, targets: Tar
     return dist0, dist1, bool(reached0), bool(reached1)
 
 
-def _sample_points(model: _DualModel, fvec: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+def _sample_points(model: _DualModel, point: _Point, count: int, rng: np.random.Generator) -> np.ndarray:
     """Candidate comparison points, one per row: point i is fresh random data
-    (i % 3 == 0), a local perturbation (1) or a scaling of ``fvec`` (2).
+    (i % 3 == 0), a local perturbation (1) or a scaling of ``point.f`` (2).
 
     The random points take one normal vector each, in the order of i; one
     block draw gives the stream of those draws one at a time.
     """
-    base = model.h_norm(fvec)
+    fvec = point.f
+    base = _h_norm(point.norms)
     scale = base if base > 0 else 1.0
     kind = np.arange(count) % 3
     drawn = kind[kind != 2]
@@ -367,10 +389,15 @@ def _sample_points(model: _DualModel, fvec: np.ndarray, count: int, rng: np.rand
     hats = np.empty((count, model.m))
     hats[kind == 0] = normals[drawn == 0] * scale
     direction = normals[drawn == 1]
-    hats[kind == 1] = fvec + 0.1 * scale * direction / model.h_norm(direction)[:, None]
+    hats[kind == 1] = fvec + 0.1 * scale * direction / _h_norm(model.rho_norms(direction))[:, None]
     scalings = np.array((0.0, 0.5, 0.9, 1.1, 2.0))[(np.flatnonzero(kind == 2) // 3) % 5]
     hats[kind == 2] = scalings[:, None] * fvec
     return hats
+
+
+def _certificate(model: _DualModel, point: _Point, count: int, rng: np.random.Generator) -> float:
+    """The sampled certificate at ``point`` over ``count`` comparison points."""
+    return model.vi_min(point, _sample_points(model, point, count, rng))
 
 
 def vi_residual(
@@ -379,7 +406,6 @@ def vi_residual(
     cfg: FollowerConfig,
     sample_count: int = 100,
     seed: int = 0,
-    model: _DualModel | None = None,
 ) -> float:
     """Sampled first-order optimality certificate.
 
@@ -387,12 +413,8 @@ def vi_residual(
     the dual minimizer the result is nonnegative up to solver tolerance,
     and a markedly negative value witnesses non-optimality.
     """
-    if model is None:
-        model = _DualModel(targets.mesh, cfg, targets)
-    fvec = _pack(f)
-    rng = np.random.default_rng(seed)
-    hats = _sample_points(model, fvec, sample_count, rng)
-    return model.vi_min(fvec, hats)
+    model = _DualModel(targets.mesh, cfg, targets)
+    return _certificate(model, model.at(_pack(f)), sample_count, np.random.default_rng(seed))
 
 
 def _reached(model: _DualModel, w1: Trace) -> tuple[float, float, bool, bool]:
@@ -423,19 +445,21 @@ def duality_gap(
             f"control does not reach the targets (distances {d0:.3e}, {d1:.3e} "
             f"vs radii {targets.rho0:.3e}, {targets.rho1:.3e}); the gap is undefined"
         )
-    return abs(cost_J(w1_star) + model.value(_pack(f_star)))
+    return abs(cost_J(w1_star) + model.value(model.at(_pack(f_star))))
 
 
 # ---------------------------------------------------------------------------
 # the minimization driver
 # ---------------------------------------------------------------------------
 
-def _secular_newton(model: _DualModel, opts: DualOptions, history: list[dict]) -> np.ndarray:
+def _secular_newton(model: _DualModel, opts: DualOptions, history: list[dict]) -> _Point:
     """Solve the two-block secular equation from zero multipliers.
 
     Returns the dual point of the iterate with the smallest secular
     residual; appends one history row per iterate.  A block whose ball
     holds with its multiplier at zero stays out of the Newton system.
+    Each iterate's products G f, V f and norms are computed once and
+    shared by its history row and its Newton step.
     """
     blocks = (slice(0, model.n0), slice(model.n0, model.m))
     radii = RADIUS_MARGIN * np.array([model.targets.rho1, model.targets.rho0])
@@ -444,8 +468,8 @@ def _secular_newton(model: _DualModel, opts: DualOptions, history: list[dict]) -
 
     def solve(cd):
         s = np.sqrt(np.repeat(cd, (model.n0, model.n1)))
-        chol = scipy.linalg.cho_factor(s[:, None] * model.G * s[None, :] + model.B)
-        fvec = s * scipy.linalg.cho_solve(chol, -s * model.ell)
+        chol = _cho_factor(s[:, None] * model.G * s[None, :] + model.B)
+        fvec = s * _cho_solve(chol, -s * model.ell)
         # the dual minimized over f at fixed multipliers: convex in (c, d),
         # with gradient (radius^2 - distance^2) / 2
         obj = 0.5 * float(model.ell @ fvec) + 0.5 * float(radii**2 @ cd)
@@ -455,21 +479,20 @@ def _secular_newton(model: _DualModel, opts: DualOptions, history: list[dict]) -
     s, chol, fvec, obj = solve(cd)
     obj_prev = obj
     for _ in range(max(opts.max_iters, 1)):
-        Vf = model.V(fvec)
+        point = model.at(fvec)
+        Vf = point.Vf
         g = -model.lift(Vf)
         # block norms of g: the distances to the velocity and value targets
         n = np.sqrt([max(-float(g[b] @ Vf[b]), 0.0) for b in blocks])
 
-        best_value = min(best_value, model.value(fvec))
+        best_value = min(best_value, model.value(point))
         it = len(history) + 1
         rng = np.random.default_rng([opts.seed, it])
         history.append(
             {
                 "iter": it,
                 "dual_value": best_value,
-                "vi_residual": model.vi_min(
-                    fvec, _sample_points(model, fvec, HISTORY_VI_SAMPLES, rng)
-                ),
+                "vi_residual": _certificate(model, point, HISTORY_VI_SAMPLES, rng),
                 "dist_L2": float(n[1]),
                 "dist_Hm1": float(n[0]),
             }
@@ -484,7 +507,7 @@ def _secular_newton(model: _DualModel, opts: DualOptions, history: list[dict]) -
         progress = res < 0.5 * best_res or obj < obj_prev - OBJ_RTOL * abs(obj_prev)
         stall = 0 if progress else stall + 1
         if res < best_res:
-            best_res, best_fvec = res, fvec
+            best_res, best = res, point
         # stop when converged, or once round-off keeps the residual from falling
         if res <= SECULAR_RTOL or stall >= 2:
             break
@@ -495,7 +518,7 @@ def _secular_newton(model: _DualModel, opts: DualOptions, history: list[dict]) -
             r = np.zeros(model.m)
             r[bj] = g[bj]
             r = -(model.G @ r)
-            u = scipy.linalg.cho_solve(chol, s * r)
+            u = _cho_solve(chol, s * r)
             dg = model.lift(r - model.G @ (s * u))
             for i, bi in enumerate(blocks):
                 jac[i, j] = -2.0 * float(Vf[bi] @ dg[bi])
@@ -530,7 +553,7 @@ def _secular_newton(model: _DualModel, opts: DualOptions, history: list[dict]) -
             break
         cd, obj_prev = trial, obj
         s, chol, fvec, obj = out
-    return best_fvec
+    return best
 
 
 def minimize_dual(targets: TargetSpec, cfg: FollowerConfig, opts: DualOptions | None = None):
@@ -549,16 +572,16 @@ def minimize_dual(targets: TargetSpec, cfg: FollowerConfig, opts: DualOptions | 
 
     model = _DualModel(mesh, cfg, targets)
     history: list[dict] = []
-    fvec = _secular_newton(model, opts, history)
-    f_star = _unpack(fvec, mesh)
-    w1_star = Trace(model.astar_trace(fvec), cfg.partition.mask1, mesh)
+    point = _secular_newton(model, opts, history)
+    f_star = _unpack(point.f, mesh)
+    w1_star = Trace(model.astar_trace(point.f), cfg.partition.mask1, mesh)
     d0, d1, r0, r1 = _reached(model, w1_star)
 
-    vi = vi_residual(f_star, targets, cfg, sample_count=opts.vi_samples, seed=opts.seed, model=model)
+    vi = _certificate(model, point, opts.vi_samples, np.random.default_rng(opts.seed))
     certified = bool(vi >= -opts.tol_vi and r0 and r1)
     if not certified:
         notes.append("not_certified")
-    D_star = model.value(fvec)
+    D_star = model.value(point)
     primal = cost_J(w1_star)
     gap = abs(primal + D_star)
     gap_rel = gap / max(primal, abs(D_star), 1e-30)

@@ -63,6 +63,12 @@ __all__ = [
 ]
 
 
+def content_key(values: np.ndarray) -> tuple:
+    """Shape and SHA-256 digest of an array's bytes: the key of a value kept
+    for the last input it was computed from."""
+    return (values.shape, hashlib.sha256(values.tobytes()).digest())
+
+
 # ---------------------------------------------------------------------------
 # small stencil helpers (interior <-> full-grid index conventions)
 # ---------------------------------------------------------------------------
@@ -180,8 +186,8 @@ class WaveOperator:
         self._matrix = None
         self._lu = None
         self._response = None
-        # tracked_row's S^T W u_tilde for the last u_tilde, keyed by its
-        # shape and a digest of its bytes
+        # tracked_row's S^T W u_tilde for the last u_tilde, keyed by
+        # content_key
         self._tracked_row: tuple[tuple, np.ndarray] | None = None
 
     # -- index layout: flat id = n * (J + 1) + j ----------------------------
@@ -372,7 +378,7 @@ class WaveOperator:
         It depends on the mesh and u_tilde alone, so every engine on the
         mesh shares it; the row of the last u_tilde is kept.
         """
-        key = (utilde.shape, hashlib.sha256(utilde.tobytes()).digest())
+        key = content_key(utilde)
         if self._tracked_row is None or self._tracked_row[0] != key:
             row = self.solve_adjoint(space_time_weights(self.mesh) * utilde)[0, :]
             self._tracked_row = (key, row)

@@ -235,6 +235,49 @@ def test_default_paths_factor_no_sparse_lu(tmp_path, monkeypatch):
     assert main(["leader", "--config", write_config(tmp_path, "l.json", leader_cfg), "--out", str(out)]) == 0
 
 
+def test_warm_ops_call_no_scipy_wrapper(tmp_path, monkeypatch):
+    """Warm leader and nash ops call LAPACK directly: scipy's Cholesky and
+    banded-solve wrappers, whose per-call cost outweighed the arithmetic on
+    the leader's small systems, are not reached."""
+    import scipy.linalg
+
+    tracked = {
+        "space": {"family": "sine", "frequency": 1, "amplitude": 0.3},
+        "time": {"family": "sine", "frequency": 2},
+    }
+    leader_spec = {"family": "gaussian", "amplitude": 1.0, "center": 0.4, "width": 0.15}
+    nash_cfg = write_config(
+        tmp_path, "n.json", base_config(leader=leader_spec, follower={"sigma": 1.0, "u_tilde2": tracked})
+    )
+    ref_out = tmp_path / "ref"
+    assert main(["nash", "--config", nash_cfg, "--out", str(ref_out)]) == 0
+    mesh = Mesh.auto(DomainSpec(k=0.1, T=4.0), 20)
+    leader_cfg = base_config(
+        follower={"sigma": 1.0, "u_tilde2": tracked},
+        targets={
+            "u0": {"csv": str(ref_out / "u_T.csv")},
+            "u1": {"csv": str(ref_out / "ut_T.csv")},
+            "rho0": 0.05 * l2_norm_physical(load_profile_csv(ref_out / "u_T.csv", mesh, 4.0)),
+            "rho1": 0.05 * hminus1_norm_physical(load_profile_csv(ref_out / "ut_T.csv", mesh, 4.0)),
+        },
+    )
+    leader_path = write_config(tmp_path, "l.json", leader_cfg)
+    assert main(["leader", "--config", leader_path, "--out", str(tmp_path / "cold")]) == 0
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"scipy.linalg.{name} ran on a warm path")
+
+        return call
+
+    for name in ("cho_factor", "cho_solve", "solve_banded"):
+        monkeypatch.setattr(scipy.linalg, name, refuse(name))
+    assert main(["leader", "--config", leader_path, "--out", str(tmp_path / "warm")]) == 0
+    assert main(["nash", "--config", nash_cfg, "--out", str(tmp_path / "nash")]) == 0
+    for name in ("w1_star.csv", "f0.csv", "f1.csv", "report.json", "history.csv"):
+        assert (tmp_path / "warm" / name).read_bytes() == (tmp_path / "cold" / name).read_bytes()
+
+
 def test_leader_free_targets_zero_control(tmp_path):
     # free trajectory of the zero-tracking case is zero: targets at the origin
     cfg = base_config(
@@ -373,6 +416,56 @@ def test_leader_invalid_delta_exits_2(tmp_path, capsys, delta):
     out = tmp_path / "leader"
     assert main(["leader", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 2
     assert "delta" in capsys.readouterr().err
+    assert not out.exists()
+
+
+NASH_NY12 = base_config(
+    grid={"Ny": 12},
+    leader={"family": "gaussian", "amplitude": 1.0, "center": 0.4, "width": 0.15},
+    follower={
+        "sigma": 1.0,
+        "u_tilde2": {"space": {"family": "sine", "amplitude": 0.3}, "time": {"family": "sine", "frequency": 2}},
+    },
+)
+
+
+@pytest.mark.parametrize(
+    "path, value, key",
+    [
+        (("leader", "amplitude"), "nan", "leader.amplitude"),
+        (("leader", "amplitude"), "inf", "leader.amplitude"),
+        (("leader", "width"), "nan", "leader.width"),
+        (("follower", "u_tilde2", "space", "amplitude"), "inf", "follower.u_tilde2.space.amplitude"),
+        (("grid", "cfl_safety"), 0, "cfl_safety"),
+        (("grid", "cfl_safety"), 1e-320, "cfl_safety"),
+        (("grid", "cfl_safety"), "nan", "cfl_safety"),
+        (("seed",), -1, "seed"),
+    ],
+    ids=[
+        "amplitude-nan",
+        "amplitude-inf",
+        "width-nan",
+        "tracked-amplitude-inf",
+        "cfl-0",
+        "cfl-1e-320",
+        "cfl-nan",
+        "seed-negative",
+    ],
+)
+def test_validated_config_values_exit_2(tmp_path, capsys, path, value, key):
+    """A non-finite profile value, a cfl_safety that gives no finite step
+    count and a negative seed exit 2 with a message naming the key; each used
+    to escape as a ValueError, ZeroDivisionError or OverflowError (exit 1)."""
+    cfg = json.loads(json.dumps(NASH_NY12))
+    *parents, last = path
+    section = cfg
+    for name in parents:
+        section = section[name]
+    section[last] = value
+    out = tmp_path / "o"
+    assert main(["nash", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err
     assert not out.exists()
 
 

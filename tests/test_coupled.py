@@ -431,6 +431,32 @@ def test_kept_row_follows_the_tracked_trajectory(mesh41, overlap41, utilde41, w1
     assert not np.array_equal(warm[0][0], warm[1][0])
 
 
+def test_cholesky_pair_matches_scipy():
+    """The direct dpotrf/dpotrs pair gives scipy's cho_factor/cho_solve bits,
+    upper triangle read, and raises what they raise."""
+    import scipy.linalg
+
+    from hierwave.coupled import _cho_factor, _cho_solve
+
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((40, 40))
+    a = x @ x.T + 40.0 * np.eye(40)
+    a[3, 7] += 1e-9  # not symmetric to the bit: the triangle read matters
+    ref = scipy.linalg.cho_factor(a)
+    c = _cho_factor(a)
+    assert np.array_equal(c, ref[0])
+    for b in (rng.standard_normal(40), rng.standard_normal((40, 3))):
+        assert np.array_equal(_cho_solve(c, b), scipy.linalg.cho_solve(ref, b))
+    with pytest.raises(np.linalg.LinAlgError):
+        _cho_factor(-a)
+    bad = a.copy()
+    bad[0, 0] = np.inf
+    with pytest.raises(ValueError):
+        _cho_factor(bad)
+    with pytest.raises(ValueError):
+        _cho_solve(c, np.full(40, np.nan))
+
+
 def test_picard_divergence(mesh41, overlap41, w1_smooth):
     cfg = FollowerConfig(sigma=1e-6, partition=overlap41)
     eng = get_engine(mesh41, cfg)

@@ -127,6 +127,30 @@ def test_riesz_triple_consistency():
         assert pr.hminus1_values(f) == pytest.approx(pr.h10_values(v), rel=1e-11)
 
 
+@pytest.mark.parametrize("time", [0.0, 3.0])
+def test_poisson_solve_matches_solve_banded(time):
+    """The direct dgtsv solve gives scipy.linalg.solve_banded's bits on the
+    same tridiagonal, and refuses non-finite data as it does."""
+    import scipy.linalg
+
+    mesh = Mesh.auto(DomainSpec(k=0.1, T=4.0), 41)
+    pr = PoissonRiesz(mesh, time)
+    n = mesh.Ny - 1
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -1.0 / pr.hx**2
+    ab[1, :] = 2.0 / pr.hx**2
+    ab[2, :-1] = -1.0 / pr.hx**2
+    f = np.random.default_rng(3).standard_normal(mesh.Ny + 1)
+    want = np.zeros_like(f)
+    want[1:-1] = scipy.linalg.solve_banded((1, 1), ab, f[1:-1])
+    before = f.copy()
+    assert np.array_equal(pr.solve_values(f), want)
+    assert np.array_equal(f, before)
+    f[5] = np.nan
+    with pytest.raises(ValueError):
+        pr.solve_values(f)
+
+
 def test_hminus1_second_order_convergence():
     # smooth non-eigenfunction f = x^2 (1 - x); exact value via the solved
     # two-point problem: v = x^5/20 - x^4/12 + x/30, ||f||^2 = int f v

@@ -411,7 +411,7 @@ def _points_one_by_one(model, fvec, count, rng):
 
 def _vi_min_one_by_one(model, fvec, hats):
     """The smallest normalized defect, one comparison point at a time."""
-    ev, e_val = model.state_misfits(fvec)
+    ev, e_val = model.state_misfits(model.at(fvec))
     nh, nl = _point_norms(model, fvec)
     rho0, rho1 = model.targets.rho0, model.targets.rho1
     best = np.inf
@@ -448,7 +448,7 @@ def model16():
 @pytest.mark.parametrize("at", ["random", "zero"])
 def test_sample_points_match_draws_one_at_a_time(model16, count, at):
     fvec = np.random.default_rng(1).standard_normal(model16.m) if at == "random" else np.zeros(model16.m)
-    got = _sample_points(model16, fvec, count, np.random.default_rng([4, count]))
+    got = _sample_points(model16, model16.at(fvec), count, np.random.default_rng([4, count]))
     want = _points_one_by_one(model16, fvec, count, np.random.default_rng([4, count]))
     assert got.shape == (count, model16.m)
     assert np.array_equal(got, np.array(want))
@@ -458,8 +458,52 @@ def test_sample_points_match_draws_one_at_a_time(model16, count, at):
 @pytest.mark.parametrize("at", ["random", "zero"])
 def test_vi_min_matches_the_point_loop(model16, count, at):
     fvec = np.random.default_rng(2).standard_normal(model16.m) if at == "random" else np.zeros(model16.m)
-    hats = _sample_points(model16, fvec, count, np.random.default_rng(3))
+    hats = _sample_points(model16, model16.at(fvec), count, np.random.default_rng(3))
     want = _vi_min_one_by_one(model16, fvec, list(hats))
     # away from zero, so that the relative bound means something
     assert abs(want) > 1e-3
-    assert model16.vi_min(fvec, hats) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert model16.vi_min(model16.at(fvec), hats) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_kept_free_terminal_follows_the_tracked_trajectory(mesh41, overlap41, utilde41, monkeypatch):
+    """A second dual model on the engine and tracked trajectory finds the free
+    state's final pair kept and runs no follower solve; a changed trajectory
+    gives a fresh engine's pair bit for bit."""
+    from hierwave import coupled
+    from hierwave.coupled import CoupledEngine
+
+    other = Field(np.roll(utilde41.values, 7, axis=1), mesh41)
+    T = mesh41.domain.T
+    targets = TargetSpec(
+        SpatialProfile(0.2 * np.sin(np.pi * mesh41.y), T, mesh41),
+        SpatialProfile(0.5 * np.sin(2 * np.pi * mesh41.y), T, mesh41),
+        0.01,
+        0.01,
+    )
+
+    def model(utilde):
+        return _DualModel(mesh41, FollowerConfig(sigma=0.5, partition=overlap41, u_tilde2=utilde), targets)
+
+    monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
+    first = model(utilde41)
+    calls = []
+    solve = CoupledEngine.follower_trace
+
+    def counted(self, rhs):
+        calls.append(rhs.shape)
+        return solve(self, rhs)
+
+    monkeypatch.setattr(CoupledEngine, "follower_trace", counted)
+    second = model(utilde41)
+    assert second.eng is first.eng
+    assert calls == []
+    changed = model(other)
+    assert len(calls) == 1
+    again = model(utilde41)
+    assert len(calls) == 2
+    for a, b in ((second, first), (again, first)):
+        assert np.array_equal(a.u0T, b.u0T) and np.array_equal(a.u0pT, b.u0pT)
+    monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
+    fresh = model(other)
+    assert np.array_equal(changed.u0T, fresh.u0T) and np.array_equal(changed.u0pT, fresh.u0pT)
+    assert not np.array_equal(changed.u0T, first.u0T)
