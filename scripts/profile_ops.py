@@ -17,13 +17,22 @@ reference solves included), runs every op once through
                                  final pair
     grid.PoissonRiesz.solve_values  the tridiagonal Poisson solve behind the
                                  Newton solve's gradient lift and the H^-1 norm
-    grid.csv_io                  the grid module's CSV readers and writers
+    wave_core.WaveOperator.march  the forward wave march: the follower's
+                                 state, the free state, the first-order
+                                 sample's directions
+    wave_core.WaveOperator.solve_adjoint  the backward (transposed) sweep:
+                                 the companion state and the tracked row
+    coupled.euler_lagrange_residual  `hierwave nash`'s sampled first-order
+                                 (Euler-Lagrange) residual
+    grid.csv_write               the grid module's CSV writers
+    grid.csv_read                the grid module's CSV readers
     cli.parse                    main's time outside load_config and the
                                  command: building and running the parser
 
 Stages nest: vi_min and _sample_points run inside the Newton solve and once
-more after it, free_terminal inside the model's set-up, and solve_values
-inside the Newton solve and the distance checks.  Each stage reports the median over passes of its time per
+more after it, free_terminal inside the model's set-up, solve_values
+inside the Newton solve and the distance checks, and march inside
+free_terminal and euler_lagrange_residual.  Each stage reports the median over passes of its time per
 pass, of its share of the pass's op time, and of its calls per pass;
 ``op_s_p50`` is the median warm op's wall time.  Wall times follow the
 host's speed, which can drift by tens of percent between runs on a shared
@@ -72,16 +81,14 @@ STAGES = {
     "leader_dual._DualModel": [("hierwave.leader_dual", "_DualModel.__init__")],
     "coupled.free_terminal": [("hierwave.coupled", "CoupledEngine.free_terminal")],
     "grid.PoissonRiesz.solve_values": [("hierwave.grid", "PoissonRiesz.solve_values")],
-    "grid.csv_io": [
-        ("hierwave.grid", name)
-        for name in (
-            "save_field_csv",
-            "save_profile_csv",
-            "save_trace_csv",
-            "load_field_csv",
-            "load_profile_csv",
-            "load_trace_csv",
-        )
+    "wave_core.WaveOperator.march": [("hierwave.wave_core", "WaveOperator.march")],
+    "wave_core.WaveOperator.solve_adjoint": [("hierwave.wave_core", "WaveOperator.solve_adjoint")],
+    "coupled.euler_lagrange_residual": [("hierwave.coupled", "euler_lagrange_residual")],
+    "grid.csv_write": [
+        ("hierwave.grid", name) for name in ("save_field_csv", "save_profile_csv", "save_trace_csv")
+    ],
+    "grid.csv_read": [
+        ("hierwave.grid", name) for name in ("load_field_csv", "load_profile_csv", "load_trace_csv")
     ],
 }
 
@@ -239,7 +246,7 @@ def main() -> int:
     print(f"{args.workload}, {args.passes} passes of {result['ops_per_pass']} ops: "
           f"op_s_p50 {result['op_s_p50']:.4f} s; wrote {target}")
     for stage, row in result["stages"].items():
-        print(f"  {stage:30s} {row['s_per_pass_p50'] * 1e3:8.2f} ms/pass  "
+        print(f"  {stage:38s} {row['s_per_pass_p50'] * 1e3:8.2f} ms/pass  "
               f"{row['share_p50']:6.1%} of op time  {row['calls_per_pass']:g} calls")
     return 0
 

@@ -487,6 +487,17 @@ def cmd_sweep(config: dict, out_dir: Path, workers: int = 1) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, as a config's seed must be."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hierwave", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -495,14 +506,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default="runs/" + name, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.add_argument("--seed", type=_seed, default=None, help="override config seed")
         if name == "sweep":
             p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("verify")
     p.add_argument("--level", choices=("fast", "full"), default="fast")
     p.add_argument("--out", default="runs/verify")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("threshold")
     p.add_argument("--k", type=float, nargs="+", required=True)

@@ -321,23 +321,204 @@ def hminus1_norm_physical(f: SpatialProfile) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Bulk "%.17g": the bytes of f"{x:.17g}" for a whole float64 array, after
+# Loitsch, "Printing floating-point numbers quickly and accurately with
+# integers" (PLDI 2010): a fast approximate digit generator, a test that
+# rejects the values it may get wrong, and Python's exact formatting for
+# those.
+#
+# |x| is scaled by 10^k, k = 16 - e with e its decimal exponent, in long
+# double, so that s = |x| 10^k lies in [1e16, 1e17) and the 17 digits are
+# those of the integer nearest s.  10^k is the nearest long double, which
+# for 0 <= k <= 27 is exact; the product is rounded once.  With a 64-bit
+# significand the computed s is then within 2^-63 s < 0.011 of the exact
+# one, and within half an ulp, 2^-8, when 10^k is exact.  A value whose s
+# lies within _G17_MARGIN (or _G17_MARGIN_EXACT) of a half-integer is
+# rejected, so the nearest integer is the exact one's for the rest.  At
+# the ends of the range both scales round to the same digits, carry
+# included.  Non-finite values are rejected too, and so is every value
+# when long double is narrower (_BULK_G17 is False), so the output is
+# Python's by construction.
+#
+# Each value is laid out in a cell of six 8-byte words:
+#     word 0     "-0.000", digit 0, "."
+#     words 1-4  digits 1-16 in groups of four, each digit followed by "."
+#     word 5     "e", the exponent's sign and three digits, zero bytes
+# and a table of 0xFF/0x00 masks, one per layout class, keeps the bytes
+# that f"{x:.17g}" shows.  A class is the exponent (fixed notation for
+# -4..16, then exponent notation with two or three exponent digits), the
+# number of digits left once trailing zeros are dropped, and the sign.
+# The other bytes are zeroed; the writer drops zero bytes.
+# ---------------------------------------------------------------------------
+
+_BULK_G17 = np.finfo(np.longdouble).nmant >= 63
+_G17_MARGIN = 0.0125
+_G17_MARGIN_EXACT = 0.005
+_G17_WIDTH = 48
+_G17_BLOCK = 4096  # values per block: a block's scratch stays near 1 MB
+_G17_POW = (-300, 350)  # the range of k over every nonzero double
+_G17_EXP = 330  # |e| < _G17_EXP over every double
+
+
+def _pow10_longdouble() -> np.ndarray:
+    """The long double nearest 10^k, ties to even, for k in _G17_POW.
+
+    10^k = 5^k 2^k, so its 64-bit significand q is the integer nearest 5^k,
+    or 2^m / 5^-k, scaled into [2^63, 2^64]; built from exact integers.
+    """
+    sig, exp2 = [], []
+    for k in range(*_G17_POW):
+        five = 5 ** abs(k)
+        if k >= 0:
+            cut = five.bit_length() - 64
+            if cut <= 0:
+                q = five << -cut
+            else:
+                q, r = divmod(five, 1 << cut)
+                half = 1 << (cut - 1)
+                q += r > half or (r == half and q & 1)
+        else:  # five is odd, so there is no tie
+            cut = -63 - five.bit_length()
+            q, r = divmod(1 << -cut, five)
+            q += 2 * r > five
+        sig.append(q)
+        exp2.append(k + cut)
+    high = np.array([q >> 32 for q in sig], dtype=np.longdouble)
+    low = np.array([q & 0xFFFFFFFF for q in sig], dtype=np.longdouble)
+    return np.ldexp(high * 2**32 + low, np.array(exp2))
+
+
+@functools.cache
+def _g17_tables() -> tuple[np.ndarray, ...]:
+    """The powers of ten, the layout masks, and the word tables; built on
+    first use, about 150 kB."""
+    pow10 = _pow10_longdouble()
+    digit = np.r_[6, 8:40:2]  # the byte of digit i in a cell
+    keep = np.zeros((23, 17, 2, _G17_WIDTH), dtype=bool)
+    ndig = np.arange(1, 18)[:, None]
+    for ecls in range(23):
+        row = keep[ecls, :, 0]
+        exp = ecls - 4
+        if 0 <= exp <= 16:  # fixed notation: digits up to the units and on
+            row[:, digit] = np.arange(17) <= np.maximum(exp, ndig - 1)
+            row[:, digit[exp] + 1] = ndig[:, 0] > exp + 1
+            continue
+        row[:, digit] = np.arange(17) < ndig
+        if exp < 0:  # "0." and -exp - 1 zeros before the digits
+            row[:, 1 : 2 - exp] = True
+        else:  # exponent notation
+            row[:, 7] = ndig[:, 0] > 1
+            row[:, 40:45] = True
+            row[:, 42] = ecls == 22  # a third exponent digit
+    keep[:, :, 1] = keep[:, :, 0]
+    keep[:, :, 1, 0] = True  # the sign
+    keep = np.where(keep, 0xFF, 0).astype(np.uint8).view(np.uint64).reshape(-1, 6)
+
+    lead = np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), dtype=np.uint64)
+    g = np.arange(10000)
+    group = np.full((10000, 8), ord("."), dtype=np.uint8)
+    group[:, ::2] = np.stack([ord("0") + g // 10**p % 10 for p in (3, 2, 1, 0)], axis=1)
+    zeros = (2 * sum(g % 10**p == 0 for p in range(1, 5))).astype(np.uint8)  # twice the trailing zeros
+    e = np.arange(-_G17_EXP, _G17_EXP)
+    expo = np.zeros((e.size, 8), dtype=np.uint8)
+    expo[:, 0] = ord("e")
+    expo[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    expo[:, 2:5] = ord("0") + np.abs(e)[:, None] // [100, 10, 1] % 10
+    # each exponent's row of keep for 17 digits and a plus sign
+    ecls = np.where(np.abs(e) < 100, 21, 22)
+    ecls[(e >= -4) & (e <= 16)] = e[(e >= -4) & (e <= 16)] + 4
+    ecls = (ecls * 17 + 16) * 2
+    return pow10, keep, lead, group.view(np.uint64)[:, 0], zeros, expo.view(np.uint64)[:, 0], ecls
+
+
+def _g17_fallback(x: np.ndarray) -> np.ndarray:
+    """Python's f"{v:.17g}" of each value, as zero-padded cells."""
+    cells = np.array([f"{v:.17g}" for v in x.tolist()], dtype=f"S{_G17_WIDTH}")
+    return cells.view(np.uint8).reshape(x.size, _G17_WIDTH)
+
+
+def _g17_cells(x: np.ndarray) -> np.ndarray:
+    """(len(x), 48) bytes whose nonzero bytes in row i, in order, are
+    f"{x[i]:.17g}"; bytes 45-47 of each row are zero."""
+    if not _BULK_G17:
+        return _g17_fallback(x)
+    pow10, keep, lead, group, zeros, expo, ecls = _g17_tables()
+    a = np.abs(x)
+    zero = a == 0
+    finite = np.isfinite(a)
+    a = np.where(finite & ~zero, a, 1.0)
+    k = 16 - np.floor(np.log10(a)).astype(np.intp)
+    s = a * pow10[k - _G17_POW[0]]
+    whole = s.astype(np.int64)
+    off = (whole < 10**16).view(np.int8) - (whole >= 10**17).view(np.int8)
+    reject = ~finite
+    if off.any():  # log10 was one off next to a power of ten
+        k += off
+        s = a * pow10[k - _G17_POW[0]]
+        whole = s.astype(np.int64)
+        reject |= (whole < 10**16) | (whole >= 10**17)
+    frac = (s - whole).astype(float)
+    margin = np.where((k >= 0) & (k <= 27), _G17_MARGIN_EXACT, _G17_MARGIN)
+    reject |= np.abs(frac - 0.5) < margin
+    whole += frac > 0.5
+    carry = whole == 10**17
+    whole[carry] = 10**16
+    whole[zero] = 0
+    exp = 16 - k + carry + _G17_EXP  # the exponent of the rounded value, offset
+    exp[zero] = _G17_EXP
+
+    top = whole // 10**8
+    low = whole - top * 10**8
+    first = top // 10**8
+    top -= first * 10**8
+    groups = np.empty((x.size, 4), dtype=np.intp)
+    groups[:, 0] = top // 10**4
+    groups[:, 1] = top - groups[:, 0] * 10**4
+    groups[:, 2] = low // 10**4
+    groups[:, 3] = low - groups[:, 2] * 10**4
+    # twice the trailing zeros of digits 1-16: those of the last nonzero
+    # half, then of its last nonzero group
+    low_zero = low == 0
+    high4 = np.where(low_zero, groups[:, 0], groups[:, 2])
+    low4 = np.where(low_zero, groups[:, 1], groups[:, 3])
+    tz = 16 * low_zero + np.where(low4 == 0, 8 + zeros[high4], zeros[low4])
+
+    cells = np.empty((x.size, 6), dtype=np.uint64)
+    cells[:, 0] = lead[first]
+    cells[:, 1:5] = group[groups]
+    cells[:, 5] = expo[exp]
+    cells &= keep[ecls[exp] - tz + np.signbit(x)]
+    cells = cells.view(np.uint8)
+    if reject.any():
+        cells[reject] = _g17_fallback(x[reject])
+    return cells
+
+
+# ---------------------------------------------------------------------------
 # CSV import/export: header comment lines starting with '#', then a header
 # row, then rows of 17-significant-digit decimals.
 # ---------------------------------------------------------------------------
 
-def _row_template(coords: np.ndarray, tail: str = "%.17g") -> str:
-    """One row per coordinate: its 17 significant digits, then ``tail``.
+def _row_template(coords: np.ndarray) -> str:
+    """One row per coordinate: its 17 significant digits, then a "%.17g" slot.
 
     A mesh's writes format the same coordinates each time, so the rows are
     kept, keyed by the coordinates' bytes.
     """
-    return _formatted_rows(np.asarray(coords, dtype=float).tobytes(), tail)
+    return _formatted_rows(np.asarray(coords, dtype=float).tobytes())
 
 
 @functools.lru_cache(maxsize=32)
-def _formatted_rows(coords: bytes, tail: str) -> str:
+def _formatted_rows(coords: bytes) -> str:
     """:func:`_row_template` of the float64 array whose bytes are ``coords``."""
-    return "".join(f"{c:.17g},{tail}\r\n" for c in np.frombuffer(coords).tolist())
+    return "".join(f"{c:.17g},%.17g\r\n" for c in np.frombuffer(coords).tolist())
+
+
+def _csv_head(header_comments: dict | None, columns: list[str]) -> str:
+    """Comment lines ending in "\n", then the header row ending in "\r\n"."""
+    parts = [f"# {key}: {val}\n" for key, val in (header_comments or {}).items()]
+    parts.append(",".join(columns) + "\r\n")
+    return "".join(parts)
 
 
 def _write_csv(path, header_comments: dict | None, columns: list[str], template: str, values: np.ndarray) -> None:
@@ -350,11 +531,9 @@ def _write_csv(path, header_comments: dict | None, columns: list[str], template:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    parts = [f"# {key}: {val}\n" for key, val in (header_comments or {}).items()]
-    parts.append(",".join(columns) + "\r\n")
-    parts.append(template % tuple(np.asarray(values, dtype=float).ravel().tolist()))
+    text = _csv_head(header_comments, columns) + template % tuple(np.asarray(values, dtype=float).ravel().tolist())
     with open(path, "w", newline="") as fh:
-        fh.write("".join(parts))
+        fh.write(text)
 
 
 def _read_csv(path) -> tuple[dict, list[str], np.ndarray]:
@@ -433,11 +612,41 @@ def load_field_csv(path, mesh: Mesh) -> Field:
     return Field(vals.T.copy(), mesh)
 
 
+@functools.lru_cache(maxsize=32)
+def _coordinate_cells(coords: bytes) -> np.ndarray:
+    """f"{c:.17g}" of each float64 in ``coords``, zero-padded to one width."""
+    cells = np.array([f"{c:.17g}" for c in np.frombuffer(coords).tolist()], dtype=bytes)
+    cells = cells.view(np.uint8).reshape(cells.size, -1)
+    cells.flags.writeable = False
+    return cells
+
+
 def save_field_csv(path, fld: Field, extra_header: dict | None = None) -> None:
+    """Rows "y,t,value" over j fastest, then n, as :func:`_write_csv` writes
+    them; the values through the bulk formatter, a block of time levels at
+    a time."""
     header = {"kind": "field", "Ny": fld.mesh.Ny, "Nt": fld.mesh.Nt}
     header.update(extra_header or {})
-    # rows run over j fastest, then n: one time level's rows are formatted
-    # once, and each time is stamped into its copy
-    level = _row_template(fld.mesh.y, "\x00,%.17g")
-    template = "".join(level.replace("\x00", f"{t:.17g}") for t in fld.mesh.times.tolist())
-    _write_csv(path, header, ["y", "t", "value"], template, fld.values.T)
+    mesh = fld.mesh
+    ys = _coordinate_cells(mesh.y.tobytes())
+    ts = _coordinate_cells(mesh.times.tobytes())
+    # a row's bytes: y, ",", t, ",", the value's cell, "\r\n"; zero bytes
+    # are dropped
+    start = ys.shape[1] + ts.shape[1] + 2
+    levels = max(1, _G17_BLOCK // (mesh.Ny + 1))
+    rows = np.zeros((levels, mesh.Ny + 1, start + _G17_WIDTH), dtype=np.uint8)
+    rows[:, :, : ys.shape[1]] = ys
+    rows[:, :, ys.shape[1]] = rows[:, :, start - 1] = ord(",")
+    rows[:, :, -3:-1] = np.frombuffer(b"\r\n", dtype=np.uint8)
+    values = fld.values.T
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write(_csv_head(header, ["y", "t", "value"]))
+        fh.flush()
+        for n in range(0, mesh.Nt + 1, levels):
+            block = rows[: min(levels, mesh.Nt + 1 - n)]
+            block[:, :, ys.shape[1] + 1 : start - 1] = ts[n : n + len(block), None]
+            cells = _g17_cells(values[n : n + len(block)].ravel())
+            block[:, :, start : start + 45] = cells[:, :45].reshape(len(block), mesh.Ny + 1, 45)
+            fh.buffer.write(block.tobytes().translate(None, b"\0"))

@@ -607,3 +607,34 @@ def test_sweep_single_cell_equals_leader_run(tmp_path):
     assert main(["leader", "--config", write_config(tmp_path, "l.json", leader_cfg), "--out", str(out_ld)]) == 0
     leader_J = json.loads((out_ld / "report.json").read_text())["primal_J"]
     assert leader_J == pytest.approx(sweep_J, rel=1e-12)
+
+
+def test_verify_negative_seed_exits_2(tmp_path, capsys):
+    # the flag is checked when parsed, as a config's seed is when loaded,
+    # not by numpy's generator after the first checks have run
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--level", "fast", "--seed", "-1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "non-negative" in err
+    assert not (tmp_path / "verification_report.json").exists()
+
+
+def test_nash_outputs_same_bytes_on_the_per_value_route(tmp_path, monkeypatch):
+    # the bulk "%.17g" formatter of the field CSVs changes no output byte
+    from hierwave import grid
+
+    cfg = base_config(
+        grid={"Ny": 16},
+        leader={"family": "gaussian", "amplitude": 1.0, "center": 0.4, "width": 0.15},
+    )
+    path = write_config(tmp_path, "c.json", cfg)
+    bulk, per_value = tmp_path / "bulk", tmp_path / "per_value"
+    assert main(["nash", "--config", path, "--out", str(bulk)]) == 0
+    monkeypatch.setattr(grid, "_BULK_G17", False)
+    assert main(["nash", "--config", path, "--out", str(per_value)]) == 0
+    names = sorted(p.name for p in bulk.iterdir())
+    assert {"u.csv", "p.csv"} <= set(names)
+    assert names == sorted(p.name for p in per_value.iterdir())
+    for name in names:
+        assert (bulk / name).read_bytes() == (per_value / name).read_bytes(), name

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hierwave import grid
 from hierwave.errors import ConfigurationError
 from hierwave.geometry import DomainSpec
 from hierwave.grid import (
@@ -335,3 +336,95 @@ def test_csv_bytes_match_csv_writer(tmp_path):
         zip(mesh.times, tvals),
     )
     assert (tmp_path / "t.csv").read_bytes() == ref
+
+
+def g17_strings(values):
+    """What the bulk "%.17g" formatter makes of each value."""
+    cells = grid._g17_cells(np.asarray(values, dtype=float))
+    return [row[row != 0].tobytes().decode() for row in cells]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_bulk_g17_matches_python(values):
+    assert g17_strings(values) == [f"{v:.17g}" for v in values]
+
+
+# the long double route's edges: zero, the subnormal and normal ends, the
+# largest double, every power of ten with both neighbours (the 1e16 and 1e17
+# scaling bounds, the 17-digit carries), and the fixed/exponent switches at
+# exponents -5/-4 and 16/17
+POWERS_OF_TEN = [float(f"1e{n}") for n in range(-323, 309)]
+G17_EDGES = [
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    2.2250738585072014e-308,
+    np.nextafter(2.2250738585072014e-308, 0),
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    *POWERS_OF_TEN,
+    *np.nextafter(POWERS_OF_TEN, 0),
+    *np.nextafter(POWERS_OF_TEN, np.inf),
+    9.9999999999999991e-06,
+    1.2345678901234567e-05,
+    -1.2345678901234567e-05,
+    9.9999999999999991e-05,
+    0.00012345678901234567,
+    -0.00012345678901234567,
+    9999999999999998.0,
+    12345678901234568.0,
+    99999999999999984.0,
+    123456789012345680.0,
+    -123456789012345680.0,
+    0.5,
+    -2.5,
+    1.0 / 3.0,
+    1e22,
+    1e23,
+]
+
+
+@pytest.mark.skipif(not grid._BULK_G17, reason="long double has less than a 64-bit significand")
+def test_powers_of_ten_are_the_nearest_long_doubles():
+    # the rejection margin assumes each 10^k is off by at most half an ulp
+    for k, power in zip(range(*grid._G17_POW), grid._pow10_longdouble()):
+        mant, exp = np.frexp(power)
+        value = Fraction(int(np.ldexp(mant, 64))) * Fraction(2) ** (int(exp) - 64)
+        assert abs(value - Fraction(10) ** k) <= Fraction(2) ** (int(exp) - 65), k
+
+
+def test_bulk_g17_edges():
+    assert g17_strings(G17_EDGES) == [f"{v:.17g}" for v in G17_EDGES]
+    assert g17_strings([1e-5, 1e-4, 1e16, 1e17]) == ["1.0000000000000001e-05", "0.0001", "10000000000000000", "1e+17"]
+
+
+def test_bulk_g17_rejects_ties_and_non_finite_values(monkeypatch):
+    # 1e15 + 0.25 is 1000000000000000.25 exactly: its 17-digit rounding is
+    # a tie, which the long double route must leave to Python's formatting,
+    # as it must inf and nan; 1.5 and 0.1 it formats itself
+    seen = []
+    fallback = grid._g17_fallback
+    monkeypatch.setattr(grid, "_g17_fallback", lambda x: seen.extend(x.tolist()) or fallback(x))
+    ties = [1e15 + 0.25, -(1e15 + 0.75)]
+    values = [1.5, *ties, np.inf, -np.inf, 0.1]
+    assert g17_strings(values + [np.nan]) == [f"{v:.17g}" for v in values] + ["nan"]
+    assert seen[:4] == [*ties, np.inf, -np.inf] and np.isnan(seen[4]) and len(seen) == 5
+    assert g17_strings(ties) == ["1000000000000000.2", "-1000000000000000.8"]
+
+
+def test_field_csv_bytes_same_on_the_per_value_route(tmp_path, monkeypatch):
+    # with a long double narrower than 64 bits every value takes Python's
+    # formatting; the bytes must not change
+    mesh = Mesh.auto(DomainSpec(k=0.25, T=2.0), 12)
+    rng = np.random.default_rng(4)
+    vals = rng.standard_normal((mesh.Ny + 1, mesh.Nt + 1)) * 10.0 ** rng.integers(-30, 30, (mesh.Ny + 1, mesh.Nt + 1))
+    vals.ravel()[: len(G17_EDGES)] = G17_EDGES[: vals.size]
+    fld = Field(vals, mesh)
+    save_field_csv(tmp_path / "bulk.csv", fld, {"seed": 1})
+    monkeypatch.setattr(grid, "_BULK_G17", False)
+    assert g17_strings(G17_EDGES) == [f"{v:.17g}" for v in G17_EDGES]
+    save_field_csv(tmp_path / "per_value.csv", fld, {"seed": 1})
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "per_value.csv").read_bytes()
+    assert np.array_equal(load_field_csv(tmp_path / "bulk.csv", mesh).values, vals)
