@@ -17,13 +17,15 @@ reference solves included), runs every op once through
                                  final pair
     grid.PoissonRiesz.solve_values  the tridiagonal Poisson solve behind the
                                  Newton solve's gradient lift and the H^-1 norm
-    wave_core.WaveOperator.march  the forward wave march: the follower's
-                                 state, the free state, the first-order
-                                 sample's directions
+    wave_core.WaveOperator.march  the forward wave march: in a nash op one
+                                 march of the follower's state together with
+                                 the first-order sample's 8 directions
     wave_core.WaveOperator.solve_adjoint  the backward (transposed) sweep:
                                  the companion state and the tracked row
     coupled.euler_lagrange_residual  `hierwave nash`'s sampled first-order
-                                 (Euler-Lagrange) residual
+                                 (Euler-Lagrange) residual; in a CLI op its
+                                 directions' responses come with the state's
+                                 march, so it runs no march
     grid.csv_write               the grid module's CSV writers
     grid.csv_read                the grid module's CSV readers
     cli.parse                    main's time outside load_config and the
@@ -31,9 +33,12 @@ reference solves included), runs every op once through
 
 Stages nest: vi_min and _sample_points run inside the Newton solve and once
 more after it, free_terminal inside the model's set-up, solve_values
-inside the Newton solve and the distance checks, and march inside
-free_terminal and euler_lagrange_residual.  Each stage reports the median over passes of its time per
-pass, of its share of the pass's op time, and of its calls per pass;
+inside the Newton solve and the distance checks, solve_adjoint (the
+tracked row) inside free_terminal, and march inside
+euler_lagrange_residual only when that is called on a solution that does
+not carry its directions' responses.  Each stage reports the median over
+passes of its time per pass, of its share of the pass's op time, and of
+its calls per pass;
 ``op_s_p50`` is the median warm op's wall time.  Wall times follow the
 host's speed, which can drift by tens of percent between runs on a shared
 machine; the shares drift far less.

@@ -30,7 +30,14 @@ equilibrium trace solves the symmetric positive definite system
 
 well posed for every sigma > 0; its Cholesky factor is kept per engine, so
 each solve is exact, with no iteration, relaxation or fallback.  The state
-then takes one forward march and the companion one backward sweep.  The
+then takes one forward march and the companion one backward sweep.  A Nash
+solve that is to be checked along follower directions (``hierwave nash``
+samples 8 seeded ones) marches their state responses in the state's own
+march, as further columns: the responses do not depend on the solution,
+and a 9-column march costs far less than a 1-column and an 8-column one.
+:func:`euler_lagrange_residual` then reads them against the state, so the
+first-order check still rests on a forward march of the directions, not
+on the companion sweep that closed the equilibrium.  The
 reach operator needs only the last three time levels of S, and its adjoint
 only S^T on them, so neither runs a wave solve.  This is the control-space
 (Schur complement) reduction of HUM: Lions, SIAM Review 30 (1988);
@@ -156,6 +163,10 @@ class NashSolution:
     p: Field
     w2: Trace
     residual: float
+    # the first-order sample marched with the state, when solve_nash_system
+    # was given directions: their masked values, shape (N+1, m), and their
+    # state responses' time-major levels, shape (N+1, J+1, m)
+    sample: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass
@@ -201,13 +212,16 @@ class CoupledEngine:
 
     # -- elementary solves ---------------------------------------------------
 
-    def state_solve(self, bc_values: np.ndarray) -> np.ndarray:
+    def state_solve(self, bc_values: np.ndarray, time_major: bool = False) -> np.ndarray:
         """Forward march with Dirichlet data at the fixed endpoint, zero initial data.
 
         ``bc_values`` of shape (N+1, m) marches m boundary data at once and
-        gives fields of shape (J+1, N+1, m).
+        gives fields of shape (J+1, N+1, m); ``time_major=True`` gives the
+        march's levels, shape (N+1, J+1, m), instead.
         """
-        return self.op.march(bc_values, self._zeros_t, self._zeros_full, self._zeros_full)
+        return self.op.march(
+            bc_values, self._zeros_t, self._zeros_full, self._zeros_full, time_major=time_major
+        )
 
     def multiplier_solve(self, rho: np.ndarray) -> np.ndarray:
         """Exact transposed solve M^T lambda = rho: one backward sweep."""
@@ -287,19 +301,29 @@ class CoupledEngine:
         w2 = self.follower_trace(rhs)
         return bc1 + self.chi2 * w2, w2
 
-    def schur_pair(self, w1_values: np.ndarray, utilde: np.ndarray | None):
+    def schur_pair(
+        self, w1_values: np.ndarray, utilde: np.ndarray | None, extra_bc: np.ndarray | None = None
+    ):
         """Equilibrium fields from the reduced solve.
 
-        Returns (state, lam, w2, residual): one forward march for the state,
-        one transposed sweep for the multiplier, and the trace residual
-        between w2 and the follower trace read back from that multiplier.
+        Returns (state, lam, w2, residual, extra): one forward march for the
+        state, one transposed sweep for the multiplier, and the trace
+        residual between w2 and the follower trace read back from that
+        multiplier.  ``extra_bc``, shape (N+1, m), holds further boundary
+        data that march with the state as columns 1..m of the same march;
+        ``extra`` is their levels, shape (N+1, J+1, m), a view of that
+        march's time-major levels (None without ``extra_bc``).
         """
         bc, w2 = self.schur_bc(w1_values, utilde)
-        state = self.state_solve(bc)
+        if extra_bc is None:
+            state, extra = self.state_solve(bc), None
+        else:
+            levels = self.state_solve(np.column_stack([bc, extra_bc]), time_major=True)
+            state, extra = np.ascontiguousarray(levels[:, :, 0].T), levels[:, :, 1:]
         misfit = state if utilde is None else state - utilde
         lam = self.multiplier_solve(self.W * misfit)
         residual = self.trace_norm((self.chi2 / self.sigma) * self.normal_trace(lam) - w2)
-        return state, lam, w2, residual
+        return state, lam, w2, residual, extra
 
     def schur_adjoint(self, rho_tails: np.ndarray):
         """Reduced solves of the transposed coupled system, one per column.
@@ -529,22 +553,37 @@ def _masked_values(trace: Trace, mask: np.ndarray) -> np.ndarray:
     return np.where(mask, trace.values, 0.0)
 
 
-def solve_nash_system(w1: Trace, cfg: FollowerConfig) -> NashSolution:
+def _direction_values(directions: Sequence[Trace], cfg: FollowerConfig) -> np.ndarray:
+    """Follower directions masked to the follower's nodes, one per column."""
+    return np.stack([_masked_values(d, cfg.partition.mask2) for d in directions], axis=1)
+
+
+def solve_nash_system(w1: Trace, cfg: FollowerConfig, directions: Sequence[Trace] = ()) -> NashSolution:
     """Equilibrium pair for a fixed leader control.
 
     The follower trace comes from one Cholesky solve in the boundary trace
     (see the module docstring), the state from one forward march and the
     companion from one backward sweep.
+
+    ``directions`` are follower traces along which the first-order
+    (Euler-Lagrange) residual will be sampled.  Their state responses do
+    not depend on the solution, so they march with the state, as further
+    columns of its one march, and the solution keeps them (``sample``);
+    :func:`euler_lagrange_residual` on the same directions then runs no
+    march.
     """
     mesh = w1.mesh
     eng = get_engine(mesh, cfg)
     utilde = _utilde_values(cfg, mesh)
     w1v = _masked_values(w1, cfg.partition.mask1)
-    state, lam, w2, residual = eng.schur_pair(w1v, utilde)
+    hat_vals = _direction_values(directions, cfg) if len(directions) else None
+    extra_bc = None if hat_vals is None else eng.chi2[:, None] * hat_vals
+    state, lam, w2, residual, responses = eng.schur_pair(w1v, utilde, extra_bc)
     u = Field(state, mesh).check_finite()
     p = Field(eng.companion_field(lam), mesh)
     w2_trace = Trace(w2, cfg.partition.mask2, mesh)
-    return NashSolution(u, p, w2_trace, residual)
+    sample = None if hat_vals is None else (hat_vals, responses)
+    return NashSolution(u, p, w2_trace, residual, sample)
 
 
 def solve_free_part(cfg: FollowerConfig, mesh: Mesh | None = None):
@@ -560,7 +599,7 @@ def solve_leader_part(w1: Trace, cfg: FollowerConfig):
     mesh = w1.mesh
     eng = get_engine(mesh, cfg)
     w1v = _masked_values(w1, cfg.partition.mask1)
-    state, lam, _, _ = eng.schur_pair(w1v, None)
+    state, lam, _, _, _ = eng.schur_pair(w1v, None)
     g = Field(state, mesh).check_finite()
     q = Field(eng.companion_field(lam), mesh)
     return g, q
@@ -642,17 +681,24 @@ def euler_lagrange_residual(
 
     Zero (to solver tolerance) exactly when ``sol`` is the equilibrium.  A
     sequence of directions is answered by one batched march, with one
-    residual per direction.
+    residual per direction.  When ``sol`` came from
+    :func:`solve_nash_system` with these directions, their responses
+    marched with its state and no march runs here.  Either way the
+    responses come from a forward march of the directions, independent of
+    the companion sweep that closed the equilibrium.
     """
     mesh = sol.u.mesh
     eng = get_engine(mesh, cfg)
     utilde = _utilde_values(cfg, mesh)
     misfit = sol.u.values if utilde is None else sol.u.values - utilde
     batched = not isinstance(what2, Trace)
-    directions = list(what2) if batched else [what2]
-    hat_vals = np.stack([_masked_values(d, cfg.partition.mask2) for d in directions], axis=1)
-    u_hat = eng.state_solve(eng.chi2[:, None] * hat_vals)
-    term1 = np.einsum("jn,jnm->m", eng.W * misfit, u_hat)
+    hat_vals = _direction_values(list(what2) if batched else [what2], cfg)
+    if sol.sample is not None and np.array_equal(sol.sample[0], hat_vals):
+        u_hat = sol.sample[1]
+    else:
+        u_hat = eng.state_solve(eng.chi2[:, None] * hat_vals, time_major=True)
+    # u_hat holds time-major levels (n, j, m)
+    term1 = np.einsum("jn,njm->m", eng.W * misfit, u_hat)
     term2 = cfg.sigma * ((eng.tau * eng.chi2 * sol.w2.values) @ hat_vals)
     residuals = term1 + term2
     return residuals if batched else float(residuals[0])

@@ -278,6 +278,51 @@ def test_warm_ops_call_no_scipy_wrapper(tmp_path, monkeypatch):
         assert (tmp_path / "warm" / name).read_bytes() == (tmp_path / "cold" / name).read_bytes()
 
 
+def test_warm_nash_op_marches_once(tmp_path, monkeypatch):
+    """A warm nash op marches its state and its 8 first-order directions
+    together, in one march; the sampled residual it writes is, bit for bit,
+    the public euler_lagrange_residual marching the same directions alone."""
+    from hierwave.cli import RunSetup
+    from hierwave.coupled import euler_lagrange_residual, solve_nash_system
+    from hierwave.grid import Trace
+    from hierwave.wave_core import WaveOperator
+
+    tracked = {
+        "space": {"family": "sine", "frequency": 1, "amplitude": 0.3},
+        "time": {"family": "sine", "frequency": 2},
+    }
+    leader_spec = {"family": "gaussian", "amplitude": 1.0, "center": 0.4, "width": 0.15}
+    cfg = base_config(leader=leader_spec, follower={"sigma": 0.3, "u_tilde2": tracked})
+    path = write_config(tmp_path, "n.json", cfg)
+    assert main(["nash", "--config", path, "--out", str(tmp_path / "cold")]) == 0
+
+    march = WaveOperator.march
+    widths = []
+
+    def counted(self, bc0, *args, **kwargs):
+        widths.append(np.shape(bc0)[1:])
+        return march(self, bc0, *args, **kwargs)
+
+    monkeypatch.setattr(WaveOperator, "march", counted)
+    out = tmp_path / "warm"
+    assert main(["nash", "--config", path, "--out", str(out)]) == 0
+    assert widths == [(9,)]
+    written = json.loads((out / "summary.json").read_text())["el_residual_max_abs"]
+
+    setup = RunSetup(cfg)
+    w1 = setup.build_time_trace(leader_spec, setup.partition.mask1, "leader")
+    rng = np.random.default_rng(cfg["seed"])
+    directions = [
+        Trace(rng.standard_normal(setup.mesh.Nt + 1), setup.partition.mask2, setup.mesh) for _ in range(8)
+    ]
+    widths.clear()
+    sol = solve_nash_system(w1, setup.follower)
+    alone = euler_lagrange_residual(sol, w1, setup.follower, directions)
+    assert widths == [(), (8,)]
+    assert written == float(np.max(np.abs(alone)))
+    assert written > 0.0
+
+
 def test_leader_free_targets_zero_control(tmp_path):
     # free trajectory of the zero-tracking case is zero: targets at the origin
     cfg = base_config(
@@ -467,6 +512,59 @@ def test_validated_config_values_exit_2(tmp_path, capsys, path, value, key):
     err = capsys.readouterr().err
     assert "configuration error" in err and key in err
     assert not out.exists()
+
+
+LEADER_NY12 = {**NASH_NY12, "targets": ZERO_TARGETS, "optimizer": {"max_iters": 50}}
+
+
+@pytest.mark.parametrize(
+    "command, path, value",
+    [
+        ("nash", ("grid", "Ny"), 12.9),
+        ("nash", ("grid", "Nt"), 80.5),
+        ("nash", ("seed",), 1.5),
+        ("nash", ("grid", "Ny"), True),
+        ("nash", ("grid", "Nt"), False),
+        ("nash", ("seed",), True),
+        ("leader", ("optimizer", "max_iters"), 50.5),
+        ("leader", ("optimizer", "vi_samples"), True),
+    ],
+    ids=["Ny-fraction", "Nt-fraction", "seed-fraction", "Ny-true", "Nt-false", "seed-true",
+         "max_iters-fraction", "vi_samples-true"],
+)
+def test_integer_config_keys_reject_fractions_and_booleans(tmp_path, capsys, command, path, value):
+    """An integer key holding a fraction or a boolean exits 2 naming the key.
+    int() used to cut 12.9 to 12 and 1.5 to 1 and run (exit 0), and read
+    true as 1, which then failed the Ny >= 8 check with a message that hid
+    the cause."""
+    cfg = json.loads(json.dumps(LEADER_NY12))
+    *parents, last = path
+    section = cfg
+    for name in parents:
+        section = section[name]
+    section[last] = value
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{'.'.join(path)} must be an integer, got {value!r}" in err
+    assert not out.exists()
+
+
+def test_integral_float_config_keys_still_load(tmp_path):
+    """Integral floats load as the integer they equal, with the same outputs."""
+    cfg = json.loads(json.dumps(NASH_NY12))
+    as_ints, as_floats = tmp_path / "ints", tmp_path / "floats"
+    assert main(["nash", "--config", write_config(tmp_path, "i.json", cfg), "--out", str(as_ints)]) == 0
+    cfg["grid"] = {"Ny": 12.0}
+    cfg["seed"] = float(cfg["seed"])
+    # the header names the config's hash, which sees the floats
+    assert main(["nash", "--config", write_config(tmp_path, "f.json", cfg), "--out", str(as_floats)]) == 0
+    for name in ("u.csv", "p.csv", "w2.csv"):
+        assert read_csv_values(as_floats / name).tolist() == read_csv_values(as_ints / name).tolist()
+    summaries = [json.loads((d / "summary.json").read_text()) for d in (as_ints, as_floats)]
+    for summary in summaries:
+        del summary["header"]
+    assert summaries[0] == summaries[1]
 
 
 def test_leader_uncertified_exits_4(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -213,15 +215,35 @@ def test_cfl_violation_raises():
         solve_forward(WaveProblem("forward", zero_trace(mesh)))
 
 
-def test_instability_detected():
+def _unstable_march(scale):
+    """March a CFL-violating mesh with RuntimeWarnings made errors; the
+    InstabilityError it must raise."""
     mesh = Mesh(DomainSpec(k=0.1, T=40.0), GridSpec(Ny=32, Nt=400))
     op = WaveOperator(mesh)
     bc = np.zeros(mesh.Nt + 1)
-    a = np.sin(np.pi * mesh.y)
+    a = scale * np.sin(np.pi * mesh.y)
     m = np.zeros(mesh.Ny + 1)
-    with pytest.raises(InstabilityError) as err:
-        op.march(bc, bc, a, m)
-    assert err.value.step is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InstabilityError) as err:
+            op.march(bc, bc, a, m)
+    return err.value
+
+
+def test_instability_detected():
+    """The first level past 1e100 times the largest input is reported, with
+    its step, time and amplitude."""
+    err = _unstable_march(1.0)
+    assert err.step == 87
+    assert str(err) == "unstable march at time step 87 (t = 8.7, amplitude 1.058e+100)"
+
+
+def test_instability_past_overflow_warns_nothing():
+    """Input at 1e200: the levels after the reported one overflow, and the
+    march still reports the first level past the bound and warns nothing."""
+    err = _unstable_march(1e200)
+    assert err.step == 87
+    assert str(err) == "unstable march at time step 87 (t = 8.7, amplitude 1.058e+300)"
 
 
 def test_final_profiles_linear_solution():
