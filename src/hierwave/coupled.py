@@ -212,16 +212,13 @@ class CoupledEngine:
 
     # -- elementary solves ---------------------------------------------------
 
-    def state_solve(self, bc_values: np.ndarray, time_major: bool = False) -> np.ndarray:
+    def state_solve(self, bc_values: np.ndarray) -> np.ndarray:
         """Forward march with Dirichlet data at the fixed endpoint, zero initial data.
 
         ``bc_values`` of shape (N+1, m) marches m boundary data at once and
-        gives fields of shape (J+1, N+1, m); ``time_major=True`` gives the
-        march's levels, shape (N+1, J+1, m), instead.
+        gives fields of shape (J+1, N+1, m).
         """
-        return self.op.march(
-            bc_values, self._zeros_t, self._zeros_full, self._zeros_full, time_major=time_major
-        )
+        return self.op.march(bc_values, self._zeros_t, self._zeros_full, self._zeros_full)
 
     def multiplier_solve(self, rho: np.ndarray) -> np.ndarray:
         """Exact transposed solve M^T lambda = rho: one backward sweep."""
@@ -312,14 +309,14 @@ class CoupledEngine:
         multiplier.  ``extra_bc``, shape (N+1, m), holds further boundary
         data that march with the state as columns 1..m of the same march;
         ``extra`` is their levels, shape (N+1, J+1, m), a view of that
-        march's time-major levels (None without ``extra_bc``).
+        march's time-major levels (m = 0 without ``extra_bc``).
         """
         bc, w2 = self.schur_bc(w1_values, utilde)
-        if extra_bc is None:
-            state, extra = self.state_solve(bc), None
-        else:
-            levels = self.state_solve(np.column_stack([bc, extra_bc]), time_major=True)
-            state, extra = np.ascontiguousarray(levels[:, :, 0].T), levels[:, :, 1:]
+        columns = [bc] if extra_bc is None else [bc, extra_bc]
+        levels = self.op.march(
+            np.column_stack(columns), self._zeros_t, self._zeros_full, self._zeros_full, time_major=True
+        )
+        state, extra = np.ascontiguousarray(levels[:, :, 0].T), levels[:, :, 1:]
         misfit = state if utilde is None else state - utilde
         lam = self.multiplier_solve(self.W * misfit)
         residual = self.trace_norm((self.chi2 / self.sigma) * self.normal_trace(lam) - w2)
@@ -599,7 +596,7 @@ def solve_leader_part(w1: Trace, cfg: FollowerConfig):
     mesh = w1.mesh
     eng = get_engine(mesh, cfg)
     w1v = _masked_values(w1, cfg.partition.mask1)
-    state, lam, _, _, _ = eng.schur_pair(w1v, None)
+    state, lam = eng.schur_pair(w1v, None)[:2]
     g = Field(state, mesh).check_finite()
     q = Field(eng.companion_field(lam), mesh)
     return g, q
@@ -696,7 +693,9 @@ def euler_lagrange_residual(
     if sol.sample is not None and np.array_equal(sol.sample[0], hat_vals):
         u_hat = sol.sample[1]
     else:
-        u_hat = eng.state_solve(eng.chi2[:, None] * hat_vals, time_major=True)
+        u_hat = eng.op.march(
+            eng.chi2[:, None] * hat_vals, eng._zeros_t, eng._zeros_full, eng._zeros_full, time_major=True
+        )
     # u_hat holds time-major levels (n, j, m)
     term1 = np.einsum("jn,njm->m", eng.W * misfit, u_hat)
     term2 = cfg.sigma * ((eng.tau * eng.chi2 * sol.w2.values) @ hat_vals)

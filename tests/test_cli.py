@@ -318,7 +318,7 @@ def test_warm_nash_op_marches_once(tmp_path, monkeypatch):
     widths.clear()
     sol = solve_nash_system(w1, setup.follower)
     alone = euler_lagrange_residual(sol, w1, setup.follower, directions)
-    assert widths == [(), (8,)]
+    assert widths == [(1,), (8,)]
     assert written == float(np.max(np.abs(alone)))
     assert written > 0.0
 

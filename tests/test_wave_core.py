@@ -215,14 +215,19 @@ def test_cfl_violation_raises():
         solve_forward(WaveProblem("forward", zero_trace(mesh)))
 
 
-def _unstable_march(scale):
+def _unstable_march(scale, quiet_columns=0):
     """March a CFL-violating mesh with RuntimeWarnings made errors; the
-    InstabilityError it must raise."""
+    InstabilityError it must raise.  ``quiet_columns`` zero columns march
+    first, in the same batch."""
     mesh = Mesh(DomainSpec(k=0.1, T=40.0), GridSpec(Ny=32, Nt=400))
     op = WaveOperator(mesh)
-    bc = np.zeros(mesh.Nt + 1)
-    a = scale * np.sin(np.pi * mesh.y)
-    m = np.zeros(mesh.Ny + 1)
+    width = quiet_columns + 1
+    bc = np.zeros((mesh.Nt + 1, width))
+    a = np.zeros((mesh.Ny + 1, width))
+    a[:, -1] = scale * np.sin(np.pi * mesh.y)
+    m = np.zeros((mesh.Ny + 1, width))
+    if not quiet_columns:
+        bc, a, m = bc[:, 0], a[:, 0], m[:, 0]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(InstabilityError) as err:
@@ -234,6 +239,15 @@ def test_instability_detected():
     """The first level past 1e100 times the largest input is reported, with
     its step, time and amplitude."""
     err = _unstable_march(1.0)
+    assert err.step == 87
+    assert str(err) == "unstable march at time step 87 (t = 8.7, amplitude 1.058e+100)"
+
+
+def test_instability_reported_from_any_column():
+    """A batched march reports its first level past the bound over all
+    columns, whichever column crosses it: here the last of nine, behind
+    eight zero columns, with the single column's step and message."""
+    err = _unstable_march(1.0, quiet_columns=8)
     assert err.step == 87
     assert str(err) == "unstable march at time step 87 (t = 8.7, amplitude 1.058e+100)"
 
