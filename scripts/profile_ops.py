@@ -17,15 +17,16 @@ reference solves included), runs every op once through
                                  final pair
     grid.PoissonRiesz.solve_values  the tridiagonal Poisson solve behind the
                                  Newton solve's gradient lift and the H^-1 norm
-    wave_core.WaveOperator.march  the forward wave march: in a nash op one
-                                 march of the follower's state together with
-                                 the first-order sample's 8 directions
+    wave_core.WaveOperator.march  the forward wave march: in a warm nash op
+                                 the follower's state alone
     wave_core.WaveOperator.solve_adjoint  the backward (transposed) sweep:
                                  the companion state and the tracked row
+    wave_core.WaveOperator.sample_responses  the lookup of the first-order
+                                 sample's 8 direction responses kept by the
+                                 mesh's operator, which marches them on a miss
     coupled.euler_lagrange_residual  `hierwave nash`'s sampled first-order
-                                 (Euler-Lagrange) residual; in a CLI op its
-                                 directions' responses come with the state's
-                                 march, so it runs no march
+                                 (Euler-Lagrange) residual, the lookup of its
+                                 directions' responses included
     grid.csv_write               the grid module's CSV writers
     grid.csv_read                the grid module's CSV readers
     cli.parse                    main's time outside load_config and the
@@ -34,14 +35,14 @@ reference solves included), runs every op once through
 Stages nest: vi_min and _sample_points run inside the Newton solve and once
 more after it, free_terminal inside the model's set-up, solve_values
 inside the Newton solve and the distance checks, solve_adjoint (the
-tracked row) inside free_terminal, and march inside
-euler_lagrange_residual only when that is called on a solution that does
-not carry its directions' responses.  Each stage reports the median over
-passes of its time per pass, of its share of the pass's op time, and of
-its calls per pass;
-``op_s_p50`` is the median warm op's wall time.  Wall times follow the
-host's speed, which can drift by tens of percent between runs on a shared
-machine; the shares drift far less.
+tracked row) inside free_terminal, sample_responses inside
+euler_lagrange_residual, and march inside sample_responses only on a miss.
+Each stage reports the median over passes of its time per pass, of its
+share of the pass's op time, and of its calls per pass; a stage whose
+function the checkout lacks reads zero.  ``op_s_p50`` is the median warm
+op's wall time.  Wall times follow the host's speed, which can drift by
+tens of percent between runs on a shared machine; the shares drift far
+less.
 The result is written as ``BENCH_<tag>.json`` in ``--out``.
 
 Each checkout imports its own ``src``, so two commits compare on one host
@@ -88,6 +89,7 @@ STAGES = {
     "grid.PoissonRiesz.solve_values": [("hierwave.grid", "PoissonRiesz.solve_values")],
     "wave_core.WaveOperator.march": [("hierwave.wave_core", "WaveOperator.march")],
     "wave_core.WaveOperator.solve_adjoint": [("hierwave.wave_core", "WaveOperator.solve_adjoint")],
+    "wave_core.WaveOperator.sample_responses": [("hierwave.wave_core", "WaveOperator.sample_responses")],
     "coupled.euler_lagrange_residual": [("hierwave.coupled", "euler_lagrange_residual")],
     "grid.csv_write": [
         ("hierwave.grid", name) for name in ("save_field_csv", "save_profile_csv", "save_trace_csv")
@@ -132,7 +134,9 @@ class StageTimers:
             owner = sys.modules[module]
             for name in owners:
                 owner = getattr(owner, name)
-            original = getattr(owner, attr)
+            original = getattr(owner, attr, None)
+            if original is None:
+                continue
             wrapper = self._timed(original, stage)
             if owners:
                 self._patch(owner, attr, wrapper)
@@ -251,7 +255,7 @@ def main() -> int:
     print(f"{args.workload}, {args.passes} passes of {result['ops_per_pass']} ops: "
           f"op_s_p50 {result['op_s_p50']:.4f} s; wrote {target}")
     for stage, row in result["stages"].items():
-        print(f"  {stage:38s} {row['s_per_pass_p50'] * 1e3:8.2f} ms/pass  "
+        print(f"  {stage:40s} {row['s_per_pass_p50'] * 1e3:8.2f} ms/pass  "
               f"{row['share_p50']:6.1%} of op time  {row['calls_per_pass']:g} calls")
     return 0
 

@@ -95,12 +95,13 @@ def _as_number(value, name: str, kind=float):
     """``value`` as a finite ``kind``; anything else is a configuration error
     that names the key.
 
-    An integer key takes an integral number: 41 and 41.0 load, while 40.9,
-    which ``int`` would cut to 40, and ``true``, which it would read as 1,
-    do not.
+    No key takes a boolean, which ``kind`` would read as 0 or 1.  An integer
+    key takes an integral number: 41 and 41.0 load, while 40.9, which
+    ``int`` would cut to 40, does not.
     """
-    if kind is int and (isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigurationError(f"{name} must be {what}, got {value!r}")
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError) as err:
@@ -329,14 +330,12 @@ def cmd_nash(config: dict, out_dir: Path) -> int:
     setup = RunSetup(config)
     header = setup.header()
     w1 = setup.build_time_trace(read_key(config, "leader"), setup.partition.mask1, "leader")
-    # the first-order sample's directions depend on the seed alone, so their
-    # responses march with the state
+    sol = solve_nash_system(w1, setup.follower)
     rng = np.random.default_rng(setup.seed)
     directions = [
         Trace(rng.standard_normal(setup.mesh.Nt + 1), setup.partition.mask2, setup.mesh)
         for _ in range(8)
     ]
-    sol = solve_nash_system(w1, setup.follower, directions)
     el_samples = euler_lagrange_residual(sol, w1, setup.follower, directions)
     save_field_csv(out_dir / "u.csv", sol.u, header)
     save_field_csv(out_dir / "p.csv", sol.p, header)

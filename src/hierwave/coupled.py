@@ -30,14 +30,14 @@ equilibrium trace solves the symmetric positive definite system
 
 well posed for every sigma > 0; its Cholesky factor is kept per engine, so
 each solve is exact, with no iteration, relaxation or fallback.  The state
-then takes one forward march and the companion one backward sweep.  A Nash
-solve that is to be checked along follower directions (``hierwave nash``
-samples 8 seeded ones) marches their state responses in the state's own
-march, as further columns: the responses do not depend on the solution,
-and a 9-column march costs far less than a 1-column and an 8-column one.
-:func:`euler_lagrange_residual` then reads them against the state, so the
-first-order check still rests on a forward march of the directions, not
-on the companion sweep that closed the equilibrium.  The
+then takes one forward march and the companion one backward sweep.  The
+first-order check along follower directions (``hierwave nash`` samples 8
+seeded ones) reads their state responses against the state.  The responses
+depend on the mesh and the directions alone, so the mesh's operator keeps
+those of the last directions
+(:meth:`~hierwave.wave_core.WaveOperator.sample_responses`) and a repeated
+sample runs no march; the check still rests on a forward march of the
+directions, not on the companion sweep that closed the equilibrium.  The
 reach operator needs only the last three time levels of S, and its adjoint
 only S^T on them, so neither runs a wave solve.  This is the control-space
 (Schur complement) reduction of HUM: Lions, SIAM Review 30 (1988);
@@ -163,10 +163,6 @@ class NashSolution:
     p: Field
     w2: Trace
     residual: float
-    # the first-order sample marched with the state, when solve_nash_system
-    # was given directions: their masked values, shape (N+1, m), and their
-    # state responses' time-major levels, shape (N+1, J+1, m)
-    sample: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass
@@ -196,7 +192,7 @@ class CoupledEngine:
         self.chi1 = partition.mask1.astype(float)
         self.chi2 = partition.mask2.astype(float)
         self.op = WaveOperator(mesh) if op is None else op
-        self.W = space_time_weights(mesh)
+        self.W = self.op.W
         self.tau = trapezoid_weights(mesh.Nt + 1, mesh.dt)
         self._zeros_full = np.zeros(mesh.Ny + 1)
         self._zeros_t = np.zeros(mesh.Nt + 1)
@@ -298,29 +294,19 @@ class CoupledEngine:
         w2 = self.follower_trace(rhs)
         return bc1 + self.chi2 * w2, w2
 
-    def schur_pair(
-        self, w1_values: np.ndarray, utilde: np.ndarray | None, extra_bc: np.ndarray | None = None
-    ):
+    def schur_pair(self, w1_values: np.ndarray, utilde: np.ndarray | None):
         """Equilibrium fields from the reduced solve.
 
-        Returns (state, lam, w2, residual, extra): one forward march for the
-        state, one transposed sweep for the multiplier, and the trace
-        residual between w2 and the follower trace read back from that
-        multiplier.  ``extra_bc``, shape (N+1, m), holds further boundary
-        data that march with the state as columns 1..m of the same march;
-        ``extra`` is their levels, shape (N+1, J+1, m), a view of that
-        march's time-major levels (m = 0 without ``extra_bc``).
+        Returns (state, lam, w2, residual): one forward march for the state,
+        one transposed sweep for the multiplier, and the trace residual
+        between w2 and the follower trace read back from that multiplier.
         """
         bc, w2 = self.schur_bc(w1_values, utilde)
-        columns = [bc] if extra_bc is None else [bc, extra_bc]
-        levels = self.op.march(
-            np.column_stack(columns), self._zeros_t, self._zeros_full, self._zeros_full, time_major=True
-        )
-        state, extra = np.ascontiguousarray(levels[:, :, 0].T), levels[:, :, 1:]
+        state = self.state_solve(bc)
         misfit = state if utilde is None else state - utilde
         lam = self.multiplier_solve(self.W * misfit)
         residual = self.trace_norm((self.chi2 / self.sigma) * self.normal_trace(lam) - w2)
-        return state, lam, w2, residual, extra
+        return state, lam, w2, residual
 
     def schur_adjoint(self, rho_tails: np.ndarray):
         """Reduced solves of the transposed coupled system, one per column.
@@ -550,37 +536,22 @@ def _masked_values(trace: Trace, mask: np.ndarray) -> np.ndarray:
     return np.where(mask, trace.values, 0.0)
 
 
-def _direction_values(directions: Sequence[Trace], cfg: FollowerConfig) -> np.ndarray:
-    """Follower directions masked to the follower's nodes, one per column."""
-    return np.stack([_masked_values(d, cfg.partition.mask2) for d in directions], axis=1)
-
-
-def solve_nash_system(w1: Trace, cfg: FollowerConfig, directions: Sequence[Trace] = ()) -> NashSolution:
+def solve_nash_system(w1: Trace, cfg: FollowerConfig) -> NashSolution:
     """Equilibrium pair for a fixed leader control.
 
     The follower trace comes from one Cholesky solve in the boundary trace
     (see the module docstring), the state from one forward march and the
     companion from one backward sweep.
-
-    ``directions`` are follower traces along which the first-order
-    (Euler-Lagrange) residual will be sampled.  Their state responses do
-    not depend on the solution, so they march with the state, as further
-    columns of its one march, and the solution keeps them (``sample``);
-    :func:`euler_lagrange_residual` on the same directions then runs no
-    march.
     """
     mesh = w1.mesh
     eng = get_engine(mesh, cfg)
     utilde = _utilde_values(cfg, mesh)
     w1v = _masked_values(w1, cfg.partition.mask1)
-    hat_vals = _direction_values(directions, cfg) if len(directions) else None
-    extra_bc = None if hat_vals is None else eng.chi2[:, None] * hat_vals
-    state, lam, w2, residual, responses = eng.schur_pair(w1v, utilde, extra_bc)
+    state, lam, w2, residual = eng.schur_pair(w1v, utilde)
     u = Field(state, mesh).check_finite()
     p = Field(eng.companion_field(lam), mesh)
     w2_trace = Trace(w2, cfg.partition.mask2, mesh)
-    sample = None if hat_vals is None else (hat_vals, responses)
-    return NashSolution(u, p, w2_trace, residual, sample)
+    return NashSolution(u, p, w2_trace, residual)
 
 
 def solve_free_part(cfg: FollowerConfig, mesh: Mesh | None = None):
@@ -677,26 +648,23 @@ def euler_lagrange_residual(
     """First-variation of the follower cost at ``sol`` in the direction ``what2``.
 
     Zero (to solver tolerance) exactly when ``sol`` is the equilibrium.  A
-    sequence of directions is answered by one batched march, with one
-    residual per direction.  When ``sol`` came from
-    :func:`solve_nash_system` with these directions, their responses
-    marched with its state and no march runs here.  Either way the
-    responses come from a forward march of the directions, independent of
-    the companion sweep that closed the equilibrium.
+    sequence of directions is answered with one residual per direction.
+    Their state responses come from one batched forward march of the
+    directions, independent of the companion sweep that closed the
+    equilibrium; the mesh's operator keeps those of the last directions
+    (:meth:`~hierwave.wave_core.WaveOperator.sample_responses`), so a
+    repeated sample runs no march.
     """
     mesh = sol.u.mesh
     eng = get_engine(mesh, cfg)
     utilde = _utilde_values(cfg, mesh)
     misfit = sol.u.values if utilde is None else sol.u.values - utilde
     batched = not isinstance(what2, Trace)
-    hat_vals = _direction_values(list(what2) if batched else [what2], cfg)
-    if sol.sample is not None and np.array_equal(sol.sample[0], hat_vals):
-        u_hat = sol.sample[1]
-    else:
-        u_hat = eng.op.march(
-            eng.chi2[:, None] * hat_vals, eng._zeros_t, eng._zeros_full, eng._zeros_full, time_major=True
-        )
-    # u_hat holds time-major levels (n, j, m)
+    directions = what2 if batched else [what2]
+    # the directions masked to the follower's nodes, one per column
+    hat_vals = np.stack([_masked_values(d, cfg.partition.mask2) for d in directions], axis=1)
+    # time-major levels (n, j, m)
+    u_hat = eng.op.sample_responses(hat_vals)
     term1 = np.einsum("jn,njm->m", eng.W * misfit, u_hat)
     term2 = cfg.sigma * ((eng.tau * eng.chi2 * sol.w2.values) @ hat_vals)
     residuals = term1 + term2

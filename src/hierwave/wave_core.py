@@ -182,13 +182,19 @@ class WaveOperator:
         self.below = c / self.dy**2 + d / (2.0 * self.dy)
         self.centre = 2.0 / self.dt**2 - 2.0 * c / self.dy**2
         self.above = c / self.dy**2 - d / (2.0 * self.dy)
+        # the mesh's space-time quadrature weights, shape (J+1, N+1), on its
+        # own time nodes; read-only, and shared by every engine on the mesh
+        self.W = space_time_weights(mesh)
+        self.W.flags.writeable = False
         self._steps = None
         self._matrix = None
         self._lu = None
         self._response = None
-        # tracked_row's S^T W u_tilde for the last u_tilde, keyed by
+        # tracked_row's S^T W u_tilde for the last u_tilde, and
+        # sample_responses' levels for the last boundary data, each keyed by
         # content_key
         self._tracked_row: tuple[tuple, np.ndarray] | None = None
+        self._sample: tuple[tuple, np.ndarray] | None = None
 
     # -- index layout: flat id = n * (J + 1) + j ----------------------------
 
@@ -395,9 +401,24 @@ class WaveOperator:
         """
         key = content_key(utilde)
         if self._tracked_row is None or self._tracked_row[0] != key:
-            row = self.solve_adjoint(space_time_weights(self.mesh) * utilde)[0, :]
+            row = self.solve_adjoint(self.W * utilde)[0, :]
             self._tracked_row = (key, row)
         return self._tracked_row[1]
+
+    def sample_responses(self, bc: np.ndarray) -> np.ndarray:
+        """Time-major levels, shape (N+1, J+1, m), of the march of the
+        Dirichlet data ``bc`` at y = 0, shape (N+1, m), from zero initial data.
+
+        They depend on the mesh and ``bc`` alone, so every engine on the mesh
+        shares them; the levels of the last ``bc`` are kept, read-only.
+        """
+        key = content_key(bc)
+        if self._sample is None or self._sample[0] != key:
+            zeros_t, zeros = np.zeros(self.N + 1), np.zeros(self.J + 1)
+            levels = self.march(bc, zeros_t, zeros, zeros, time_major=True)
+            levels.flags.writeable = False
+            self._sample = (key, levels)
+        return self._sample[1]
 
     def _unit_levels(self):
         """Yield (n, level) for the march driven by every unit datum at y = 0.
@@ -435,7 +456,7 @@ class WaveOperator:
 
     def _march_boundary_response(self) -> BoundaryResponse:
         J, N = self.J, self.N
-        sqrt_w = np.sqrt(space_time_weights(self.mesh))
+        sqrt_w = np.sqrt(self.W)
         H = np.zeros((N + 1, N + 1))
         tail = np.zeros((J + 1, 3, N + 1))
         # weighted levels enter H a block at a time: one product per level

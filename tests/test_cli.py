@@ -279,11 +279,13 @@ def test_warm_ops_call_no_scipy_wrapper(tmp_path, monkeypatch):
 
 
 def test_warm_nash_op_marches_once(tmp_path, monkeypatch):
-    """A warm nash op marches its state and its 8 first-order directions
-    together, in one march; the sampled residual it writes is, bit for bit,
-    the public euler_lagrange_residual marching the same directions alone."""
+    """A warm nash op marches its state alone: the mesh's operator keeps the
+    first-order sample's responses.  A later euler_lagrange_residual on the
+    same directions marches nothing, and its residuals are, bit for bit,
+    those computed with every engine dropped; the kept levels are read-only."""
+    from hierwave import coupled
     from hierwave.cli import RunSetup
-    from hierwave.coupled import euler_lagrange_residual, solve_nash_system
+    from hierwave.coupled import euler_lagrange_residual, get_engine, solve_nash_system
     from hierwave.grid import Trace
     from hierwave.wave_core import WaveOperator
 
@@ -300,13 +302,13 @@ def test_warm_nash_op_marches_once(tmp_path, monkeypatch):
     widths = []
 
     def counted(self, bc0, *args, **kwargs):
-        widths.append(np.shape(bc0)[1:])
+        widths.append(np.shape(bc0)[1] if np.ndim(bc0) == 2 else 1)
         return march(self, bc0, *args, **kwargs)
 
     monkeypatch.setattr(WaveOperator, "march", counted)
     out = tmp_path / "warm"
     assert main(["nash", "--config", path, "--out", str(out)]) == 0
-    assert widths == [(9,)]
+    assert widths == [1]
     written = json.loads((out / "summary.json").read_text())["el_residual_max_abs"]
 
     setup = RunSetup(cfg)
@@ -315,12 +317,54 @@ def test_warm_nash_op_marches_once(tmp_path, monkeypatch):
     directions = [
         Trace(rng.standard_normal(setup.mesh.Nt + 1), setup.partition.mask2, setup.mesh) for _ in range(8)
     ]
-    widths.clear()
     sol = solve_nash_system(w1, setup.follower)
-    alone = euler_lagrange_residual(sol, w1, setup.follower, directions)
-    assert widths == [(1,), (8,)]
-    assert written == float(np.max(np.abs(alone)))
-    assert written > 0.0
+    widths.clear()
+    warm = euler_lagrange_residual(sol, w1, setup.follower, directions)
+    assert widths == []
+    assert written == float(np.max(np.abs(warm))) > 0.0
+    # the overlap partition masks no follower node
+    hat = np.stack([d.values for d in directions], axis=1)
+    levels = get_engine(setup.mesh, setup.follower).op.sample_responses(hat)
+    assert widths == [] and not levels.flags.writeable
+    with pytest.raises(ValueError):
+        levels[1, 1, 0] = 0.0
+
+    monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
+    cold = euler_lagrange_residual(solve_nash_system(w1, setup.follower), w1, setup.follower, directions)
+    assert widths == [1, 8]
+    assert warm.tobytes() == cold.tobytes()
+
+
+def test_kept_sample_follows_seed_and_partition(tmp_path, monkeypatch):
+    """Runs in one process whose seed or partition changes between them
+    write, byte for byte, what the same config writes with every engine
+    dropped: the first-order sample kept by the mesh's operator never answers
+    for other directions."""
+    from hierwave import coupled
+
+    base = base_config(
+        grid={"Ny": 16},
+        partition={"mode": "time-split", "split_fraction": 0.5},
+        leader={"family": "gaussian", "amplitude": 1.0, "center": 0.4, "width": 0.15},
+        follower={"sigma": 0.3, "u_tilde2": {"space": {"family": "sine", "amplitude": 0.3},
+                                             "time": {"family": "sine", "frequency": 2}}},
+    )
+    runs = [(0, 0.5), (1, 0.5), (0, 0.5), (0, 0.3)]
+    samples = []
+    for i, (seed, fraction) in enumerate(runs):
+        cfg = {**base, "seed": seed, "partition": {"mode": "time-split", "split_fraction": fraction}}
+        path = write_config(tmp_path, f"c{i}.json", cfg)
+        warm = tmp_path / f"warm{i}"
+        assert main(["nash", "--config", path, "--out", str(warm)]) == 0
+        with monkeypatch.context() as m:
+            m.setattr(coupled, "_ENGINE_CACHE", {})
+            cold = tmp_path / f"cold{i}"
+            assert main(["nash", "--config", path, "--out", str(cold)]) == 0
+        for name in ("u.csv", "p.csv", "w2.csv", "u_T.csv", "ut_T.csv", "summary.json"):
+            assert (warm / name).read_bytes() == (cold / name).read_bytes(), (i, name)
+        samples.append(json.loads((warm / "summary.json").read_text())["el_residual_max_abs"])
+    # the sample differs across seeds and partitions, so a stale one would show
+    assert samples[0] == samples[2] and len({samples[0], samples[1], samples[3]}) == 3
 
 
 def test_leader_free_targets_zero_control(tmp_path):
@@ -537,6 +581,12 @@ def test_integer_config_keys_reject_fractions_and_booleans(tmp_path, capsys, com
     int() used to cut 12.9 to 12 and 1.5 to 1 and run (exit 0), and read
     true as 1, which then failed the Ny >= 8 check with a message that hid
     the cause."""
+    assert_key_rejected(tmp_path, capsys, command, path, value, "an integer")
+
+
+def assert_key_rejected(tmp_path, capsys, command, path, value, what):
+    """``command`` on LEADER_NY12 with the key at ``path`` set to ``value``
+    exits 2, writes nothing, and says the key must be ``what``."""
     cfg = json.loads(json.dumps(LEADER_NY12))
     *parents, last = path
     section = cfg
@@ -546,8 +596,30 @@ def test_integer_config_keys_reject_fractions_and_booleans(tmp_path, capsys, com
     out = tmp_path / "o"
     assert main([command, "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"{'.'.join(path)} must be an integer, got {value!r}" in err
+    assert f"{'.'.join(path)} must be {what}, got {value!r}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, path, value",
+    [
+        ("nash", ("follower", "sigma"), True),
+        ("nash", ("leader", "amplitude"), True),
+        ("nash", ("follower", "u_tilde2", "time", "frequency"), True),
+        ("nash", ("domain", "k"), False),
+        ("nash", ("grid", "cfl_safety"), True),
+        ("nash", ("delta",), False),
+        ("leader", ("targets", "rho0"), True),
+        ("leader", ("optimizer", "tol_vi"), True),
+    ],
+    ids=["sigma", "amplitude", "frequency", "k", "cfl_safety", "delta", "rho0", "tol_vi"],
+)
+def test_number_config_keys_reject_booleans(tmp_path, capsys, command, path, value):
+    """A number key holding a boolean exits 2 naming the key.  float() used
+    to read true as 1.0 and false as 0.0, so all but one of these ran
+    (exit 0), and domain.k = false failed the k = 0 check with a message that
+    hid the cause."""
+    assert_key_rejected(tmp_path, capsys, command, path, value, "a number")
 
 
 def test_integral_float_config_keys_still_load(tmp_path):
