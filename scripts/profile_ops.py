@@ -17,10 +17,15 @@ reference solves included), runs every op once through
                                  final pair
     grid.PoissonRiesz.solve_values  the tridiagonal Poisson solve behind the
                                  Newton solve's gradient lift and the H^-1 norm
-    wave_core.WaveOperator.march  the forward wave march: in a warm nash op
-                                 the follower's state alone
-    wave_core.WaveOperator.solve_adjoint  the backward (transposed) sweep:
-                                 the companion state and the tracked row
+    wave_core.WaveOperator.march  the forward wave march, each step one
+                                 contraction with the mesh's stencil table
+                                 and one pre-factored tridiagonal solve: in a
+                                 warm nash op the follower's state alone
+    wave_core.WaveOperator.solve_adjoint  the backward (transposed) sweep,
+                                 each level one contraction with the same
+                                 table read transposed and one transposed
+                                 solve: the companion state and the tracked
+                                 row
     wave_core.WaveOperator.sample_responses  the lookup of the first-order
                                  sample's 8 direction responses kept by the
                                  mesh's operator, which marches them on a miss

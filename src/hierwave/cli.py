@@ -295,9 +295,30 @@ class RunSetup:
         }
 
 
+def _finite(doc: dict, name: str) -> dict:
+    """``doc``, checked before it is written as ``name``: a number that is
+    not finite raises InstabilityError naming its key.
+
+    JSON has no inf or NaN; ``json.dumps`` would write ``Infinity``.
+    """
+
+    def check(value, at):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                check(item, f"{at}.{key}" if at else key)
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                check(item, f"{at}[{i}]")
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise InstabilityError(f"{name}: {at} = {value} is not finite")
+
+    check(doc, "")
+    return doc
+
+
 def _write_summary(out_dir: Path, name: str, header: dict, payload: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    doc = {"header": header, **payload}
+    doc = _finite({"header": header, **payload}, name)
     (out_dir / name).write_text(json.dumps(doc, indent=2, sort_keys=True))
 
 
@@ -337,15 +358,8 @@ def cmd_nash(config: dict, out_dir: Path) -> int:
         for _ in range(8)
     ]
     el_samples = euler_lagrange_residual(sol, w1, setup.follower, directions)
-    save_field_csv(out_dir / "u.csv", sol.u, header)
-    save_field_csv(out_dir / "p.csv", sol.p, header)
-    save_trace_csv(out_dir / "w2.csv", sol.w2, header)
-    save_profile_csv(out_dir / "u_T.csv", final_value_profile(sol.u), header)
-    save_profile_csv(out_dir / "ut_T.csv", final_velocity_profile(sol.u), header)
-    _write_summary(
-        out_dir,
-        "summary.json",
-        header,
+    # checked before any output is written
+    summary = _finite(
         {
             "command": "nash",
             "J2": cost_J2(sol.u, sol.w2, setup.follower),
@@ -356,7 +370,14 @@ def cmd_nash(config: dict, out_dir: Path) -> int:
             "method": "schur",
             "residual_tail": [sol.residual],
         },
+        "summary.json",
     )
+    save_field_csv(out_dir / "u.csv", sol.u, header)
+    save_field_csv(out_dir / "p.csv", sol.p, header)
+    save_trace_csv(out_dir / "w2.csv", sol.w2, header)
+    save_profile_csv(out_dir / "u_T.csv", final_value_profile(sol.u), header)
+    save_profile_csv(out_dir / "ut_T.csv", final_velocity_profile(sol.u), header)
+    _write_summary(out_dir, "summary.json", header, summary)
     return EXIT_OK
 
 
@@ -365,13 +386,12 @@ def cmd_leader(config: dict, out_dir: Path) -> int:
     header = setup.header()
     targets = setup.build_targets()
     f_star, w1_star, report = minimize_dual(targets, setup.follower, setup.dual_options())
+    doc = _finite({"header": header, **json.loads(report.to_json())}, "report.json")
     save_trace_csv(out_dir / "w1_star.csv", w1_star, header)
     save_profile_csv(out_dir / "f0.csv", f_star.f0, header)
     save_profile_csv(out_dir / "f1.csv", f_star.f1, header)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(
-        json.dumps({"header": header, **json.loads(report.to_json())}, indent=2, sort_keys=True)
-    )
+    (out_dir / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
     with open(out_dir / "history.csv", "w") as fh:
         for key, val in header.items():
             fh.write(f"# {key}: {val}\n")

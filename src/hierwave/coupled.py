@@ -663,9 +663,9 @@ def euler_lagrange_residual(
     directions = what2 if batched else [what2]
     # the directions masked to the follower's nodes, one per column
     hat_vals = np.stack([_masked_values(d, cfg.partition.mask2) for d in directions], axis=1)
-    # time-major levels (n, j, m)
+    # time-major levels (n, j, m), read flattened as (n j, m) by one product
     u_hat = eng.op.sample_responses(hat_vals)
-    term1 = np.einsum("jn,njm->m", eng.W * misfit, u_hat)
+    term1 = (eng.W * misfit).T.ravel() @ u_hat.reshape(-1, u_hat.shape[2])
     term2 = cfg.sigma * ((eng.tau * eng.chi2 * sol.w2.values) @ hat_vals)
     residuals = term1 + term2
     return residuals if batched else float(residuals[0])

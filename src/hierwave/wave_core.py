@@ -14,13 +14,18 @@ local in time.
 
 The march is forward substitution of one sparse space-time operator M,
 which is block lower-triangular in time with the step matrices on its
-diagonal.  Each step's tridiagonal matrix is factored once per operator
-(LAPACK dgttrf), so a march costs one pre-factored solve per step for any
-number of columns, and M^T lambda = rho is solved exactly by one backward
-sweep over the same factors: the reverse (discrete-adjoint) sweep of
-Griewank & Walther, Evaluating Derivatives, SIAM 2008.  Both take O(N J)
-memory.  The transposed solves are the exact discrete adjoints that the
-coupled optimality systems are built from; see :mod:`hierwave.coupled`.
+diagonal.  Each operator holds one read-only table of the six step
+coefficients (levels n-1 and n at offsets j-1, j, j+1; see
+:class:`WaveOperator`), and each step's tridiagonal matrix factored once
+(LAPACK dgttrf).  A step is one contraction of its table row with a
+strided window of the two previous levels plus one pre-factored solve, for
+any number of columns.  M^T lambda = rho is solved exactly by one backward
+sweep over the same factors, the reverse (discrete-adjoint) sweep of
+Griewank & Walther, Evaluating Derivatives, SIAM 2008, which reads the same
+table transposed: each level is again one contraction and one solve.  Both
+take O(N J) memory.  The transposed solves are the exact discrete adjoints
+that the coupled optimality systems are built from; see
+:mod:`hierwave.coupled`.
 The same march run on all unit Dirichlet data at y = 0 at once gives the
 boundary response S = M^-1 E, reduced to the Gram matrix S^T W S and the
 last three time levels of S (:meth:`WaveOperator.boundary_response`).
@@ -91,14 +96,6 @@ def _dc_T(mu: np.ndarray, dy: float, n_full: int) -> np.ndarray:
     return out
 
 
-def _dyy_T(mu: np.ndarray, dy: float, n_full: int) -> np.ndarray:
-    out = np.zeros((n_full,) + mu.shape[1:])
-    out[2:] += mu / dy**2
-    out[1:-1] -= 2.0 * mu / dy**2
-    out[: n_full - 2] += mu / dy**2
-    return out
-
-
 def profile_derivative_matrix(n_nodes: int, dy: float) -> np.ndarray:
     """Dense d/dy on a profile: central interior, one-sided 3-point at the ends."""
     D = np.zeros((n_nodes, n_nodes))
@@ -162,26 +159,20 @@ class WaveOperator:
         J, N = mesh.Ny, mesh.Nt
         self.J, self.N = J, N
         self.dy, self.dt = mesh.dy, mesh.dt
-        y = mesh.y
-        k = mesh.domain.k
-        t = mesh.times
-        a = 1.0 + k * ((mesh.domain.T - t) if mirrored else t)
-        sign = -1.0 if mirrored else 1.0
-        # coefficient tables, shape (N+1, J+1), frozen at grid nodes
-        self.a_of_row = a
-        self.b = sign * 2.0 * k * y[None, :] / a[:, None]
-        self.c = (1.0 - (k * y[None, :]) ** 2) / a[:, None] ** 2
-        self.d = 2.0 * k**2 * y[None, :] / a[:, None] ** 2
-        # Step n, the step to level n+1, reads at interior node j
-        #   v[j, n+1] / dt^2 - q (v[j+1, n+1] - v[j-1, n+1])
-        #     = below v[j-1, n] + centre v[j, n] + above v[j+1, n]
-        #       - v[j, n-1] / dt^2 - q (v[j+1, n-1] - v[j-1, n-1]) + source;
-        # the tables have shape (N+1, J-1, 1), so a column batch broadcasts.
-        c, d = self.c[:, 1:-1, None], self.d[:, 1:-1, None]
-        self.q = self.b[:, 1:-1, None] / (4.0 * self.dy * self.dt)
-        self.below = c / self.dy**2 + d / (2.0 * self.dy)
-        self.centre = 2.0 / self.dt**2 - 2.0 * c / self.dy**2
-        self.above = c / self.dy**2 - d / (2.0 * self.dy)
+        st, self.b0 = self._stencil_table()
+        self.stencil = st
+        # two views of it, with a trailing axis so that a column batch
+        # broadcasts: the interior rows, shape (N+1, 2, 3, J-1, 1), and the
+        # table read transposed, shape (N, 2, 3, J+1, 1), whose entry
+        # [n, l, o + 1, i] is stencil[n + l, 1 - l, 1 - o, i + 1 + o]
+        self._rows = st[:, :, :, 2:-2, None]
+        Ss, Sl, So, Sj = st.strides
+        self._rows_transposed = np.lib.stride_tricks.as_strided(
+            st[0, 1, 2],
+            shape=(N, 2, 3, J + 1, 1),
+            strides=(Ss, Ss - Sl, Sj - So, Sj, 0),
+            writeable=False,
+        )
         # the mesh's space-time quadrature weights, shape (J+1, N+1), on its
         # own time nodes; read-only, and shared by every engine on the mesh
         self.W = space_time_weights(mesh)
@@ -195,6 +186,53 @@ class WaveOperator:
         # content_key
         self._tracked_row: tuple[tuple, np.ndarray] | None = None
         self._sample: tuple[tuple, np.ndarray] | None = None
+
+    def _stencil_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only table of step coefficients, shape (N+1, 2, 3, J+3),
+        and b at level 0 on the interior nodes, which the first step's
+        velocity term reads.
+
+        Step n, the step to level n+1, reads at interior node j
+
+            v[j, n+1] / dt^2 - q (v[j+1, n+1] - v[j-1, n+1])
+              = sum over l = 0, 1 and o = -1, 0, 1 of
+                stencil[n, l, o + 1, j + 1] v[j + o, n - 1 + l]  + source,
+
+        with q = stencil[n, 0, 0, j + 1]: level n-1 enters with (q, -1/dt^2,
+        -q) and level n with (below, centre, above).  Row 0 holds the first
+        step's stencil on level 0, the second-order Taylor term
+        dt^2/2 (c v_yy - d v_y).  Node j sits in column j + 1; the columns of
+        nodes -1, 0, J and J+1 and the row of step N are zero, so that the
+        transposed sweep reads the table as it stands (:meth:`solve_adjoint`).
+        """
+        J, N, dy, dt = self.J, self.N, self.dy, self.dt
+        b, c, d = self._coefficients()
+        st = np.zeros((N + 1, 2, 3, J + 3))
+        rows = st[:, :, :, 2:-2]
+        np.divide(b[1:N], 4.0 * dy * dt, out=rows[1:N, 0, 0])
+        rows[1:N, 0, 1] = -1.0 / dt**2
+        np.negative(rows[1:N, 0, 0], out=rows[1:N, 0, 2])
+        c /= dy**2
+        d /= 2.0 * dy
+        np.add(c[1:N], d[1:N], out=rows[1:N, 1, 0])
+        np.multiply(c[1:N], -2.0, out=rows[1:N, 1, 1])
+        rows[1:N, 1, 1] += 2.0 / dt**2
+        np.subtract(c[1:N], d[1:N], out=rows[1:N, 1, 2])
+        rows[0, 1] = 0.5 * dt**2 * np.stack([c[0] + d[0], -2.0 * c[0], c[0] - d[0]])
+        st.flags.writeable = False
+        return st, b[0].copy()
+
+    def _coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cylinder equation's coefficients b, c, d at the interior
+        nodes of every time level, each of shape (N+1, J-1)."""
+        mesh = self.mesh
+        y, k, t = mesh.y[1:-1], mesh.domain.k, mesh.times
+        a = 1.0 + k * ((mesh.domain.T - t) if self.mirrored else t)
+        sign = -1.0 if self.mirrored else 1.0
+        b = sign * 2.0 * k * y[None, :] / a[:, None]
+        c = (1.0 - (k * y[None, :]) ** 2) / a[:, None] ** 2
+        d = 2.0 * k**2 * y[None, :] / a[:, None] ** 2
+        return b, c, d
 
     # -- index layout: flat id = n * (J + 1) + j ----------------------------
 
@@ -217,7 +255,7 @@ class WaveOperator:
             diag = np.full(self.J - 1, 1.0 / self.dt**2)
             steps = [None]
             for n in range(1, self.N):
-                q = self.q[n, :, 0]
+                q = self.stencil[n, 0, 0, 2:-2]
                 *factors, info = scipy.linalg.lapack.dgttrf(q[1:], diag, -q[:-1])
                 if info != 0:
                     raise InstabilityError(f"singular step matrix at time step {n + 1}", step=n + 1)
@@ -225,18 +263,21 @@ class WaveOperator:
             self._steps = steps
         return self._steps
 
-    def _step_rhs(self, n: int, vn: np.ndarray, vp: np.ndarray) -> np.ndarray:
-        """Interior right-hand side of the step to level n+1 from levels n and n-1.
-
-        ``vn`` and ``vp`` are full-grid levels, shape (J+1,) + batch; the new
-        level's boundary values and the source are not included.
+    @staticmethod
+    def _windows(levels: np.ndarray, count: int, apart: int = 1) -> np.ndarray:
+        """Read-only view, shape (count, 2, 3, K-2) + batch, of a time-major
+        buffer of levels of K nodes: entry [n, l, o + 1, j - 1] is node j + o
+        of level n + l * apart.  Entry n lines up with one row of the stencil
+        table, so their product holds the six terms of a step.  A ring of
+        level slots passes the slot distance as ``apart``, which may be
+        negative.
         """
-        return (
-            self.below[n] * vn[:-2]
-            + self.centre[n] * vn[1:-1]
-            + self.above[n] * vn[2:]
-            - vp[1:-1] / self.dt**2
-            - self.q[n] * (vp[2:] - vp[:-2])
+        sn, sj = levels.strides[:2]
+        return np.lib.stride_tricks.as_strided(
+            levels,
+            shape=(count, 2, 3, levels.shape[1] - 2) + levels.shape[2:],
+            strides=(sn, apart * sn, sj, sj) + levels.strides[2:],
+            writeable=False,
         )
 
     # -- marching (forward substitution of M) -------------------------------
@@ -260,7 +301,9 @@ class WaveOperator:
         A batch of problems marches at once when ``bc0`` has shape (N+1, m):
         the other inputs then carry the same trailing axis or are shared by
         every column, and the field has shape (J+1, N+1, m).  Each step is
-        one solve with the step's pre-factored tridiagonal matrix.
+        one contraction of the step's row of the stencil table with levels
+        n-1 and n, then one solve with the step's pre-factored tridiagonal
+        matrix.
 
         ``time_major=True`` returns the march's own levels, shape (N+1, J+1)
         or (N+1, J+1, m), with no transposed copy.
@@ -297,26 +340,30 @@ class WaveOperator:
         v = np.zeros((N + 1, J + 1, width))
         v[0] = a_init
         v[:, 0], v[:, J] = bc0, bc1
-        acc0 = (
-            self.b[0, 1:-1, None] * _dc(m_init, dy)
-            + self.c[0, 1:-1, None] * _dyy(v[0], dy)
-            - self.d[0, 1:-1, None] * _dc(v[0], dy)
-        )
+        windows = self._windows(v, N)
+        rows = self._rows
+        taylor = self.b0[:, None] * _dc(m_init, dy)
         if source is not None:
-            acc0 += source[1:-1, 0]
-        v[1, 1:-1] = v[0, 1:-1] + dt * m_init[1:-1] + 0.5 * dt**2 * acc0
-        # the new level's boundary columns, moved to the right-hand side
-        edge0 = -self.q[:-1, 0] * bc0[1:]
-        edge1 = self.q[:-1, -1] * bc1[1:]
+            taylor += source[1:-1, 0]
+        v[1, 1:-1] = (v[0, 1:-1] + dt * m_init[1:-1] + 0.5 * dt**2 * taylor) + np.add.reduce(
+            rows[0, 1] * windows[0, 0], axis=0
+        )
+        # the new level's boundary columns, moved to the right-hand side:
+        # rows 0 and J-2 of each step's right-hand side
+        edges = np.stack([-rows[:N, 0, 0, 0] * bc0[1:], rows[:N, 0, 0, -1] * bc1[1:]], axis=1)
+        terms = np.empty((2, 3, J - 1, width))
+        summands = terms.reshape(6, J - 1, width)
+        rhs = np.empty((J - 1, width))
+        ends = rhs[:: J - 2]
 
         steps = self._step_factors()
         with np.errstate(over="ignore", invalid="ignore"):
             for n in range(1, N):
-                rhs = self._step_rhs(n, v[n], v[n - 1])
+                np.multiply(rows[n], windows[n - 1], out=terms)
+                np.add.reduce(summands, axis=0, out=rhs)
                 if source is not None:
                     rhs += source[1:-1, n]
-                rhs[0] += edge0[n]
-                rhs[-1] += edge1[n]
+                ends += edges[n]
                 v[n + 1, 1:-1] = scipy.linalg.lapack.dgttrs(*steps[n], rhs)[0]
             # the largest magnitude of each new level; NaN propagates
             inner = v[2:, 1:-1]
@@ -344,39 +391,44 @@ class WaveOperator:
         of its own step matrix, after the levels above it have pushed their
         couplings down.  ``rho`` of shape (J+1, N+1, m) solves m cotangents
         at once.
+
+        The couplings are the stencil table read transposed: node i of
+        level n takes, at offset o, the row of node i - o of step n (on level
+        n+1) and of step n+1 (on level n+2) at the mirrored offset -o.  A
+        strided view of the table lines these up with the same windows the
+        march reads, so each level is one contraction; the table's zero
+        columns and zero last step cover the boundary nodes and the top two
+        levels.
         """
-        J, N, dy, dt = self.J, self.N, self.dy, self.dt
+        J, N = self.J, self.N
         batched = np.ndim(rho) == 3
-        # time-major copy of rho; each level is overwritten by its solution
-        lam = np.array(np.moveaxis(np.asarray(rho, dtype=float).reshape(J + 1, N + 1, -1), 1, 0))
+        rho = np.asarray(rho, dtype=float).reshape(J + 1, N + 1, -1)
+        width = rho.shape[2]
+        # time-major, with a zero node at each end and a zero level N+1 for
+        # the windows to read; each level is overwritten by its solution
+        lam = np.zeros((N + 2, J + 3, width))
+        lam[: N + 1, 1:-1] = rho.transpose(1, 0, 2)
+        windows = self._windows(lam[1:], N)
+        rows = self._rows_transposed
+        terms = np.empty((2, 3, J + 1, width))
+        summands = terms.reshape(6, J + 1, width)
+        coupled = np.empty((J + 1, width))
         steps = self._step_factors()
-        for n in range(N, -1, -1):
-            r = lam[n]
-            if n + 2 <= N:
-                # rows of level n + 2 (step n + 1) on the columns of level n
-                mu = lam[n + 2, 1:-1]
-                qmu = self.q[n + 1] * mu
-                r[1:-1] -= mu / dt**2
-                r[:-2] += qmu
-                r[2:] -= qmu
-            if n >= 1 and n + 1 <= N:
-                # rows of level n + 1 (step n) on the columns of level n
-                mu = lam[n + 1, 1:-1]
-                r[:-2] += self.below[n] * mu
-                r[1:-1] += self.centre[n] * mu
-                r[2:] += self.above[n] * mu
-            elif n == 0:
-                # the first step's rows on the initial level
-                mu = lam[1, 1:-1]
-                c, d = self.c[0, 1:-1, None], self.d[0, 1:-1, None]
-                r += 0.5 * dt**2 * (_dyy_T(c * mu, dy, J + 1) - _dc_T(d * mu, dy, J + 1))
+        r = lam[N, 2:-2]
+        r[:] = scipy.linalg.lapack.dgttrs(*steps[N - 1], r, trans="T")[0]
+        for n in range(N - 1, -1, -1):
+            np.multiply(rows[n], windows[n], out=terms)
+            np.add.reduce(summands, axis=0, out=coupled)
+            r = lam[n, 1:-1]
+            r += coupled
             if n >= 2:
                 # level n's own step matrix, transposed
                 r[1:-1] = scipy.linalg.lapack.dgttrs(*steps[n - 1], r[1:-1], trans="T")[0]
-        # the boundary columns of levels 2..N, which no lower level reads
-        lam[2:, 0] -= self.q[1:N, 0] * lam[2:, 1]
-        lam[2:, J] += self.q[1:N, -1] * lam[2:, J - 1]
-        field = np.ascontiguousarray(lam.transpose(1, 0, 2))
+        # the boundary nodes of levels 2..N, which no lower level reads
+        q = self.stencil[1:N, 0, 0, :, None]
+        lam[2 : N + 1, 1] -= q[:, 2] * lam[2 : N + 1, 2]
+        lam[2 : N + 1, J + 1] += q[:, J] * lam[2 : N + 1, J]
+        field = np.ascontiguousarray(lam[: N + 1, 1:-1].transpose(1, 0, 2))
         return field if batched else field[:, :, 0]
 
     # -- the response to unit boundary data, all columns in one march -------
@@ -428,31 +480,42 @@ class WaveOperator:
         from one step to the next.  The arithmetic is :meth:`march`'s, with
         the active columns as a batch of right-hand sides.
         """
-        J, N, dy, dt = self.J, self.N, self.dy, self.dt
-        prev = np.zeros((J + 1, N + 1))
-        cur = np.zeros((J + 1, N + 1))
-        nxt = np.zeros((J + 1, N + 1))
-        cur[0, 0] = 1.0
-        yield 0, cur
-        nxt[1:-1, :1] = 0.5 * dt**2 * (
-            self.c[0, 1:-1, None] * _dyy(cur[:, :1], dy)
-            - self.d[0, 1:-1, None] * _dc(cur[:, :1], dy)
-        )
-        nxt[0, 1] = 1.0
-        prev, cur, nxt = cur, nxt, prev
-        yield 1, cur
+        J, N = self.J, self.N
+        # levels n-1, n and n+1 take turns in three slots; windows[s] reads
+        # the slot of level n - 1 and that of level n for n % 3 == s
+        ring = np.zeros((3, J + 1, N + 1))
+        windows = [self._windows(ring[(s - 1) % 3 :], 1, s - (s - 1) % 3)[0] for s in range(3)]
+        rows = self._rows
+        ring[0, 0, 0] = 1.0
+        yield 0, ring[0]
+        ring[1, 1:-1, :1] = np.add.reduce(rows[0, 1] * windows[1][0, :, :, :1], axis=0)
+        ring[1, 0, 1] = 1.0
+        yield 1, ring[1]
 
+        # the six terms are summed one at a time, in the order in which
+        # march's np.add.reduce sums them, so every column equals its own
+        # march bit for bit; at this width that keeps two (J-1, n+2) arrays
+        # live instead of six.  Contiguous buffers: a strided slice of
+        # full-width ones makes the build slower.
+        acc = np.empty((J - 1) * (N + 1))
+        term = np.empty((J - 1) * (N + 1))
         steps = self._step_factors()
         for n in range(1, N):
             a = n + 2
-            rhs = self._step_rhs(n, cur[:, :a], prev[:, :a])
+            rhs = acc[: (J - 1) * a].reshape(J - 1, a)
+            product = term[: (J - 1) * a].reshape(J - 1, a)
+            row, window = rows[n], windows[n % 3][..., :a]
+            np.multiply(row[0, 0], window[0, 0], out=rhs)
+            for l, o in ((0, 1), (0, 2), (1, 0), (1, 1), (1, 2)):
+                np.multiply(row[l, o], window[l, o], out=product)
+                rhs += product
             # the new level's own datum, in column n + 1, moved to the right
-            rhs[0, n + 1] -= self.q[n, 0, 0]
+            rhs[0, n + 1] -= row[0, 0, 0, 0]
+            nxt = ring[(n + 1) % 3]
             nxt[1:-1, :a] = scipy.linalg.lapack.dgttrs(*steps[n], rhs)[0]
             nxt[0, :] = 0.0
             nxt[0, n + 1] = 1.0
-            prev, cur, nxt = cur, nxt, prev
-            yield n + 1, cur
+            yield n + 1, nxt
 
     def _march_boundary_response(self) -> BoundaryResponse:
         J, N = self.J, self.N
@@ -462,14 +525,21 @@ class WaveOperator:
         # weighted levels enter H a block at a time: one product per level
         # spends most of the build on adding into H
         block = np.zeros((_RESPONSE_BLOCK, J + 1, N + 1))
+
+        def add_block(i, n):
+            x = block[: i + 1, :, : n + 1].reshape(-1, n + 1)
+            H[: n + 1, : n + 1] += x.T @ x
+
         for n, level in self._unit_levels():
             i = n % _RESPONSE_BLOCK
             block[i, :, : n + 1] = sqrt_w[:, n, None] * level[:, : n + 1]
-            if i == _RESPONSE_BLOCK - 1 or n == N:
-                x = block[: i + 1, :, : n + 1].reshape(-1, n + 1)
-                H[: n + 1, : n + 1] += x.T @ x
+            if i == _RESPONSE_BLOCK - 1:
+                add_block(i, n)
             if n >= N - 2:
                 tail[:, n - (N - 2), :] = level
+        # the last, partial block enters once the march has freed its buffers
+        if N % _RESPONSE_BLOCK != _RESPONSE_BLOCK - 1:
+            add_block(N % _RESPONSE_BLOCK, N)
         if not np.all(np.isfinite(H)):
             raise InstabilityError("unstable march of the boundary response", step=N)
         return BoundaryResponse(0.5 * (H + H.T), tail)
@@ -480,6 +550,7 @@ class WaveOperator:
         if self._matrix is not None:
             return self._matrix
         J, N, dy, dt = self.J, self.N, self.dy, self.dt
+        b_all, c_all, d_all = self._coefficients()
         stride = J + 1
         rows, cols, vals = [], [], []
 
@@ -497,8 +568,7 @@ class WaveOperator:
         add(jj, jj, 1.0)
         # first-step rows carry their spatial stencil through the level-0
         # columns so that the matrix captures every dependence on data
-        c0 = self.c[0, 1:-1]
-        d0 = self.d[0, 1:-1]
+        c0, d0 = c_all[0], d_all[0]
         half_dt2 = 0.5 * dt**2
         add(stride + jj, stride + jj, 1.0)
         add(stride + jj, jj, dt**2 * c0 / dy**2)
@@ -507,9 +577,7 @@ class WaveOperator:
 
         inv_dt2 = 1.0 / dt**2
         for n in range(1, N):
-            b = self.b[n, 1:-1]
-            c = self.c[n, 1:-1]
-            d = self.d[n, 1:-1]
+            b, c, d = b_all[n], c_all[n], d_all[n]
             q = b / (4.0 * dy * dt)
             r = (n + 1) * stride + jj
             # level n+1
@@ -557,7 +625,7 @@ class WaveOperator:
         r[1, 1:-1] = (
             a_interior
             + dt * m_full[1:-1]
-            + 0.5 * dt**2 * (self.b[0, 1:-1] * _dc(m_full, dy) + S0)
+            + 0.5 * dt**2 * (self.b0 * _dc(m_full, dy) + S0)
         )
         if source is not None:
             r[2:, 1:-1] = source[1:-1, 1:N].T
@@ -573,7 +641,7 @@ class WaveOperator:
         bc0_cot = lam[0, :].copy()
         bc1_cot = lam[J, :].copy()
         half_dt2 = 0.5 * dt**2
-        b0 = self.b[0, 1:-1]
+        b0 = self.b0
         a_cot = lam[1:-1, 0] + lam1
         m_cot = np.zeros(J + 1)
         m_cot[1:-1] = dt * lam1

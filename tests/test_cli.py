@@ -125,6 +125,19 @@ def test_nash_zero_leader(tmp_path):
     assert summary["header"]["warnings"] == "none"
 
 
+def test_nash_non_finite_cost_exits_3(tmp_path, capsys):
+    """A leader amplitude that passes validation but overflows the costs used
+    to exit 0 with ``"J": Infinity`` in summary.json, which is not JSON."""
+    cfg = base_config(leader={"family": "sine", "amplitude": 1e200, "frequency": 1.0})
+    out = tmp_path / "nash"
+    with np.errstate(over="ignore"):
+        code = main(["nash", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "summary.json" in err and "J2 = inf" in err
+    assert not (out / "summary.json").exists()
+
+
 def nash_el_bound(summary, T):
     """First-order residual bound: 1e-6 of sqrt(2 J2 T), the size of the
     tracking misfit's norm times that of a unit-variance direction."""

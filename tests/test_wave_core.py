@@ -40,15 +40,37 @@ def random_inputs(mesh, rng):
     return bc0, bc1, a_int, m, S
 
 
-def test_march_equals_matrix_solve():
-    mesh = Mesh.auto(DomainSpec(k=0.2, T=1.5), 16)
-    op = WaveOperator(mesh)
-    rng = np.random.default_rng(0)
-    bc0, bc1, a_int, m, S = random_inputs(mesh, rng)
-    a_full = np.concatenate([[bc0[0]], a_int, [bc1[0]]])
-    v1 = op.march(bc0, bc1, a_full, m, S)
-    v2 = op.solve_lu(bc0, bc1, a_int, m, S)
-    assert np.max(np.abs(v1 - v2)) < 1e-11
+@settings(max_examples=25, deadline=None)
+@given(
+    Ny=st.integers(8, 24),
+    k=st.floats(0.01, 0.5),
+    T=st.floats(0.5, 2.0),
+    mirrored=st.booleans(),
+    width=st.sampled_from([1, 3]),
+    seed=st.integers(0, 1000),
+)
+def test_march_equals_matrix_solve(Ny, k, T, mirrored, width, seed):
+    """The march is forward substitution of M: with a source, data at both
+    ends and nonzero initial data, each column equals M^-1 r through the
+    sparse LU, which is assembled from the coefficients, not the stencil
+    table.  Mirrored operators march every backward problem."""
+    mesh = Mesh.auto(DomainSpec(k=k, T=T), Ny)
+    op = WaveOperator(mesh, mirrored)
+    rng = np.random.default_rng(seed)
+    J, N = mesh.Ny, mesh.Nt
+    bc0 = rng.standard_normal((N + 1, width))
+    bc1 = rng.standard_normal((N + 1, width))
+    a_int = rng.standard_normal((J - 1, width))
+    m = rng.standard_normal((J + 1, width))
+    S = rng.standard_normal((J + 1, N + 1, width))
+    a_full = np.concatenate([bc0[:1], a_int, bc1[:1]])
+    if width == 1:
+        fields = op.march(bc0[:, 0], bc1[:, 0], a_full[:, 0], m[:, 0], S[:, :, 0])[:, :, None]
+    else:
+        fields = op.march(bc0, bc1, a_full, m, S)
+    for i in range(width):
+        ref = op.solve_lu(bc0[:, i], bc1[:, i], a_int[:, i], m[:, i], S[:, :, i])
+        assert np.max(np.abs(fields[:, :, i] - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
 def test_adjoint_solve_dot_product():
