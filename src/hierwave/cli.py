@@ -95,10 +95,13 @@ def _as_number(value, name: str, kind=float):
     """``value`` as a finite ``kind``; anything else is a configuration error
     that names the key.
 
-    No key takes a boolean, which ``kind`` would read as 0 or 1.  An integer
-    key takes an integral number: 41 and 41.0 load, while 40.9, which
-    ``int`` would cut to 40, does not.
+    No key takes a string, which ``kind`` would parse ("0.3"), or a
+    boolean, which it would read as 0 or 1.  An integer key takes an
+    integral number: 41 and 41.0 load, while 40.9, which ``int`` would cut
+    to 40, does not.
     """
+    if isinstance(value, str):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
     if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
         what = "an integer" if kind is int else "a number"
         raise ConfigurationError(f"{name} must be {what}, got {value!r}")
@@ -358,12 +361,15 @@ def cmd_nash(config: dict, out_dir: Path) -> int:
         for _ in range(8)
     ]
     el_samples = euler_lagrange_residual(sol, w1, setup.follower, directions)
+    # a cost past the float range is inf, which _finite reports
+    with np.errstate(over="ignore"):
+        J2, J = cost_J2(sol.u, sol.w2, setup.follower), cost_J(w1)
     # checked before any output is written
     summary = _finite(
         {
             "command": "nash",
-            "J2": cost_J2(sol.u, sol.w2, setup.follower),
-            "J": cost_J(w1),
+            "J2": J2,
+            "J": J,
             "el_residual_max_abs": float(np.max(np.abs(el_samples))),
             # kept for readers of summary.json: the reduced solve is one step
             "iterations": 1,

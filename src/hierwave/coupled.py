@@ -231,12 +231,17 @@ class CoupledEngine:
         return -lam[0, :] / self.tau
 
     def companion_field(self, lam: np.ndarray) -> np.ndarray:
-        """Normalize a multiplier into nodal values of the companion field."""
-        vals = self.op.rhs_adjoint(lam)["source"] / self.W
-        vals[:, -1] = 0.0
-        vals[0, :] = 0.0
-        vals[-1, :] = 0.0
-        return vals
+        """Normalize a multiplier into nodal values of the companion field.
+
+        The values are the multiplier's cotangent with respect to the
+        nodal source, over the quadrature weights: level 0 takes the first
+        step's Taylor term dt^2/2 on level 1 of lam, levels 1..N-1 take
+        levels 2..N, and the boundary nodes and level N are zero.
+        """
+        vals = np.zeros_like(lam)
+        vals[1:-1, 0] = 0.5 * self.mesh.dt**2 * lam[1:-1, 1]
+        vals[1:-1, 1:-1] = lam[1:-1, 2:]
+        return vals / self.W
 
     def terminal_cotangent(self, f0_vals: np.ndarray, f1_vals: np.ndarray, delta: float = 0.0) -> np.ndarray:
         """Cotangent that drives the adjoint pair: the transpose of the reach

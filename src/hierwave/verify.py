@@ -1,14 +1,18 @@
 """Independent oracles and cross-checks.
 
 Each oracle is algorithmically independent of the code path it checks:
-closed-form characteristics for the fixed-domain limit, one-shot direct
+grid-refinement order studies against exact solutions, one-shot direct
 solves of the assembled coupled systems against the reduced (Schur) solve
-that every default path takes, a two-sided duality identity, and
-grid-refinement order studies against either exact solutions or a
-fine-grid reference.  The discretization itself is validated only against
-closed forms; the direct coupled solves share the stencils on purpose, so
-they isolate errors in the coupling logic.  They run through the engine's
-one coupled LU (:meth:`~hierwave.coupled.CoupledEngine.direct_pair`,
+that every default path takes, and a two-sided duality identity.  The
+discretization itself is validated only against exact solutions, never
+against a fine-grid run of itself: d'Alembert's characteristics on the
+fixed string (k = 0), Moore's moving-mirror solution on the expanding
+string (k > 0), and u = x, which the scheme reproduces to round-off.
+Each marches the exact field's own boundary and initial data, so a wrong
+moving-boundary coefficient shows as a lost order.  The direct coupled
+solves share the stencils on purpose, so they isolate errors in the
+coupling logic.  They run through the engine's one coupled LU
+(:meth:`~hierwave.coupled.CoupledEngine.direct_pair`,
 :meth:`~hierwave.coupled.CoupledEngine.direct_adjoint_pair`), which refuses
 grids above Ny = 64.
 """
@@ -40,50 +44,14 @@ from .wave_core import WaveProblem, solve_forward
 __all__ = [
     "dalembert_reference",
     "OracleCase",
+    "moving_end_solution",
+    "order_studies",
     "monolithic_solve",
     "transpose_check",
     "TransposeReport",
     "convergence_study",
     "run_verification",
 ]
-
-
-# ---------------------------------------------------------------------------
-# closed-form reference for the fixed-domain limit
-# ---------------------------------------------------------------------------
-
-def dalembert_reference(bc0, x, t):
-    """Fixed string on (0,1), zero data, Dirichlet control h(t) at x=0.
-
-    Characteristics with reflections:
-        u(x,t) = sum_m [ h(t - x - 2m) - h(t + x - 2 - 2m) ],
-    where h vanishes for nonpositive arguments.  Exact for any number of
-    reflections present in [0, t].
-    """
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    x, t = np.broadcast_arrays(x, t)
-    out = np.zeros_like(t)
-    t_max = float(np.max(t)) if t.size else 0.0
-    m = 0
-    while 2 * m < t_max + 2.0:
-        arg1 = t - x - 2.0 * m
-        arg2 = t + x - 2.0 - 2.0 * m
-        out = out + np.where(arg1 > 0, bc0(np.maximum(arg1, 0.0)), 0.0)
-        out = out - np.where(arg2 > 0, bc0(np.maximum(arg2, 0.0)), 0.0)
-        m += 1
-    return out if out.ndim else float(out)
-
-
-@dataclass
-class OracleCase:
-    """A named reference problem with a grid ladder."""
-
-    name: str
-    domain: DomainSpec
-    grids: tuple[int, ...]
-    bc0_func: Callable | None = None
-    reference: str = "closed-form"
 
 
 # ---------------------------------------------------------------------------
@@ -195,136 +163,129 @@ def transpose_check(
 
 
 # ---------------------------------------------------------------------------
-# refinement studies
+# exact solutions and refinement studies
 # ---------------------------------------------------------------------------
 
-def _gaussian_pulse(s):
-    return np.exp(-(((s - 0.35) / 0.08) ** 2))
+@dataclass
+class OracleCase:
+    """A named exact solution with a grid ladder.
+
+    ``solution(mesh)`` returns the exact nodal field, shape (Ny+1, Nt+1),
+    and its physical velocity at t = 0, shape (Ny+1,).
+    """
+
+    name: str
+    domain: DomainSpec
+    grids: tuple[int, ...]
+    solution: Callable[[Mesh], tuple[np.ndarray, np.ndarray]]
 
 
-def _field_error(mesh: Mesh, fld: Field, exact_vals: np.ndarray) -> float:
-    W = space_time_weights(mesh)
-    diff = fld.values - exact_vals
-    return float(np.sqrt(np.sum(W * diff**2)))
+def dalembert_reference(bc0, x, t):
+    """Fixed string on (0,1), zero data, Dirichlet control h(t) at x=0.
+
+    Characteristics with reflections:
+        u(x,t) = sum_m [ h(t - x - 2m) - h(t + x - 2 - 2m) ],
+    where h vanishes for nonpositive arguments.  Exact for any number of
+    reflections present in [0, t].
+    """
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    x, t = np.broadcast_arrays(x, t)
+    out = np.zeros_like(t)
+    t_max = float(np.max(t)) if t.size else 0.0
+    m = 0
+    while 2 * m < t_max + 2.0:
+        arg1 = t - x - 2.0 * m
+        arg2 = t + x - 2.0 - 2.0 * m
+        out = out + np.where(arg1 > 0, bc0(np.maximum(arg1, 0.0)), 0.0)
+        out = out - np.where(arg2 > 0, bc0(np.maximum(arg2, 0.0)), 0.0)
+        m += 1
+    return out if out.ndim else float(out)
 
 
-def _solve_bc_problem(
-    domain: DomainSpec, Ny: int, bc0_func, nested: bool = False
-) -> tuple[Mesh, Field]:
-    if nested:
-        # fixed dt/dy ratio so that grid ladders nest in both directions
-        steps_per_cell = int(np.ceil(domain.T * (1.0 + domain.k) / 0.8))
-        from .grid import GridSpec
+def dalembert_solution(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`dalembert_reference` for a Gaussian pulse datum, at rest at t = 0."""
+    pulse = dalembert_reference(lambda s: np.exp(-(((s - 0.35) / 0.08) ** 2)), mesh.y[:, None], mesh.times)
+    return pulse, np.zeros(mesh.Ny + 1)
 
-        mesh = Mesh(domain, GridSpec(Ny=Ny, Nt=steps_per_cell * Ny))
-    else:
-        mesh = Mesh.auto(domain, Ny)
-    bc_vals = bc0_func(mesh.times)
-    prob = WaveProblem(direction="forward", bc0=Trace(bc_vals, np.ones(mesh.Nt + 1, bool), mesh))
-    return mesh, solve_forward(prob)
+
+def moving_end_solution(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Moore's moving-mirror solution u = f(tau + x) - f(K (tau - x)), f = sin 3z.
+
+    With tau = t + 1/k and K = (1+k)/(1-k), u solves u_tt = u_xx on
+    0 < x < 1 + k t (0 < k < 1) for every smooth f, and vanishes at the
+    moving end, where both arguments equal (1+k) tau (Moore, J. Math. Phys.
+    11, 1970).
+    """
+    k = mesh.domain.k
+    K = (1.0 + k) / (1.0 - k)
+    tau = mesh.times + 1.0 / k
+    x = np.outer(mesh.y, mesh.alphas)
+    field = np.sin(3.0 * (tau + x)) - np.sin(3.0 * K * (tau - x))
+    velocity = 3.0 * np.cos(3.0 * (tau[0] + mesh.y)) - 3.0 * K * np.cos(3.0 * K * (tau[0] - mesh.y))
+    return field, velocity
+
+
+def linear_solution(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """u = x, at rest: the moving end traces alpha(t), and the scheme is exact."""
+    return np.outer(mesh.y, mesh.alphas), np.zeros(mesh.Ny + 1)
+
+
+def _march(mesh: Mesh, exact: np.ndarray, velocity: np.ndarray) -> np.ndarray:
+    """The scheme's field for an exact field's own data: its values at y = 0
+    and y = 1 and at t = 0, and the physical ``velocity`` at t = 0."""
+    every = np.ones(mesh.Nt + 1, bool)
+    data = (SpatialProfile(exact[:, 0], 0.0, mesh), SpatialProfile(velocity, 0.0, mesh))
+    bc0, bc1 = Trace(exact[0], every, mesh), Trace(exact[-1], every, mesh, side="y=1")
+    return solve_forward(WaveProblem("forward", bc0, bc1, None, data)).values
 
 
 def convergence_study(case: OracleCase) -> list[dict]:
-    """Errors and observed orders over the case's grid ladder."""
-    if len(case.grids) < 3 and case.reference != "linear-exact":
-        raise ConfigurationError("need a ladder of at least 3 grids")
-    bc0 = case.bc0_func or _gaussian_pulse
+    """Errors against the case's exact solution over its grid ladder.
+
+    A row holds ``error`` in the space-time quadrature norm, the largest
+    nodal error ``max_error`` and, from the second grid on, the observed
+    ``order`` log2(error_prev / error).
+    """
     rows: list[dict] = []
-
-    if case.reference == "closed-form":
-        for Ny in case.grids:
-            mesh, fld = _solve_bc_problem(case.domain, Ny, bc0)
-            Y, Tm = np.meshgrid(mesh.y, mesh.times, indexing="ij")
-            exact = dalembert_reference(bc0, Y, Tm)
-            rows.append({"Ny": Ny, "error": _field_error(mesh, fld, exact)})
-    elif case.reference == "self":
-        ref_Ny = case.grids[-1] * 4
-        ref_mesh, ref_fld = _solve_bc_problem(case.domain, ref_Ny, bc0, nested=True)
-        for Ny in case.grids:
-            mesh, fld = _solve_bc_problem(case.domain, Ny, bc0, nested=True)
-            ry = ref_Ny // Ny
-            rt = ref_mesh.Nt // mesh.Nt
-            if ref_mesh.Nt % mesh.Nt or ref_Ny % Ny:
-                raise ConfigurationError("self-convergence ladder must nest")
-            ref_on_coarse = ref_fld.values[::ry, ::rt]
-            rows.append({"Ny": Ny, "error": _field_error(mesh, fld, ref_on_coarse)})
-    elif case.reference == "linear-exact":
-        # u = x is a solution with the moving endpoint tracing alpha(t)
-        for Ny in case.grids:
-            mesh = Mesh.auto(case.domain, Ny)
-            a = mesh.alphas
-            bc1 = Trace(a.copy(), np.ones(mesh.Nt + 1, bool), mesh, side="y=1")
-            bc0 = Trace(np.zeros(mesh.Nt + 1), np.ones(mesh.Nt + 1, bool), mesh)
-            init_val = SpatialProfile(mesh.y.copy(), 0.0, mesh)
-            init_vel = SpatialProfile(np.zeros(mesh.Ny + 1), 0.0, mesh)
-            prob = WaveProblem("forward", bc0, bc1, None, (init_val, init_vel))
-            fld = solve_forward(prob)
-            exact = np.outer(mesh.y, a)
-            rows.append({"Ny": Ny, "error": float(np.max(np.abs(fld.values - exact)))})
-    else:
-        raise ConfigurationError(f"unknown reference kind {case.reference!r}")
-
-    for i in range(1, len(rows)):
-        e0, e1 = rows[i - 1]["error"], rows[i]["error"]
-        rows[i]["order"] = float(np.log2(e0 / e1)) if e1 > 0 else float("inf")
+    for Ny in case.grids:
+        mesh = Mesh.auto(case.domain, Ny)
+        exact, velocity = case.solution(mesh)
+        diff = _march(mesh, exact, velocity) - exact
+        error = float(np.sqrt(np.sum(space_time_weights(mesh) * diff**2)))
+        rows.append({"Ny": Ny, "error": error, "max_error": float(np.max(np.abs(diff)))})
+    for prev, row in zip(rows, rows[1:]):
+        row["order"] = float(np.log2(prev["error"] / row["error"])) if row["error"] > 0 else float("inf")
     return rows
 
 
-def energy_drift(Ny: int = 200, T: float = 2.0) -> float:
-    """Relative drift of the physical energy for the fixed-domain standing wave.
+def order_studies(level: str = "fast") -> list[OracleCase]:
+    """The suite's second-order studies: d'Alembert at k = 0 and Moore's
+    moving end at k = 0.3.  ``full`` adds a finer grid to each ladder."""
+    n = 4 if level == "full" else 3
+    fixed = DomainSpec(k=0.0, T=2.0, allow_k_zero=True)
+    return [
+        OracleCase("dalembert_order", fixed, (64, 128, 256, 512)[:n], dalembert_solution),
+        OracleCase("moving_end_order", DomainSpec(k=0.3, T=2.0), (32, 64, 128, 256)[:n], moving_end_solution),
+    ]
 
-    Initial shape sin(pi x), zero velocity, zero boundary data; the energy is
-    pi^2 / 4 for all time.
-    """
-    domain = DomainSpec(k=0.0, T=T, allow_k_zero=True)
-    mesh = Mesh.auto(domain, Ny)
-    zero_tr = Trace(np.zeros(mesh.Nt + 1), np.ones(mesh.Nt + 1, bool), mesh)
-    zero_tr1 = Trace(np.zeros(mesh.Nt + 1), np.ones(mesh.Nt + 1, bool), mesh, side="y=1")
-    init_val = SpatialProfile(np.sin(np.pi * mesh.y), 0.0, mesh)
-    init_vel = SpatialProfile(np.zeros(mesh.Ny + 1), 0.0, mesh)
-    fld = solve_forward(WaveProblem("forward", zero_tr, zero_tr1, None, (init_val, init_vel)))
-    v = fld.values
-    wy = trapezoid_weights(mesh.Ny + 1, mesh.dy)
+
+def energy_drift(Ny: int = 200, T: float = 2.0) -> float:
+    """Relative drift of the physical energy for the fixed-domain standing
+    wave u = sin(pi x) cos(pi t), whose energy is pi^2 / 4 for all time."""
+    mesh = Mesh.auto(DomainSpec(k=0.0, T=T, allow_k_zero=True), Ny)
+    standing = np.outer(np.sin(np.pi * mesh.y), np.cos(np.pi * mesh.times))
+    v = _march(mesh, standing, np.zeros(Ny + 1))
+    u_t = (v[:, 2:] - v[:, :-2]) / (2.0 * mesh.dt)
+    u_x = np.gradient(v[:, 1:-1], mesh.dy, axis=0)
+    energy = 0.5 * trapezoid_weights(Ny + 1, mesh.dy) @ (u_t**2 + u_x**2)
     e_exact = np.pi**2 / 4.0
-    worst = 0.0
-    for n in range(1, mesh.Nt):
-        u_t = (v[:, n + 1] - v[:, n - 1]) / (2.0 * mesh.dt)
-        u_x = np.gradient(v[:, n], mesh.dy)
-        energy = 0.5 * float(np.sum(wy * (u_t**2 + u_x**2)))
-        worst = max(worst, abs(energy - e_exact) / e_exact)
-    return worst
+    return float(np.max(np.abs(energy - e_exact))) / e_exact
 
 
 # ---------------------------------------------------------------------------
 # canned verification suites
 # ---------------------------------------------------------------------------
-
-def _case_dalembert(grids=(64, 128, 256)) -> OracleCase:
-    return OracleCase(
-        name="dalembert_order",
-        domain=DomainSpec(k=0.0, T=2.0, allow_k_zero=True),
-        grids=grids,
-        reference="closed-form",
-    )
-
-
-def _case_self(grids=(50, 100, 200)) -> OracleCase:
-    return OracleCase(
-        name="self_convergence_order",
-        domain=DomainSpec(k=0.1, T=1.0),
-        grids=grids,
-        reference="self",
-    )
-
-
-def _case_linear(grids=(16, 32)) -> OracleCase:
-    return OracleCase(
-        name="linear_exact",
-        domain=DomainSpec(k=0.3, T=2.0),
-        grids=grids,
-        reference="linear-exact",
-    )
-
 
 def run_verification(level: str = "fast", seed: int = 0) -> dict:
     """Run the oracle suites; returns a machine-readable report."""
@@ -338,16 +299,13 @@ def run_verification(level: str = "fast", seed: int = 0) -> dict:
         )
 
     lo, hi = 1.7, 2.3
-    dal = convergence_study(_case_dalembert((64, 128, 256) if level == "fast" else (64, 128, 256, 512)))
-    orders = [r["order"] for r in dal if "order" in r]
-    record("dalembert_order", min(orders), lo, all(lo <= o <= hi for o in orders))
+    for case in order_studies(level):
+        orders = [r["order"] for r in convergence_study(case)[1:]]
+        record(case.name, min(orders), lo, all(lo <= o <= hi for o in orders))
 
-    slf = convergence_study(_case_self((50, 100, 200)))
-    orders = [r["order"] for r in slf if "order" in r]
-    record("self_convergence_order", min(orders), lo, all(lo <= o <= hi for o in orders))
-
-    lin = convergence_study(_case_linear())
-    record("linear_exact", max(r["error"] for r in lin), 1e-12, all(r["error"] <= 1e-12 for r in lin))
+    lin = convergence_study(OracleCase("linear_exact", DomainSpec(k=0.3, T=2.0), (16, 32), linear_solution))
+    worst = max(r["max_error"] for r in lin)
+    record("linear_exact", worst, 1e-12, worst <= 1e-12)
 
     drift = energy_drift(Ny=200 if level == "full" else 100, T=2.0)
     record("energy_drift", drift, 1e-3, drift <= 1e-3)

@@ -88,14 +88,6 @@ def _dyy(z: np.ndarray, dy: float) -> np.ndarray:
     return (z[2:] - 2.0 * z[1:-1] + z[:-2]) / dy**2
 
 
-def _dc_T(mu: np.ndarray, dy: float, n_full: int) -> np.ndarray:
-    """Transpose of :func:`_dc`: interior-indexed input, full-grid output."""
-    out = np.zeros((n_full,) + mu.shape[1:])
-    out[2:] += mu / (2.0 * dy)
-    out[: n_full - 2] -= mu / (2.0 * dy)
-    return out
-
-
 def profile_derivative_matrix(n_nodes: int, dy: float) -> np.ndarray:
     """Dense d/dy on a profile: central interior, one-sided 3-point at the ends."""
     D = np.zeros((n_nodes, n_nodes))
@@ -605,7 +597,7 @@ class WaveOperator:
             self._lu = scipy.sparse.linalg.splu(self.matrix())
         return self._lu
 
-    # -- right-hand side and its input adjoint ------------------------------
+    # -- the right-hand side of M v = r -------------------------------------
 
     def rhs_vector(
         self,
@@ -630,26 +622,6 @@ class WaveOperator:
         if source is not None:
             r[2:, 1:-1] = source[1:-1, 1:N].T
         return r.ravel()
-
-    def rhs_adjoint(self, lam: np.ndarray) -> dict:
-        """Exact transpose of :meth:`rhs_vector` with respect to its inputs.
-
-        ``lam`` is a full-grid multiplier field of shape (J+1, N+1).
-        """
-        J, N, dy, dt = self.J, self.N, self.dy, self.dt
-        lam1 = lam[1:-1, 1]
-        bc0_cot = lam[0, :].copy()
-        bc1_cot = lam[J, :].copy()
-        half_dt2 = 0.5 * dt**2
-        b0 = self.b0
-        a_cot = lam[1:-1, 0] + lam1
-        m_cot = np.zeros(J + 1)
-        m_cot[1:-1] = dt * lam1
-        m_cot += half_dt2 * _dc_T(b0 * lam1, dy, J + 1)
-        S_cot = np.zeros((J + 1, N + 1))
-        S_cot[1:-1, 0] = half_dt2 * lam1
-        S_cot[1:-1, 1:N] = lam[1:-1, 2 : N + 1]
-        return {"bc0": bc0_cot, "bc1": bc1_cot, "a_interior": a_cot, "m_full": m_cot, "source": S_cot}
 
     # -- the LU oracle -------------------------------------------------------
 

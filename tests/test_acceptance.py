@@ -46,8 +46,10 @@ from hierwave.leader_dual import (
 from hierwave.verify import (
     OracleCase,
     convergence_study,
+    dalembert_solution,
     energy_drift,
     monolithic_solve,
+    moving_end_solution,
     transpose_check,
 )
 from hierwave.cli import main as cli_main
@@ -185,26 +187,21 @@ def test_criterion_5_duality_gap(acc):
 def test_criterion_6_discretization_order():
     with Timer(120.0) as tm:
         dal = convergence_study(
-            OracleCase(
-                "dal",
-                DomainSpec(k=0.0, T=2.0, allow_k_zero=True),
-                (64, 128, 256),
-                reference="closed-form",
-            )
+            OracleCase("dal", DomainSpec(k=0.0, T=2.0, allow_k_zero=True), (64, 128, 256), dalembert_solution)
         )
         orders_dal = [r["order"] for r in dal if "order" in r]
-        slf = convergence_study(
-            OracleCase("self", DomainSpec(k=0.1, T=1.0), (50, 100, 200), reference="self")
+        moving = convergence_study(
+            OracleCase("moving", DomainSpec(k=0.3, T=2.0), (32, 64, 128), moving_end_solution)
         )
-        orders_self = [r["order"] for r in slf if "order" in r]
+        orders_moving = [r["order"] for r in moving if "order" in r]
         drift = energy_drift(Ny=200, T=2.0)
         ok = (
-            all(1.7 <= o <= 2.3 for o in orders_dal + orders_self)
+            all(1.7 <= o <= 2.3 for o in orders_dal + orders_moving)
             and drift <= 1e-3
         )
     report("criterion 6: discretization order + energy", ok, tm)
     assert all(1.7 <= o <= 2.3 for o in orders_dal), orders_dal
-    assert all(1.7 <= o <= 2.3 for o in orders_self), orders_self
+    assert all(1.7 <= o <= 2.3 for o in orders_moving), orders_moving
     assert drift <= 1e-3
 
 

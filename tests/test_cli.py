@@ -125,16 +125,17 @@ def test_nash_zero_leader(tmp_path):
     assert summary["header"]["warnings"] == "none"
 
 
+@pytest.mark.filterwarnings("error")
 def test_nash_non_finite_cost_exits_3(tmp_path, capsys):
     """A leader amplitude that passes validation but overflows the costs used
-    to exit 0 with ``"J": Infinity`` in summary.json, which is not JSON."""
+    to exit 0 with ``"J": Infinity`` in summary.json, which is not JSON.  The
+    costs overflow quietly: the exit-3 message is all the run prints, where
+    numpy's two overflow warnings used to come first."""
     cfg = base_config(leader={"family": "sine", "amplitude": 1e200, "frequency": 1.0})
     out = tmp_path / "nash"
-    with np.errstate(over="ignore"):
-        code = main(["nash", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)])
+    code = main(["nash", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)])
     assert code == 3
-    err = capsys.readouterr().err
-    assert "summary.json" in err and "J2 = inf" in err
+    assert capsys.readouterr().err.splitlines() == ["solver error: summary.json: J2 = inf is not finite"]
     assert not (out / "summary.json").exists()
 
 
@@ -483,11 +484,13 @@ ZERO_TARGETS = {
         ("nash", {"grid": 5}),
         ("nash", {"follower": [1]}),
         ("sweep", {"sweep": {"rho_rel": ["x"], "reference_control": SWEEP_REF}}),
+        ("sweep", {"sweep": {"rho_rel": ["0.05"], "reference_control": SWEEP_REF}}),
         ("sweep", {"sweep": {"k": 0.2, "reference_control": SWEEP_REF}}),
         ("nash", {"leader": {"family": "polynomial", "coefficients": ["x"]}}),
         ("leader", {"targets": {key: v for key, v in ZERO_TARGETS.items() if key != "u0"}}),
     ],
-    ids=["grid-number", "follower-array", "sweep-axis-text", "sweep-axis-number", "coefficient-text", "targets-no-u0"],
+    ids=["grid-number", "follower-array", "sweep-axis-text", "sweep-axis-numeric-text", "sweep-axis-number",
+         "coefficient-text", "targets-no-u0"],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, change):
     """A section, sweep axis or required key of the wrong shape exits 2 with
@@ -624,14 +627,21 @@ def assert_key_rejected(tmp_path, capsys, command, path, value, what):
         ("nash", ("delta",), False),
         ("leader", ("targets", "rho0"), True),
         ("leader", ("optimizer", "tol_vi"), True),
+        ("nash", ("follower", "sigma"), "0.3"),
+        ("nash", ("grid", "Ny"), "41.0"),
+        ("nash", ("grid", "Ny"), "12"),
+        ("nash", ("leader", "amplitude"), "1e200"),
+        ("leader", ("targets", "rho0"), "0.1"),
     ],
-    ids=["sigma", "amplitude", "frequency", "k", "cfl_safety", "delta", "rho0", "tol_vi"],
+    ids=["sigma", "amplitude", "frequency", "k", "cfl_safety", "delta", "rho0", "tol_vi",
+         "sigma-text", "Ny-fraction-text", "Ny-text", "amplitude-text", "rho0-text"],
 )
 def test_number_config_keys_reject_booleans(tmp_path, capsys, command, path, value):
-    """A number key holding a boolean exits 2 naming the key.  float() used
-    to read true as 1.0 and false as 0.0, so all but one of these ran
-    (exit 0), and domain.k = false failed the k = 0 check with a message that
-    hid the cause."""
+    """A number key holding a boolean or a string exits 2 naming the key.
+    float() used to read true as 1.0 and false as 0.0, so all but one of
+    the booleans ran (exit 0), and domain.k = false failed the k = 0 check
+    with a message that hid the cause.  Strings were parsed: "0.3" and "12"
+    ran, while "41.0" failed int() with a message that did not say why."""
     assert_key_rejected(tmp_path, capsys, command, path, value, "a number")
 
 

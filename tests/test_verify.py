@@ -16,13 +16,18 @@ from hierwave.grid import (
     trapezoid_weights,
 )
 from hierwave.coupled import FollowerConfig, apply_A, apply_A_star, get_engine
+from hierwave.wave_core import WaveOperator
 from hierwave.verify import (
     OracleCase,
     TransposeReport,
     convergence_study,
     dalembert_reference,
+    dalembert_solution,
     energy_drift,
+    linear_solution,
     monolithic_solve,
+    moving_end_solution,
+    order_studies,
     run_verification,
     transpose_check,
     write_verification_report,
@@ -204,27 +209,56 @@ def test_transpose_mismatched_quadrature_detected(setup41):
 
 def test_convergence_orders():
     dal = convergence_study(
-        OracleCase(
-            "dal",
-            DomainSpec(k=0.0, T=2.0, allow_k_zero=True),
-            (64, 128, 256),
-            reference="closed-form",
-        )
+        OracleCase("dal", DomainSpec(k=0.0, T=2.0, allow_k_zero=True), (64, 128, 256), dalembert_solution)
     )
     for row in dal[1:]:
         assert 1.7 <= row["order"] <= 2.3
-    slf = convergence_study(
-        OracleCase("self", DomainSpec(k=0.1, T=1.0), (50, 100, 200), reference="self")
-    )
-    for row in slf[1:]:
+    moving = convergence_study(OracleCase("moving", DomainSpec(k=0.3, T=2.0), (32, 64, 128), moving_end_solution))
+    for row in moving[1:]:
         assert 1.7 <= row["order"] <= 2.3
 
 
+def test_moving_end_solution_solves_the_moving_end_problem():
+    """Moore's field vanishes on the moving end, satisfies u_tt = u_xx by
+    finite differences, and its velocity is u_t at t = 0."""
+    mesh = Mesh.auto(DomainSpec(k=0.3, T=2.0), 64)
+    field, velocity = moving_end_solution(mesh)
+    assert np.max(np.abs(field[-1])) < 1e-13
+    k, h = 0.3, 1e-4
+    K = (1 + k) / (1 - k)
+    x, t = 0.4, 0.7
+
+    def u(x, t):
+        tau = t + 1 / k
+        return np.sin(3 * (tau + x)) - np.sin(3 * K * (tau - x))
+
+    u_tt = (u(x, t + h) - 2 * u(x, t) + u(x, t - h)) / h**2
+    u_xx = (u(x + h, t) - 2 * u(x, t) + u(x - h, t)) / h**2
+    assert abs(u_tt - u_xx) < 1e-5 * abs(u_xx)
+    u_t = (u(mesh.y, h) - u(mesh.y, -h)) / (2 * h)
+    assert np.max(np.abs(velocity - u_t)) < 1e-6 * np.max(np.abs(velocity))
+
+
+def test_moving_end_study_sees_a_wrong_moving_boundary_coefficient(monkeypatch):
+    """b = 2 k y / a, the mixed-derivative coefficient that the moving end
+    brings in, off by one part in 1e3 must cost the suite's k > 0 study its
+    order.  A study against a fine-grid run of the same scheme kept order 2
+    (2.04, 2.08) here."""
+    coefficients = WaveOperator._coefficients
+
+    def perturbed(self):
+        b, c, d = coefficients(self)
+        return b * (1.0 + 1e-3), c, d
+
+    monkeypatch.setattr(WaveOperator, "_coefficients", perturbed)
+    (case,) = [case for case in order_studies("fast") if case.domain.k > 0]
+    orders = [row["order"] for row in convergence_study(case)[1:]]
+    assert not all(1.7 <= o <= 2.3 for o in orders), orders
+
+
 def test_linear_solution_exact():
-    rows = convergence_study(
-        OracleCase("lin", DomainSpec(k=0.3, T=2.0), (16, 32), reference="linear-exact")
-    )
-    assert all(r["error"] <= 1e-12 for r in rows)
+    rows = convergence_study(OracleCase("lin", DomainSpec(k=0.3, T=2.0), (16, 32), linear_solution))
+    assert all(r["max_error"] <= 1e-12 for r in rows)
 
 
 def test_energy_drift_threshold():
@@ -235,7 +269,7 @@ def test_run_verification_fast_and_report(tmp_path):
     rep = run_verification("fast", seed=0)
     assert rep["passed"]
     names = {c["name"] for c in rep["checks"]}
-    assert {"dalembert_order", "transpose_identity_overlap", "nash_schur_vs_monolithic"} <= names
+    assert {"dalembert_order", "moving_end_order", "transpose_identity_overlap", "nash_schur_vs_monolithic"} <= names
     for check in rep["checks"]:
         assert set(check) == {"name", "metric", "threshold", "passed"}
     write_verification_report(rep, tmp_path / "report.json")
