@@ -178,6 +178,16 @@ def eval_profile(spec: dict, xi: np.ndarray, at: str) -> np.ndarray:
     raise ConfigurationError(f"{at}: unknown profile family {fam!r}")
 
 
+def _csv_path(spec: dict, at: str) -> str:
+    """The file named by the "csv" key of the spec at config key ``at``,
+    which must be a JSON string (``open`` would take a number as a file
+    descriptor)."""
+    path = spec["csv"]
+    if not isinstance(path, str):
+        raise ConfigurationError(f"{at}.csv must be a file path string, got {path!r}")
+    return path
+
+
 class RunSetup:
     """Validated objects built from one config document."""
 
@@ -191,7 +201,7 @@ class RunSetup:
             raise ConfigurationError(f"domain.allow_k_zero must be true or false, got {allow0!r}")
         report = check_admissible(k, T, allow_k_zero=allow0)
         if report.hard_error:
-            raise ConfigurationError(report.hard_error)
+            raise ConfigurationError(f"domain: {report.hard_error}")
         self.adm_report = report
         self.domain = DomainSpec(k=k, T=T, allow_k_zero=allow0)
 
@@ -220,8 +230,8 @@ class RunSetup:
         self.seed = read_number(config, "seed", 0, int)
         if self.seed < 0:
             raise ConfigurationError(f"seed must be a non-negative integer, got {config['seed']!r}")
-        # delta only reparameterizes the reach operator: the leader's balls are
-        # on u(T) and u_t(T), so it leaves the leader's problem unchanged
+        # 'delta' is accepted, validated and has no effect: the leader's balls
+        # are on u(T) and u_t(T), which no change of reach variables moves
         delta = read_number(config, "delta", 0.0)
         if not (np.isfinite(delta) and delta >= 0.0):
             raise ConfigurationError(f"delta must be a finite number >= 0, got {config['delta']!r}")
@@ -244,7 +254,7 @@ class RunSetup:
         if spec is None:
             return None
         if "csv" in spec:
-            return load_field_csv(spec["csv"], self.mesh)
+            return load_field_csv(_csv_path(spec, "follower.u_tilde2"), self.mesh)
         space = eval_profile(
             spec.get("space", {"family": "constant", "value": 1.0}), self.mesh.y, "follower.u_tilde2.space"
         )
@@ -258,14 +268,14 @@ class RunSetup:
     def build_time_trace(self, spec: dict, mask, where: str) -> Trace:
         """The trace of the config key ``where``, which holds ``spec``."""
         if "csv" in spec:
-            return load_trace_csv(spec["csv"], self.mesh, mask)
+            return load_trace_csv(_csv_path(spec, where), self.mesh, mask)
         vals = eval_profile(spec, self.mesh.times / self.domain.T, where)
         return Trace(vals, mask, self.mesh)
 
     def build_space_profile(self, spec: dict, time: float, where: str) -> SpatialProfile:
         """The profile of the config key ``where``, which holds ``spec``."""
         if "csv" in spec:
-            return load_profile_csv(spec["csv"], self.mesh, time)
+            return load_profile_csv(_csv_path(spec, where), self.mesh, time)
         vals = eval_profile(spec, self.mesh.y, where)
         return SpatialProfile(vals, time, self.mesh)
 

@@ -200,8 +200,8 @@ class CoupledEngine:
         self._idx2 = np.flatnonzero(partition.mask2)
         self._schur = None
         # adjoint-trace columns, Gram matrix and norm blocks B of the leader's
-        # dual; they do not depend on targets, radii or delta, so a radii
-        # ladder shares them
+        # dual; they do not depend on targets or radii, so a radii ladder
+        # shares them
         self.leader_gram: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         # free_terminal's pair for the last u_tilde, keyed by content_key
         self._free_terminal: tuple[tuple, tuple[np.ndarray, np.ndarray]] | None = None
@@ -215,10 +215,6 @@ class CoupledEngine:
         gives fields of shape (J+1, N+1, m).
         """
         return self.op.march(bc_values, self._zeros_t, self._zeros_full, self._zeros_full)
-
-    def multiplier_solve(self, rho: np.ndarray) -> np.ndarray:
-        """Exact transposed solve M^T lambda = rho: one backward sweep."""
-        return self.op.solve_adjoint(rho)
 
     def normal_trace(self, lam: np.ndarray) -> np.ndarray:
         """Operator-consistent outward normal derivative of a companion field
@@ -243,13 +239,13 @@ class CoupledEngine:
         vals[1:-1, 1:-1] = lam[1:-1, 2:]
         return vals / self.W
 
-    def terminal_cotangent(self, f0_vals: np.ndarray, f1_vals: np.ndarray, delta: float = 0.0) -> np.ndarray:
+    def terminal_cotangent(self, f0_vals: np.ndarray, f1_vals: np.ndarray) -> np.ndarray:
         """Cotangent that drives the adjoint pair: the transpose of the reach
         output, paired against final data (f0, f1) on (0, alpha(T))."""
         mesh = self.mesh
         wy = trapezoid_weights(mesh.Ny + 1, mesh.dy)
         aT = mesh.alphas[-1]
-        return terminal_adjoint(mesh, aT * wy * f0_vals, aT * wy * f1_vals, delta)
+        return terminal_adjoint(mesh, aT * wy * f0_vals, aT * wy * f1_vals)
 
     def phi_field(self, mu: np.ndarray, psi: np.ndarray, f0_vals: np.ndarray, f1_vals: np.ndarray) -> np.ndarray:
         """Nodal values of the adjoint pair's phi from its multiplier mu.
@@ -309,7 +305,7 @@ class CoupledEngine:
         bc, w2 = self.schur_bc(w1_values, utilde)
         state = self.state_solve(bc)
         misfit = state if utilde is None else state - utilde
-        lam = self.multiplier_solve(self.W * misfit)
+        lam = self.op.solve_adjoint(self.W * misfit)
         residual = self.trace_norm((self.chi2 / self.sigma) * self.normal_trace(lam) - w2)
         return state, lam, w2, residual
 
@@ -417,7 +413,7 @@ class CoupledEngine:
             bc = self.chi1 * w1_values + self.chi2 * w2
             state = self.state_solve(bc)
             misfit = state if utilde is None else state - utilde
-            lam = self.multiplier_solve(self.W * misfit)
+            lam = self.op.solve_adjoint(self.W * misfit)
             w2_next = (self.chi2 / self.sigma) * self.normal_trace(lam)
             return (state, lam), w2_next
 
@@ -489,7 +485,7 @@ class CoupledEngine:
 
         def sweep(s):
             psi = self.state_solve(s)
-            mu = self.multiplier_solve(rho_terminal + self.W * psi)
+            mu = self.op.solve_adjoint(rho_terminal + self.W * psi)
             s_next = (self.chi2 / self.sigma) * self.normal_trace(mu)
             return (mu, psi), s_next
 
@@ -578,28 +574,21 @@ def solve_leader_part(w1: Trace, cfg: FollowerConfig):
     return g, q
 
 
-def apply_A(w1: Trace, cfg: FollowerConfig, delta: float = 0.0):
-    """Reach operator: leader control to (final velocity + delta * value, -value).
+def apply_A(w1: Trace, cfg: FollowerConfig):
+    """Reach operator: leader control to (final velocity, -final value).
 
     The final levels are S_tail (chi1 w1 + chi2 w2), with no wave solve.
     """
-    if delta < 0.0:
-        raise ConfigurationError("delta must be nonnegative")
     mesh = w1.mesh
     eng = get_engine(mesh, cfg)
     w1v = _masked_values(w1, cfg.partition.mask1)
     bc, _ = eng.schur_bc(w1v)
-    c1, c2 = extract_terminal(mesh, eng.op.boundary_response().terminal_levels(bc), delta)
+    c1, c2 = extract_terminal(mesh, eng.op.boundary_response().terminal_levels(bc))
     T = mesh.domain.T
     return SpatialProfile(c1, T, mesh), SpatialProfile(c2, T, mesh)
 
 
-def apply_A_star(
-    f0: SpatialProfile,
-    f1: SpatialProfile,
-    cfg: FollowerConfig,
-    delta: float = 0.0,
-) -> AdjointPair:
+def apply_A_star(f0: SpatialProfile, f1: SpatialProfile, cfg: FollowerConfig) -> AdjointPair:
     """Adjoint of the reach operator through the transposed coupled system.
 
     The returned trace is minus the boundary derivative of the first adjoint
@@ -615,12 +604,12 @@ def apply_A_star(
     if f1.mesh.key() != mesh.key():
         raise ConfigurationError("f0 and f1 must share a mesh")
     eng = get_engine(mesh, cfg)
-    rho = eng.terminal_cotangent(f0.values, f1.values, delta)
+    rho = eng.terminal_cotangent(f0.values, f1.values)
     s, mu0 = eng.schur_adjoint(rho[:, -3:, None])
     s, mu0 = s[:, 0], mu0[:, 0]
     # the march carries the Dirichlet data s into psi's boundary row exactly
     psi = eng.state_solve(s)
-    mu = eng.multiplier_solve(rho + eng.W * psi)
+    mu = eng.op.solve_adjoint(rho + eng.W * psi)
     residual = eng.trace_norm((mu[0, :] - mu0) / eng.tau)
     trace_vals = np.where(cfg.partition.mask1, mu0 / eng.tau, 0.0)
     phi = Field(eng.phi_field(mu, psi, f0.values, f1.values), mesh)

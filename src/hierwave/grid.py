@@ -52,7 +52,7 @@ class GridSpec:
 
     def __post_init__(self):
         if self.Ny < 8 or self.Nt < 8:
-            raise ConfigurationError("need Ny >= 8 and Nt >= 8")
+            raise ConfigurationError(f"grid needs Ny >= 8 and Nt >= 8, got Ny={self.Ny}, Nt={self.Nt}")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ConfigurationError("cfl_safety must lie in (0, 1]")
 
@@ -536,28 +536,35 @@ def _write_csv(path, header_comments: dict | None, columns: list[str], template:
         fh.write(text)
 
 
-def _read_csv(path) -> tuple[dict, list[str], np.ndarray]:
-    comments: dict[str, str] = {}
+def _read_csv(path, columns: int) -> np.ndarray:
+    """The numeric rows under the header line, each of at least ``columns``
+    numbers; '#' comment lines and blank lines are skipped.  A file that
+    cannot be opened or decoded, a cell that is not a finite number, rows of
+    unequal length or too few columns are a configuration error that names
+    the file."""
     rows = []
-    with open(path, newline="") as fh:
-        header: list[str] | None = None
-        for line in fh:
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    key, val = body.split(":", 1)
-                    comments[key.strip()] = val.strip()
-                continue
-            if not line.strip():
-                continue
-            parts = [p.strip() for p in line.strip().split(",")]
-            if header is None:
-                header = parts
-                continue
-            rows.append([float(p) for p in parts])
+    header = None
+    try:
+        with open(path, newline="") as fh:
+            for line in fh:
+                if line.startswith("#") or not line.strip():
+                    continue
+                parts = line.strip().split(",")
+                if header is None:
+                    header = parts
+                    continue
+                rows.append([float(p) for p in parts])
+        # unequal rows make a ragged array, which numpy refuses with ValueError
+        data = np.asarray(rows, dtype=float)
+    except (OSError, ValueError) as err:  # UnicodeDecodeError is a ValueError
+        raise ConfigurationError(f"{path}: cannot read CSV: {err}") from err
     if header is None:
         raise ConfigurationError(f"{path}: empty CSV")
-    return comments, header, np.asarray(rows, dtype=float)
+    if rows and data.shape[1] < columns:
+        raise ConfigurationError(f"{path}: expected {columns} columns, found {data.shape[1]}")
+    if not np.isfinite(data).all():
+        raise ConfigurationError(f"{path}: a cell is not a finite number")
+    return data
 
 
 def save_profile_csv(path, profile: SpatialProfile, extra_header: dict | None = None) -> None:
@@ -568,7 +575,7 @@ def save_profile_csv(path, profile: SpatialProfile, extra_header: dict | None = 
 
 
 def load_profile_csv(path, mesh: Mesh, time: float) -> SpatialProfile:
-    _, _, data = _read_csv(path)
+    data = _read_csv(path, 2)
     if data.shape[0] != mesh.Ny + 1:
         raise ConfigurationError(
             f"{path}: expected {mesh.Ny + 1} profile rows, found {data.shape[0]}"
@@ -587,7 +594,7 @@ def save_trace_csv(path, trace: Trace, extra_header: dict | None = None) -> None
 
 
 def load_trace_csv(path, mesh: Mesh, mask: np.ndarray | None = None, side: str = "y=0") -> Trace:
-    _, _, data = _read_csv(path)
+    data = _read_csv(path, 2)
     if data.shape[0] != mesh.Nt + 1:
         raise ConfigurationError(
             f"{path}: expected {mesh.Nt + 1} trace rows, found {data.shape[0]}"
@@ -600,7 +607,7 @@ def load_trace_csv(path, mesh: Mesh, mask: np.ndarray | None = None, side: str =
 
 
 def load_field_csv(path, mesh: Mesh) -> Field:
-    _, _, data = _read_csv(path)
+    data = _read_csv(path, 3)
     n_expect = (mesh.Ny + 1) * (mesh.Nt + 1)
     if data.shape[0] != n_expect:
         raise ConfigurationError(f"{path}: expected {n_expect} field rows, found {data.shape[0]}")

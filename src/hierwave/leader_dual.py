@@ -8,8 +8,7 @@ velocity landing in prescribed balls) is attacked through its convex dual:
                 + rho1 ||f0||_H + rho0 |f1|_L2
 
 minimized over pairs (f0, f1) with f0 vanishing at both endpoints.  The
-balls are on u(T) and u_t(T), so the problem, and with it this dual, does
-not depend on the parameter delta of the reach operator.  In
+balls are on u(T) and u_t(T), the pair the reach operator returns.  In
 coordinates (interior values of f0, then all values of f1) this is
 
     D(f) = 1/2 f.G f + ell.f + rho1 ||f0||_K + rho0 ||f1||_Omega

@@ -70,7 +70,6 @@ def monolithic_solve(
     cfg: FollowerConfig,
     w1: Trace | None = None,
     f: tuple[SpatialProfile, SpatialProfile] | None = None,
-    delta: float = 0.0,
 ):
     """Solve a coupled system in one shot, no fixed-point iteration.
 
@@ -103,7 +102,7 @@ def monolithic_solve(
         if f is None:
             raise ConfigurationError("system 'adjoint_pair' needs final data (f0, f1)")
         f0, f1 = f
-        rho = eng.terminal_cotangent(f0.values, f1.values, delta)
+        rho = eng.terminal_cotangent(f0.values, f1.values)
         mu, psi = eng.direct_adjoint_pair(rho)
         trace = np.where(cfg.partition.mask1, mu[0, :] / eng.tau, 0.0)
         return {
@@ -126,13 +125,7 @@ class TransposeReport:
     per_trial: list[dict] = dc_field(default_factory=list)
 
 
-def transpose_check(
-    mesh: Mesh,
-    cfg: FollowerConfig,
-    trials: int = 20,
-    seed: int = 0,
-    delta: float = 0.0,
-) -> TransposeReport:
+def transpose_check(mesh: Mesh, cfg: FollowerConfig, trials: int = 20, seed: int = 0) -> TransposeReport:
     """Compare the reach-operator pairing against the adjoint-trace pairing.
 
     For seeded random controls and final data, evaluates both sides of the
@@ -151,9 +144,9 @@ def transpose_check(
         f0v[0] = f0v[-1] = 0.0
         f0 = SpatialProfile(f0v, T, mesh)
         f1 = SpatialProfile(rng.standard_normal(mesh.Ny + 1), T, mesh)
-        c1, c2 = apply_A(w1, cfg, delta)
+        c1, c2 = apply_A(w1, cfg)
         lhs = duality_pairing(c1, f0) + l2_inner_physical(c2, f1)
-        pair = apply_A_star(f0, f1, cfg, delta)
+        pair = apply_A_star(f0, f1, cfg)
         rhs = float(np.sum(tau * mask1 * pair.leader_trace.values * w1.values))
         denom = abs(lhs) + abs(rhs) + 1e-300
         rel = abs(lhs - rhs) / denom

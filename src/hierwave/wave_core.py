@@ -747,13 +747,13 @@ def final_velocity_profile(field: Field) -> SpatialProfile:
     return SpatialProfile(_terminal_velocity(mesh, field.values), mesh.domain.T, mesh)
 
 
-def extract_terminal(mesh: Mesh, values: np.ndarray, delta: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """(u_t(T) + delta u(T), -u(T)) as raw arrays; the reach-operator output.
+def extract_terminal(mesh: Mesh, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u_t(T), -u(T)) as raw arrays; the reach-operator output.
 
     Only the last three time levels of ``values`` are read, so a field or
     just those levels (shape (Ny+1, 3)) will do.
     """
-    return _terminal_velocity(mesh, values) + delta * values[:, -1], -values[:, -1]
+    return _terminal_velocity(mesh, values), -values[:, -1]
 
 
 def terminal_first_step(
@@ -786,9 +786,7 @@ def terminal_first_step(
     return out
 
 
-def terminal_adjoint_levels(
-    mesh: Mesh, theta1: np.ndarray, theta2: np.ndarray, delta: float = 0.0
-) -> np.ndarray:
+def terminal_adjoint_levels(mesh: Mesh, theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
     """Time levels N-2, N-1 and N of :func:`terminal_adjoint`'s cotangent.
 
     The cotangent vanishes on every earlier level.  ``theta1`` and
@@ -799,12 +797,12 @@ def terminal_adjoint_levels(
     aT = mesh.alphas[-1]
     D = profile_derivative_matrix(mesh.Ny + 1, mesh.dy)
     drift = (mesh.domain.k * mesh.y / aT).reshape((-1,) + (1,) * (np.ndim(theta1) - 1))
-    last = 3.0 * inv2dt * theta1 + delta * theta1 - theta2 - D.T @ (drift * theta1)
+    last = 3.0 * inv2dt * theta1 - theta2 - D.T @ (drift * theta1)
     return np.stack([inv2dt * theta1, -4.0 * inv2dt * theta1, last], axis=1)
 
 
-def terminal_adjoint(mesh: Mesh, theta1: np.ndarray, theta2: np.ndarray, delta: float = 0.0) -> np.ndarray:
+def terminal_adjoint(mesh: Mesh, theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
     """Exact transpose of :func:`extract_terminal`; returns a cotangent field."""
     rho = np.zeros((mesh.Ny + 1, mesh.Nt + 1))
-    rho[:, -3:] = terminal_adjoint_levels(mesh, theta1, theta2, delta)
+    rho[:, -3:] = terminal_adjoint_levels(mesh, theta1, theta2)
     return rho

@@ -111,7 +111,7 @@ def test_criterion_2_transpose_identity(acc):
     mesh, _, _, _, _ = acc
     cfg = FollowerConfig(sigma=1.0, partition=SigmaPartition.overlap(mesh.Nt + 1))
     with Timer(60.0) as tm:
-        rep = transpose_check(mesh, cfg, trials=20, seed=0, delta=0.0)
+        rep = transpose_check(mesh, cfg, trials=20, seed=0)
     ok = rep.max_rel_error <= 1e-8
     report("criterion 2: transpose identity", ok and tm.elapsed < 60, tm)
     assert rep.max_rel_error <= 1e-8

@@ -507,6 +507,80 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, change):
     assert not out.exists()
 
 
+CSV_KEYS = [
+    ("nash", "leader"),
+    ("simulate", "control"),
+    ("sweep", "sweep.reference_control"),
+    ("leader", "targets.u0"),
+    ("leader", "targets.u1"),
+    ("nash", "follower.u_tilde2"),
+]
+
+
+def bad_csv(tmp_path, kind: str, loader: str, mesh: Mesh):
+    """The "csv" value of a malformed-input case ``kind`` for ``loader``
+    (trace, profile or field) on ``mesh``."""
+    if kind == "number":
+        return 5
+    if kind == "null":
+        return None
+    path = tmp_path / f"{kind}.csv"
+    # the coordinate columns a loader checks, with the row count it expects
+    coords = {
+        "trace": mesh.times[:, None],
+        "profile": mesh.alphas[-1] * mesh.y[:, None],
+        "field": np.column_stack([np.tile(mesh.y, mesh.Nt + 1), np.repeat(mesh.times, mesh.Ny + 1)]),
+    }[loader]
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "latin1":
+        path.write_bytes(b"coordinate,value\n0,\xe9\n")
+    elif kind == "text":
+        path.write_text("coordinate,value\n0,abc\n")
+    elif kind == "ragged":
+        path.write_text("coordinate,value\n0,1\n0.1,1,2\n")
+    elif kind == "nan":
+        rows = np.column_stack([coords, np.full(len(coords), np.nan)])
+        path.write_text("header\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
+    elif kind == "one-column":
+        path.write_text("coordinate\n" + "".join(f"{v!r}\n" for v in coords[:, 0].tolist()))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "kind", ["missing", "directory", "number", "null", "latin1", "text", "nan", "ragged", "one-column"]
+)
+@pytest.mark.parametrize("command, key", CSV_KEYS, ids=[key for _, key in CSV_KEYS])
+def test_malformed_csv_input_exits_2(tmp_path, capsys, command, key, kind):
+    """A "csv" value that is not a string, or names a file that is missing,
+    a directory, not UTF-8, has a cell that is not a finite number, ragged
+    rows or too few columns, exits 2 naming the key or the file.  Each used
+    to exit 1 with a traceback (FileNotFoundError, IsADirectoryError,
+    OSError on file descriptor 5, TypeError, UnicodeDecodeError, ValueError,
+    IndexError), except a NaN control, which marched and exited 3."""
+    cfg = base_config(
+        grid={"Ny": 12},
+        leader={"family": "constant", "value": 0.0},
+        control={"family": "constant", "value": 0.0},
+        targets=dict(ZERO_TARGETS),
+        sweep={"rho_rel": [0.05], "reference_control": SWEEP_REF},
+    )
+    mesh = Mesh.auto(DomainSpec(k=0.1, T=4.0), 12)
+    loader = "profile" if key.startswith("targets") else "field" if key.endswith("u_tilde2") else "trace"
+    csv = bad_csv(tmp_path, kind, loader, mesh)
+    *parents, last = key.split(".")
+    section = cfg
+    for name in parents:
+        section = section[name]
+    section[last] = {"csv": csv}
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert (f"{key}.csv" if kind in ("number", "null") else csv) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("delta", [-1.0, float("nan"), "abc"])
 def test_leader_invalid_delta_exits_2(tmp_path, capsys, delta):
     cfg = base_config(

@@ -53,19 +53,19 @@ def rand_dual_profiles(mesh, rng):
     )
 
 
-def direct_reach(w1, f0, f1, cfg, delta):
+def direct_reach(w1, f0, f1, cfg):
     """apply_A and apply_A_star's leader trace through the coupled LU."""
     mesh = w1.mesh
     state = monolithic_solve("leader_part", mesh, cfg, w1=w1)["state"].values
-    c1, c2 = extract_terminal(mesh, state, delta)
+    c1, c2 = extract_terminal(mesh, state)
     T = mesh.domain.T
-    trace = monolithic_solve("adjoint_pair", mesh, cfg, f=(f0, f1), delta=delta)["leader_trace"].values
+    trace = monolithic_solve("adjoint_pair", mesh, cfg, f=(f0, f1))["leader_trace"].values
     return SpatialProfile(c1, T, mesh), SpatialProfile(c2, T, mesh), trace
 
 
-def reach(w1, f0, f1, cfg, delta):
-    c1, c2 = apply_A(w1, cfg, delta)
-    return c1, c2, apply_A_star(f0, f1, cfg, delta).leader_trace.values
+def reach(w1, f0, f1, cfg):
+    c1, c2 = apply_A(w1, cfg)
+    return c1, c2, apply_A_star(f0, f1, cfg).leader_trace.values
 
 
 def el_scale(sol, cfg, direction):
@@ -237,14 +237,14 @@ def test_apply_A_zero_and_linear(mesh41, cfg41_plain):
     assert np.max(np.abs(c2b.values - 2.5 * c2a.values)) < 1e-10 * (np.max(np.abs(c2a.values)) + 1)
 
 
-def _transpose_worst(mesh, cfg, trials, solve=reach, delta=0.0, seed=42):
+def _transpose_worst(mesh, cfg, trials, solve=reach, seed=42):
     rng = np.random.default_rng(seed)
     tau = trapezoid_weights(mesh.Nt + 1, mesh.dt)
     worst = 0.0
     for _ in range(trials):
         w1 = rand_trace(mesh, cfg.partition.mask1, rng)
         f0, f1 = rand_dual_profiles(mesh, rng)
-        c1, c2, trace = solve(w1, f0, f1, cfg, delta)
+        c1, c2, trace = solve(w1, f0, f1, cfg)
         lhs = duality_pairing(c1, f0) + l2_inner_physical(c2, f1)
         rhs = float(np.sum(tau * cfg.partition.mask1 * trace * w1.values))
         worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300))
@@ -261,10 +261,6 @@ def test_transpose_identity_time_split(mesh41):
     assert _transpose_worst(mesh41, cfg, 5, direct_reach) < 1e-8
 
 
-def test_transpose_identity_with_delta(mesh41, cfg41_plain):
-    assert _transpose_worst(mesh41, cfg41_plain, 4, direct_reach, delta=0.5) < 1e-8
-
-
 @pytest.mark.parametrize("mode", ["overlap", "time-split"])
 def test_transpose_identity_default_path(mode):
     """The reduced solve at Ny = 80 over the follower weights where relaxed
@@ -274,8 +270,7 @@ def test_transpose_identity_default_path(mode):
     part = SigmaPartition.overlap(n) if mode == "overlap" else SigmaPartition.time_split(n)
     for sigma in (1e-4, 1.0, 100.0):
         cfg = FollowerConfig(sigma=sigma, partition=part)
-        for delta in (0.0, 0.5):
-            assert _transpose_worst(mesh, cfg, 2, delta=delta) < 1e-8, (sigma, delta)
+        assert _transpose_worst(mesh, cfg, 2) < 1e-8, sigma
 
 
 def test_apply_A_star_zero(mesh41, cfg41_plain):
@@ -296,7 +291,7 @@ def test_apply_A_star_decoupled_limit(mesh41, overlap41):
     rho = eng.terminal_cotangent(f0.values, f1.values)
     mu_pair, _, _, _, _ = eng.picard_adjoint_pair(rho)
     pair_trace = np.where(overlap41.mask1, mu_pair[0, :] / eng.tau, 0.0)
-    mu = eng.multiplier_solve(rho)
+    mu = eng.op.solve_adjoint(rho)
     single = np.where(overlap41.mask1, mu[0, :] / eng.tau, 0.0)
     scale = np.max(np.abs(single)) + 1e-30
     assert np.max(np.abs(pair_trace - single)) < 1e-10 * scale
@@ -497,7 +492,7 @@ def test_equilibrium_trace_characterization(mesh41, cfg41, w1_smooth):
     returned state (not from the iteration's own bookkeeping)."""
     sol = solve_nash_system(w1_smooth, cfg41)
     eng = get_engine(mesh41, cfg41)
-    lam = eng.multiplier_solve(eng.W * (sol.u.values - cfg41.u_tilde2.values))
+    lam = eng.op.solve_adjoint(eng.W * (sol.u.values - cfg41.u_tilde2.values))
     rhs = eng.chi2 * eng.normal_trace(lam)
     diff = np.sqrt(np.sum(eng.tau * (cfg41.sigma * sol.w2.values - rhs) ** 2))
     assert diff <= 10 * PicardOptions().tol * max(1.0, sol.w2.norm())

@@ -298,21 +298,20 @@ def test_ball_slack_zero_control(small_setup):
 
 
 def test_minimize_with_delta_outer_loop(small_setup):
-    """No outer loop over delta is needed: the balls are on u(T) and u_t(T),
-    and the delta = 0.3 reach output (u_t(T) + delta u(T), -u(T)) of the
-    delta = 0 answer, mapped back to (u(T), u_t(T)), lands in both balls at
-    no more cost than the reference control."""
+    """No outer loop over a change of reach variables is needed: the balls
+    are on u(T) and u_t(T), and the reach output (u_t(T), -u(T)) of the
+    answer, mapped back to (u(T), u_t(T)), lands in both balls at no more
+    cost than the reference control."""
     mesh, cfg, w1_ref, targets = small_setup
-    delta = 0.3
     f_star, w1_star, rep = minimize_dual(targets, cfg)
     assert rep.reached == (True, True)
     assert rep.gap_rel <= 1e-3
     assert rep.primal_J <= cost_J(w1_ref) + 1e-3
     u = solve_nash_system(w1_star, cfg).u
-    c1, c2 = extract_terminal(mesh, u.values, delta)
+    c1, c2 = extract_terminal(mesh, u.values)
     T = mesh.domain.T
     u_T = SpatialProfile(-c2, T, mesh)
-    ut_T = SpatialProfile(c1 + delta * c2, T, mesh)
+    ut_T = SpatialProfile(c1, T, mesh)
     assert np.allclose(u_T.values, final_value_profile(u).values)
     assert np.allclose(ut_T.values, final_velocity_profile(u).values)
     _, _, r0, r1 = check_target_reached(u_T, ut_T, targets)

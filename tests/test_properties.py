@@ -68,10 +68,9 @@ def smooth_inputs(mesh, rng):
     T_extra=st.floats(0.0, 2.0),
     log_sigma=st.floats(-4.0, 2.0),
     time_split=st.booleans(),
-    delta=st.sampled_from([0.0, 0.5]),
     seed=st.integers(0, 2**16),
 )
-def test_default_path_properties(Ny, k, T_extra, log_sigma, time_split, delta, seed):
+def test_default_path_properties(Ny, k, T_extra, log_sigma, time_split, seed):
     T = min(min_control_time(k), T_CAP) + T_extra
     sigma = 10.0**log_sigma
     mesh = Mesh.auto(DomainSpec(k=k, T=T), Ny)
@@ -117,9 +116,9 @@ def test_default_path_properties(Ny, k, T_extra, log_sigma, time_split, delta, s
     f0v = rng.standard_normal(Ny + 1)
     f0v[0] = f0v[-1] = 0.0
     f1v = rng.standard_normal(Ny + 1)
-    c1, c2 = apply_A(w1, plain, delta)
+    c1, c2 = apply_A(w1, plain)
     lhs = float(np.sum(omega * (c1.values * f0v + c2.values * f1v)))
-    pair = apply_A_star(SpatialProfile(f0v, T, mesh), SpatialProfile(f1v, T, mesh), plain, delta)
+    pair = apply_A_star(SpatialProfile(f0v, T, mesh), SpatialProfile(f1v, T, mesh), plain)
     rhs = float(np.sum(tau * chi1 * pair.leader_trace.values * leader))
     assert abs(lhs - rhs) <= TRANSPOSE_RTOL * (abs(lhs) + abs(rhs)), (lhs, rhs)
 

@@ -293,12 +293,11 @@ def test_terminal_extraction_adjoint_pair():
     rng = np.random.default_rng(9)
     values = rng.standard_normal((mesh.Ny + 1, mesh.Nt + 1))
     th1, th2 = rng.standard_normal((2, mesh.Ny + 1))
-    for delta in (0.0, 0.7):
-        c1, c2 = extract_terminal(mesh, values, delta)
-        rho = terminal_adjoint(mesh, th1, th2, delta)
-        lhs = float(c1 @ th1 + c2 @ th2)
-        rhs = float(np.sum(values * rho))
-        assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + abs(rhs) + 1.0)
+    c1, c2 = extract_terminal(mesh, values)
+    rho = terminal_adjoint(mesh, th1, th2)
+    lhs = float(c1 @ th1 + c2 @ th2)
+    rhs = float(np.sum(values * rho))
+    assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + abs(rhs) + 1.0)
 
 
 def test_convergence_order_quick():
