@@ -6,17 +6,23 @@ reference solves included), runs every op once through
 ``hierwave.cli.main`` in this process to fill the caches, then runs
 ``--passes`` more passes with a timer around each stage:
 
-    leader_dual._secular_newton  the multipliers' Newton solve, including the
-                                 per-iterate certificate rows of its history
-    leader_dual.vi_min           the sampled certificate's defect minimum
-    leader_dual._sample_points   its comparison points
+    leader_dual._secular_newton  the multipliers' Newton solve in whitened
+                                 coordinates: one Cholesky factorization,
+                                 one two-column solve and a closed-form 2x2
+                                 step per iterate
+    leader_dual.certificate      the sampled certificates of the history rows
+                                 and of the answer, in one batch
+                                 (_certificates; in a checkout that still
+                                 samples each point by itself, _certificate)
     leader_dual._DualModel       the dual model's set-up (_DualModel.__init__):
-                                 the kept Gram and norm blocks, the free
+                                 the kept whitened Gram and factor, the free
                                  state's final pair, and the data term
+    leader_dual._reached         the distance check through one honest
+                                 application of the reach operator
     coupled.free_terminal        CoupledEngine.free_terminal, the free state's
                                  final pair
     grid.PoissonRiesz.solve_values  the tridiagonal Poisson solve behind the
-                                 Newton solve's gradient lift and the H^-1 norm
+                                 H^-1 norm of the distance check
     wave_core.WaveOperator.march  the forward wave march, each step one
                                  contraction with the mesh's stencil table
                                  and one pre-factored tridiagonal solve: in a
@@ -37,11 +43,11 @@ reference solves included), runs every op once through
     cli.parse                    main's time outside load_config and the
                                  command: building and running the parser
 
-Stages nest: vi_min and _sample_points run inside the Newton solve and once
-more after it, free_terminal inside the model's set-up, solve_values
-inside the Newton solve and the distance checks, solve_adjoint (the
-tracked row) inside free_terminal, sample_responses inside
-euler_lagrange_residual, and march inside sample_responses only on a miss.
+Stages nest: free_terminal inside the model's set-up, solve_values inside
+the distance check (and, in a checkout whose Newton solve lifts gradients
+by Poisson solves, inside that solve too, as _certificate is), solve_adjoint (the tracked row) inside free_terminal,
+sample_responses inside euler_lagrange_residual, and march inside
+sample_responses only on a miss.
 Each stage reports the median over passes of its time per pass, of its
 share of the pass's op time, and of its calls per pass; a stage whose
 function the checkout lacks reads zero.  ``op_s_p50`` is the median warm
@@ -87,9 +93,11 @@ from plan import build_plan  # noqa: E402
 # stage name -> (module, attribute path) of every function it times
 STAGES = {
     "leader_dual._secular_newton": [("hierwave.leader_dual", "_secular_newton")],
-    "leader_dual.vi_min": [("hierwave.leader_dual", "_DualModel.vi_min")],
-    "leader_dual._sample_points": [("hierwave.leader_dual", "_sample_points")],
+    "leader_dual.certificate": [
+        ("hierwave.leader_dual", name) for name in ("_certificates", "_certificate")
+    ],
     "leader_dual._DualModel": [("hierwave.leader_dual", "_DualModel.__init__")],
+    "leader_dual._reached": [("hierwave.leader_dual", "_reached")],
     "coupled.free_terminal": [("hierwave.coupled", "CoupledEngine.free_terminal")],
     "grid.PoissonRiesz.solve_values": [("hierwave.grid", "PoissonRiesz.solve_values")],
     "wave_core.WaveOperator.march": [("hierwave.wave_core", "WaveOperator.march")],

@@ -402,11 +402,11 @@ def cmd_leader(config: dict, out_dir: Path) -> int:
     header = setup.header()
     targets = setup.build_targets()
     f_star, w1_star, report = minimize_dual(targets, setup.follower, setup.dual_options())
-    doc = _finite({"header": header, **json.loads(report.to_json())}, "report.json")
+    doc = _finite({"header": header, **report.payload()}, "report.json")
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_trace_csv(out_dir / "w1_star.csv", w1_star, header)
     save_profile_csv(out_dir / "f0.csv", f_star.f0, header)
     save_profile_csv(out_dir / "f1.csv", f_star.f1, header)
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
     with open(out_dir / "history.csv", "w") as fh:
         for key, val in header.items():

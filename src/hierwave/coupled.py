@@ -199,9 +199,9 @@ class CoupledEngine:
         self._coupled_lu = None
         self._idx2 = np.flatnonzero(partition.mask2)
         self._schur = None
-        # adjoint-trace columns, Gram matrix and norm blocks B of the leader's
-        # dual; they do not depend on targets or radii, so a radii ladder
-        # shares them
+        # whitened adjoint-trace columns, their Gram matrix and the Cholesky
+        # factor R of the norm blocks of the leader's dual; they do not depend
+        # on targets or radii, so a radii ladder shares them
         self.leader_gram: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         # free_terminal's pair for the last u_tilde, keyed by content_key
         self._free_terminal: tuple[tuple, tuple[np.ndarray, np.ndarray]] | None = None

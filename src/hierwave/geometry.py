@@ -65,8 +65,12 @@ class AdmissibilityReport:
 
 def alpha(spec: DomainSpec, t):
     """Position of the moving endpoint, 1 + k t."""
-    t = np.asarray(t, dtype=float)
     tol = 1e-12 * max(1.0, spec.T)
+    if isinstance(t, float):  # one time, without the array round trip
+        if t < -tol or t > spec.T + tol:
+            raise ConfigurationError(f"time {t} outside [0, {spec.T}]")
+        return float(1.0 + spec.k * t)
+    t = np.asarray(t, dtype=float)
     if np.any(t < -tol) or np.any(t > spec.T + tol):
         raise ConfigurationError(
             f"time {t} outside [0, {spec.T}]"

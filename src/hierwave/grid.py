@@ -11,6 +11,7 @@ mutually consistent.
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -92,17 +93,20 @@ class Mesh:
     def dt(self) -> float:
         return self.domain.T / self.grid.Nt
 
-    @property
+    # the node arrays are computed once per mesh and shared, so they are
+    # read-only; the cache lives in the instance dict, outside the fields
+
+    @functools.cached_property
     def y(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.grid.Ny + 1)
+        return _read_only(np.linspace(0.0, 1.0, self.grid.Ny + 1))
 
-    @property
+    @functools.cached_property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.domain.T, self.grid.Nt + 1)
+        return _read_only(np.linspace(0.0, self.domain.T, self.grid.Nt + 1))
 
-    @property
+    @functools.cached_property
     def alphas(self) -> np.ndarray:
-        return 1.0 + self.domain.k * self.times
+        return _read_only(1.0 + self.domain.k * self.times)
 
     def cfl_ok(self) -> bool:
         bound = self.grid.cfl_safety * self.dy / (1.0 + self.domain.k)
@@ -118,6 +122,11 @@ class Mesh:
 
     def key(self) -> tuple:
         return (self.grid.Ny, self.grid.Nt, *self.domain.key())
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def trapezoid_weights(n_nodes: int, spacing: float) -> np.ndarray:
@@ -521,6 +530,16 @@ def _csv_head(header_comments: dict | None, columns: list[str]) -> str:
     return "".join(parts)
 
 
+def _create(path):
+    """``path`` opened to write text without newline translation; its parent
+    directory is made only when the open finds it missing."""
+    try:
+        return open(path, "w", newline="")
+    except FileNotFoundError:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "w", newline="")
+
+
 def _write_csv(path, header_comments: dict | None, columns: list[str], template: str, values: np.ndarray) -> None:
     """Comment lines, a header row, then ``template`` filled with ``values``.
 
@@ -529,10 +548,8 @@ def _write_csv(path, header_comments: dict | None, columns: list[str], template:
     in "\n": byte for byte what csv.writer wrote, as no cell needs quoting.
     Comment lines stay outside the template, so a "%" in them is kept.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     text = _csv_head(header_comments, columns) + template % tuple(np.asarray(values, dtype=float).ravel().tolist())
-    with open(path, "w", newline="") as fh:
+    with _create(path) as fh:
         fh.write(text)
 
 
@@ -541,7 +558,12 @@ def _read_csv(path, columns: int) -> np.ndarray:
     numbers; '#' comment lines and blank lines are skipped.  A file that
     cannot be opened or decoded, a cell that is not a finite number, rows of
     unequal length or too few columns are a configuration error that names
-    the file."""
+    the file.  ``path`` is a str or an os.PathLike: any other value, which
+    ``open`` would take as a file descriptor, is a configuration error too."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ConfigurationError(
+            f"{path!r}: a CSV path must be a str or os.PathLike, not {type(path).__name__}"
+        )
     rows = []
     header = None
     try:
@@ -646,9 +668,7 @@ def save_field_csv(path, fld: Field, extra_header: dict | None = None) -> None:
     rows[:, :, ys.shape[1]] = rows[:, :, start - 1] = ord(",")
     rows[:, :, -3:-1] = np.frombuffer(b"\r\n", dtype=np.uint8)
     values = fld.values.T
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with _create(path) as fh:
         fh.write(_csv_head(header, ["y", "t", "value"]))
         fh.flush()
         for n in range(0, mesh.Nt + 1, levels):

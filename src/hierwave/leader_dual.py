@@ -32,6 +32,16 @@ numerically singular; the system is solved in its symmetric positive
 definite form (P^1/2 G P^1/2 + B) h = -P^1/2 ell, which is well posed for
 every multiplier pair because B is.
 
+The iteration runs in whitened coordinates z = R f, with R = blkdiag(R0,
+Omega^1/2) the Cholesky factor of B (R0 that of K; Conn, Gould & Toint,
+Trust-Region Methods, 2000, ch. 7).  There ||f0||_H = |z0| and ||f1||_L2 =
+|z1|, the quadratic has the Gram matrix G^ = R^-T G R^-1 of the whitened
+columns C R^-1 and the data term ell^ = R^-T ell, and the system above
+becomes (S G^ S + I) y = -S ell^, z = S y, with S = P^1/2.  So each iterate
+takes one Cholesky factorization, the distances are the block norms of
+G^ z + ell^, and no Poisson solve runs inside the loop.  The public
+operations take and return points in f.
+
 The optimal leader control is recovered as the adjoint trace A* f at the
 minimizer, its reach is checked through one honest application of the
 reach operator, and optimality is certified through a sampled variational
@@ -42,13 +52,14 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigurationError, InfeasibleError
+from .errors import ConfigurationError, InfeasibleError, InstabilityError
 from .grid import (
     Mesh,
     PoissonRiesz,
@@ -155,8 +166,10 @@ class DualReport:
     method: str
     notes: list[str] = dc_field(default_factory=list)
 
-    def to_json(self) -> str:
-        payload = {
+    def payload(self) -> dict:
+        """The report's JSON document: every scalar field, and the history's
+        length."""
+        return {
             "dual_value": self.dual_value,
             "primal_J": self.primal_J,
             "gap": self.gap,
@@ -171,7 +184,9 @@ class DualReport:
             "notes": self.notes,
             "history_length": len(self.history),
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.payload(), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -179,28 +194,27 @@ class DualReport:
 # ---------------------------------------------------------------------------
 
 class _Point(NamedTuple):
-    """A coordinate vector f with the products that every evaluation at f
-    shares, each computed once: G f, V f = G f + ell, and the norms
-    (||f0||_H, ||f1||_L2)."""
+    """A whitened coordinate vector z with the products that every evaluation
+    at z shares, each computed once: G^ z, V = G^ z + ell^, and the block
+    norms (|z0|, |z1|) = (||f0||_H, ||f1||_L2)."""
 
-    f: np.ndarray
-    Gf: np.ndarray
-    Vf: np.ndarray
+    z: np.ndarray
+    Gz: np.ndarray
+    V: np.ndarray
     norms: tuple
 
 
 class _DualModel:
     """Coordinates and the materialized quadratic for one dual minimization.
 
-    Coordinate vector: interior values of f0 followed by all values of f1.
-    The quadratic's 'dual representation' V(f) = G f + ell satisfies
-    <grad, h> = V . h for the (H, L2) inner product after lifting, and
-    g = -lift(V(f)) is the vector of the secular equation, whose block norms
-    are the two target distances.
-    G, the adjoint traces behind it and the norm blocks B depend on the mesh
-    and the follower only, and are kept with the follower's engine, as is
-    the free state's final pair for the last tracked trajectory; the targets
-    enter through ell alone.
+    Coordinate vector f: interior values of f0 followed by all values of f1;
+    the model works in z = R f.  V(z) = G^ z + ell^ is the gradient of the
+    smooth part in z, and its two block norms are the distances of the final
+    state to the velocity and value targets.
+    The whitened columns, their Gram matrix and R depend on the mesh and the
+    follower only, and are kept with the follower's engine, as is the free
+    state's final pair for the last tracked trajectory; the targets enter
+    through ell^ alone.
     """
 
     def __init__(self, mesh: Mesh, cfg: FollowerConfig, targets: TargetSpec):
@@ -212,27 +226,25 @@ class _DualModel:
         self.n0 = J - 1
         self.n1 = J + 1
         self.m = self.n0 + self.n1
-        wy = trapezoid_weights(J + 1, mesh.dy)
-        aT = mesh.alphas[-1]
-        self.omega = aT * wy
-        self.poisson = PoissonRiesz(mesh, mesh.domain.T)
+        self.blocks = (slice(0, self.n0), slice(self.n0, self.m))
+        self.omega = mesh.alphas[-1] * trapezoid_weights(J + 1, mesh.dy)
         if self.eng.leader_gram is None:
             self.eng.leader_gram = self._build_gram()
-        self.T_cols, self.G, self.B = self.eng.leader_gram
+        self.C, self.G, self.R = self.eng.leader_gram
         utilde = cfg.u_tilde2.values if cfg.u_tilde2 is not None else None
         self.u0T, self.u0pT = self.eng.free_terminal(utilde)
         b0 = targets.u_target1.values - self.u0pT
         e1 = targets.u_target0.values - self.u0T
-        self.ell = np.concatenate([-self.omega[1:-1] * b0[1:-1], self.omega * e1])
-
-    # -- operator plumbing ---------------------------------------------------
+        ell = np.concatenate([-self.omega[1:-1] * b0[1:-1], self.omega * e1])
+        self.ell = _triangular_solve(self.R, ell, trans=1)
 
     def _build_gram(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Adjoint traces of the unit coordinates, their Gram matrix, and the
-        block matrix B = blkdiag(K, Omega) of the two norms.
+        """Whitened adjoint traces of the coordinates, their Gram matrix, and
+        the upper Cholesky factor R of B = blkdiag(K, Omega).
 
-        Every column comes from one reduced transposed solve on the
-        engine's Schur complement, with no wave solve.
+        Every column of C comes from one reduced transposed solve on the
+        engine's Schur complement, with no wave solve; C R^-1 takes one
+        triangular solve.
         """
         theta1 = np.zeros((self.n1, self.m))
         theta2 = np.zeros((self.n1, self.m))
@@ -241,84 +253,50 @@ class _DualModel:
         rho_tails = terminal_adjoint_levels(self.mesh, theta1, theta2)
         _, mu0 = self.eng.schur_adjoint(rho_tails)
         cols = np.where(self.cfg.partition.mask1[:, None], mu0 / self.eng.tau[:, None], 0.0)
+        hx = PoissonRiesz(self.mesh, self.mesh.domain.T).hx
+        K = (2.0 * np.eye(self.n0) - np.eye(self.n0, k=1) - np.eye(self.n0, k=-1)) / hx
+        R = scipy.linalg.block_diag(scipy.linalg.cholesky(K), np.diag(np.sqrt(self.omega)))
+        cols = _triangular_solve(R, cols.T, trans=1).T
         w = self.eng.tau * self.cfg.partition.mask1
         G = cols.T @ (w[:, None] * cols)
-        hx = self.poisson.hx
-        K = (2.0 * np.eye(self.n0) - np.eye(self.n0, k=1) - np.eye(self.n0, k=-1)) / hx
-        B = scipy.linalg.block_diag(K, np.diag(self.omega))
-        return cols, 0.5 * (G + G.T), B
+        return cols, 0.5 * (G + G.T), R
 
-    def astar_trace(self, fvec: np.ndarray) -> np.ndarray:
-        return self.T_cols @ fvec
+    # -- the two coordinate systems -------------------------------------------
 
-    # -- values, gradients, geometry -----------------------------------------
+    def whiten(self, f: DualPoint) -> np.ndarray:
+        """z = R f of a dual point."""
+        return self.R @ _pack(f)
 
-    def at(self, fvec: np.ndarray) -> _Point:
-        """``fvec`` with its shared products."""
-        Gf = self.G @ fvec
-        return _Point(fvec, Gf, Gf + self.ell, self.rho_norms(fvec))
+    def unwhiten(self, z: np.ndarray) -> DualPoint:
+        """The dual point f = R^-1 z."""
+        return _unpack(_triangular_solve(self.R, z), self.mesh)
 
-    def rho_norms(self, fvec: np.ndarray) -> tuple:
-        """(||f0||_H, ||f1||_L2) of one coordinate vector, or arrays of them
-        over the rows of a (count, m) block."""
-        f0 = np.zeros(fvec.shape[:-1] + (self.n1,))
-        f0[..., 1:-1] = fvec[..., : self.n0]
-        n_h = self.poisson.h10_values(f0)
-        n_l2 = np.sqrt(np.sum(self.omega * fvec[..., self.n0 :] ** 2, axis=-1))
-        return n_h, n_l2
+    # -- values, geometry -----------------------------------------------------
+
+    def block_norms(self, z: np.ndarray) -> tuple:
+        """(|z0|, |z1|) of one vector, or arrays of them over the leading
+        axes of a block of vectors."""
+        return (
+            np.sqrt(np.einsum("...i,...i->...", z[..., : self.n0], z[..., : self.n0])),
+            np.sqrt(np.einsum("...i,...i->...", z[..., self.n0 :], z[..., self.n0 :])),
+        )
+
+    def at(self, z: np.ndarray) -> _Point:
+        """``z`` with its shared products."""
+        Gz = self.G @ z
+        return _Point(z, Gz, Gz + self.ell, tuple(math.sqrt(z[b] @ z[b]) for b in self.blocks))
 
     def value(self, point: _Point) -> float:
         nh, nl = point.norms
-        smooth = float(0.5 * point.f @ point.Gf + self.ell @ point.f)
+        smooth = float(0.5 * point.z @ point.Gz + self.ell @ point.z)
         return smooth + self.targets.rho1 * nh + self.targets.rho0 * nl
 
-    def lift(self, Vstack: np.ndarray) -> np.ndarray:
-        """Dual representation -> gradient coordinates in the (H, L2) metric (B^-1)."""
-        r0 = np.zeros(self.n1)
-        r0[1:-1] = Vstack[: self.n0] / self.omega[1:-1]
-        g0 = self.poisson.solve_values(r0)
-        g1 = Vstack[self.n0 :] / self.omega
-        return np.concatenate([g0[1:-1], g1])
 
-    # -- reached/vi bookkeeping on the materialized state ---------------------
-
-    def state_misfits(self, point: _Point) -> tuple[np.ndarray, np.ndarray]:
-        """(velocity misfit u'(T) - target1, value misfit u(T) - target0).
-
-        Endpoint values of the velocity misfit are not represented in the
-        coordinate space; they do not enter any of the norms or pairings
-        used here.
-        """
-        Vstack = point.Vf
-        ev = np.zeros(self.n1)
-        ev[1:-1] = Vstack[: self.n0] / self.omega[1:-1]
-        e_val = -Vstack[self.n0 :] / self.omega
-        return ev, e_val
-
-    def vi_min(self, point: _Point, hats: np.ndarray) -> float:
-        """Smallest normalized inequality defect at ``point`` over the
-        comparison points, the rows of ``hats``; 0 when no point moves any
-        term."""
-        ev, e_val = self.state_misfits(point)
-        nh, nl = point.norms
-        nh_hat, nl_hat = self.rho_norms(hats)
-        dh = hats - point.f
-        terms = (
-            dh[:, : self.n0] @ (self.omega[1:-1] * ev[1:-1]),
-            -(dh[:, self.n0 :] @ (self.omega * e_val)),
-            self.targets.rho1 * (nh_hat - nh),
-            self.targets.rho0 * (nl_hat - nl),
-        )
-        lhs = sum(terms)
-        den = sum(np.abs(t) for t in terms)
-        moved = den != 0.0
-        return float(np.min(lhs[moved] / den[moved])) if moved.any() else 0.0
-
-
-def _h_norm(norms: tuple):
-    """The (H, L2) norm from the pair of block norms."""
-    nh, nl = norms
-    return np.sqrt(nh**2 + nl**2)
+def _triangular_solve(R: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """R^-1 b, or R^-T b with ``trans=1``, for an upper triangular R: LAPACK
+    ``dtrtrs``, as :func:`scipy.linalg.solve_triangular` calls it, without
+    that wrapper's per-call cost."""
+    return scipy.linalg.lapack.dtrtrs(R, b, trans=trans)[0]
 
 
 def _pack(f: DualPoint) -> np.ndarray:
@@ -334,31 +312,98 @@ def _unpack(fvec: np.ndarray, mesh: Mesh) -> DualPoint:
 
 
 # ---------------------------------------------------------------------------
+# the sampled certificate
+# ---------------------------------------------------------------------------
+
+# the factors of the scaled comparison points, in turn
+_SCALINGS = np.array((0.0, 0.5, 0.9, 1.1, 2.0))
+
+
+def _comparison_points(
+    model: _DualModel, Z: np.ndarray, norms: np.ndarray, count: int, rngs: list
+) -> np.ndarray:
+    """The ``count`` comparison points of each row of ``Z``, shape
+    (len(Z), count, m); ``norms`` holds the block norms of the rows of ``Z``.
+
+    Row s takes its points from ``rngs[s]``: point i is fresh random data
+    (i % 3 == 0), a local perturbation (1) or a scaling of the row (2).  The
+    random points take one normal vector each, in the order of i, from one
+    block draw (the stream of those draws one at a time), so the draws
+    alternate between the first two kinds; they are the comparison points
+    of the f coordinates mapped by R.
+    """
+    m = model.m
+    drawn = np.array([rng.standard_normal((count - count // 3, m)) for rng in rngs]) @ model.R.T
+    base = np.hypot(norms[:, 0], norms[:, 1])
+    scale = np.where(base > 0, base, 1.0)[:, None, None]
+    hats = np.empty((len(Z), count, m))
+    hats[:, 0::3] = drawn[:, 0::2] * scale
+    direction = drawn[:, 1::2]
+    hats[:, 1::3] = Z[:, None] + 0.1 * scale * direction / np.hypot(*model.block_norms(direction))[..., None]
+    hats[:, 2::3] = _SCALINGS[np.arange(2, count, 3) // 3 % 5, None] * Z[:, None]
+    return hats
+
+
+def _certificates(model: _DualModel, points: list[_Point], counts: list[int], rngs: list) -> np.ndarray:
+    """The sampled certificate at each of ``points``, in one batch per
+    distinct count.
+
+    Point s is compared with the ``counts[s]`` points that
+    :func:`_comparison_points` draws from ``rngs[s]``.  Its certificate is
+    the smallest normalized defect of the variational inequality over those
+    points, and 0 when none moves any term.
+    """
+    counts = np.asarray(counts)
+    Z = np.array([p.z for p in points])
+    V = np.array([p.V for p in points])
+    N = np.array([p.norms for p in points], dtype=float)
+    n0 = model.n0
+    out = np.zeros(len(points))
+    for count in np.unique(counts[counts > 0]).tolist():
+        sel = np.flatnonzero(counts == count)
+        hats = _comparison_points(model, Z[sel], N[sel], count, [rngs[k] for k in sel])
+        dh = hats - Z[sel, None]
+        nh_hat, nl_hat = model.block_norms(hats)
+        terms = (
+            np.einsum("sci,si->sc", dh[..., :n0], V[sel, :n0]),
+            np.einsum("sci,si->sc", dh[..., n0:], V[sel, n0:]),
+            model.targets.rho1 * (nh_hat - N[sel, 0, None]),
+            model.targets.rho0 * (nl_hat - N[sel, 1, None]),
+        )
+        lhs = sum(terms)
+        den = sum(np.abs(t) for t in terms)
+        ratio = np.full(lhs.shape, np.inf)
+        np.divide(lhs, den, out=ratio, where=den != 0.0)
+        out[sel] = ratio.min(axis=1)
+    return np.where(np.isinf(out), 0.0, out)
+
+
+# ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
 def dual_functional(f: DualPoint, targets: TargetSpec, cfg: FollowerConfig) -> float:
     """Value of the dual objective at ``f``."""
     model = _DualModel(targets.mesh, cfg, targets)
-    return model.value(model.at(_pack(f)))
+    return model.value(model.at(model.whiten(f)))
 
 
 def dual_subgradient(f: DualPoint, targets: TargetSpec, cfg: FollowerConfig) -> DualPoint:
     """An element of the subdifferential, lifted into the (H, L2) geometry.
 
     At points where a norm vanishes the corresponding shrinkage direction is
-    taken as zero (a valid subgradient choice).
+    taken as zero (a valid subgradient choice).  The gradient in z, mapped
+    back by R^-1, is the lifted one: B^-1 R^T = R^-1.
     """
     model = _DualModel(targets.mesh, cfg, targets)
-    point = model.at(_pack(f))
-    fvec = point.f
-    grad = model.lift(point.Vf)
+    point = model.at(model.whiten(f))
+    grad = point.V.copy()
     nh, nl = point.norms
     if nh > 0.0:
-        grad[: model.n0] += targets.rho1 * fvec[: model.n0] / nh
+        grad[: model.n0] += targets.rho1 * point.z[: model.n0] / nh
     if nl > 0.0:
-        grad[model.n0 :] += targets.rho0 * fvec[model.n0 :] / nl
-    return _unpack(grad, targets.mesh)
+        grad[model.n0 :] += targets.rho0 * point.z[model.n0 :] / nl
+    return model.unwhiten(grad)
 
 
 def check_target_reached(u_T: SpatialProfile, ut_T: SpatialProfile, targets: TargetSpec):
@@ -370,33 +415,6 @@ def check_target_reached(u_T: SpatialProfile, ut_T: SpatialProfile, targets: Tar
     reached0 = dist0 <= targets.rho0 * (1.0 + REACHED_RTOL)
     reached1 = dist1 <= targets.rho1 * (1.0 + REACHED_RTOL)
     return dist0, dist1, bool(reached0), bool(reached1)
-
-
-def _sample_points(model: _DualModel, point: _Point, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Candidate comparison points, one per row: point i is fresh random data
-    (i % 3 == 0), a local perturbation (1) or a scaling of ``point.f`` (2).
-
-    The random points take one normal vector each, in the order of i; one
-    block draw gives the stream of those draws one at a time.
-    """
-    fvec = point.f
-    base = _h_norm(point.norms)
-    scale = base if base > 0 else 1.0
-    kind = np.arange(count) % 3
-    drawn = kind[kind != 2]
-    normals = rng.standard_normal((drawn.size, model.m))
-    hats = np.empty((count, model.m))
-    hats[kind == 0] = normals[drawn == 0] * scale
-    direction = normals[drawn == 1]
-    hats[kind == 1] = fvec + 0.1 * scale * direction / _h_norm(model.rho_norms(direction))[:, None]
-    scalings = np.array((0.0, 0.5, 0.9, 1.1, 2.0))[(np.flatnonzero(kind == 2) // 3) % 5]
-    hats[kind == 2] = scalings[:, None] * fvec
-    return hats
-
-
-def _certificate(model: _DualModel, point: _Point, count: int, rng: np.random.Generator) -> float:
-    """The sampled certificate at ``point`` over ``count`` comparison points."""
-    return model.vi_min(point, _sample_points(model, point, count, rng))
 
 
 def vi_residual(
@@ -413,7 +431,8 @@ def vi_residual(
     and a markedly negative value witnesses non-optimality.
     """
     model = _DualModel(targets.mesh, cfg, targets)
-    return _certificate(model, model.at(_pack(f)), sample_count, np.random.default_rng(seed))
+    point = model.at(model.whiten(f))
+    return float(_certificates(model, [point], [sample_count], [np.random.default_rng(seed)])[0])
 
 
 def _reached(model: _DualModel, w1: Trace) -> tuple[float, float, bool, bool]:
@@ -444,101 +463,120 @@ def duality_gap(
             f"control does not reach the targets (distances {d0:.3e}, {d1:.3e} "
             f"vs radii {targets.rho0:.3e}, {targets.rho1:.3e}); the gap is undefined"
         )
-    return abs(cost_J(w1_star) + model.value(model.at(_pack(f_star))))
+    return abs(cost_J(w1_star) + model.value(model.at(model.whiten(f_star))))
 
 
 # ---------------------------------------------------------------------------
 # the minimization driver
 # ---------------------------------------------------------------------------
 
-def _secular_newton(model: _DualModel, opts: DualOptions, history: list[dict]) -> _Point:
+def _newton_step(jac: list, n: tuple, radii: tuple, free: tuple) -> tuple | None:
+    """Newton's step on phi_i = 1/radius_i - 1/n_i over the free multipliers,
+    from the Jacobian ``jac`` of the squared block norms n_i^2, in closed
+    form; None when the system is singular or the step is not finite.  The
+    rows of a block that is not free do not enter, whatever their values."""
+    try:
+        # d phi_i / d c_j = (d n_i^2 / d c_j) / (2 n_i^3)
+        (a, b), (c, d) = (
+            [j / (2.0 * x * x * x) for j in row] if f else (0.0, 0.0) for row, x, f in zip(jac, n, free)
+        )
+        phi = [1.0 / r - 1.0 / x if f else 0.0 for r, x, f in zip(radii, n, free)]
+        if free[0] and free[1]:
+            det = a * d - b * c
+            step = ((b * phi[1] - d * phi[0]) / det, (c * phi[0] - a * phi[1]) / det)
+        else:
+            step = (-phi[0] / a, 0.0) if free[0] else (0.0, -phi[1] / d)
+    except ZeroDivisionError:
+        return None
+    return step if all(math.isfinite(x) for x in step) else None
+
+
+def _secular_newton(model: _DualModel, opts: DualOptions) -> tuple[list[_Point], list[tuple], int]:
     """Solve the two-block secular equation from zero multipliers.
 
-    Returns the dual point of the iterate with the smallest secular
-    residual; appends one history row per iterate.  A block whose ball
-    holds with its multiplier at zero stays out of the Newton system.
-    Each iterate's products G f, V f and norms are computed once and
-    shared by its history row and its Newton step.
+    Returns every iterate, each with (the best dual value so far, the
+    distance to the value target, the distance to the velocity target), and
+    the index of the iterate with the smallest secular residual.  A block
+    whose ball holds with its multiplier at zero stays out of the Newton
+    system.  A first iterate whose value or distances are not finite raises
+    InstabilityError.  The multipliers, distances and radii are pairs of
+    floats, block 0 (f0, the velocity target) first.
     """
-    blocks = (slice(0, model.n0), slice(model.n0, model.m))
-    radii = RADIUS_MARGIN * np.array([model.targets.rho1, model.targets.rho0])
+    n0, m, G, blocks = model.n0, model.m, model.G, model.blocks
+    radii = (RADIUS_MARGIN * model.targets.rho1, RADIUS_MARGIN * model.targets.rho0)
+    iterates: list[_Point] = []
+    rows: list[tuple] = []
     best_value = np.inf
-    best_res, stall = np.inf, 0
+    best_res, best, stall = np.inf, 0, 0
 
     def solve(cd):
-        s = np.sqrt(np.repeat(cd, (model.n0, model.n1)))
-        chol = _cho_factor(s[:, None] * model.G * s[None, :] + model.B)
-        fvec = s * _cho_solve(chol, -s * model.ell)
-        # the dual minimized over f at fixed multipliers: convex in (c, d),
+        roots = [math.sqrt(x) for x in cd]
+        s = np.repeat(roots, (n0, model.n1))
+        # S G^ S + I, block by block: S is sqrt(c) I, then sqrt(d) I
+        A = np.empty((m, m))
+        for i, bi in enumerate(blocks):
+            for j, bj in enumerate(blocks):
+                np.multiply(G[bi, bj], roots[i] * roots[j], out=A[bi, bj])
+        A.ravel()[:: m + 1] += 1.0
+        chol = _cho_factor(A)
+        z = s * _cho_solve(chol, -s * model.ell)
+        # the dual minimized over z at fixed multipliers: convex in (c, d),
         # with gradient (radius^2 - distance^2) / 2
-        obj = 0.5 * float(model.ell @ fvec) + 0.5 * float(radii**2 @ cd)
-        return s, chol, fvec, obj
+        obj = 0.5 * float(model.ell @ z) + 0.5 * sum(r * r * c for r, c in zip(radii, cd))
+        return s, chol, z, obj
 
-    cd = np.zeros(2)
-    s, chol, fvec, obj = solve(cd)
+    cd = (0.0, 0.0)
+    s, chol, z, obj = solve(cd)
     obj_prev = obj
     for _ in range(max(opts.max_iters, 1)):
-        point = model.at(fvec)
-        Vf = point.Vf
-        g = -model.lift(Vf)
-        # block norms of g: the distances to the velocity and value targets
-        n = np.sqrt([max(-float(g[b] @ Vf[b]), 0.0) for b in blocks])
+        point = model.at(z)
+        V = point.V
+        # block norms of V: the distances to the velocity and value targets
+        n = tuple(math.sqrt(V[b] @ V[b]) for b in blocks)
+        value = model.value(point)
+        if not iterates:
+            for name, x in (("dual_value", value), ("dist_L2", n[1]), ("dist_Hm1", n[0])):
+                if not math.isfinite(x):
+                    raise InstabilityError(f"leader dual: the first iterate's {name} = {x} is not finite")
+        best_value = min(best_value, value)
+        iterates.append(point)
+        rows.append((best_value, n[1], n[0]))
 
-        best_value = min(best_value, model.value(point))
-        it = len(history) + 1
-        rng = np.random.default_rng([opts.seed, it])
-        history.append(
-            {
-                "iter": it,
-                "dual_value": best_value,
-                "vi_residual": _certificate(model, point, HISTORY_VI_SAMPLES, rng),
-                "dist_L2": float(n[1]),
-                "dist_Hm1": float(n[0]),
-            }
-        )
-
-        free = (cd > 0.0) | (n > radii)
-        res = float(np.max(np.abs(n[free] / radii[free] - 1.0), initial=0.0))
+        free = tuple(c > 0.0 or x > r for c, x, r in zip(cd, n, radii))
+        misses = [abs(x / r - 1.0) for x, r, f in zip(n, radii, free) if f]
+        res = math.nan if any(map(math.isnan, misses)) else max(misses, default=0.0)
         # a stall is an iterate that neither halves the best residual so far
         # nor lowers the multipliers' objective beyond round-off: Newton's
         # steps do one or the other until the round-off floor, where tiny new
         # minima must not keep the iteration going
         progress = res < 0.5 * best_res or obj < obj_prev - OBJ_RTOL * abs(obj_prev)
         stall = 0 if progress else stall + 1
-        if res < best_res:
-            best_res, best = res, point
+        if res < best_res or len(iterates) == 1:
+            best_res, best = res, len(iterates) - 1
         # stop when converged, or once round-off keeps the residual from falling
         if res <= SECULAR_RTOL or stall >= 2:
             break
 
-        # Jacobian of the squared block norms: (G P + B) dg = -G E_j g
-        jac = np.empty((2, 2))
-        for j, bj in enumerate(blocks):
-            r = np.zeros(model.m)
-            r[bj] = g[bj]
-            r = -(model.G @ r)
-            u = _cho_solve(chol, s * r)
-            dg = model.lift(r - model.G @ (s * u))
-            for i, bi in enumerate(blocks):
-                jac[i, j] = -2.0 * float(Vf[bi] @ dg[bi])
-        # Newton on phi_i = 1/radius_i - 1/n_i over the free multipliers
-        phi = 1.0 / radii - 1.0 / n
-        jphi = jac / (2.0 * n**3)[:, None]
-        idx = np.flatnonzero(free)
-        try:
-            step = np.linalg.solve(jphi[np.ix_(idx, idx)], -phi[idx])
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
+        # Jacobian of the squared block norms of g = -V: its derivatives
+        # solve (G^ P + I) dg_j = G^ E_j V, one two-column solve with the
+        # iterate's factor
+        r = np.zeros((m, 2))
+        r[:n0, 0] = V[:n0]
+        r[n0:, 1] = V[n0:]
+        r = G @ r
+        u = _cho_solve(chol, s[:, None] * r)
+        dg = r - G @ (s[:, None] * u)
+        jac = (-2.0 * np.array([V[b] @ dg[b] for b in blocks])).tolist()
+        step = _newton_step(jac, n, radii, free)
+        if step is None:
             break
         # halve the step until that objective does not rise: a full step can
         # push a multiplier through zero and cycle between two clipped points.
-        # Below the control time the multipliers can grow until s G s + B,
-        # with G numerically singular, loses definiteness in round-off; such
+        # Below the control time the multipliers can grow until s G^ s + I,
+        # with G^ numerically singular, loses definiteness in round-off; such
         # a trial counts as a rise.
         for _ in range(MAX_HALVINGS):
-            trial = cd.copy()
-            trial[idx] = np.maximum(cd[idx] + step, 0.0)
+            trial = tuple(max(c + h, 0.0) if f else c for c, h, f in zip(cd, step, free))
             try:
                 out = solve(trial)
             except np.linalg.LinAlgError:
@@ -546,13 +584,13 @@ def _secular_newton(model: _DualModel, opts: DualOptions, history: list[dict]) -
             else:
                 if out[-1] <= obj + OBJ_RTOL * abs(obj):
                     break
-            step = 0.5 * step
+            step = tuple(0.5 * h for h in step)
         if out is None:
             # not even the shortest step could be factored: keep the best iterate
             break
         cd, obj_prev = trial, obj
-        s, chol, fvec, obj = out
-    return best
+        s, chol, z, obj = out
+    return iterates, rows, best
 
 
 def minimize_dual(targets: TargetSpec, cfg: FollowerConfig, opts: DualOptions | None = None):
@@ -562,6 +600,9 @@ def minimize_dual(targets: TargetSpec, cfg: FollowerConfig, opts: DualOptions | 
     mesh and follower; the two ball multipliers are then fixed by a Newton
     iteration on the secular equation, each iterate an exact dense solve.
     History values are the best dual value so far, hence non-increasing.
+    The history's per-iterate certificates (comparison points from the
+    stream [seed, iteration]) and the final one (from the stream seed) are
+    computed after the iteration, in one batch.
     """
     opts = opts or DualOptions()
     mesh = targets.mesh
@@ -570,18 +611,32 @@ def minimize_dual(targets: TargetSpec, cfg: FollowerConfig, opts: DualOptions | 
         notes.append("time_split_experimental")
 
     model = _DualModel(mesh, cfg, targets)
-    history: list[dict] = []
-    point = _secular_newton(model, opts, history)
-    f_star = _unpack(point.f, mesh)
-    w1_star = Trace(model.astar_trace(point.f), cfg.partition.mask1, mesh)
-    d0, d1, r0, r1 = _reached(model, w1_star)
-
-    vi = _certificate(model, point, opts.vi_samples, np.random.default_rng(opts.seed))
+    # data near the float range overflows in the products below; a first
+    # iterate that is not finite raises, and a later value that is not
+    # finite lands in the report, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        iterates, rows, best = _secular_newton(model, opts)
+        point = iterates[best]
+        f_star = model.unwhiten(point.z)
+        w1_star = Trace(model.C @ point.z, cfg.partition.mask1, mesh)
+        d0, d1, r0, r1 = _reached(model, w1_star)
+        vis = _certificates(
+            model,
+            [*iterates, point],
+            [HISTORY_VI_SAMPLES] * len(iterates) + [opts.vi_samples],
+            [np.random.default_rng([opts.seed, it]) for it in range(1, len(iterates) + 1)]
+            + [np.random.default_rng(opts.seed)],
+        )
+        D_star = model.value(point)
+        primal = cost_J(w1_star)
+    history = [
+        {"iter": it, "dual_value": value, "vi_residual": float(vi), "dist_L2": dist0, "dist_Hm1": dist1}
+        for it, ((value, dist0, dist1), vi) in enumerate(zip(rows, vis), start=1)
+    ]
+    vi = float(vis[-1])
     certified = bool(vi >= -opts.tol_vi and r0 and r1)
     if not certified:
         notes.append("not_certified")
-    D_star = model.value(point)
-    primal = cost_J(w1_star)
     gap = abs(primal + D_star)
     gap_rel = gap / max(primal, abs(D_star), 1e-30)
     report = DualReport(

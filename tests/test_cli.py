@@ -763,6 +763,46 @@ def test_leader_uncertified_exits_4(tmp_path):
     assert np.all(np.diff(dual) <= 1e-12)
 
 
+@pytest.mark.parametrize(
+    "amplitude, radius, codes",
+    [(1e100, 0.01, (0, 3)), (1e160, 0.01, (0, 3)), (0.2, 1e160, (0,)), (1e-150, 0.01, (0,))],
+)
+def test_leader_extreme_target_exits_cleanly(tmp_path, amplitude, radius, codes):
+    """A target amplitude or a radius near the ends of the float range either
+    solves or ends with the solver-error exit and its one line, naming the
+    quantity that is not finite; no traceback and no floating-point
+    warnings.  At amplitude 1e160 the first iterate's distance squares past
+    the float range, and a radius of 1e160 squares past it in the
+    multipliers' objective.  At amplitude 1e-150 the value target's
+    distance cubes to zero, in a row of the Newton system that does not
+    enter while that ball holds."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hierwave
+
+    cfg = base_config(
+        grid={"Ny": 16},
+        targets={
+            "u0": {"family": "sine", "amplitude": amplitude, "frequency": 1.0},
+            "u1": {"family": "sine", "amplitude": 0.5, "frequency": 2.0},
+            "rho0": radius,
+            "rho1": radius,
+        },
+    )
+    argv = ["leader", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")]
+    src = str(Path(hierwave.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "hierwave", *argv], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode in codes, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) <= 1, proc.stderr
+    if proc.returncode == 3:
+        assert lines[0].startswith("solver error:") and "is not finite" in lines[0]
+
+
 def test_leader_unfactorable_trial_step_exits_cleanly(tmp_path, capsys):
     """Below the control time the multipliers grow until a trial step's
     matrix is not numerically positive definite; that halves the step, and

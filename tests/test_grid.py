@@ -1,4 +1,5 @@
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -275,6 +276,38 @@ def test_field_csv_from_another_mesh_rejected(tmp_path):
         load_field_csv(tmp_path / "f.csv", Mesh(domain, GridSpec(Ny=12, Nt=8)))
     with pytest.raises(ConfigurationError, match="t column"):
         load_field_csv(tmp_path / "f.csv", Mesh(DomainSpec(k=0.25, T=2.0), GridSpec(Ny=8, Nt=12)))
+
+
+def test_csv_loaders_take_only_paths():
+    """A value that is not a str or os.PathLike is a configuration error
+    naming it; ``open`` would take True or 1 as file descriptor 1 and close
+    stdout.  Run in a child process, whose stdout must survive every call."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = """
+from hierwave import grid
+from hierwave.errors import ConfigurationError
+from hierwave.geometry import DomainSpec
+mesh = grid.Mesh.auto(DomainSpec(k=0.25, T=2.0), 8)
+for load, args in ((grid.load_profile_csv, (mesh, 2.0)), (grid.load_trace_csv, (mesh,)),
+                   (grid.load_field_csv, (mesh,))):
+    for path in (True, 1, 1.0, None):
+        try:
+            load(path, *args)
+        except ConfigurationError as err:
+            print("refused:", err)
+"""
+    src = str(Path(grid.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 12
+    for line, (path, kind) in zip(lines, [("True", "bool"), ("1", "int"), ("1.0", "float"), ("None", "NoneType")] * 3):
+        assert line == f"refused: {path}: a CSV path must be a str or os.PathLike, not {kind}"
 
 
 def _csv_writer_bytes(path, header, columns, rows):

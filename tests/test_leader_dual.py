@@ -11,15 +11,28 @@ from hierwave.grid import (
     PoissonRiesz,
     SpatialProfile,
     Trace,
+    duality_pairing,
+    h10_norm_physical,
     l2_norm_physical,
     hminus1_norm_physical,
 )
-from hierwave.coupled import FollowerConfig, cost_J, solve_free_part, solve_nash_system
+from hierwave.coupled import (
+    FollowerConfig,
+    apply_A,
+    apply_A_star,
+    cost_J,
+    solve_free_part,
+    solve_nash_system,
+)
 from hierwave.wave_core import extract_terminal, final_value_profile, final_velocity_profile
 from hierwave.leader_dual import (
+    HISTORY_VI_SAMPLES,
+    DualOptions,
     DualPoint,
     _DualModel,
-    _sample_points,
+    _certificates,
+    _comparison_points,
+    _secular_newton,
     TargetSpec,
     check_target_reached,
     dual_functional,
@@ -380,10 +393,11 @@ def test_minimize_robust_across_follower_weights(sigma):
 
 def _point_norms(model, fvec):
     """(||f0||_H, ||f1||_L2) of one coordinate vector, as scalars."""
+    hx = PoissonRiesz(model.mesh, model.mesh.domain.T).hx
     f0 = np.zeros(model.n1)
     f0[1:-1] = fvec[: model.n0]
     d = np.diff(f0)
-    n_h = float(np.sqrt(np.sum(d * d) / model.poisson.hx))
+    n_h = float(np.sqrt(np.sum(d * d) / hx))
     return n_h, math.sqrt(float(np.sum(model.omega * fvec[model.n0 :] ** 2)))
 
 
@@ -410,7 +424,14 @@ def _points_one_by_one(model, fvec, count, rng):
 
 def _vi_min_one_by_one(model, fvec, hats):
     """The smallest normalized defect, one comparison point at a time."""
-    ev, e_val = model.state_misfits(model.at(fvec))
+    # V f = G f + ell from the unwhitened columns C = C^ R and ell = R^T ell^
+    cols = model.C @ model.R
+    w = model.eng.tau * model.cfg.partition.mask1
+    Vf = cols.T @ (w * (cols @ fvec)) + model.R.T @ model.ell
+    omega = model.omega
+    # the velocity and value misfits, u'(T) - target1 and u(T) - target0
+    ev = Vf[: model.n0] / omega[1:-1]
+    e_val = -Vf[model.n0 :] / omega
     nh, nl = _point_norms(model, fvec)
     rho0, rho1 = model.targets.rho0, model.targets.rho1
     best = np.inf
@@ -418,8 +439,8 @@ def _vi_min_one_by_one(model, fvec, hats):
         dh = hat - fvec
         nh_hat, nl_hat = _point_norms(model, hat)
         terms = (
-            float(ev[1:-1] @ (model.omega[1:-1] * dh[: model.n0])),
-            -float(e_val @ (model.omega * dh[model.n0 :])),
+            float(ev @ (omega[1:-1] * dh[: model.n0])),
+            -float(e_val @ (omega * dh[model.n0 :])),
             rho1 * (nh_hat - nh),
             rho0 * (nl_hat - nl),
         )
@@ -443,25 +464,96 @@ def model16():
     return _DualModel(mesh, FollowerConfig(sigma=1.0, partition=part), targets)
 
 
+def _batch(model, fvec, count):
+    """``fvec`` and two more points, each compared with ``count`` points
+    drawn from its own stream: the inputs of one batched certificate, and
+    the f-coordinate points of each."""
+    others = np.random.default_rng(9).standard_normal((2, model.m))
+    fs, seeds = [fvec, *others], [[4, count], [4, 0], [4, 1]]
+    points = [model.at(model.R @ f) for f in fs]
+    return fs, points, seeds
+
+
 @pytest.mark.parametrize("count", [8, 100])
 @pytest.mark.parametrize("at", ["random", "zero"])
 def test_sample_points_match_draws_one_at_a_time(model16, count, at):
+    """The batched comparison points are the f-coordinate points, drawn one
+    at a time, mapped by R."""
     fvec = np.random.default_rng(1).standard_normal(model16.m) if at == "random" else np.zeros(model16.m)
-    got = _sample_points(model16, model16.at(fvec), count, np.random.default_rng([4, count]))
-    want = _points_one_by_one(model16, fvec, count, np.random.default_rng([4, count]))
-    assert got.shape == (count, model16.m)
-    assert np.array_equal(got, np.array(want))
+    fs, points, seeds = _batch(model16, fvec, count)
+    Z = np.array([p.z for p in points])
+    norms = np.array([p.norms for p in points], dtype=float)
+    got = _comparison_points(model16, Z, norms, count, [np.random.default_rng(s) for s in seeds])
+    assert got.shape == (len(fs), count, model16.m)
+    for rows, f, seed in zip(got, fs, seeds):
+        want = np.array(_points_one_by_one(model16, f, count, np.random.default_rng(seed))) @ model16.R.T
+        err = np.linalg.norm(rows - want, axis=1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=1))
 
 
 @pytest.mark.parametrize("count", [8, 100])
 @pytest.mark.parametrize("at", ["random", "zero"])
 def test_vi_min_matches_the_point_loop(model16, count, at):
+    """Each certificate of one batch is the f-coordinate defect minimum over
+    that point's comparison points, one point at a time."""
     fvec = np.random.default_rng(2).standard_normal(model16.m) if at == "random" else np.zeros(model16.m)
-    hats = _sample_points(model16, model16.at(fvec), count, np.random.default_rng(3))
-    want = _vi_min_one_by_one(model16, fvec, list(hats))
-    # away from zero, so that the relative bound means something
-    assert abs(want) > 1e-3
-    assert model16.vi_min(model16.at(fvec), hats) == pytest.approx(want, rel=1e-12, abs=0.0)
+    fs, points, seeds = _batch(model16, fvec, count)
+    # the last point in a batch of its own count, as the answer's certificate is
+    counts = [count, count, 5]
+    got = _certificates(model16, points, counts, [np.random.default_rng(s) for s in seeds])
+    for s, (f, c, seed) in enumerate(zip(fs, counts, seeds)):
+        want = _vi_min_one_by_one(model16, f, _points_one_by_one(model16, f, c, np.random.default_rng(seed)))
+        # away from zero, so that the relative bound means something
+        assert abs(want) > 1e-3
+        assert got[s] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_history_certificates_match_each_iterate(model16):
+    """Each history row's certificate is the single-point certificate at
+    that iterate's f over the comparison points of the stream [seed, iter]."""
+    opts = DualOptions(seed=3)
+    iterates, _, _ = _secular_newton(model16, opts)
+    f_star, _, rep = minimize_dual(model16.targets, model16.cfg, opts)
+    assert len(rep.history) == len(iterates) >= 3
+    for row, point in zip(rep.history, iterates):
+        f = np.linalg.solve(model16.R, point.z)
+        rng = np.random.default_rng([opts.seed, row["iter"]])
+        want = _vi_min_one_by_one(model16, f, _points_one_by_one(model16, f, HISTORY_VI_SAMPLES, rng))
+        assert row["vi_residual"] == pytest.approx(want, rel=1e-9, abs=1e-11)
+    fvec = np.concatenate([f_star.f0.values[1:-1], f_star.f1.values])
+    rng = np.random.default_rng(opts.seed)
+    want = _vi_min_one_by_one(model16, fvec, _points_one_by_one(model16, fvec, opts.vi_samples, rng))
+    assert rep.vi_residual == pytest.approx(want, rel=1e-9, abs=1e-11)
+
+
+def test_dual_matches_the_f_coordinate_values(small_setup):
+    """The dual value and subgradient, computed in whitened coordinates,
+    agree with the ones built in f from the honest adjoint trace, the
+    physical norms and the Poisson lift."""
+    mesh, cfg, _, targets = small_setup
+    u0, _ = solve_free_part(cfg, mesh)
+    b0 = targets.u_target1 - final_velocity_profile(u0)
+    e1 = targets.u_target0 - final_value_profile(u0)
+    pr = PoissonRiesz(mesh, mesh.domain.T)
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        f = rand_dual_point(mesh, rng)
+        w1 = apply_A_star(f.f0, f.f1, cfg).leader_trace
+        nh, nl = h10_norm_physical(f.f0), l2_norm_physical(f.f1)
+        linear = -duality_pairing(b0, f.f0) + duality_pairing(e1, f.f1)
+        want = cost_J(w1) + linear + targets.rho1 * nh + targets.rho0 * nl
+        assert dual_functional(f, targets, cfg) == pytest.approx(want, rel=1e-10)
+
+        # the gradient of the smooth part pairs the final-state misfits, from
+        # one honest application of the reach operator, with f; the Poisson
+        # solve lifts the velocity block into H^1_0
+        c1, c2 = apply_A(w1, cfg)
+        g0 = pr.solve(c1 - b0) + (targets.rho1 / nh) * f.f0
+        g1 = c2 + e1 + (targets.rho0 / nl) * f.f1
+        got = dual_subgradient(f, targets, cfg)
+        scale = max(np.max(np.abs(g0.values)), np.max(np.abs(g1.values)))
+        assert np.max(np.abs(got.f0.values - g0.values)) <= 1e-9 * scale
+        assert np.max(np.abs(got.f1.values - g1.values)) <= 1e-9 * scale
 
 
 def test_kept_free_terminal_follows_the_tracked_trajectory(mesh41, overlap41, utilde41, monkeypatch):
