@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import difflib
 import functools
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -30,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, InstabilityError
-from .geometry import DomainSpec, SigmaPartition, check_admissible
+from .geometry import DomainSpec, SigmaPartition, check_admissible, min_control_time
 from .grid import (
     Field,
     GridSpec,
@@ -62,7 +64,6 @@ from .coupled import (
 )
 from .leader_dual import DualOptions, TargetSpec, minimize_dual
 from .verify import run_verification, write_verification_report
-from .geometry import min_control_time
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -74,6 +75,54 @@ EXIT_VERIFY = 5
 # ---------------------------------------------------------------------------
 # config ingestion
 # ---------------------------------------------------------------------------
+
+# Every config key: (kind, default).  A kind is "number", "integer",
+# "boolean", "numbers" (an array), "path" (a file path string), "profile" (a
+# family of FAMILIES, or {"csv": path}), "field" (TRACKED, or {"csv": path}),
+# "any" (read by nothing), a tuple of the strings allowed, or the table of a
+# section.  A default of None leaves the key out, as JSON null does.
+# 'follower.picard', 'optimizer.grad_tol', 'optimizer.polish' and 'delta'
+# have no effect: the follower and dual solves are exact, and no change of
+# reach variables moves the leader's balls on u(T) and u_t(T).
+REQUIRED = object()
+KEYS = {
+    "domain": ({"k": ("number", REQUIRED), "T": ("number", REQUIRED), "allow_k_zero": ("boolean", False)}, {}),
+    "grid": ({"Ny": ("integer", 41), "Nt": ("integer", None), "cfl_safety": ("number", 0.8)}, {}),
+    "partition": ({"mode": (("overlap", "time-split"), "overlap"), "split_fraction": ("number", 0.5)}, {}),
+    "follower": ({"sigma": ("number", 1.0), "u_tilde2": ("field", None), "picard": ("any", None)}, {}),
+    "leader": ("profile", None),
+    "control": ("profile", None),
+    "targets": (
+        {"u0": ("profile", REQUIRED), "u1": ("profile", REQUIRED), "rho0": ("number", REQUIRED),
+         "rho1": ("number", REQUIRED)},
+        None,
+    ),
+    "optimizer": (
+        {"max_iters": ("integer", 20000), "tol_vi": ("number", 1e-6), "vi_samples": ("integer", 100),
+         "grad_tol": ("any", None), "polish": ("any", None)},
+        {},
+    ),
+    "delta": ("number", 0.0),
+    "seed": ("integer", 0),
+    "sweep": (
+        {"k": ("numbers", None), "T": ("numbers", None), "sigma": ("numbers", None),
+         "rho_rel": ("numbers", [0.05]),
+         "reference_control": ("profile", {"family": "gaussian", "amplitude": 1.0, "center": 0.4, "width": 0.15})},
+        None,
+    ),
+}
+FAMILIES = {
+    "sine": {"amplitude": ("number", 1.0), "frequency": ("number", 1.0), "phase": ("number", 0.0)},
+    "gaussian": {"amplitude": ("number", 1.0), "center": ("number", 0.5), "width": ("number", 0.1)},
+    "polynomial": {"coefficients": ("numbers", REQUIRED)},
+    "constant": {"value": ("number", 0.0)},
+}
+TRACKED = {
+    "space": ("profile", {"family": "constant", "value": 1.0}),
+    "time": ("profile", {"family": "constant", "value": 1.0}),
+}
+CSV = {"csv": ("path", REQUIRED)}
+
 
 def _config_hash(config: dict) -> str:
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
@@ -114,138 +163,124 @@ def _as_number(value, name: str, kind=float):
     return number
 
 
-def read_number(conf: dict, name: str, default, kind=float):
-    """The key ``name`` (dotted path, last part looked up in ``conf``) as ``kind``.
+def check_config(section: dict, table: dict = KEYS, at: str = "") -> dict:
+    """``section`` (by default the config document) checked against
+    ``table``, as a new object with every default filled in.  An unknown
+    key, a missing required key or a value not of its key's kind is a
+    configuration error that names the key; the library objects built from
+    the values check their ranges."""
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"{at} must be an object, got {section!r}")
+    prefix = f"{at}." if at else ""
+    for key in section:
+        if key not in table:
+            # the nearest known key, ignoring case
+            lower = {name.lower(): name for name in table}
+            near = difflib.get_close_matches(key.lower(), lower, n=1)
+            hint = f" (did you mean {prefix}{lower[near[0]]}?)" if near else ""
+            raise ConfigurationError(f"unknown key {prefix}{key}{hint}")
+    checked = {}
+    for key, (kind, default) in table.items():
+        value = section[key] if key in section else default
+        if value is REQUIRED:
+            raise ConfigurationError(f"config needs {prefix}{key}")
+        checked[key] = None if value is None and default is None else _check(kind, value, prefix + key)
+    return checked
 
-    ``default`` stands in for a missing key; a value that ``kind`` cannot
-    convert is a configuration error.
-    """
-    return _as_number(conf.get(name.rsplit(".", 1)[-1], default), name, kind)
 
-
-_REQUIRED = object()
-
-
-def read_key(conf: dict, name: str, default=_REQUIRED, kind=dict):
-    """The key ``name`` (dotted path, last part looked up in ``conf``), which
-    must hold a JSON object (``kind=dict``) or array (``kind=list``).
-
-    ``default`` stands in for a missing key; without one the key is
-    required.  A missing required key or a value of another type is a
-    configuration error.
-    """
-    value = conf.get(name.rsplit(".", 1)[-1], default)
-    if value is _REQUIRED:
-        raise ConfigurationError(f"config needs {name}")
-    if value is not default and not isinstance(value, kind):
-        what = "an object" if kind is dict else "an array"
-        raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+def _check(kind, value, name: str):
+    """``value``, the key ``name``'s, checked as ``kind``."""
+    if isinstance(kind, dict):
+        return check_config(value, kind, name)
+    if kind in ("profile", "field"):
+        if isinstance(value, dict) and "csv" in value:
+            return check_config(value, CSV, name)
+        if kind == "field":
+            return check_config(value, TRACKED, name)
+        if not isinstance(value, dict) or "family" not in value:
+            raise ConfigurationError(f"{name} must name a profile family: {value!r}")
+        family = value["family"]
+        if not (isinstance(family, str) and family in FAMILIES):
+            raise ConfigurationError(f"{name}: unknown profile family {family!r}")
+        return check_config(value, {"family": ("any", REQUIRED), **FAMILIES[family]}, name)
+    if kind in ("number", "integer"):
+        return _as_number(value, name, int if kind == "integer" else float)
+    if kind == "numbers":
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{name} must be an array, got {value!r}")
+        return [_as_number(item, name) for item in value]
+    if kind == "boolean" and not isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be true or false, got {value!r}")
+    if kind == "path" and not isinstance(value, str):
+        # open() would take a number as a file descriptor
+        raise ConfigurationError(f"{name} must be a file path string, got {value!r}")
+    if isinstance(kind, tuple) and value not in kind:
+        raise ConfigurationError(f"{name} must be one of {', '.join(map(repr, kind))}, got {value!r}")
     return value
 
 
-def read_numbers(conf: dict, name: str, default=_REQUIRED) -> list[float]:
-    """The array at key ``name`` (see :func:`read_key`) as floats."""
-    return [_as_number(value, name) for value in read_key(conf, name, default, list)]
+def _needs(config: dict, key: str):
+    """The checked ``config``'s ``key``, which the running command reads."""
+    if config[key] is None:
+        raise ConfigurationError(f"config needs {key}")
+    return config[key]
 
 
 def eval_profile(spec: dict, xi: np.ndarray, at: str) -> np.ndarray:
-    """Evaluate an analytic profile on the normalized coordinate xi in [0, 1].
-
-    ``at`` is the spec's dotted path in the config, which messages name.
-    """
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise ConfigurationError(f"{at} must name a profile family: {spec!r}")
+    """The checked analytic profile ``spec`` on the normalized coordinate xi
+    in [0, 1]; ``at`` is its dotted path in the config, which messages name."""
     fam = spec["family"]
     if fam == "sine":
-        a = read_number(spec, f"{at}.amplitude", 1.0)
-        freq = read_number(spec, f"{at}.frequency", 1.0)
-        phase = read_number(spec, f"{at}.phase", 0.0)
-        return a * np.sin(np.pi * freq * xi + phase)
+        return spec["amplitude"] * np.sin(np.pi * spec["frequency"] * xi + spec["phase"])
     if fam == "gaussian":
-        a = read_number(spec, f"{at}.amplitude", 1.0)
-        c = read_number(spec, f"{at}.center", 0.5)
-        w = read_number(spec, f"{at}.width", 0.1)
-        if w <= 0:
+        if spec["width"] <= 0:
             raise ConfigurationError(f"{at}.width of a gaussian must be positive")
-        return a * np.exp(-0.5 * ((xi - c) / w) ** 2)
+        return spec["amplitude"] * np.exp(-0.5 * ((xi - spec["center"]) / spec["width"]) ** 2)
     if fam == "polynomial":
-        coeffs = read_numbers(spec, f"{at}.coefficients")
-        if not coeffs:
-            raise ConfigurationError("polynomial profile needs coefficients")
-        return np.polynomial.polynomial.polyval(xi, np.asarray(coeffs))
-    if fam == "constant":
-        return np.full_like(xi, read_number(spec, f"{at}.value", 0.0))
-    raise ConfigurationError(f"{at}: unknown profile family {fam!r}")
-
-
-def _csv_path(spec: dict, at: str) -> str:
-    """The file named by the "csv" key of the spec at config key ``at``,
-    which must be a JSON string (``open`` would take a number as a file
-    descriptor)."""
-    path = spec["csv"]
-    if not isinstance(path, str):
-        raise ConfigurationError(f"{at}.csv must be a file path string, got {path!r}")
-    return path
+        if not spec["coefficients"]:
+            raise ConfigurationError(f"{at}.coefficients of a polynomial profile must not be empty")
+        return np.polynomial.polynomial.polyval(xi, np.asarray(spec["coefficients"]))
+    return np.full_like(xi, spec["value"])
 
 
 class RunSetup:
-    """Validated objects built from one config document."""
+    """Validated objects built from one config document; ``config`` is the
+    document checked, with its defaults filled in."""
 
-    def __init__(self, config: dict):
-        self.config = config
-        dom_conf = read_key(config, "domain")
-        k = read_number(dom_conf, "domain.k", 0.0)
-        T = read_number(dom_conf, "domain.T", 0.0)
-        allow0 = dom_conf.get("allow_k_zero", False)
-        if not isinstance(allow0, bool):
-            raise ConfigurationError(f"domain.allow_k_zero must be true or false, got {allow0!r}")
-        report = check_admissible(k, T, allow_k_zero=allow0)
+    def __init__(self, document: dict):
+        self.document = document
+        self.config = config = check_config(document)
+        dom = config["domain"]
+        report = check_admissible(dom["k"], dom["T"], allow_k_zero=dom["allow_k_zero"])
         if report.hard_error:
             raise ConfigurationError(f"domain: {report.hard_error}")
-        self.adm_report = report
-        self.domain = DomainSpec(k=k, T=T, allow_k_zero=allow0)
+        self.warnings = list(report.warnings)
+        self.domain = DomainSpec(k=dom["k"], T=dom["T"], allow_k_zero=dom["allow_k_zero"])
 
-        grid_conf = read_key(config, "grid", {})
-        Ny = read_number(grid_conf, "grid.Ny", 41, int)
-        cfl = read_number(grid_conf, "grid.cfl_safety", 0.8)
-        if grid_conf.get("Nt") is None:
-            self.mesh = Mesh.auto(self.domain, Ny, cfl)
+        grid = config["grid"]
+        if grid["Nt"] is None:
+            self.mesh = Mesh.auto(self.domain, grid["Ny"], grid["cfl_safety"])
         else:
-            Nt = read_number(grid_conf, "grid.Nt", None, int)
-            self.mesh = Mesh(self.domain, GridSpec(Ny=Ny, Nt=Nt, cfl_safety=cfl))
+            self.mesh = Mesh(self.domain, GridSpec(Ny=grid["Ny"], Nt=grid["Nt"], cfl_safety=grid["cfl_safety"]))
             self.mesh.require_cfl()
 
-        part_conf = read_key(config, "partition", {})
-        mode = part_conf.get("mode", "overlap")
+        mode = config["partition"]["mode"]
         n_nodes = self.mesh.Nt + 1
         if mode == "overlap":
             self.partition = SigmaPartition.overlap(n_nodes)
-        elif mode == "time-split":
-            self.partition = SigmaPartition.time_split(
-                n_nodes, read_number(part_conf, "partition.split_fraction", 0.5)
-            )
         else:
-            raise ConfigurationError(f"unknown partition mode {mode!r}")
-
-        self.seed = read_number(config, "seed", 0, int)
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be a non-negative integer, got {config['seed']!r}")
-        # 'delta' is accepted, validated and has no effect: the leader's balls
-        # are on u(T) and u_t(T), which no change of reach variables moves
-        delta = read_number(config, "delta", 0.0)
-        if not (np.isfinite(delta) and delta >= 0.0):
-            raise ConfigurationError(f"delta must be a finite number >= 0, got {config['delta']!r}")
-        self.warnings = list(report.warnings)
-        if mode == "time-split":
+            self.partition = SigmaPartition.time_split(n_nodes, config["partition"]["split_fraction"])
             self.warnings.append("time_split_experimental")
 
-        # 'follower.picard' is accepted and has no effect: the follower solve
-        # is exact and has no iteration to tune
-        fol = read_key(config, "follower", {})
+        self.seed = config["seed"]
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if config["delta"] < 0.0:
+            raise ConfigurationError(f"delta must be a finite number >= 0, got {config['delta']!r}")
+
+        fol = config["follower"]
         self.follower = FollowerConfig(
-            sigma=read_number(fol, "follower.sigma", 1.0),
-            partition=self.partition,
-            u_tilde2=self._build_field(read_key(fol, "follower.u_tilde2", None)),
+            sigma=fol["sigma"], partition=self.partition, u_tilde2=self._build_field(fol["u_tilde2"])
         )
 
     # -- builders ------------------------------------------------------------
@@ -254,54 +289,39 @@ class RunSetup:
         if spec is None:
             return None
         if "csv" in spec:
-            return load_field_csv(_csv_path(spec, "follower.u_tilde2"), self.mesh)
-        space = eval_profile(
-            spec.get("space", {"family": "constant", "value": 1.0}), self.mesh.y, "follower.u_tilde2.space"
-        )
-        time = eval_profile(
-            spec.get("time", {"family": "constant", "value": 1.0}),
-            self.mesh.times / self.domain.T,
-            "follower.u_tilde2.time",
-        )
+            return load_field_csv(spec["csv"], self.mesh)
+        space = eval_profile(spec["space"], self.mesh.y, "follower.u_tilde2.space")
+        time = eval_profile(spec["time"], self.mesh.times / self.domain.T, "follower.u_tilde2.time")
         return Field(np.outer(space, time), self.mesh)
 
     def build_time_trace(self, spec: dict, mask, where: str) -> Trace:
-        """The trace of the config key ``where``, which holds ``spec``."""
+        """The trace of the config key ``where``, which holds the checked ``spec``."""
         if "csv" in spec:
-            return load_trace_csv(_csv_path(spec, where), self.mesh, mask)
+            return load_trace_csv(spec["csv"], self.mesh, mask)
         vals = eval_profile(spec, self.mesh.times / self.domain.T, where)
         return Trace(vals, mask, self.mesh)
 
     def build_space_profile(self, spec: dict, time: float, where: str) -> SpatialProfile:
-        """The profile of the config key ``where``, which holds ``spec``."""
+        """The profile of the config key ``where``, which holds the checked ``spec``."""
         if "csv" in spec:
-            return load_profile_csv(_csv_path(spec, where), self.mesh, time)
+            return load_profile_csv(spec["csv"], self.mesh, time)
         vals = eval_profile(spec, self.mesh.y, where)
         return SpatialProfile(vals, time, self.mesh)
 
     def build_targets(self) -> TargetSpec:
-        tg = read_key(self.config, "targets")
-        T = self.domain.T
-        u0 = self.build_space_profile(read_key(tg, "targets.u0"), T, "targets.u0")
-        u1 = self.build_space_profile(read_key(tg, "targets.u1"), T, "targets.u1")
-        rho0 = read_number(tg, "targets.rho0", None)
-        rho1 = read_number(tg, "targets.rho1", None)
-        return TargetSpec(u0, u1, rho0, rho1)
+        tg = _needs(self.config, "targets")
+        u0, u1 = (self.build_space_profile(tg[key], self.domain.T, f"targets.{key}") for key in ("u0", "u1"))
+        return TargetSpec(u0, u1, tg["rho0"], tg["rho1"])
 
-    def dual_options(self, seed: int | None = None) -> DualOptions:
-        # 'grad_tol' and 'polish' are accepted in configs and have no effect:
-        # the dual solve is exact and aims inside the balls by itself
-        opt = read_key(self.config, "optimizer", {})
+    def dual_options(self) -> DualOptions:
+        opt = self.config["optimizer"]
         return DualOptions(
-            max_iters=read_number(opt, "optimizer.max_iters", 20000, int),
-            tol_vi=read_number(opt, "optimizer.tol_vi", 1e-6),
-            vi_samples=read_number(opt, "optimizer.vi_samples", 100, int),
-            seed=self.seed if seed is None else seed,
+            max_iters=opt["max_iters"], tol_vi=opt["tol_vi"], vi_samples=opt["vi_samples"], seed=self.seed
         )
 
     def header(self) -> dict:
         return {
-            "config_hash": _config_hash(self.config),
+            "config_hash": _config_hash(self.document),
             "seed": self.seed,
             "grid": f"Ny={self.mesh.Ny} Nt={self.mesh.Nt} k={self.domain.k} T={self.domain.T}",
             "warnings": ";".join(self.warnings) or "none",
@@ -342,7 +362,7 @@ def _write_summary(out_dir: Path, name: str, header: dict, payload: dict) -> Non
 def cmd_simulate(config: dict, out_dir: Path) -> int:
     setup = RunSetup(config)
     header = setup.header()
-    control = setup.build_time_trace(read_key(config, "control"), np.ones(setup.mesh.Nt + 1, dtype=bool), "control")
+    control = setup.build_time_trace(_needs(setup.config, "control"), np.ones(setup.mesh.Nt + 1, dtype=bool), "control")
     problem = WaveProblem(direction="forward", bc0=control)
     field = solve_forward(problem)
     observation = trace_normal_derivative(field, side="y=0")
@@ -363,7 +383,7 @@ def cmd_simulate(config: dict, out_dir: Path) -> int:
 def cmd_nash(config: dict, out_dir: Path) -> int:
     setup = RunSetup(config)
     header = setup.header()
-    w1 = setup.build_time_trace(read_key(config, "leader"), setup.partition.mask1, "leader")
+    w1 = setup.build_time_trace(_needs(setup.config, "leader"), setup.partition.mask1, "leader")
     sol = solve_nash_system(w1, setup.follower)
     rng = np.random.default_rng(setup.seed)
     directions = [
@@ -444,49 +464,25 @@ def cmd_threshold(k_values: list[float], out_dir: Path | None) -> int:
     return EXIT_OK
 
 
-def _sweep_cells(config: dict) -> list[dict]:
-    sw = read_key(config, "sweep")
-    dom = read_key(config, "domain", {})
-    fol = read_key(config, "follower", {})
-    ks = read_numbers(sw, "sweep.k", [dom.get("k", 0.1)])
-    Ts = read_numbers(sw, "sweep.T", [dom.get("T", 4.0)])
-    sigmas = read_numbers(sw, "sweep.sigma", [fol.get("sigma", 1.0)])
-    rhos = read_numbers(sw, "sweep.rho_rel", [0.05])
-    cells = []
-    for k in ks:
-        for T in Ts:
-            for sig in sigmas:
-                for rho in rhos:
-                    cells.append({"k": k, "T": T, "sigma": sig, "rho_rel": rho})
-    return cells
-
-
-def _run_sweep_cell(args: tuple) -> tuple[int, dict]:
+def _run_sweep_cell(args: tuple) -> dict:
     """One leader run on manufactured targets; executed possibly in a worker."""
     index, config, cell = args
     cell_config = json.loads(json.dumps(config))
-    cell_config.setdefault("domain", {})
-    cell_config["domain"]["k"] = cell["k"]
-    cell_config["domain"]["T"] = cell["T"]
-    cell_config.setdefault("follower", {})["sigma"] = cell["sigma"]
-    cell_config["seed"] = read_number(config, "seed", 0, int) + index
+    cell_config["domain"].update(k=cell["k"], T=cell["T"])
+    cell_config["follower"]["sigma"] = cell["sigma"]
+    cell_config["seed"] = config["seed"] + index
     setup = RunSetup(cell_config)
-    ref_spec = read_key(
-        config["sweep"],
-        "sweep.reference_control",
-        {"family": "gaussian", "amplitude": 1.0, "center": 0.4, "width": 0.15},
+    w1_ref = setup.build_time_trace(
+        config["sweep"]["reference_control"], setup.partition.mask1, "sweep.reference_control"
     )
-    w1_ref = setup.build_time_trace(ref_spec, setup.partition.mask1, "sweep.reference_control")
     sol_ref = solve_nash_system(w1_ref, setup.follower)
     u_T = final_value_profile(sol_ref.u)
     ut_T = final_velocity_profile(sol_ref.u)
     rho0 = cell["rho_rel"] * max(l2_norm_physical(u_T), 1e-12)
     rho1 = cell["rho_rel"] * max(hminus1_norm_physical(ut_T), 1e-12)
     targets = TargetSpec(u_T, ut_T, rho0, rho1)
-    _, w1_star, report = minimize_dual(
-        targets, setup.follower, setup.dual_options(seed=cell_config["seed"])
-    )
-    result = {
+    _, _, report = minimize_dual(targets, setup.follower, setup.dual_options())
+    return {
         **cell,
         "J": report.primal_J,
         "reached0": int(report.reached[0]),
@@ -495,25 +491,30 @@ def _run_sweep_cell(args: tuple) -> tuple[int, dict]:
         "iterations": report.iterations,
         "certified": int(report.certified),
     }
-    return index, result
 
 
-def cmd_sweep(config: dict, out_dir: Path, workers: int = 1) -> int:
-    cells = _sweep_cells(config)
+def cmd_sweep(document: dict, out_dir: Path, workers: int = 1) -> int:
+    config = check_config(document)
+    sw = _needs(config, "sweep")
+    # checked before any cell runs
+    if any(rho <= 0.0 for rho in sw["rho_rel"]):
+        raise ConfigurationError(f"sweep.rho_rel entries must be positive, got {sw['rho_rel']}")
+    base = {"k": config["domain"]["k"], "T": config["domain"]["T"], "sigma": config["follower"]["sigma"]}
+    axes = [[base[name]] if sw[name] is None else sw[name] for name in base]
+    cells = [
+        {"k": k, "T": T, "sigma": sigma, "rho_rel": rho}
+        for k, T, sigma, rho in itertools.product(*axes, sw["rho_rel"])
+    ]
     jobs = [(i, config, cell) for i, cell in enumerate(cells)]
-    results: dict[int, dict] = {}
     if workers <= 1:
-        for job in jobs:
-            idx, res = _run_sweep_cell(job)
-            results[idx] = res
+        rows = list(map(_run_sweep_cell, jobs))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for idx, res in pool.map(_run_sweep_cell, jobs):
-                results[idx] = res
+            rows = list(pool.map(_run_sweep_cell, jobs))
     header = {
-        "config_hash": _config_hash(config),
-        "seed": read_number(config, "seed", 0, int),
-        "cells": len(cells),
+        "config_hash": _config_hash(document),
+        "seed": config["seed"],
+        "cells": len(rows),
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     columns = ["k", "T", "sigma", "rho_rel", "J", "reached0", "reached1", "gap", "iterations", "certified"]
@@ -521,8 +522,7 @@ def cmd_sweep(config: dict, out_dir: Path, workers: int = 1) -> int:
         for key, val in header.items():
             fh.write(f"# {key}: {val}\n")
         fh.write(",".join(columns) + "\n")
-        for i in range(len(cells)):
-            row = results[i]
+        for row in rows:
             fh.write(",".join(f"{row[c]:.17g}" if isinstance(row[c], float) else str(row[c]) for c in columns) + "\n")
     return EXIT_OK
 

@@ -491,12 +491,13 @@ def _newton_step(jac: list, n: tuple, radii: tuple, free: tuple) -> tuple | None
     return step if all(math.isfinite(x) for x in step) else None
 
 
-def _secular_newton(model: _DualModel, opts: DualOptions) -> tuple[list[_Point], list[tuple], int]:
+def _secular_newton(model: _DualModel, opts: DualOptions) -> tuple[list[_Point], list[tuple], int, str | None]:
     """Solve the two-block secular equation from zero multipliers.
 
     Returns every iterate, each with (the best dual value so far, the
-    distance to the value target, the distance to the velocity target), and
-    the index of the iterate with the smallest secular residual.  A block
+    distance to the value target, the distance to the velocity target), the
+    index of the iterate with the smallest secular residual, and the note
+    naming why Newton's iteration stopped early, or None.  A block
     whose ball holds with its multiplier at zero stays out of the Newton
     system.  A first iterate whose value or distances are not finite raises
     InstabilityError.  The multipliers, distances and radii are pairs of
@@ -569,7 +570,7 @@ def _secular_newton(model: _DualModel, opts: DualOptions) -> tuple[list[_Point],
         jac = (-2.0 * np.array([V[b] @ dg[b] for b in blocks])).tolist()
         step = _newton_step(jac, n, radii, free)
         if step is None:
-            break
+            return iterates, rows, best, "newton_stopped_not_finite"
         # halve the step until that objective does not rise: a full step can
         # push a multiplier through zero and cycle between two clipped points.
         # Below the control time the multipliers can grow until s G^ s + I,
@@ -587,10 +588,10 @@ def _secular_newton(model: _DualModel, opts: DualOptions) -> tuple[list[_Point],
             step = tuple(0.5 * h for h in step)
         if out is None:
             # not even the shortest step could be factored: keep the best iterate
-            break
+            return iterates, rows, best, "newton_stopped_not_factorable"
         cd, obj_prev = trial, obj
         s, chol, z, obj = out
-    return iterates, rows, best
+    return iterates, rows, best, None
 
 
 def minimize_dual(targets: TargetSpec, cfg: FollowerConfig, opts: DualOptions | None = None):
@@ -615,7 +616,7 @@ def minimize_dual(targets: TargetSpec, cfg: FollowerConfig, opts: DualOptions | 
     # iterate that is not finite raises, and a later value that is not
     # finite lands in the report, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        iterates, rows, best = _secular_newton(model, opts)
+        iterates, rows, best, stop = _secular_newton(model, opts)
         point = iterates[best]
         f_star = model.unwhiten(point.z)
         w1_star = Trace(model.C @ point.z, cfg.partition.mask1, mesh)
@@ -635,6 +636,8 @@ def minimize_dual(targets: TargetSpec, cfg: FollowerConfig, opts: DualOptions | 
     ]
     vi = float(vis[-1])
     certified = bool(vi >= -opts.tol_vi and r0 and r1)
+    if stop:
+        notes.append(stop)
     if not certified:
         notes.append("not_certified")
     gap = abs(primal + D_star)

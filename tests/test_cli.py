@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -479,22 +480,36 @@ ZERO_TARGETS = {
 
 
 @pytest.mark.parametrize(
-    "command, change",
+    "command, change, key",
     [
-        ("nash", {"grid": 5}),
-        ("nash", {"follower": [1]}),
-        ("sweep", {"sweep": {"rho_rel": ["x"], "reference_control": SWEEP_REF}}),
-        ("sweep", {"sweep": {"rho_rel": ["0.05"], "reference_control": SWEEP_REF}}),
-        ("sweep", {"sweep": {"k": 0.2, "reference_control": SWEEP_REF}}),
-        ("nash", {"leader": {"family": "polynomial", "coefficients": ["x"]}}),
-        ("leader", {"targets": {key: v for key, v in ZERO_TARGETS.items() if key != "u0"}}),
+        ("nash", {"grid": 5}, "grid"),
+        ("nash", {"follower": [1]}, "follower"),
+        ("sweep", {"sweep": {"rho_rel": ["x"], "reference_control": SWEEP_REF}}, "sweep.rho_rel"),
+        ("sweep", {"sweep": {"rho_rel": ["0.05"], "reference_control": SWEEP_REF}}, "sweep.rho_rel"),
+        ("sweep", {"sweep": {"k": 0.2, "reference_control": SWEEP_REF}}, "sweep.k"),
+        ("nash", {"leader": {"family": "polynomial", "coefficients": ["x"]}}, "leader.coefficients"),
+        ("leader", {"targets": {key: v for key, v in ZERO_TARGETS.items() if key != "u0"}}, "targets.u0"),
+        ("sweep", {"domain": {"k": "abc", "T": 4.0}}, "domain.k"),
+        ("nash", {"partition": {"mode": 5}}, "partition.mode"),
+        ("sweep", {"sweep": {"rho_rel": [0.05, 0.1, 0.0], "reference_control": SWEEP_REF}}, "sweep.rho_rel"),
     ],
     ids=["grid-number", "follower-array", "sweep-axis-text", "sweep-axis-numeric-text", "sweep-axis-number",
-         "coefficient-text", "targets-no-u0"],
+         "coefficient-text", "targets-no-u0", "sweep-domain-k-text", "partition-mode-number",
+         "sweep-radius-zero"],
 )
-def test_malformed_config_exits_2(tmp_path, capsys, command, change):
+def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, command, change, key):
     """A section, sweep axis or required key of the wrong shape exits 2 with
-    a message; each used to exit 1 with a traceback."""
+    a message naming the key, before anything is solved; each used to exit 1
+    with a traceback, or to name another key (sweep.k for domain.k), no key
+    (a partition mode of 5) or, after the earlier sweep cells had run, no
+    key (a sweep radius of 0)."""
+    from hierwave import cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solve ran before the config was checked")
+
+    monkeypatch.setattr(cli, "solve_nash_system", unreachable)
+    monkeypatch.setattr(cli, "minimize_dual", unreachable)
     cfg = base_config(
         leader={"family": "constant", "value": 0.0},
         targets=ZERO_TARGETS,
@@ -503,7 +518,47 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, change):
     cfg.update(change)
     out = tmp_path / "o"
     assert main([command, "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert re.search(rf"(?<![\w.]){re.escape(key)}(?!\w)", err), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, path, near",
+    [
+        ("nash", ("follower", "sigmma"), "follower.sigma"),
+        ("leader", ("targets", "rh0"), "targets.rho0"),
+        ("nash", ("grid", "NY"), "grid.Ny"),
+        ("nash", ("domian",), "domain"),
+        ("nash", ("leader", "amplitud"), "leader.amplitude"),
+        ("nash", ("leader", "frequency"), None),
+    ],
+    ids=["sigmma", "rh0", "NY", "domian", "gaussian-amplitud", "gaussian-frequency"],
+)
+def test_misspelt_config_key_exits_2(tmp_path, capsys, command, path, near):
+    """A key the config table does not know exits 2 naming it, and its
+    nearest known key where one is close; each used to be dropped without a
+    word, and the run went on with the default (exit 0).  A frequency is
+    not a key of a gaussian profile."""
+    cfg = base_config(
+        grid={"Ny": 12},
+        leader={"family": "gaussian", "amplitude": 1.0, "center": 0.4, "width": 0.15},
+        targets=dict(ZERO_TARGETS),
+    )
+    *parents, last = path
+    section = cfg
+    for name in parents:
+        section = section[name]
+    section[last] = {"k": 0.1, "T": 4.0} if last == "domian" else 0.01
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown key {'.'.join(path)}" in err
+    if near is None:
+        assert "did you mean" not in err
+    else:
+        assert f"(did you mean {near}?)" in err
     assert not out.exists()
 
 
@@ -823,7 +878,34 @@ def test_leader_unfactorable_trial_step_exits_cleanly(tmp_path, capsys):
     assert code in (3, 4)
     assert "Traceback" not in capsys.readouterr().err
     if code == 4:
-        assert not json.loads((out / "report.json").read_text())["certified"]
+        report = json.loads((out / "report.json").read_text())
+        assert not report["certified"]
+        assert "newton_stopped_not_factorable" in report["notes"]
+
+
+def test_leader_newton_stop_is_noted(tmp_path):
+    """At sigma = 1e-150 the Gram matrix's entries are near 1e-298 and the
+    first Newton step is not finite; the report says that the iteration
+    stopped there rather than converged."""
+    cfg = base_config(
+        grid={"Ny": 12},
+        follower={
+            "sigma": 1e-150,
+            "u_tilde2": {"space": {"family": "sine", "amplitude": 0.3}, "time": {"family": "sine", "frequency": 2}},
+        },
+        targets={
+            "u0": {"family": "sine", "amplitude": 0.1},
+            "u1": {"family": "constant", "value": 0.0},
+            "rho0": 1e-3,
+            "rho1": 1e-3,
+        },
+    )
+    cfg["domain"]["T"] = 2.0
+    out = tmp_path / "out"
+    assert main(["leader", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 4
+    report = json.loads((out / "report.json").read_text())
+    assert report["iterations"] == 1
+    assert report["notes"] == ["newton_stopped_not_finite", "not_certified"]
 
 
 def test_verify_fast(tmp_path, capsys):
@@ -945,3 +1027,57 @@ def test_nash_outputs_same_bytes_on_the_per_value_route(tmp_path, monkeypatch):
     assert names == sorted(p.name for p in per_value.iterdir())
     for name in names:
         assert (bulk / name).read_bytes() == (per_value / name).read_bytes(), name
+
+
+def readme_table(header: str) -> list[list[str]]:
+    """The rows of README's table under ``header``, cell by cell, without
+    the backticks around a cell."""
+    from pathlib import Path
+
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index(header) + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip().strip("`") for cell in line.strip("|").split("|")])
+    return rows
+
+
+def table_entry(kind, default) -> tuple:
+    """A (kind, default) of the config tables as README writes it: a choice
+    of strings as "a" or "b", and the default as "required", "none" or its
+    JSON text, parsed."""
+    from hierwave.cli import REQUIRED
+
+    kind = " or ".join(json.dumps(c) for c in kind) if isinstance(kind, tuple) else kind
+    return kind, "required" if default is REQUIRED else "none" if default is None else default
+
+
+def readme_entry(kind: str, default: str) -> tuple:
+    return kind, default if default in ("required", "none") else json.loads(default)
+
+
+def test_readme_lists_every_config_key():
+    """README's configuration tables and the config tables KEYS and
+    FAMILIES name the same keys, with the same kinds and defaults."""
+    from hierwave.cli import CSV, FAMILIES, KEYS, TRACKED
+
+    def leaves(table, prefix=""):
+        for key, (kind, default) in table.items():
+            if isinstance(kind, dict):
+                yield from leaves(kind, f"{prefix}{key}.")
+                continue
+            yield f"{prefix}{key}", table_entry(kind, default)
+            if kind == "field":
+                yield from leaves(TRACKED, f"{prefix}{key}.")
+
+    rows = readme_table("| key | kind | default | read by |")
+    assert [key for key, *_ in rows] == [key for key, _ in leaves(KEYS)]
+    assert {key: readme_entry(kind, default) for key, kind, default, _ in rows} == dict(leaves(KEYS))
+
+    forms = {**FAMILIES, "csv": CSV}
+    rows = readme_table("| profile | key | kind | default |")
+    want = {(form, key): table_entry(*entry) for form, table in forms.items() for key, entry in table.items()}
+    assert [tuple(row[:2]) for row in rows] == list(want)
+    assert {(form, key): readme_entry(kind, default) for form, key, kind, default in rows} == want

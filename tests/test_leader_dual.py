@@ -512,7 +512,7 @@ def test_history_certificates_match_each_iterate(model16):
     """Each history row's certificate is the single-point certificate at
     that iterate's f over the comparison points of the stream [seed, iter]."""
     opts = DualOptions(seed=3)
-    iterates, _, _ = _secular_newton(model16, opts)
+    iterates, *_ = _secular_newton(model16, opts)
     f_star, _, rep = minimize_dual(model16.targets, model16.cfg, opts)
     assert len(rep.history) == len(iterates) >= 3
     for row, point in zip(rep.history, iterates):
