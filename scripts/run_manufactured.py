@@ -22,6 +22,7 @@ from hierwave.grid import (
     Trace,
     hminus1_norm_physical,
     l2_norm_physical,
+    save_json,
     save_profile_csv,
     save_trace_csv,
 )
@@ -69,7 +70,7 @@ def main(out_dir="runs/manufactured", Ny="41"):
     save_profile_csv(out / "target_velocity.csv", targets.u_target1)
     save_profile_csv(out / "f0_star.csv", f_star.f0)
     save_profile_csv(out / "f1_star.csv", f_star.f1)
-    (out / "report.json").write_text(rep.to_json())
+    save_json(out / "report.json", rep.payload())
     print(f"wrote artifacts to {out}/")
 
 

@@ -14,17 +14,14 @@ from pathlib import Path
 import numpy as np
 
 from hierwave.geometry import check_admissible, min_control_time
+from hierwave.grid import save_table_csv
 
 
 def main(out_dir="runs/threshold_map"):
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ks = np.concatenate([[1e-4, 1e-3, 1e-2], np.arange(0.05, 0.85, 0.05)])
     rows = [(k, min_control_time(k)) for k in ks]
-    with open(out / "threshold.csv", "w") as fh:
-        fh.write("k,T_min\n")
-        for k, tmin in rows:
-            fh.write(f"{k:.17g},{tmin:.17g}\n")
+    save_table_csv(out / "threshold.csv", None, ["k", "T_min"], rows)
     print(f"{'k':>8}  {'T_min':>12}")
     for k, tmin in rows:
         print(f"{k:8.4f}  {tmin:12.5g}")

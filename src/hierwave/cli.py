@@ -43,7 +43,9 @@ from .grid import (
     load_profile_csv,
     load_trace_csv,
     save_field_csv,
+    save_json,
     save_profile_csv,
+    save_table_csv,
     save_trace_csv,
     l2_norm_physical,
     hminus1_norm_physical,
@@ -63,7 +65,7 @@ from .coupled import (
     solve_nash_system,
 )
 from .leader_dual import DualOptions, TargetSpec, minimize_dual
-from .verify import run_verification, write_verification_report
+from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -349,12 +351,6 @@ def _finite(doc: dict, name: str) -> dict:
     return doc
 
 
-def _write_summary(out_dir: Path, name: str, header: dict, payload: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    doc = _finite({"header": header, **payload}, name)
-    (out_dir / name).write_text(json.dumps(doc, indent=2, sort_keys=True))
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -366,17 +362,13 @@ def cmd_simulate(config: dict, out_dir: Path) -> int:
     problem = WaveProblem(direction="forward", bc0=control)
     field = solve_forward(problem)
     observation = trace_normal_derivative(field, side="y=0")
+    summary = _finite(
+        {"header": header, "command": "simulate", "field_max_abs": float(np.max(np.abs(field.values)))},
+        "summary.json",
+    )
     save_field_csv(out_dir / "field.csv", field, header)
     save_trace_csv(out_dir / "trace.csv", observation, header)
-    _write_summary(
-        out_dir,
-        "summary.json",
-        header,
-        {
-            "command": "simulate",
-            "field_max_abs": float(np.max(np.abs(field.values))),
-        },
-    )
+    save_json(out_dir / "summary.json", summary)
     return EXIT_OK
 
 
@@ -394,9 +386,9 @@ def cmd_nash(config: dict, out_dir: Path) -> int:
     # a cost past the float range is inf, which _finite reports
     with np.errstate(over="ignore"):
         J2, J = cost_J2(sol.u, sol.w2, setup.follower), cost_J(w1)
-    # checked before any output is written
     summary = _finite(
         {
+            "header": header,
             "command": "nash",
             "J2": J2,
             "J": J,
@@ -413,7 +405,7 @@ def cmd_nash(config: dict, out_dir: Path) -> int:
     save_trace_csv(out_dir / "w2.csv", sol.w2, header)
     save_profile_csv(out_dir / "u_T.csv", final_value_profile(sol.u), header)
     save_profile_csv(out_dir / "ut_T.csv", final_velocity_profile(sol.u), header)
-    _write_summary(out_dir, "summary.json", header, summary)
+    save_json(out_dir / "summary.json", summary)
     return EXIT_OK
 
 
@@ -423,26 +415,18 @@ def cmd_leader(config: dict, out_dir: Path) -> int:
     targets = setup.build_targets()
     f_star, w1_star, report = minimize_dual(targets, setup.follower, setup.dual_options())
     doc = _finite({"header": header, **report.payload()}, "report.json")
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_trace_csv(out_dir / "w1_star.csv", w1_star, header)
     save_profile_csv(out_dir / "f0.csv", f_star.f0, header)
     save_profile_csv(out_dir / "f1.csv", f_star.f1, header)
-    (out_dir / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
-    with open(out_dir / "history.csv", "w") as fh:
-        for key, val in header.items():
-            fh.write(f"# {key}: {val}\n")
-        fh.write("iter,dual_value,vi_residual,dist_L2,dist_Hm1\n")
-        for row in report.history:
-            fh.write(
-                f"{row['iter']},{row['dual_value']:.17g},{row['vi_residual']:.17g},"
-                f"{row['dist_L2']:.17g},{row['dist_Hm1']:.17g}\n"
-            )
+    save_json(out_dir / "report.json", doc)
+    columns = ["iter", "dual_value", "vi_residual", "dist_L2", "dist_Hm1"]
+    save_table_csv(out_dir / "history.csv", header, columns, ([row[c] for c in columns] for row in report.history))
     return EXIT_OK if report.certified else EXIT_UNCERTIFIED
 
 
 def cmd_verify(level: str, out_dir: Path, seed: int = 0) -> int:
     report = run_verification(level, seed=seed)
-    write_verification_report(report, out_dir / "verification_report.json")
+    save_json(out_dir / "verification_report.json", report)
     for check in report["checks"]:
         status = "pass" if check["passed"] else "FAIL"
         print(f"[{status}] {check['name']}: metric={check['metric']:.3e}")
@@ -456,11 +440,7 @@ def cmd_threshold(k_values: list[float], out_dir: Path | None) -> int:
         rows.append((float(k), t_min))
         print(f"k={k:g}  T_min={t_min:.6g}")
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "threshold.csv", "w") as fh:
-            fh.write("k,T_min\n")
-            for k, t_min in rows:
-                fh.write(f"{k:.17g},{t_min:.17g}\n")
+        save_table_csv(out_dir / "threshold.csv", None, ["k", "T_min"], rows)
     return EXIT_OK
 
 
@@ -496,14 +476,26 @@ def _run_sweep_cell(args: tuple) -> dict:
 def cmd_sweep(document: dict, out_dir: Path, workers: int = 1) -> int:
     config = check_config(document)
     sw = _needs(config, "sweep")
-    # checked before any cell runs
+    base = {"k": config["domain"]["k"], "T": config["domain"]["T"], "sigma": config["follower"]["sigma"]}
+    axes = {name: [base[name]] if sw[name] is None else sw[name] for name in base}
+    names = {"k": "domain.k", "T": "domain.T", "sigma": "follower.sigma"}
+    names.update((name, f"sweep.{name}") for name in base if sw[name] is not None)
+    # every cell's values, checked before any cell runs as its RunSetup
+    # checks them; check_admissible judges k before T
+    allow = config["domain"]["allow_k_zero"]
+    for k, T in itertools.product(axes["k"], axes["T"]):
+        error = check_admissible(k, T, allow_k_zero=allow).hard_error
+        if error:
+            key = "k" if check_admissible(k, 1.0, allow_k_zero=allow).hard_error else "T"
+            raise ConfigurationError(f"{names[key]}: {error}")
+    for sigma in axes["sigma"]:
+        if sigma <= 0.0:
+            raise ConfigurationError(f"{names['sigma']} must be positive, got {sigma!r}")
     if any(rho <= 0.0 for rho in sw["rho_rel"]):
         raise ConfigurationError(f"sweep.rho_rel entries must be positive, got {sw['rho_rel']}")
-    base = {"k": config["domain"]["k"], "T": config["domain"]["T"], "sigma": config["follower"]["sigma"]}
-    axes = [[base[name]] if sw[name] is None else sw[name] for name in base]
     cells = [
         {"k": k, "T": T, "sigma": sigma, "rho_rel": rho}
-        for k, T, sigma, rho in itertools.product(*axes, sw["rho_rel"])
+        for k, T, sigma, rho in itertools.product(*axes.values(), sw["rho_rel"])
     ]
     jobs = [(i, config, cell) for i, cell in enumerate(cells)]
     if workers <= 1:
@@ -516,14 +508,8 @@ def cmd_sweep(document: dict, out_dir: Path, workers: int = 1) -> int:
         "seed": config["seed"],
         "cells": len(rows),
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     columns = ["k", "T", "sigma", "rho_rel", "J", "reached0", "reached1", "gap", "iterations", "certified"]
-    with open(out_dir / "sweep.csv", "w") as fh:
-        for key, val in header.items():
-            fh.write(f"# {key}: {val}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{row[c]:.17g}" if isinstance(row[c], float) else str(row[c]) for c in columns) + "\n")
+    save_table_csv(out_dir / "sweep.csv", header, columns, ([row[c] for c in columns] for row in rows))
     return EXIT_OK
 
 

@@ -69,12 +69,12 @@ from .grid import (
     Mesh,
     SpatialProfile,
     Trace,
+    read_only,
     space_time_weights,
     trapezoid_weights,
 )
 from .wave_core import (
     WaveOperator,
-    content_key,
     extract_terminal,
     terminal_adjoint,
     terminal_first_step,
@@ -162,7 +162,7 @@ class NashSolution:
     u: Field
     p: Field
     w2: Trace
-    residual: float
+    residual: float  # sigma times the follower's optimality residual (CoupledEngine.schur_pair)
 
 
 @dataclass
@@ -203,8 +203,9 @@ class CoupledEngine:
         # factor R of the norm blocks of the leader's dual; they do not depend
         # on targets or radii, so a radii ladder shares them
         self.leader_gram: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        # free_terminal's pair for the last u_tilde, keyed by content_key
-        self._free_terminal: tuple[tuple, tuple[np.ndarray, np.ndarray]] | None = None
+        # free_terminal's pair for the last u_tilde, kept read-only with a
+        # copy of that u_tilde
+        self._free_terminal: tuple[np.ndarray, tuple[np.ndarray, np.ndarray]] | None = None
 
     # -- elementary solves ---------------------------------------------------
 
@@ -300,13 +301,15 @@ class CoupledEngine:
 
         Returns (state, lam, w2, residual): one forward march for the state,
         one transposed sweep for the multiplier, and the trace residual
-        between w2 and the follower trace read back from that multiplier.
+        between sigma w2 and chi2 times the multiplier's normal trace, the
+        follower's optimality condition multiplied through by sigma, so that
+        a small sigma does not scale up its round-off.
         """
         bc, w2 = self.schur_bc(w1_values, utilde)
         state = self.state_solve(bc)
         misfit = state if utilde is None else state - utilde
         lam = self.op.solve_adjoint(self.W * misfit)
-        residual = self.trace_norm((self.chi2 / self.sigma) * self.normal_trace(lam) - w2)
+        residual = self.trace_norm(self.chi2 * self.normal_trace(lam) - self.sigma * w2)
         return state, lam, w2, residual
 
     def schur_adjoint(self, rho_tails: np.ndarray):
@@ -338,14 +341,10 @@ class CoupledEngine:
         if utilde is None:
             zero = np.zeros(self.mesh.Ny + 1)
             return zero, zero.copy()
-        key = content_key(utilde)
-        if self._free_terminal is None or self._free_terminal[0] != key:
+        if self._free_terminal is None or not np.array_equal(self._free_terminal[0], utilde):
             bc, _ = self.schur_bc(self._zeros_t, utilde)
             vel, neg_val = extract_terminal(self.mesh, self.op.boundary_response().terminal_levels(bc))
-            pair = (-neg_val, vel)
-            for values in pair:
-                values.flags.writeable = False
-            self._free_terminal = (key, pair)
+            self._free_terminal = (read_only(np.array(utilde)), (read_only(-neg_val), read_only(vel)))
         return self._free_terminal[1]
 
     # -- relaxed Picard on the coupling trace ---------------------------------

@@ -3,14 +3,19 @@
 All fields are stored on the unit cylinder (0,1) x (0,T); every inner
 product re-applies the Jacobian dx = alpha(t) dy so that norms agree with
 the physical expanding domain.  The negative-order norm is realized through
-a discrete Dirichlet Poisson solve; the same tridiagonal matrix backs the
-norm, the Riesz lift, and the dual-gradient geometry so the three stay
-mutually consistent.
+a discrete Dirichlet Poisson solve, tridiag(-1, 2, -1) / hx^2, which also
+gives the Riesz lift.  The leader's dual takes its geometry from the
+Cholesky factor R0 of K = tridiag(-1, 2, -1) / hx, built from the same
+stencil in ``leader_dual._DualModel._build_gram``.
+
+Every output file is written here: CSVs by the ``save_*_csv`` functions,
+:func:`save_table_csv` for tables of rows, and JSON documents by :func:`save_json`.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,6 +45,8 @@ __all__ = [
     "load_trace_csv",
     "save_field_csv",
     "load_field_csv",
+    "save_table_csv",
+    "save_json",
 ]
 
 
@@ -98,15 +105,15 @@ class Mesh:
 
     @functools.cached_property
     def y(self) -> np.ndarray:
-        return _read_only(np.linspace(0.0, 1.0, self.grid.Ny + 1))
+        return read_only(np.linspace(0.0, 1.0, self.grid.Ny + 1))
 
     @functools.cached_property
     def times(self) -> np.ndarray:
-        return _read_only(np.linspace(0.0, self.domain.T, self.grid.Nt + 1))
+        return read_only(np.linspace(0.0, self.domain.T, self.grid.Nt + 1))
 
     @functools.cached_property
     def alphas(self) -> np.ndarray:
-        return _read_only(1.0 + self.domain.k * self.times)
+        return read_only(1.0 + self.domain.k * self.times)
 
     def cfl_ok(self) -> bool:
         bound = self.grid.cfl_safety * self.dy / (1.0 + self.domain.k)
@@ -124,7 +131,8 @@ class Mesh:
         return (self.grid.Ny, self.grid.Nt, *self.domain.key())
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: a value shared or kept, which no caller may change."""
     a.flags.writeable = False
     return a
 
@@ -553,6 +561,21 @@ def _write_csv(path, header_comments: dict | None, columns: list[str], template:
         fh.write(text)
 
 
+def save_table_csv(path, header_comments: dict | None, columns: list[str], rows) -> None:
+    """A table: one row of ``rows`` (sequences of numbers, one per column)
+    per line, each cell "%.17g", as :func:`_write_csv` writes them; an
+    integral value below 1e17 is written as bare digits."""
+    rows = [tuple(row) for row in rows]
+    template = (",".join(["%.17g"] * len(columns)) + "\r\n") * len(rows)
+    _write_csv(path, header_comments, columns, template, rows)
+
+
+def save_json(path, doc: dict) -> None:
+    """``doc`` as JSON, indented by two spaces, with sorted keys."""
+    with _create(path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True))
+
+
 def _read_csv(path, columns: int) -> np.ndarray:
     """The numeric rows under the header line, each of at least ``columns``
     numbers; '#' comment lines and blank lines are skipped.  A file that
@@ -645,9 +668,7 @@ def load_field_csv(path, mesh: Mesh) -> Field:
 def _coordinate_cells(coords: bytes) -> np.ndarray:
     """f"{c:.17g}" of each float64 in ``coords``, zero-padded to one width."""
     cells = np.array([f"{c:.17g}" for c in np.frombuffer(coords).tolist()], dtype=bytes)
-    cells = cells.view(np.uint8).reshape(cells.size, -1)
-    cells.flags.writeable = False
-    return cells
+    return read_only(cells.view(np.uint8).reshape(cells.size, -1))
 
 
 def save_field_csv(path, fld: Field, extra_header: dict | None = None) -> None:

@@ -50,7 +50,6 @@ inequality rather than a bare gradient norm.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field as dc_field
@@ -184,9 +183,6 @@ class DualReport:
             "notes": self.notes,
             "history_length": len(self.history),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.payload(), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,7 @@ grids above Ny = 64.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -335,9 +333,3 @@ def run_verification(level: str = "fast", seed: int = 0) -> dict:
         "passed": all(c["passed"] for c in checks),
         "checks": checks,
     }
-
-
-def write_verification_report(report: dict, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True))

@@ -40,7 +40,6 @@ evaluates a at T - tau, then reuses the forward stepper.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +48,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import ConfigurationError, InstabilityError
-from .grid import Field, Mesh, SpatialProfile, Trace, space_time_weights
+from .grid import Field, Mesh, SpatialProfile, Trace, read_only, space_time_weights
 from .geometry import alpha
 
 __all__ = [
@@ -66,12 +65,6 @@ __all__ = [
     "terminal_adjoint_levels",
     "profile_derivative_matrix",
 ]
-
-
-def content_key(values: np.ndarray) -> tuple:
-    """Shape and SHA-256 digest of an array's bytes: the key of a value kept
-    for the last input it was computed from."""
-    return (values.shape, hashlib.sha256(values.tobytes()).digest())
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +160,16 @@ class WaveOperator:
         )
         # the mesh's space-time quadrature weights, shape (J+1, N+1), on its
         # own time nodes; read-only, and shared by every engine on the mesh
-        self.W = space_time_weights(mesh)
-        self.W.flags.writeable = False
+        self.W = read_only(space_time_weights(mesh))
         self._steps = None
         self._matrix = None
         self._lu = None
         self._response = None
         # tracked_row's S^T W u_tilde for the last u_tilde, and
-        # sample_responses' levels for the last boundary data, each keyed by
-        # content_key
-        self._tracked_row: tuple[tuple, np.ndarray] | None = None
-        self._sample: tuple[tuple, np.ndarray] | None = None
+        # sample_responses' levels for the last boundary data, each kept
+        # read-only with a copy of its input
+        self._tracked_row: tuple[np.ndarray, np.ndarray] | None = None
+        self._sample: tuple[np.ndarray, np.ndarray] | None = None
 
     def _stencil_table(self) -> tuple[np.ndarray, np.ndarray]:
         """The read-only table of step coefficients, shape (N+1, 2, 3, J+3),
@@ -211,8 +203,7 @@ class WaveOperator:
         rows[1:N, 1, 1] += 2.0 / dt**2
         np.subtract(c[1:N], d[1:N], out=rows[1:N, 1, 2])
         rows[0, 1] = 0.5 * dt**2 * np.stack([c[0] + d[0], -2.0 * c[0], c[0] - d[0]])
-        st.flags.writeable = False
-        return st, b[0].copy()
+        return read_only(st), b[0].copy()
 
     def _coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The cylinder equation's coefficients b, c, d at the interior
@@ -441,12 +432,11 @@ class WaveOperator:
         """S^T W u_tilde: the boundary row of the transposed sweep of W u_tilde.
 
         It depends on the mesh and u_tilde alone, so every engine on the
-        mesh shares it; the row of the last u_tilde is kept.
+        mesh shares it; the row of the last u_tilde is kept, read-only.
         """
-        key = content_key(utilde)
-        if self._tracked_row is None or self._tracked_row[0] != key:
+        if self._tracked_row is None or not np.array_equal(self._tracked_row[0], utilde):
             row = self.solve_adjoint(self.W * utilde)[0, :]
-            self._tracked_row = (key, row)
+            self._tracked_row = (read_only(np.array(utilde)), read_only(row.copy()))
         return self._tracked_row[1]
 
     def sample_responses(self, bc: np.ndarray) -> np.ndarray:
@@ -456,12 +446,10 @@ class WaveOperator:
         They depend on the mesh and ``bc`` alone, so every engine on the mesh
         shares them; the levels of the last ``bc`` are kept, read-only.
         """
-        key = content_key(bc)
-        if self._sample is None or self._sample[0] != key:
+        if self._sample is None or not np.array_equal(self._sample[0], bc):
             zeros_t, zeros = np.zeros(self.N + 1), np.zeros(self.J + 1)
             levels = self.march(bc, zeros_t, zeros, zeros, time_major=True)
-            levels.flags.writeable = False
-            self._sample = (key, levels)
+            self._sample = (read_only(np.array(bc)), read_only(levels))
         return self._sample[1]
 
     def _unit_levels(self):

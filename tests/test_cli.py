@@ -492,17 +492,21 @@ ZERO_TARGETS = {
         ("sweep", {"domain": {"k": "abc", "T": 4.0}}, "domain.k"),
         ("nash", {"partition": {"mode": 5}}, "partition.mode"),
         ("sweep", {"sweep": {"rho_rel": [0.05, 0.1, 0.0], "reference_control": SWEEP_REF}}, "sweep.rho_rel"),
+        ("sweep", {"sweep": {"k": [0.1, 0.2, 1.5], "reference_control": SWEEP_REF}}, "sweep.k"),
+        ("sweep", {"sweep": {"T": [4.0, 0.0], "reference_control": SWEEP_REF}}, "sweep.T"),
+        ("sweep", {"sweep": {"sigma": [1.0, 0.0], "reference_control": SWEEP_REF}}, "sweep.sigma"),
     ],
     ids=["grid-number", "follower-array", "sweep-axis-text", "sweep-axis-numeric-text", "sweep-axis-number",
          "coefficient-text", "targets-no-u0", "sweep-domain-k-text", "partition-mode-number",
-         "sweep-radius-zero"],
+         "sweep-radius-zero", "sweep-k-inadmissible", "sweep-T-nonpositive", "sweep-sigma-zero"],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, command, change, key):
     """A section, sweep axis or required key of the wrong shape exits 2 with
     a message naming the key, before anything is solved; each used to exit 1
     with a traceback, or to name another key (sweep.k for domain.k), no key
     (a partition mode of 5) or, after the earlier sweep cells had run, no
-    key (a sweep radius of 0)."""
+    key (a sweep radius of 0) or another key (domain for a sweep's k or T,
+    none for its sigma)."""
     from hierwave import cli
 
     def unreachable(*args, **kwargs):
@@ -906,6 +910,18 @@ def test_leader_newton_stop_is_noted(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["iterations"] == 1
     assert report["notes"] == ["newton_stopped_not_finite", "not_certified"]
+
+
+def test_nash_tiny_sigma_residual_is_finite(tmp_path):
+    """At sigma = 1e-300 the trace residual is the follower's optimality
+    condition times sigma, which stays finite; divided by sigma it
+    overflowed and the run exited 3 on residual_tail."""
+    tracked = {"space": {"family": "sine", "amplitude": 0.5}, "time": {"family": "sine", "frequency": 2}}
+    cfg = base_config(grid={"Ny": 16}, leader={"family": "gaussian"}, follower={"sigma": 1e-300, "u_tilde2": tracked})
+    out = tmp_path / "nash"
+    assert main(["nash", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+    tail = json.loads((out / "summary.json").read_text())["residual_tail"]
+    assert len(tail) == 1 and 0.0 <= tail[0] < 1e-12
 
 
 def test_verify_fast(tmp_path, capsys):

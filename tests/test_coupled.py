@@ -17,6 +17,7 @@ from hierwave.grid import (
 )
 from hierwave import coupled
 from hierwave.coupled import (
+    CoupledEngine,
     FollowerConfig,
     PicardOptions,
     apply_A,
@@ -424,6 +425,36 @@ def test_kept_row_follows_the_tracked_trajectory(mesh41, overlap41, utilde41, w1
         for a, b in zip(got, run(u)):
             assert np.array_equal(a, b)
     assert not np.array_equal(warm[0][0], warm[1][0])
+
+
+def test_kept_values_are_read_only_and_found_by_value(mesh41, overlap41, utilde41, monkeypatch):
+    """The tracked row, the first-order sample's levels and the free state's
+    final pair are kept read-only; an equal input in a new array finds them
+    and runs no march, sweep or follower solve, and a kept input is a copy,
+    so changing the caller's array is a new input."""
+    monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
+    eng = get_engine(mesh41, FollowerConfig(sigma=0.5, partition=overlap41, u_tilde2=utilde41))
+    utilde = utilde41.values.copy()
+    bc = np.random.default_rng(3).standard_normal((mesh41.Nt + 1, 2))
+
+    def kept(utilde, bc):
+        return [eng.op.tracked_row(utilde), eng.op.sample_responses(bc), *eng.free_terminal(utilde)]
+
+    first = kept(utilde, bc)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kept value was computed again")
+
+    for cls, name in ((WaveOperator, "march"), (WaveOperator, "solve_adjoint"), (CoupledEngine, "follower_trace")):
+        monkeypatch.setattr(cls, name, refuse)
+    again = kept(utilde.copy(), bc.copy())
+    for a, b in zip(first, again):
+        assert a is b and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 1.0
+    monkeypatch.undo()
+    utilde *= 2.0
+    assert np.array_equal(eng.op.tracked_row(utilde), 2.0 * first[0])
 
 
 def test_cholesky_pair_matches_scipy():

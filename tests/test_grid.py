@@ -371,6 +371,59 @@ def test_csv_bytes_match_csv_writer(tmp_path):
     assert (tmp_path / "t.csv").read_bytes() == ref
 
 
+def _written_table(path):
+    """The comment lines as a dict, the header row and the rows as floats
+    of a written CSV."""
+    comments, lines = {}, []
+    for line in path.read_text().splitlines():
+        if line.startswith("# "):
+            key, val = line[2:].split(": ", 1)
+            comments[key] = val
+        else:
+            lines.append(line.split(","))
+    return comments, lines[0], [[float(cell) for cell in line] for line in lines[1:]]
+
+
+def test_table_csv_matches_csv_writer(tmp_path):
+    """save_table_csv gives csv.writer's bytes for the same header and rows:
+    "\r\n" row ends, integers as bare digits; an empty table is its head."""
+    rows = [(3, -0.0, 1.0 / 3.0), (0, np.inf, 1e22), (12, np.nan, 5e-324)]
+    header = {"seed": 3, "note": "100% of %s"}
+    for name, table in (("t", rows), ("empty", [])):
+        grid.save_table_csv(tmp_path / "out" / f"{name}.csv", header, ["n", "a", "b"], table)
+        expect = _csv_writer_bytes(tmp_path / f"{name}_ref.csv", header, ["n", "a", "b"], table)
+        assert (tmp_path / "out" / f"{name}.csv").read_bytes() == expect
+
+
+def test_cli_tables_match_csv_writer(tmp_path):
+    """history.csv, sweep.csv and threshold.csv have csv.writer's bytes for
+    the header and rows they hold."""
+    import json
+
+    from hierwave.cli import main
+
+    config = {
+        "domain": {"k": 0.1, "T": 4.0},
+        "grid": {"Ny": 12},
+        "targets": {
+            "u0": {"family": "sine", "amplitude": 0.1},
+            "u1": {"family": "constant", "value": 0.0},
+            "rho0": 1e-3,
+            "rho1": 1e-3,
+        },
+        "sweep": {"rho_rel": [0.05, 0.1]},
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert main(["leader", "--config", str(path), "--out", str(tmp_path / "leader")]) in (0, 4)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == 0
+    assert main(["threshold", "--k", "0.0001", "0.1", "0.5", "--out", str(tmp_path / "threshold")]) == 0
+    for written in (tmp_path / "leader/history.csv", tmp_path / "sweep/sweep.csv", tmp_path / "threshold/threshold.csv"):
+        comments, columns, values = _written_table(written)
+        assert values and b"\r\n" in written.read_bytes()
+        assert written.read_bytes() == _csv_writer_bytes(tmp_path / "ref.csv", comments, columns, values), written
+
+
 def g17_strings(values):
     """What the bulk "%.17g" formatter makes of each value."""
     cells = grid._g17_cells(np.asarray(values, dtype=float))

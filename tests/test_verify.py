@@ -13,6 +13,7 @@ from hierwave.grid import (
     Trace,
     duality_pairing,
     l2_inner_physical,
+    save_json,
     trapezoid_weights,
 )
 from hierwave.coupled import FollowerConfig, apply_A, apply_A_star, get_engine
@@ -30,7 +31,6 @@ from hierwave.verify import (
     order_studies,
     run_verification,
     transpose_check,
-    write_verification_report,
 )
 
 SIN_QUARTER = 0.7071067811865476
@@ -272,7 +272,7 @@ def test_run_verification_fast_and_report(tmp_path):
     assert {"dalembert_order", "moving_end_order", "transpose_identity_overlap", "nash_schur_vs_monolithic"} <= names
     for check in rep["checks"]:
         assert set(check) == {"name", "metric", "threshold", "passed"}
-    write_verification_report(rep, tmp_path / "report.json")
+    save_json(tmp_path / "report.json", rep)
     loaded = json.loads((tmp_path / "report.json").read_text())
     assert loaded == rep
 
