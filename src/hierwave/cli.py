@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ConvergenceError, InstabilityError
+from .errors import ConfigurationError, InstabilityError
 from .geometry import DomainSpec, SigmaPartition, check_admissible, min_control_time
 from .grid import (
     Field,
@@ -315,12 +315,6 @@ class RunSetup:
         u0, u1 = (self.build_space_profile(tg[key], self.domain.T, f"targets.{key}") for key in ("u0", "u1"))
         return TargetSpec(u0, u1, tg["rho0"], tg["rho1"])
 
-    def dual_options(self) -> DualOptions:
-        opt = self.config["optimizer"]
-        return DualOptions(
-            max_iters=opt["max_iters"], tol_vi=opt["tol_vi"], vi_samples=opt["vi_samples"], seed=self.seed
-        )
-
     def header(self) -> dict:
         return {
             "config_hash": _config_hash(self.document),
@@ -328,6 +322,14 @@ class RunSetup:
             "grid": f"Ny={self.mesh.Ny} Nt={self.mesh.Nt} k={self.domain.k} T={self.domain.T}",
             "warnings": ";".join(self.warnings) or "none",
         }
+
+
+def dual_options(config: dict) -> DualOptions:
+    """The checked ``config``'s optimizer settings and seed; DualOptions checks their ranges."""
+    opt = config["optimizer"]
+    return DualOptions(
+        max_iters=opt["max_iters"], tol_vi=opt["tol_vi"], vi_samples=opt["vi_samples"], seed=config["seed"]
+    )
 
 
 def _finite(doc: dict, name: str) -> dict:
@@ -413,7 +415,7 @@ def cmd_leader(config: dict, out_dir: Path) -> int:
     setup = RunSetup(config)
     header = setup.header()
     targets = setup.build_targets()
-    f_star, w1_star, report = minimize_dual(targets, setup.follower, setup.dual_options())
+    f_star, w1_star, report = minimize_dual(targets, setup.follower, dual_options(setup.config))
     doc = _finite({"header": header, **report.payload()}, "report.json")
     save_trace_csv(out_dir / "w1_star.csv", w1_star, header)
     save_profile_csv(out_dir / "f0.csv", f_star.f0, header)
@@ -461,7 +463,7 @@ def _run_sweep_cell(args: tuple) -> dict:
     rho0 = cell["rho_rel"] * max(l2_norm_physical(u_T), 1e-12)
     rho1 = cell["rho_rel"] * max(hminus1_norm_physical(ut_T), 1e-12)
     targets = TargetSpec(u_T, ut_T, rho0, rho1)
-    _, _, report = minimize_dual(targets, setup.follower, setup.dual_options())
+    _, _, report = minimize_dual(targets, setup.follower, dual_options(setup.config))
     return {
         **cell,
         "J": report.primal_J,
@@ -493,6 +495,7 @@ def cmd_sweep(document: dict, out_dir: Path, workers: int = 1) -> int:
             raise ConfigurationError(f"{names['sigma']} must be positive, got {sigma!r}")
     if any(rho <= 0.0 for rho in sw["rho_rel"]):
         raise ConfigurationError(f"sweep.rho_rel entries must be positive, got {sw['rho_rel']}")
+    dual_options(config)  # the optimizer's ranges, which every cell shares
     cells = [
         {"k": k, "T": T, "sigma": sigma, "rho_rel": rho}
         for k, T, sigma, rho in itertools.product(*axes.values(), sw["rho_rel"])
@@ -581,11 +584,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InstabilityError, ConvergenceError) as err:
+    except InstabilityError as err:
         print(f"solver error: {err}", file=sys.stderr)
-        if isinstance(err, ConvergenceError) and err.residual_history:
-            tail = ", ".join(f"{r:.3e}" for r in err.residual_history[-5:])
-            print(f"residual history (tail): {tail}", file=sys.stderr)
         return EXIT_SOLVER
 
 

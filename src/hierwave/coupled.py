@@ -64,15 +64,7 @@ import scipy.sparse.linalg
 
 from .errors import ConfigurationError, ConvergenceError
 from .geometry import SigmaPartition
-from .grid import (
-    Field,
-    Mesh,
-    SpatialProfile,
-    Trace,
-    read_only,
-    space_time_weights,
-    trapezoid_weights,
-)
+from .grid import Field, Mesh, SpatialProfile, Trace, read_only
 from .wave_core import (
     WaveOperator,
     extract_terminal,
@@ -177,7 +169,8 @@ class CoupledEngine:
     """Shared machinery for one (mesh, sigma, partition) triple.
 
     ``op`` is the mesh's :class:`~hierwave.wave_core.WaveOperator`, which
-    engines on one mesh share; None builds a new one.
+    engines on one mesh share; None builds a new one.  The engine reads the
+    operator's mesh, so that it shares that mesh's weights with the operator.
     """
 
     def __init__(self, mesh: Mesh, sigma: float, partition: SigmaPartition, op: WaveOperator | None = None):
@@ -186,14 +179,13 @@ class CoupledEngine:
                 f"partition masks have length {partition.mask1.shape[0]}, grid wants {mesh.Nt + 1}"
             )
         mesh.require_cfl()
-        self.mesh = mesh
+        self.op = WaveOperator(mesh) if op is None else op
+        self.mesh = mesh = self.op.mesh
         self.sigma = float(sigma)
         self.partition = partition
         self.chi1 = partition.mask1.astype(float)
         self.chi2 = partition.mask2.astype(float)
-        self.op = WaveOperator(mesh) if op is None else op
-        self.W = self.op.W
-        self.tau = trapezoid_weights(mesh.Nt + 1, mesh.dt)
+        self.W, self.tau = mesh.W, mesh.tau
         self._zeros_full = np.zeros(mesh.Ny + 1)
         self._zeros_t = np.zeros(mesh.Nt + 1)
         self._coupled_lu = None
@@ -244,9 +236,8 @@ class CoupledEngine:
         """Cotangent that drives the adjoint pair: the transpose of the reach
         output, paired against final data (f0, f1) on (0, alpha(T))."""
         mesh = self.mesh
-        wy = trapezoid_weights(mesh.Ny + 1, mesh.dy)
         aT = mesh.alphas[-1]
-        return terminal_adjoint(mesh, aT * wy * f0_vals, aT * wy * f1_vals)
+        return terminal_adjoint(mesh, aT * mesh.wy * f0_vals, aT * mesh.wy * f1_vals)
 
     def phi_field(self, mu: np.ndarray, psi: np.ndarray, f0_vals: np.ndarray, f1_vals: np.ndarray) -> np.ndarray:
         """Nodal values of the adjoint pair's phi from its multiplier mu.
@@ -619,20 +610,17 @@ def apply_A_star(f0: SpatialProfile, f1: SpatialProfile, cfg: FollowerConfig) ->
 def cost_J2(u: Field, w2: Trace, cfg: FollowerConfig) -> float:
     """Follower cost: half tracking misfit over the domain plus weighted control energy."""
     mesh = u.mesh
-    W = space_time_weights(mesh)
     utilde = _utilde_values(cfg, mesh)
     misfit = u.values if utilde is None else u.values - utilde
-    tau = trapezoid_weights(mesh.Nt + 1, mesh.dt)
     chi2 = cfg.partition.mask2
     return float(
-        0.5 * np.sum(W * misfit**2) + 0.5 * cfg.sigma * np.sum(tau * chi2 * w2.values**2)
+        0.5 * np.sum(mesh.W * misfit**2) + 0.5 * cfg.sigma * np.sum(mesh.tau * chi2 * w2.values**2)
     )
 
 
 def cost_J(w1: Trace) -> float:
     """Leader cost: half the squared boundary norm of the leader control."""
-    tau = trapezoid_weights(w1.mesh.Nt + 1, w1.mesh.dt)
-    return float(0.5 * np.sum(tau * w1.mask * w1.values**2))
+    return float(0.5 * np.sum(w1.mesh.tau * w1.mask * w1.values**2))
 
 
 def euler_lagrange_residual(

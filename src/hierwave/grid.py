@@ -33,7 +33,6 @@ __all__ = [
     "SpatialProfile",
     "Trace",
     "trapezoid_weights",
-    "space_time_weights",
     "l2_norm_physical",
     "h10_norm_physical",
     "hminus1_norm_physical",
@@ -100,8 +99,10 @@ class Mesh:
     def dt(self) -> float:
         return self.domain.T / self.grid.Nt
 
-    # the node arrays are computed once per mesh and shared, so they are
-    # read-only; the cache lives in the instance dict, outside the fields
+    # the node arrays, the quadrature weights of every integral on
+    # (0, alpha(t)) x (0, T) and the moving frame's d/dy are computed once
+    # per mesh and read by every layer, so they are read-only; the cache
+    # lives in the instance dict, outside the fields
 
     @functools.cached_property
     def y(self) -> np.ndarray:
@@ -114,6 +115,35 @@ class Mesh:
     @functools.cached_property
     def alphas(self) -> np.ndarray:
         return read_only(1.0 + self.domain.k * self.times)
+
+    @functools.cached_property
+    def tau(self) -> np.ndarray:
+        """Trapezoid weights in t, shape (Nt+1,)."""
+        return read_only(trapezoid_weights(self.grid.Nt + 1, self.dt))
+
+    @functools.cached_property
+    def wy(self) -> np.ndarray:
+        """Trapezoid weights in y, shape (Ny+1,); alpha(t) wy are those in x."""
+        return read_only(trapezoid_weights(self.grid.Ny + 1, self.dy))
+
+    @functools.cached_property
+    def W(self) -> np.ndarray:
+        """Space-time weights, shape (Ny+1, Nt+1): entry (j, n) multiplies a
+        nodal value in the trapezoid rule for the physical double integral,
+        dx dt = alpha(t) dy dt."""
+        return read_only(np.outer(self.wy, self.tau * self.alphas))
+
+    @functools.cached_property
+    def D(self) -> np.ndarray:
+        """Dense d/dy on a profile: central inside, one-sided 3-point at the ends."""
+        n, h = self.grid.Ny + 1, 2.0 * self.dy
+        D = np.zeros((n, n))
+        inside = np.arange(1, n - 1)
+        D[inside, inside - 1] = -1.0 / h
+        D[inside, inside + 1] = 1.0 / h
+        D[0, :3] = np.array([-3.0, 4.0, -1.0]) / h
+        D[-1, -3:] = np.array([1.0, -4.0, 3.0]) / h
+        return read_only(D)
 
     def cfl_ok(self) -> bool:
         bound = self.grid.cfl_safety * self.dy / (1.0 + self.domain.k)
@@ -141,17 +171,6 @@ def trapezoid_weights(n_nodes: int, spacing: float) -> np.ndarray:
     w = np.full(n_nodes, spacing, dtype=float)
     w[0] = w[-1] = spacing / 2.0
     return w
-
-
-def space_time_weights(mesh: Mesh) -> np.ndarray:
-    """Quadrature weights for integrals over the expanding space-time domain.
-
-    Shape (Ny+1, Nt+1); entry (j, n) multiplies a nodal value in the
-    trapezoid approximation of the physical double integral.
-    """
-    wy = trapezoid_weights(mesh.Ny + 1, mesh.dy)
-    wt = trapezoid_weights(mesh.Nt + 1, mesh.dt) * mesh.alphas
-    return np.outer(wy, wt)
 
 
 class Field:
@@ -241,8 +260,7 @@ class Trace:
 
     def norm(self) -> float:
         """Time-trapezoid L2 norm over the masked boundary piece."""
-        w = trapezoid_weights(self.mesh.Nt + 1, self.mesh.dt)
-        return float(np.sqrt(np.sum(w * self.mask * self.values**2)))
+        return float(np.sqrt(np.sum(self.mesh.tau * self.mask * self.values**2)))
 
 
 def _require_same_profile_grid(f: SpatialProfile, g: SpatialProfile) -> None:
@@ -252,8 +270,7 @@ def _require_same_profile_grid(f: SpatialProfile, g: SpatialProfile) -> None:
 
 def l2_norm_physical(f: SpatialProfile) -> float:
     """sqrt(alpha * trapezoid(f^2) over y): the L2 norm on (0, alpha(t))."""
-    w = trapezoid_weights(f.mesh.Ny + 1, f.mesh.dy)
-    return float(np.sqrt(f.alpha * np.sum(w * f.values**2)))
+    return float(np.sqrt(f.alpha * np.sum(f.mesh.wy * f.values**2)))
 
 
 def h10_norm_physical(f: SpatialProfile) -> float:
@@ -273,8 +290,7 @@ def duality_pairing(f: SpatialProfile, g: SpatialProfile) -> float:
     """Physical-coordinate trapezoid of f * g on (0, alpha(t)): the L2 inner
     product, and the pairing of a rough f against g with zero ends."""
     _require_same_profile_grid(f, g)
-    w = trapezoid_weights(f.mesh.Ny + 1, f.mesh.dy)
-    return float(f.alpha * np.sum(w * f.values * g.values))
+    return float(f.alpha * np.sum(f.mesh.wy * f.values * g.values))
 
 
 # one rule, two names: the name says which pairing a caller means
@@ -540,12 +556,16 @@ def _csv_head(header_comments: dict | None, columns: list[str]) -> str:
 
 def _create(path):
     """``path`` opened to write text without newline translation; its parent
-    directory is made only when the open finds it missing."""
+    directory is made only when the open finds it missing.  A path that
+    cannot be written is a configuration error that names it."""
     try:
-        return open(path, "w", newline="")
-    except FileNotFoundError:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        return open(path, "w", newline="")
+        try:
+            return open(path, "w", newline="")
+        except FileNotFoundError:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+            return open(path, "w", newline="")
+    except OSError as err:
+        raise ConfigurationError(f"{path}: cannot write: {err}") from err
 
 
 def _write_csv(path, header_comments: dict | None, columns: list[str], template: str, values: np.ndarray) -> None:

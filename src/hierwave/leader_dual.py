@@ -59,13 +59,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError, InfeasibleError, InstabilityError
-from .grid import (
-    Mesh,
-    PoissonRiesz,
-    SpatialProfile,
-    Trace,
-    trapezoid_weights,
-)
+from .grid import Mesh, SpatialProfile, Trace
 from .coupled import FollowerConfig, _cho_factor, _cho_solve, apply_A, cost_J, get_engine
 from .wave_core import terminal_adjoint_levels
 
@@ -148,6 +142,12 @@ class DualOptions:
     vi_samples: int = 100
     seed: int = 0
 
+    def __post_init__(self):
+        # with no iterate or no comparison point there is nothing to certify
+        for name in ("max_iters", "vi_samples"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"optimizer.{name} must be at least 1, got {getattr(self, name)!r}")
+
 
 @dataclass
 class DualReport:
@@ -223,7 +223,7 @@ class _DualModel:
         self.n1 = J + 1
         self.m = self.n0 + self.n1
         self.blocks = (slice(0, self.n0), slice(self.n0, self.m))
-        self.omega = mesh.alphas[-1] * trapezoid_weights(J + 1, mesh.dy)
+        self.omega = mesh.alphas[-1] * mesh.wy
         if self.eng.leader_gram is None:
             self.eng.leader_gram = self._build_gram()
         self.C, self.G, self.R = self.eng.leader_gram
@@ -249,7 +249,7 @@ class _DualModel:
         rho_tails = terminal_adjoint_levels(self.mesh, theta1, theta2)
         _, mu0 = self.eng.schur_adjoint(rho_tails)
         cols = np.where(self.cfg.partition.mask1[:, None], mu0 / self.eng.tau[:, None], 0.0)
-        hx = PoissonRiesz(self.mesh, self.mesh.domain.T).hx
+        hx = self.mesh.alphas[-1] * self.mesh.dy
         K = (2.0 * np.eye(self.n0) - np.eye(self.n0, k=1) - np.eye(self.n0, k=-1)) / hx
         R = scipy.linalg.block_diag(scipy.linalg.cholesky(K), np.diag(np.sqrt(self.omega)))
         cols = _triangular_solve(R, cols.T, trans=1).T
@@ -525,7 +525,7 @@ def _secular_newton(model: _DualModel, opts: DualOptions) -> tuple[list[_Point],
     cd = (0.0, 0.0)
     s, chol, z, obj = solve(cd)
     obj_prev = obj
-    for _ in range(max(opts.max_iters, 1)):
+    for _ in range(opts.max_iters):
         point = model.at(z)
         V = point.V
         # block norms of V: the distances to the velocity and value targets

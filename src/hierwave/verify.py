@@ -33,8 +33,6 @@ from .grid import (
     Trace,
     duality_pairing,
     l2_inner_physical,
-    space_time_weights,
-    trapezoid_weights,
 )
 from .coupled import FollowerConfig, apply_A, apply_A_star, get_engine, solve_nash_system
 from .wave_core import WaveProblem, solve_forward
@@ -132,7 +130,6 @@ def transpose_check(mesh: Mesh, cfg: FollowerConfig, trials: int = 20, seed: int
     other) and reports the worst relative discrepancy.
     """
     rng = np.random.default_rng(seed)
-    tau = trapezoid_weights(mesh.Nt + 1, mesh.dt)
     mask1 = cfg.partition.mask1
     T = mesh.domain.T
     report = TransposeReport(0.0, [])
@@ -145,7 +142,7 @@ def transpose_check(mesh: Mesh, cfg: FollowerConfig, trials: int = 20, seed: int
         c1, c2 = apply_A(w1, cfg)
         lhs = duality_pairing(c1, f0) + l2_inner_physical(c2, f1)
         pair = apply_A_star(f0, f1, cfg)
-        rhs = float(np.sum(tau * mask1 * pair.leader_trace.values * w1.values))
+        rhs = float(np.sum(mesh.tau * mask1 * pair.leader_trace.values * w1.values))
         denom = abs(lhs) + abs(rhs) + 1e-300
         rel = abs(lhs - rhs) / denom
         report.per_trial.append({"trial": trial, "lhs": lhs, "rhs": rhs, "rel": rel})
@@ -243,7 +240,7 @@ def convergence_study(case: OracleCase) -> list[dict]:
         mesh = Mesh.auto(case.domain, Ny)
         exact, velocity = case.solution(mesh)
         diff = _march(mesh, exact, velocity) - exact
-        error = float(np.sqrt(np.sum(space_time_weights(mesh) * diff**2)))
+        error = float(np.sqrt(np.sum(mesh.W * diff**2)))
         rows.append({"Ny": Ny, "error": error, "max_error": float(np.max(np.abs(diff)))})
     for prev, row in zip(rows, rows[1:]):
         row["order"] = float(np.log2(prev["error"] / row["error"])) if row["error"] > 0 else float("inf")
@@ -269,7 +266,7 @@ def energy_drift(Ny: int = 200, T: float = 2.0) -> float:
     v = _march(mesh, standing, np.zeros(Ny + 1))
     u_t = (v[:, 2:] - v[:, :-2]) / (2.0 * mesh.dt)
     u_x = np.gradient(v[:, 1:-1], mesh.dy, axis=0)
-    energy = 0.5 * trapezoid_weights(Ny + 1, mesh.dy) @ (u_t**2 + u_x**2)
+    energy = 0.5 * mesh.wy @ (u_t**2 + u_x**2)
     e_exact = np.pi**2 / 4.0
     return float(np.max(np.abs(energy - e_exact))) / e_exact
 

@@ -48,7 +48,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import ConfigurationError, InstabilityError
-from .grid import Field, Mesh, SpatialProfile, Trace, read_only, space_time_weights
+from .grid import Field, Mesh, SpatialProfile, Trace, read_only
 from .geometry import alpha
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "extract_terminal",
     "terminal_adjoint",
     "terminal_adjoint_levels",
-    "profile_derivative_matrix",
 ]
 
 
@@ -79,17 +78,6 @@ def _dc(z: np.ndarray, dy: float) -> np.ndarray:
 def _dyy(z: np.ndarray, dy: float) -> np.ndarray:
     """Central second difference at interior nodes of a full-grid vector."""
     return (z[2:] - 2.0 * z[1:-1] + z[:-2]) / dy**2
-
-
-def profile_derivative_matrix(n_nodes: int, dy: float) -> np.ndarray:
-    """Dense d/dy on a profile: central interior, one-sided 3-point at the ends."""
-    D = np.zeros((n_nodes, n_nodes))
-    for j in range(1, n_nodes - 1):
-        D[j, j - 1] = -1.0 / (2.0 * dy)
-        D[j, j + 1] = 1.0 / (2.0 * dy)
-    D[0, 0], D[0, 1], D[0, 2] = -3.0 / (2 * dy), 4.0 / (2 * dy), -1.0 / (2 * dy)
-    D[-1, -1], D[-1, -2], D[-1, -3] = 3.0 / (2 * dy), -4.0 / (2 * dy), 1.0 / (2 * dy)
-    return D
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +96,8 @@ class BoundaryResponse:
     m, with zero initial data and zero data at y = 1.  S itself is never
     held (at Ny = 128 it takes 513 MB); what the coupled systems need is
 
-    * ``H = S^T W S``, shape (N+1, N+1), with W the space-time quadrature
-      weights of :func:`~hierwave.grid.space_time_weights`;
+    * ``H = S^T W S``, shape (N+1, N+1), with W the mesh's space-time
+      quadrature weights, :attr:`~hierwave.grid.Mesh.W`;
     * ``tail``, shape (J+1, 3, N+1): time levels N-2, N-1 and N of S, from
       which final values and velocities are read.
     """
@@ -158,9 +146,9 @@ class WaveOperator:
             strides=(Ss, Ss - Sl, Sj - So, Sj, 0),
             writeable=False,
         )
-        # the mesh's space-time quadrature weights, shape (J+1, N+1), on its
-        # own time nodes; read-only, and shared by every engine on the mesh
-        self.W = read_only(space_time_weights(mesh))
+        # the mesh's space-time quadrature weights, shape (J+1, N+1), shared
+        # by every engine on the mesh
+        self.W = mesh.W
         self._steps = None
         self._matrix = None
         self._lu = None
@@ -666,8 +654,7 @@ class WaveProblem:
 def _cylinder_velocity(mesh: Mesh, value: np.ndarray, velocity: np.ndarray, time: float) -> np.ndarray:
     """v_t = u_t + k y u_x evaluated on the reference grid at a fixed time."""
     a = float(alpha(mesh.domain, time))
-    D = profile_derivative_matrix(mesh.Ny + 1, mesh.dy)
-    return velocity + (mesh.domain.k * mesh.y / a) * (D @ value)
+    return velocity + (mesh.domain.k * mesh.y / a) * (mesh.D @ value)
 
 
 def solve_forward(problem: WaveProblem) -> Field:
@@ -725,8 +712,7 @@ def _terminal_velocity(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     one-sided in time minus the moving-frame drift."""
     v_t = (3.0 * values[:, -1] - 4.0 * values[:, -2] + values[:, -3]) / (2.0 * mesh.dt)
     aT = mesh.alphas[-1]
-    D = profile_derivative_matrix(mesh.Ny + 1, mesh.dy)
-    return v_t - (mesh.domain.k * mesh.y / aT) * (D @ values[:, -1])
+    return v_t - (mesh.domain.k * mesh.y / aT) * (mesh.D @ values[:, -1])
 
 
 def final_velocity_profile(field: Field) -> SpatialProfile:
@@ -757,10 +743,9 @@ def terminal_first_step(
     stop one level short of the final time.
     """
     dy, dt = mesh.dy, mesh.dt
-    D = profile_derivative_matrix(mesh.Ny + 1, dy)
     aT = mesh.alphas[-1]
     k, y = mesh.domain.k, mesh.y[1:-1]
-    m_rev = -((k * mesh.y / aT) * (D @ f0_vals) + f1_vals)
+    m_rev = -((k * mesh.y / aT) * (mesh.D @ f0_vals) + f1_vals)
     S0 = source_at_T[1:-1] if source_at_T is not None else 0.0
     # the mirrored operator's coefficients b, c, d at its first level, t = T
     acc = (
@@ -783,9 +768,8 @@ def terminal_adjoint_levels(mesh: Mesh, theta1: np.ndarray, theta2: np.ndarray) 
     """
     inv2dt = 1.0 / (2.0 * mesh.dt)
     aT = mesh.alphas[-1]
-    D = profile_derivative_matrix(mesh.Ny + 1, mesh.dy)
     drift = (mesh.domain.k * mesh.y / aT).reshape((-1,) + (1,) * (np.ndim(theta1) - 1))
-    last = 3.0 * inv2dt * theta1 - theta2 - D.T @ (drift * theta1)
+    last = 3.0 * inv2dt * theta1 - theta2 - mesh.D.T @ (drift * theta1)
     return np.stack([inv2dt * theta1, -4.0 * inv2dt * theta1, last], axis=1)
 
 

@@ -21,7 +21,6 @@ from hierwave.grid import (
     hminus1_norm_physical,
     l2_inner_physical,
     l2_norm_physical,
-    space_time_weights,
     trapezoid_weights,
 )
 from hierwave.coupled import (
@@ -122,7 +121,7 @@ def test_criterion_3_nash_optimality(acc):
     mesh, cfg, w1_ref, sol_ref, _ = acc
     with Timer(120.0) as tm:
         rng = np.random.default_rng(0)
-        W = space_time_weights(mesh)
+        W = mesh.W
         misfit = math.sqrt(float(np.sum(W * (sol_ref.u.values - cfg.u_tilde2.values) ** 2)))
         worst_rel = 0.0
         for _ in range(50):

@@ -711,26 +711,45 @@ LEADER_NY12 = {**NASH_NY12, "targets": ZERO_TARGETS, "optimizer": {"max_iters": 
 
 
 @pytest.mark.parametrize(
-    "command, path, value",
+    "command, path, value, what",
     [
-        ("nash", ("grid", "Ny"), 12.9),
-        ("nash", ("grid", "Nt"), 80.5),
-        ("nash", ("seed",), 1.5),
-        ("nash", ("grid", "Ny"), True),
-        ("nash", ("grid", "Nt"), False),
-        ("nash", ("seed",), True),
-        ("leader", ("optimizer", "max_iters"), 50.5),
-        ("leader", ("optimizer", "vi_samples"), True),
+        ("nash", ("grid", "Ny"), 12.9, "an integer"),
+        ("nash", ("grid", "Nt"), 80.5, "an integer"),
+        ("nash", ("seed",), 1.5, "an integer"),
+        ("nash", ("grid", "Ny"), True, "an integer"),
+        ("nash", ("grid", "Nt"), False, "an integer"),
+        ("nash", ("seed",), True, "an integer"),
+        ("leader", ("optimizer", "max_iters"), 50.5, "an integer"),
+        ("leader", ("optimizer", "vi_samples"), True, "an integer"),
+        ("leader", ("optimizer", "vi_samples"), 0, "at least 1"),
+        ("leader", ("optimizer", "max_iters"), 0, "at least 1"),
+        ("leader", ("optimizer", "max_iters"), -2, "at least 1"),
     ],
     ids=["Ny-fraction", "Nt-fraction", "seed-fraction", "Ny-true", "Nt-false", "seed-true",
-         "max_iters-fraction", "vi_samples-true"],
+         "max_iters-fraction", "vi_samples-true", "vi_samples-zero", "max_iters-zero", "max_iters-negative"],
 )
-def test_integer_config_keys_reject_fractions_and_booleans(tmp_path, capsys, command, path, value):
+def test_integer_config_keys_reject_fractions_and_booleans(tmp_path, capsys, command, path, value, what):
     """An integer key holding a fraction or a boolean exits 2 naming the key.
     int() used to cut 12.9 to 12 and 1.5 to 1 and run (exit 0), and read
     true as 1, which then failed the Ny >= 8 check with a message that hid
-    the cause."""
-    assert_key_rejected(tmp_path, capsys, command, path, value, "an integer")
+    the cause.  An optimizer count below 1 exits 2 too: with no comparison
+    point the leader used to certify its answer (vi_residual 0.0), and a
+    max_iters below 1 was taken as 1."""
+    assert_key_rejected(tmp_path, capsys, command, path, value, what)
+
+
+@pytest.mark.parametrize("command", ["leader", "verify"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command):
+    """An --out that names an existing regular file exits 2 with one stderr
+    line naming the path, and leaves the file as it was; the first write
+    used to escape as a NotADirectoryError traceback (exit 1)."""
+    out = tmp_path / "taken"
+    out.write_text("kept")
+    argv = ["verify"] if command == "verify" else ["leader", "--config", write_config(tmp_path, "c.json", LEADER_NY12)]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"configuration error: {out}")
+    assert out.read_text() == "kept"
 
 
 def assert_key_rejected(tmp_path, capsys, command, path, value, what):

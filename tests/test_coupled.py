@@ -70,9 +70,7 @@ def reach(w1, f0, f1, cfg):
 
 
 def el_scale(sol, cfg, direction):
-    from hierwave.grid import space_time_weights
-
-    W = space_time_weights(sol.u.mesh)
+    W = sol.u.mesh.W
     ut = cfg.u_tilde2.values if cfg.u_tilde2 is not None else 0.0
     misfit = np.sqrt(np.sum(W * (sol.u.values - ut) ** 2))
     return misfit + cfg.sigma * sol.w2.norm() * direction.norm() + 1e-30
@@ -455,6 +453,26 @@ def test_kept_values_are_read_only_and_found_by_value(mesh41, overlap41, utilde4
     monkeypatch.undo()
     utilde *= 2.0
     assert np.array_equal(eng.op.tracked_row(utilde), 2.0 * first[0])
+
+
+def test_engines_share_their_operator_mesh_weights(mesh41, overlap41, monkeypatch):
+    """Two engines (two sigma) on one mesh, the second asked for with an equal
+    but distinct Mesh, hold the operator's mesh's W and tau themselves, and
+    the mesh's quadrature and d/dy arrays are read-only."""
+    monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
+    first = get_engine(mesh41, FollowerConfig(sigma=1.0, partition=overlap41))
+    twin = Mesh(mesh41.domain, mesh41.grid)
+    assert twin == mesh41 and twin is not mesh41
+    second = get_engine(twin, FollowerConfig(sigma=0.01, partition=overlap41))
+    op = first.op
+    assert second is not first and second.op is op and second.mesh is op.mesh
+    for eng in (first, second, op):
+        assert eng.W is op.mesh.W
+    for eng in (first, second):
+        assert eng.tau is op.mesh.tau
+    for name in ("W", "tau", "wy", "D"):
+        with pytest.raises(ValueError):
+            getattr(twin, name).flat[0] = 1.0
 
 
 def test_cholesky_pair_matches_scipy():

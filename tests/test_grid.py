@@ -51,6 +51,25 @@ def test_trapezoid_weights():
     assert np.sum(w) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("Ny", [8, 41])
+def test_mesh_arrays_match_their_loops(Ny):
+    """The mesh's d/dy and space-time weights equal, bit for bit, the entry
+    by entry loops they are built without."""
+    mesh = Mesh.auto(DomainSpec(k=0.3, T=2.0), Ny)
+    n, dy = Ny + 1, mesh.dy
+    D = np.zeros((n, n))
+    for j in range(1, n - 1):
+        D[j, j - 1] = -1.0 / (2.0 * dy)
+        D[j, j + 1] = 1.0 / (2.0 * dy)
+    D[0, 0], D[0, 1], D[0, 2] = -3.0 / (2 * dy), 4.0 / (2 * dy), -1.0 / (2 * dy)
+    D[-1, -1], D[-1, -2], D[-1, -3] = 3.0 / (2 * dy), -4.0 / (2 * dy), 1.0 / (2 * dy)
+    assert np.array_equal(mesh.D, D)
+    wy, wt = trapezoid_weights(n, dy), trapezoid_weights(mesh.Nt + 1, mesh.dt)
+    W = np.array([[wy[j] * (wt[m] * mesh.alphas[m]) for m in range(mesh.Nt + 1)] for j in range(n)])
+    assert np.array_equal(mesh.W, W)
+    assert np.array_equal(mesh.wy, wy) and np.array_equal(mesh.tau, wt)
+
+
 def test_l2_norm_examples():
     mesh = Mesh.auto(DomainSpec(k=0.1, T=4.0), 64)
     # alpha = 1.2 at t = 2

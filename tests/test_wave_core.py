@@ -354,14 +354,12 @@ def test_transposed_sweep_and_batched_march(Ny, k, T, mirrored, width, seed):
 @given(Ny=st.integers(8, 24), k=st.floats(0.01, 0.5), T=st.floats(0.5, 2.0), mirrored=st.booleans())
 def test_boundary_response_matches_per_column_marches(Ny, k, T, mirrored):
     """H = S^T W S and the last three levels of S, against S marched one unit datum at a time."""
-    from hierwave.grid import space_time_weights
-
     mesh = Mesh.auto(DomainSpec(k=k, T=T), Ny)
     op = WaveOperator(mesh, mirrored)
     J, N = mesh.Ny, mesh.Nt
     zeros_t, zeros_y = np.zeros(N + 1), np.zeros(J + 1)
     S = np.stack([op.march(np.eye(N + 1)[m], zeros_t, zeros_y, zeros_y) for m in range(N + 1)], axis=2)
-    H = np.einsum("jna,jn,jnb->ab", S, space_time_weights(mesh), S)
+    H = np.einsum("jna,jn,jnb->ab", S, mesh.W, S)
     resp = op.boundary_response()
     assert np.max(np.abs(resp.H - H)) <= 1e-12 * np.max(np.abs(H))
     assert np.array_equal(resp.tail, S[:, N - 2 :, :])
