@@ -40,7 +40,6 @@ from .wave_core import (
     WaveProblem,
     final_value_profile,
     final_velocity_profile,
-    solve_backward,
     solve_forward,
     trace_normal_derivative,
 )

@@ -26,6 +26,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -39,6 +40,7 @@ from .grid import (
     Mesh,
     SpatialProfile,
     Trace,
+    check_out_dir,
     load_field_csv,
     load_profile_csv,
     load_trace_csv,
@@ -361,7 +363,7 @@ def cmd_simulate(config: dict, out_dir: Path) -> int:
     setup = RunSetup(config)
     header = setup.header()
     control = setup.build_time_trace(_needs(setup.config, "control"), np.ones(setup.mesh.Nt + 1, dtype=bool), "control")
-    problem = WaveProblem(direction="forward", bc0=control)
+    problem = WaveProblem(bc0=control)
     field = solve_forward(problem)
     observation = trace_normal_derivative(field, side="y=0")
     summary = _finite(
@@ -501,6 +503,9 @@ def cmd_sweep(document: dict, out_dir: Path, workers: int = 1) -> int:
         for k, T, sigma, rho in itertools.product(*axes.values(), sw["rho_rel"])
     ]
     jobs = [(i, config, cell) for i, cell in enumerate(cells)]
+    # the pool starts all its workers at once, so it gets no more than there
+    # are cells or CPUs
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         rows = list(map(_run_sweep_cell, jobs))
     else:
@@ -563,6 +568,8 @@ _parser = functools.cache(build_parser)
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.out is not None:
+            check_out_dir(args.out)
         if args.command == "verify":
             return cmd_verify(args.level, Path(args.out), seed=args.seed)
         if args.command == "threshold":

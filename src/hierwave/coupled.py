@@ -490,9 +490,10 @@ def get_engine(mesh: Mesh, cfg: FollowerConfig) -> CoupledEngine:
     """The engine of (mesh, sigma, partition), from the cache when kept there.
 
     A new engine takes the wave operator of a kept engine on the same mesh;
-    the operator is freed with the last engine that holds it.
+    the operator is freed with the last engine that holds it.  Meshes
+    compare as their grid, so every op on one grid finds the same engine.
     """
-    key = (mesh.key(), float(cfg.sigma), cfg.partition.fingerprint())
+    key = (mesh, float(cfg.sigma), cfg.partition.fingerprint())
     # dict order is the recency order: a hit moves to the back
     eng = _ENGINE_CACHE.pop(key, None)
     if eng is None:
@@ -504,21 +505,10 @@ def get_engine(mesh: Mesh, cfg: FollowerConfig) -> CoupledEngine:
     return eng
 
 
-def _mesh_from_cfg(cfg: FollowerConfig, mesh: Mesh | None, *parts) -> Mesh:
-    for part in parts:
-        if part is not None:
-            return part.mesh
-    if cfg.u_tilde2 is not None:
-        return cfg.u_tilde2.mesh
-    if mesh is not None:
-        return mesh
-    raise ConfigurationError("cannot infer the mesh: pass one explicitly")
-
-
 def _utilde_values(cfg: FollowerConfig, mesh: Mesh) -> np.ndarray | None:
     if cfg.u_tilde2 is None:
         return None
-    if cfg.u_tilde2.mesh.key() != mesh.key():
+    if cfg.u_tilde2.mesh != mesh:
         raise ConfigurationError("u_tilde2 lives on a different mesh")
     return cfg.u_tilde2.values
 
@@ -534,8 +524,8 @@ def solve_nash_system(w1: Trace, cfg: FollowerConfig) -> NashSolution:
     (see the module docstring), the state from one forward march and the
     companion from one backward sweep.
     """
-    mesh = w1.mesh
-    eng = get_engine(mesh, cfg)
+    eng = get_engine(w1.mesh, cfg)
+    mesh = eng.mesh
     utilde = _utilde_values(cfg, mesh)
     w1v = _masked_values(w1, cfg.partition.mask1)
     state, lam, w2, residual = eng.schur_pair(w1v, utilde)
@@ -546,8 +536,12 @@ def solve_nash_system(w1: Trace, cfg: FollowerConfig) -> NashSolution:
 
 
 def solve_free_part(cfg: FollowerConfig, mesh: Mesh | None = None):
-    """Pair (u0, p0): the equilibrium with zero leader control."""
-    mesh = _mesh_from_cfg(cfg, mesh)
+    """Pair (u0, p0): the equilibrium with zero leader control, on the
+    tracked trajectory's mesh, or else on ``mesh``."""
+    if cfg.u_tilde2 is not None:
+        mesh = cfg.u_tilde2.mesh
+    elif mesh is None:
+        raise ConfigurationError("cannot infer the mesh: pass one explicitly")
     zero = Trace.zeros(mesh, cfg.partition.mask1)
     sol = solve_nash_system(zero, cfg)
     return sol.u, sol.p
@@ -555,8 +549,8 @@ def solve_free_part(cfg: FollowerConfig, mesh: Mesh | None = None):
 
 def solve_leader_part(w1: Trace, cfg: FollowerConfig):
     """Pair (g, q): the leader-linear part (tracked trajectory removed)."""
-    mesh = w1.mesh
-    eng = get_engine(mesh, cfg)
+    eng = get_engine(w1.mesh, cfg)
+    mesh = eng.mesh
     w1v = _masked_values(w1, cfg.partition.mask1)
     state, lam = eng.schur_pair(w1v, None)[:2]
     g = Field(state, mesh).check_finite()
@@ -569,8 +563,8 @@ def apply_A(w1: Trace, cfg: FollowerConfig):
 
     The final levels are S_tail (chi1 w1 + chi2 w2), with no wave solve.
     """
-    mesh = w1.mesh
-    eng = get_engine(mesh, cfg)
+    eng = get_engine(w1.mesh, cfg)
+    mesh = eng.mesh
     w1v = _masked_values(w1, cfg.partition.mask1)
     bc, _ = eng.schur_bc(w1v)
     c1, c2 = extract_terminal(mesh, eng.op.boundary_response().terminal_levels(bc))
@@ -587,13 +581,13 @@ def apply_A_star(f0: SpatialProfile, f1: SpatialProfile, cfg: FollowerConfig) ->
     trace and psi's boundary data both come from one reduced solve; the
     fields psi and phi then take one forward march and one transposed sweep.
     """
-    mesh = f0.mesh
     scale0 = np.max(np.abs(f0.values)) if f0.values.size else 0.0
     if abs(f0.values[0]) > 1e-9 * max(1.0, scale0) or abs(f0.values[-1]) > 1e-9 * max(1.0, scale0):
         raise ConfigurationError("f0 plays the zero-boundary role: endpoints must vanish")
-    if f1.mesh.key() != mesh.key():
+    if f1.mesh != f0.mesh:
         raise ConfigurationError("f0 and f1 must share a mesh")
-    eng = get_engine(mesh, cfg)
+    eng = get_engine(f0.mesh, cfg)
+    mesh = eng.mesh
     rho = eng.terminal_cotangent(f0.values, f1.values)
     s, mu0 = eng.schur_adjoint(rho[:, -3:, None])
     s, mu0 = s[:, 0], mu0[:, 0]

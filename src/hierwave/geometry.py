@@ -33,20 +33,18 @@ class DomainSpec:
 
     k = 0 is the classical fixed string; it is outside the moving-boundary
     theory and admitted only behind ``allow_k_zero`` for validation against
-    closed-form solutions.
+    closed-form solutions.  It only validates, so domains compare (and hash)
+    as their k and T.
     """
 
     k: float
     T: float
-    allow_k_zero: bool = False
+    allow_k_zero: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         rep = check_admissible(self.k, self.T, allow_k_zero=self.allow_k_zero)
         if rep.hard_error is not None:
             raise ConfigurationError(rep.hard_error)
-
-    def key(self) -> tuple:
-        return (float(self.k), float(self.T))
 
 
 @dataclass(frozen=True)

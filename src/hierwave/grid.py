@@ -46,6 +46,7 @@ __all__ = [
     "load_field_csv",
     "save_table_csv",
     "save_json",
+    "check_out_dir",
 ]
 
 
@@ -55,7 +56,7 @@ class GridSpec:
 
     Ny: int
     Nt: int
-    cfl_safety: float = 0.8
+    cfl_safety: float = field(default=0.8, compare=False)
 
     def __post_init__(self):
         if self.Ny < 8 or self.Nt < 8:
@@ -66,7 +67,11 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Domain plus grid; the unit of caching for all solvers."""
+    """Domain plus grid; the unit of caching for all solvers.
+
+    Meshes compare (and hash) as their grid, k, T, Ny and Nt:
+    ``cfl_safety`` and ``allow_k_zero`` only validate.
+    """
 
     domain: DomainSpec
     grid: GridSpec
@@ -156,9 +161,6 @@ class Mesh:
                 f"{self.grid.cfl_safety} * dy / (1 + k) = "
                 f"{self.grid.cfl_safety * self.dy / (1 + self.domain.k):.3e}"
             )
-
-    def key(self) -> tuple:
-        return (self.grid.Ny, self.grid.Nt, *self.domain.key())
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -264,7 +266,7 @@ class Trace:
 
 
 def _require_same_profile_grid(f: SpatialProfile, g: SpatialProfile) -> None:
-    if f.mesh.key() != g.mesh.key() or abs(f.time - g.time) > 1e-12 * max(1.0, f.mesh.domain.T):
+    if f.mesh != g.mesh or abs(f.time - g.time) > 1e-12 * max(1.0, f.mesh.domain.T):
         raise ConfigurationError("profiles live on different grids or times")
 
 
@@ -552,6 +554,17 @@ def _csv_head(header_comments: dict | None, columns: list[str]) -> str:
     parts = [f"# {key}: {val}\n" for key, val in (header_comments or {}).items()]
     parts.append(",".join(columns) + "\r\n")
     return "".join(parts)
+
+
+def check_out_dir(out_dir) -> None:
+    """Raise ConfigurationError naming ``out_dir`` unless output files can
+    be written under it: its nearest existing ancestor, ``out_dir`` itself
+    included, must be a writable directory.  Creates nothing, so a command
+    can check before it solves."""
+    path = Path(out_dir).absolute()
+    near = next(p for p in (path, *path.parents) if p.exists())
+    if not near.is_dir() or not os.access(near, os.W_OK | os.X_OK):
+        raise ConfigurationError(f"{out_dir}: cannot write: {near} is not a writable directory")
 
 
 def _create(path):

@@ -105,7 +105,7 @@ class TargetSpec:
     def __post_init__(self):
         if self.rho0 <= 0.0 or self.rho1 <= 0.0:
             raise ConfigurationError("ball radii must be positive")
-        if self.u_target0.mesh.key() != self.u_target1.mesh.key():
+        if self.u_target0.mesh != self.u_target1.mesh:
             raise ConfigurationError("targets must share a mesh")
 
     @property
@@ -126,7 +126,7 @@ class DualPoint:
             1.0, scale
         ):
             raise ConfigurationError("f0 endpoints must vanish")
-        if self.f0.mesh.key() != self.f1.mesh.key():
+        if self.f0.mesh != self.f1.mesh:
             raise ConfigurationError("f0 and f1 must share a mesh")
 
     @classmethod
@@ -214,10 +214,10 @@ class _DualModel:
     """
 
     def __init__(self, mesh: Mesh, cfg: FollowerConfig, targets: TargetSpec):
-        self.mesh = mesh
+        self.eng = get_engine(mesh, cfg)
+        self.mesh = mesh = self.eng.mesh
         self.cfg = cfg
         self.targets = targets
-        self.eng = get_engine(mesh, cfg)
         J = mesh.Ny
         self.n0 = J - 1
         self.n1 = J + 1
@@ -602,12 +602,11 @@ def minimize_dual(targets: TargetSpec, cfg: FollowerConfig, opts: DualOptions | 
     computed after the iteration, in one batch.
     """
     opts = opts or DualOptions()
-    mesh = targets.mesh
     notes: list[str] = []
     if cfg.partition.mode == "time-split":
         notes.append("time_split_experimental")
 
-    model = _DualModel(mesh, cfg, targets)
+    model = _DualModel(targets.mesh, cfg, targets)
     # data near the float range overflows in the products below; a first
     # iterate that is not finite raises, and a later value that is not
     # finite lands in the report, so numpy's warnings would only repeat it
@@ -615,7 +614,7 @@ def minimize_dual(targets: TargetSpec, cfg: FollowerConfig, opts: DualOptions | 
         iterates, rows, best, stop = _secular_newton(model, opts)
         point = iterates[best]
         f_star = model.unwhiten(point.z)
-        w1_star = Trace(model.C @ point.z, cfg.partition.mask1, mesh)
+        w1_star = Trace(model.C @ point.z, cfg.partition.mask1, model.mesh)
         d0, d1, r0, r1 = _reached(model, w1_star)
         vis = _certificates(
             model,

@@ -225,7 +225,7 @@ def _march(mesh: Mesh, exact: np.ndarray, velocity: np.ndarray) -> np.ndarray:
     every = np.ones(mesh.Nt + 1, bool)
     data = (SpatialProfile(exact[:, 0], 0.0, mesh), SpatialProfile(velocity, 0.0, mesh))
     bc0, bc1 = Trace(exact[0], every, mesh), Trace(exact[-1], every, mesh, side="y=1")
-    return solve_forward(WaveProblem("forward", bc0, bc1, None, data)).values
+    return solve_forward(WaveProblem(bc0, bc1, None, data)).values
 
 
 def convergence_study(case: OracleCase) -> list[dict]:

@@ -32,10 +32,6 @@ last three time levels of S (:meth:`WaveOperator.boundary_response`).
 M itself is assembled only for the independent oracles: its sparse LU
 (:meth:`WaveOperator.solve_lu`) in the tests and the direct solves of
 :mod:`hierwave.verify`.
-
-Backward problems (data at t = T) are marched by the substitution
-tau = T - t, which flips the sign of the mixed-derivative coefficient and
-evaluates a at T - tau, then reuses the forward stepper.
 """
 
 from __future__ import annotations
@@ -56,7 +52,6 @@ __all__ = [
     "WaveOperator",
     "BoundaryResponse",
     "solve_forward",
-    "solve_backward",
     "trace_normal_derivative",
     "final_value_profile",
     "final_velocity_profile",
@@ -120,15 +115,10 @@ class BoundaryResponse:
 
 
 class WaveOperator:
-    """Stepper plus sparse space-time matrix for one direction of the sweep.
+    """Stepper plus sparse space-time matrix of the forward sweep."""
 
-    ``mirrored=True`` builds the operator for the substitution tau = T - t,
-    used to march problems with data at the final time.
-    """
-
-    def __init__(self, mesh: Mesh, mirrored: bool = False):
+    def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.mirrored = mirrored
         J, N = mesh.Ny, mesh.Nt
         self.J, self.N = J, N
         self.dy, self.dt = mesh.dy, mesh.dt
@@ -197,10 +187,8 @@ class WaveOperator:
         """The cylinder equation's coefficients b, c, d at the interior
         nodes of every time level, each of shape (N+1, J-1)."""
         mesh = self.mesh
-        y, k, t = mesh.y[1:-1], mesh.domain.k, mesh.times
-        a = 1.0 + k * ((mesh.domain.T - t) if self.mirrored else t)
-        sign = -1.0 if self.mirrored else 1.0
-        b = sign * 2.0 * k * y[None, :] / a[:, None]
+        y, k, a = mesh.y[1:-1], mesh.domain.k, mesh.alphas
+        b = 2.0 * k * y[None, :] / a[:, None]
         c = (1.0 - (k * y[None, :]) ** 2) / a[:, None] ** 2
         d = 2.0 * k**2 * y[None, :] / a[:, None] ** 2
         return b, c, d
@@ -613,41 +601,35 @@ class WaveOperator:
 
 @dataclass
 class WaveProblem:
-    """One forward or backward solve.
+    """One forward solve.
 
-    ``data`` holds (value, physical velocity) profiles: initial profiles on
-    the unit interval for a forward problem, final profiles on (0, alpha(T))
-    for a backward one.  Velocities are physical time derivatives; the
-    conversion to cylinder velocities happens inside the solvers.
+    ``data`` holds the initial (value, physical velocity) profiles on the
+    unit interval.  Velocities are physical time derivatives; the conversion
+    to cylinder velocities happens inside the solver.
     """
 
-    direction: str
     bc0: Trace
     bc1: Trace | None = None
     source: Field | None = None
     data: tuple[SpatialProfile, SpatialProfile] | None = None
 
     def __post_init__(self):
-        if self.direction not in ("forward", "backward"):
-            raise ConfigurationError("direction must be 'forward' or 'backward'")
         mesh = self.bc0.mesh
         if self.bc1 is None:
             self.bc1 = Trace.zeros(mesh, side="y=1")
         if self.data is None:
-            t0 = 0.0 if self.direction == "forward" else mesh.domain.T
-            self.data = (SpatialProfile.zeros(mesh, t0), SpatialProfile.zeros(mesh, t0))
+            self.data = (SpatialProfile.zeros(mesh, 0.0), SpatialProfile.zeros(mesh, 0.0))
         for part in (self.bc1, self.source, *self.data):
-            if part is not None and part.mesh.key() != mesh.key():
+            if part is not None and part.mesh != mesh:
                 raise ConfigurationError("all problem pieces must share one mesh")
-        # corner compatibility between boundary data and initial/final values
+        # corner compatibility between boundary data and initial values
         val = self.data[0].values
-        n_corner = 0 if self.direction == "forward" else mesh.Nt
         tol = mesh.dy * max(1.0, float(np.max(np.abs(val))) if val.size else 1.0)
         for trace, idx in ((self.bc0, 0), (self.bc1, -1)):
-            if abs(trace.values[n_corner] - val[idx]) > tol:
+            if abs(trace.values[0] - val[idx]) > tol:
                 raise ConfigurationError(
                     "boundary trace and data disagree at the corner "
-                    f"(|{trace.values[n_corner]:.3e} - {val[idx]:.3e}| > {tol:.1e})"
+                    f"(|{trace.values[0]:.3e} - {val[idx]:.3e}| > {tol:.1e})"
                 )
 
 
@@ -659,8 +641,6 @@ def _cylinder_velocity(mesh: Mesh, value: np.ndarray, velocity: np.ndarray, time
 
 def solve_forward(problem: WaveProblem) -> Field:
     """March the state equation from t = 0."""
-    if problem.direction != "forward":
-        raise ConfigurationError("solve_forward needs a forward problem")
     mesh = problem.bc0.mesh
     mesh.require_cfl()
     op = WaveOperator(mesh)
@@ -669,22 +649,6 @@ def solve_forward(problem: WaveProblem) -> Field:
     src = problem.source.values if problem.source is not None else None
     vals = op.march(problem.bc0.values, problem.bc1.values, a_full, m_cyl, src)
     return Field(vals, mesh).check_finite()
-
-
-def solve_backward(problem: WaveProblem) -> Field:
-    """March a final-data problem by the reversed-time substitution."""
-    if problem.direction != "backward":
-        raise ConfigurationError("solve_backward needs a backward problem")
-    mesh = problem.bc0.mesh
-    mesh.require_cfl()
-    op = WaveOperator(mesh, mirrored=True)
-    f0 = problem.data[0].values
-    v_t_final = _cylinder_velocity(mesh, f0, problem.data[1].values, mesh.domain.T)
-    bc0_rev = problem.bc0.values[::-1].copy()
-    bc1_rev = problem.bc1.values[::-1].copy()
-    src = problem.source.values[:, ::-1].copy() if problem.source is not None else None
-    vals = op.march(bc0_rev, bc1_rev, f0, -v_t_final, src)
-    return Field(vals[:, ::-1].copy(), mesh).check_finite()
 
 
 def trace_normal_derivative(field: Field, side: str = "y=0", mask: np.ndarray | None = None) -> Trace:
@@ -747,7 +711,7 @@ def terminal_first_step(
     k, y = mesh.domain.k, mesh.y[1:-1]
     m_rev = -((k * mesh.y / aT) * (mesh.D @ f0_vals) + f1_vals)
     S0 = source_at_T[1:-1] if source_at_T is not None else 0.0
-    # the mirrored operator's coefficients b, c, d at its first level, t = T
+    # the reversed-time coefficients -b, c, d at t = T, the march's first level
     acc = (
         (-2.0 * k * y / aT) * _dc(m_rev, dy)
         + ((1.0 - (k * y) ** 2) / aT**2) * _dyy(f0_vals, dy)

@@ -350,6 +350,29 @@ def test_warm_nash_op_marches_once(tmp_path, monkeypatch):
     assert warm.tobytes() == cold.tobytes()
 
 
+def test_warm_nash_ops_build_mesh_arrays_once(tmp_path, monkeypatch):
+    """Four nash ops on one grid in one process build the space-time weights,
+    the y weights, alpha(t) and d/dy once: every op builds its own Mesh, and
+    the outputs are built on the engine's, which compares equal to it."""
+    from hierwave import coupled
+
+    monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
+    builds = dict.fromkeys(("W", "wy", "alphas", "D"), 0)
+    for name in builds:
+        prop = Mesh.__dict__[name]
+
+        def counted(mesh, build=prop.func, name=name):
+            builds[name] += 1
+            return build(mesh)
+
+        monkeypatch.setattr(prop, "func", counted)
+    cfg = base_config(grid={"Ny": 64}, leader={"family": "gaussian", "amplitude": 1.0, "center": 0.4, "width": 0.15})
+    path = write_config(tmp_path, "n.json", cfg)
+    for i in range(4):
+        assert main(["nash", "--config", path, "--out", str(tmp_path / f"o{i}")]) == 0
+    assert builds == dict.fromkeys(builds, 1)
+
+
 def test_kept_sample_follows_seed_and_partition(tmp_path, monkeypatch):
     """Runs in one process whose seed or partition changes between them
     write, byte for byte, what the same config writes with every engine
@@ -738,14 +761,24 @@ def test_integer_config_keys_reject_fractions_and_booleans(tmp_path, capsys, com
     assert_key_rejected(tmp_path, capsys, command, path, value, what)
 
 
-@pytest.mark.parametrize("command", ["leader", "verify"])
-def test_unwritable_out_exits_2(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["leader", "verify", "sweep"])
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, command):
     """An --out that names an existing regular file exits 2 with one stderr
     line naming the path, and leaves the file as it was; the first write
-    used to escape as a NotADirectoryError traceback (exit 1)."""
+    used to escape as a NotADirectoryError traceback (exit 1).  The check
+    comes before anything is solved: a verification, a leader run or a
+    sweep cell fails the test."""
+    from hierwave import cli
+
+    def solve(*args, **kwargs):
+        pytest.fail("solved before the output directory was checked")
+
+    for name in ("run_verification", "minimize_dual", "_run_sweep_cell"):
+        monkeypatch.setattr(cli, name, solve)
     out = tmp_path / "taken"
     out.write_text("kept")
-    argv = ["verify"] if command == "verify" else ["leader", "--config", write_config(tmp_path, "c.json", LEADER_NY12)]
+    config = {**LEADER_NY12, "sweep": {"rho_rel": [0.05], "reference_control": {"family": "constant", "value": 1.0}}}
+    argv = ["verify"] if command == "verify" else [command, "--config", write_config(tmp_path, "c.json", config)]
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"configuration error: {out}")
@@ -982,6 +1015,40 @@ def test_sweep_rho_ladder_monotone_and_deterministic(tmp_path):
     assert J[0] >= J[1] >= J[2]
 
 
+def test_sweep_pool_has_no_more_workers_than_cells(tmp_path, monkeypatch):
+    """A one-cell sweep asked for a million workers starts no pool larger
+    than one: the pool forks all its workers at the first submit.  The fake
+    executor records the size asked for and runs the cells in this process."""
+    import concurrent.futures
+
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    cfg = base_config(
+        sweep={
+            "rho_rel": [0.05],
+            "reference_control": {"family": "gaussian", "amplitude": 1.0, "center": 0.4, "width": 0.15},
+        }
+    )
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out), "--workers", "1000000"]) == 0
+    assert all(size <= 1 for size in sizes)
+    assert read_csv_values(out / "sweep.csv").shape[0] == 1
+
+
 def test_output_headers_present(tmp_path):
     cfg = base_config(control={"family": "constant", "value": 0.0})
     out = tmp_path / "sim"
@@ -1116,3 +1183,14 @@ def test_readme_lists_every_config_key():
     want = {(form, key): table_entry(*entry) for form, table in forms.items() for key, entry in table.items()}
     assert [tuple(row[:2]) for row in rows] == list(want)
     assert {(form, key): readme_entry(kind, default) for form, key, kind, default in rows} == want
+
+
+@pytest.mark.parametrize("module", ["geometry", "grid", "wave_core", "coupled", "leader_dual", "verify"])
+def test_every_exported_name_resolves(module):
+    """Each name in a module's ``__all__`` exists there: a name removed from
+    the module but left in ``__all__`` breaks ``from ... import *``, which
+    ``import hierwave`` does not run."""
+    import importlib
+
+    mod = importlib.import_module(f"hierwave.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

@@ -33,11 +33,10 @@ from hierwave.coupled import (
 from hierwave.verify import monolithic_solve
 from hierwave.wave_core import (
     WaveOperator,
-    WaveProblem,
     extract_terminal,
-    solve_backward,
     trace_normal_derivative,
 )
+from reversed_time import solve_backward
 
 
 def rand_trace(mesh, mask, rng):
@@ -178,7 +177,7 @@ def test_companion_matches_natural_backward(mesh41, cfg41, w1_smooth):
     mask = np.ones(mesh41.Nt + 1, bool)
     z0 = Trace(np.zeros(mesh41.Nt + 1), mask, mesh41)
     z1 = Trace(np.zeros(mesh41.Nt + 1), mask, mesh41, side="y=1")
-    p_nat = solve_backward(WaveProblem("backward", z0, z1, src))
+    p_nat = solve_backward(z0, z1, src)
     scale = np.max(np.abs(p_nat.values))
     assert np.max(np.abs(sol.p.values - p_nat.values)) < 1e-2 * scale
     # follower trace against the natural outward normal derivative, in the
@@ -321,7 +320,7 @@ def test_adjoint_pair_consistent_with_natural_solve(mesh41, overlap41):
     mask = np.ones(mesh41.Nt + 1, bool)
     z0 = Trace(np.zeros(mesh41.Nt + 1), mask, mesh41)
     z1 = Trace(np.zeros(mesh41.Nt + 1), mask, mesh41, side="y=1")
-    phi_nat = solve_backward(WaveProblem("backward", z0, z1, None, (f0, f1)))
+    phi_nat = solve_backward(z0, z1, None, (f0, f1))
     scale = np.max(np.abs(phi_nat.values))
     assert np.max(np.abs(phi - phi_nat.values)) < 1e-2 * scale
 
@@ -368,7 +367,7 @@ def test_engine_cache_evicts_least_recent(monkeypatch):
     # a hit makes the engine the most recent, so the next one out is Ny = 10
     engine(9)
     engine(9 + coupled.ENGINE_CACHE_SIZE)
-    kept = [key[0][0] for key in coupled._ENGINE_CACHE]
+    kept = [key[0].Ny for key in coupled._ENGINE_CACHE]
     assert kept == [*range(11, 9 + coupled.ENGINE_CACHE_SIZE), 9, 9 + coupled.ENGINE_CACHE_SIZE]
 
 

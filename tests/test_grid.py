@@ -70,6 +70,21 @@ def test_mesh_arrays_match_their_loops(Ny):
     assert np.array_equal(mesh.wy, wy) and np.array_equal(mesh.tau, wt)
 
 
+def test_meshes_compare_as_their_grid():
+    """k, T, Ny and Nt make a mesh's identity; cfl_safety and allow_k_zero
+    only validate, so they change neither equality nor the hash."""
+    mesh = Mesh(DomainSpec(k=0.1, T=1.0), GridSpec(Ny=12, Nt=40))
+    same = Mesh(DomainSpec(k=0.1, T=1.0, allow_k_zero=True), GridSpec(Ny=12, Nt=40, cfl_safety=0.5))
+    assert same == mesh and hash(same) == hash(mesh)
+    for other in (
+        Mesh(DomainSpec(k=0.2, T=1.0), GridSpec(Ny=12, Nt=40)),
+        Mesh(DomainSpec(k=0.1, T=2.0), GridSpec(Ny=12, Nt=40)),
+        Mesh(DomainSpec(k=0.1, T=1.0), GridSpec(Ny=13, Nt=40)),
+        Mesh(DomainSpec(k=0.1, T=1.0), GridSpec(Ny=12, Nt=41)),
+    ):
+        assert other != mesh
+
+
 def test_l2_norm_examples():
     mesh = Mesh.auto(DomainSpec(k=0.1, T=4.0), 64)
     # alpha = 1.2 at t = 2

@@ -13,11 +13,11 @@ from hierwave.wave_core import (
     extract_terminal,
     final_value_profile,
     final_velocity_profile,
-    solve_backward,
     solve_forward,
     terminal_adjoint,
     trace_normal_derivative,
 )
+from reversed_time import ReversedTimeOperator, solve_backward
 
 SIN_QUARTER = 0.7071067811865476  # sin(pi/4)
 
@@ -53,9 +53,10 @@ def test_march_equals_matrix_solve(Ny, k, T, mirrored, width, seed):
     """The march is forward substitution of M: with a source, data at both
     ends and nonzero initial data, each column equals M^-1 r through the
     sparse LU, which is assembled from the coefficients, not the stencil
-    table.  Mirrored operators march every backward problem."""
+    table.  The reversed-time operator, which marches the tests' backward
+    problems, is checked too."""
     mesh = Mesh.auto(DomainSpec(k=k, T=T), Ny)
-    op = WaveOperator(mesh, mirrored)
+    op = (ReversedTimeOperator if mirrored else WaveOperator)(mesh)
     rng = np.random.default_rng(seed)
     J, N = mesh.Ny, mesh.Nt
     bc0 = rng.standard_normal((N + 1, width))
@@ -78,7 +79,7 @@ def test_adjoint_solve_dot_product():
     sweep against the LU of M, with r the right-hand side of random inputs."""
     mesh = Mesh.auto(DomainSpec(k=0.15, T=1.0), 12)
     for mirrored in (False, True):
-        op = WaveOperator(mesh, mirrored)
+        op = (ReversedTimeOperator if mirrored else WaveOperator)(mesh)
         rng = np.random.default_rng(1 + mirrored)
         inputs = random_inputs(mesh, rng)
         rho = rng.standard_normal((mesh.Ny + 1, mesh.Nt + 1))
@@ -89,9 +90,9 @@ def test_adjoint_solve_dot_product():
 
 def test_zero_data_gives_zero_field():
     mesh = Mesh.auto(DomainSpec(k=0.1, T=2.0), 16)
-    fld = solve_forward(WaveProblem("forward", zero_trace(mesh)))
+    fld = solve_forward(WaveProblem(zero_trace(mesh)))
     assert np.all(fld.values == 0.0)
-    bld = solve_backward(WaveProblem("backward", zero_trace(mesh)))
+    bld = solve_backward(zero_trace(mesh))
     assert np.all(bld.values == 0.0)
 
 
@@ -113,7 +114,7 @@ def test_solver_linearity(a, b, seed):
 def test_dalembert_pointwise():
     mesh = Mesh.auto(DomainSpec(k=0.0, T=1.0, allow_k_zero=True), 200)
     bc = Trace(np.sin(np.pi * mesh.times), full_mask(mesh), mesh)
-    fld = solve_forward(WaveProblem("forward", bc))
+    fld = solve_forward(WaveProblem(bc))
     j = np.argmin(np.abs(mesh.y - 0.25))
     n = np.argmin(np.abs(mesh.times - 0.5))
     assert fld.values[j, n] == pytest.approx(SIN_QUARTER, abs=5e-3)
@@ -137,7 +138,7 @@ def test_trace_zero_field():
 def test_dalembert_trace_derivative():
     mesh = Mesh.auto(DomainSpec(k=0.0, T=0.9, allow_k_zero=True), 200)
     bc = Trace(np.sin(np.pi * mesh.times), full_mask(mesh), mesh)
-    fld = solve_forward(WaveProblem("forward", bc))
+    fld = solve_forward(WaveProblem(bc))
     tr = trace_normal_derivative(fld, side="y=0")
     # before any reflection returns: u_x(0, t) = -pi cos(pi t)
     sel = (mesh.times > 0.1) & (mesh.times < 0.9)
@@ -149,7 +150,7 @@ def test_finite_speed_of_propagation():
     mesh = Mesh.auto(DomainSpec(k=0.0, T=1.0, allow_k_zero=True), 128)
     t = mesh.times
     bc_vals = np.where(t < 0.1, np.sin(np.pi * t / 0.1) ** 2, 0.0)
-    fld = solve_forward(WaveProblem("forward", Trace(bc_vals, full_mask(mesh), mesh)))
+    fld = solve_forward(WaveProblem(Trace(bc_vals, full_mask(mesh), mesh)))
     Y, Tm = np.meshgrid(mesh.y, t, indexing="ij")
     ahead = Tm < Y - 0.1 - 5 * mesh.dy
     assert np.max(np.abs(fld.values[ahead])) < 1e-10
@@ -160,7 +161,7 @@ def test_energy_conservation():
     init = SpatialProfile(np.sin(np.pi * mesh.y), 0.0, mesh)
     vel = SpatialProfile(np.zeros(mesh.Ny + 1), 0.0, mesh)
     fld = solve_forward(
-        WaveProblem("forward", zero_trace(mesh), zero_trace(mesh, "y=1"), None, (init, vel))
+        WaveProblem(zero_trace(mesh), zero_trace(mesh, "y=1"), None, (init, vel))
     )
     v = fld.values
     wy = trapezoid_weights(mesh.Ny + 1, mesh.dy)
@@ -178,9 +179,9 @@ def test_backward_time_mirror_at_k0():
     mesh = Mesh.auto(DomainSpec(k=0.0, T=1.0, allow_k_zero=True), 24)
     rng = np.random.default_rng(4)
     S = rng.standard_normal((mesh.Ny + 1, mesh.Nt + 1))
-    back = solve_backward(WaveProblem("backward", zero_trace(mesh), source=Field(S, mesh)))
+    back = solve_backward(zero_trace(mesh), source=Field(S, mesh))
     fwd = solve_forward(
-        WaveProblem("forward", zero_trace(mesh), source=Field(S[:, ::-1].copy(), mesh))
+        WaveProblem(zero_trace(mesh), source=Field(S[:, ::-1].copy(), mesh))
     )
     assert np.max(np.abs(back.values - fwd.values[:, ::-1])) < 1e-10
 
@@ -192,8 +193,8 @@ def test_backward_matches_monolithic_direct():
 
     mesh = Mesh.auto(DomainSpec(k=0.1, T=4.0), 41)
     src = Field(np.ones((mesh.Ny + 1, mesh.Nt + 1)), mesh)
-    back = solve_backward(WaveProblem("backward", zero_trace(mesh), source=src))
-    op = WaveOperator(mesh, mirrored=True)
+    back = solve_backward(zero_trace(mesh), source=src)
+    op = ReversedTimeOperator(mesh)
     r = op.rhs_vector(
         np.zeros(mesh.Nt + 1),
         np.zeros(mesh.Nt + 1),
@@ -212,7 +213,7 @@ def test_backward_final_data_honored():
     f0v = np.sin(np.pi * mesh.y)
     f0 = SpatialProfile(f0v, 1.0, mesh)
     f1 = SpatialProfile(np.zeros(mesh.Ny + 1), 1.0, mesh)
-    fld = solve_backward(WaveProblem("backward", zero_trace(mesh), None, None, (f0, f1)))
+    fld = solve_backward(zero_trace(mesh), None, None, (f0, f1))
     assert np.max(np.abs(fld.values[:, -1] - f0v)) < 1e-12
 
 
@@ -220,13 +221,13 @@ def test_corner_compatibility_enforced():
     mesh = Mesh.auto(DomainSpec(k=0.1, T=1.0), 16)
     bad_bc = Trace(np.ones(mesh.Nt + 1), full_mask(mesh), mesh)
     with pytest.raises(ConfigurationError):
-        WaveProblem("forward", bad_bc)  # zero data but bc(0) = 1
+        WaveProblem(bad_bc)  # zero data but bc(0) = 1
 
 
 def test_cfl_violation_raises():
     mesh = Mesh(DomainSpec(k=0.1, T=2.0), GridSpec(Ny=32, Nt=20))
     with pytest.raises(ConfigurationError):
-        solve_forward(WaveProblem("forward", zero_trace(mesh)))
+        solve_forward(WaveProblem(zero_trace(mesh)))
 
 
 def _unstable_march(scale, quiet_columns=0):
@@ -281,7 +282,7 @@ def test_final_profiles_linear_solution():
     bc1 = Trace(a.copy(), full_mask(mesh), mesh, side="y=1")
     init_val = SpatialProfile(mesh.y.copy(), 0.0, mesh)
     init_vel = SpatialProfile(np.zeros(mesh.Ny + 1), 0.0, mesh)
-    fld = solve_forward(WaveProblem("forward", zero_trace(mesh), bc1, None, (init_val, init_vel)))
+    fld = solve_forward(WaveProblem(zero_trace(mesh), bc1, None, (init_val, init_vel)))
     uT = final_value_profile(fld)
     assert np.max(np.abs(uT.values - a[-1] * mesh.y)) < 1e-12
     utT = final_velocity_profile(fld)
@@ -328,7 +329,7 @@ def test_transposed_sweep_and_batched_march(Ny, k, T, mirrored, width, seed):
     import scipy.sparse.linalg
 
     mesh = Mesh.auto(DomainSpec(k=k, T=T), Ny)
-    op = WaveOperator(mesh, mirrored)
+    op = (ReversedTimeOperator if mirrored else WaveOperator)(mesh)
     rng = np.random.default_rng(seed)
     J, N = mesh.Ny, mesh.Nt
     rho = rng.standard_normal((J + 1, N + 1, width))
@@ -355,7 +356,7 @@ def test_transposed_sweep_and_batched_march(Ny, k, T, mirrored, width, seed):
 def test_boundary_response_matches_per_column_marches(Ny, k, T, mirrored):
     """H = S^T W S and the last three levels of S, against S marched one unit datum at a time."""
     mesh = Mesh.auto(DomainSpec(k=k, T=T), Ny)
-    op = WaveOperator(mesh, mirrored)
+    op = (ReversedTimeOperator if mirrored else WaveOperator)(mesh)
     J, N = mesh.Ny, mesh.Nt
     zeros_t, zeros_y = np.zeros(N + 1), np.zeros(J + 1)
     S = np.stack([op.march(np.eye(N + 1)[m], zeros_t, zeros_y, zeros_y) for m in range(N + 1)], axis=2)
