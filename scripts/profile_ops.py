@@ -3,8 +3,9 @@
 
 Builds the workload's plan with ``bench/plan.py``'s ``build_plan`` (its
 reference solves included), runs every op once through
-``hierwave.cli.main`` in this process to fill the caches, then runs
-``--passes`` more passes with a timer around each stage:
+``hierwave.cli.main`` in this process to fill the caches (the cold pass),
+then runs ``--passes`` more passes, with a timer around each stage in
+every pass:
 
     leader_dual._secular_newton  the multipliers' Newton solve in whitened
                                  coordinates: one Cholesky factorization,
@@ -21,6 +22,14 @@ reference solves included), runs every op once through
                                  application of the reach operator
     coupled.free_terminal        CoupledEngine.free_terminal, the free state's
                                  final pair
+    coupled.follower_trace       CoupledEngine.follower_trace, the follower's
+                                 reduced solve (in a checkout that factors
+                                 the follower system per engine, a cold
+                                 engine's Cholesky factorization too)
+    wave_core.WaveOperator.follower_spectrum  the lookup of the follower
+                                 block's eigendecomposition kept by the mesh's
+                                 operator, which runs LAPACK dsyevr on a miss:
+                                 the follower factorization, once per mesh
     grid.PoissonRiesz.solve_values  the tridiagonal Poisson solve behind the
                                  H^-1 norm of the distance check
     wave_core.WaveOperator.march  the forward wave march, each step one
@@ -43,15 +52,18 @@ reference solves included), runs every op once through
     cli.parse                    main's time outside load_config and the
                                  command: building and running the parser
 
-Stages nest: free_terminal inside the model's set-up, solve_values inside
-the distance check (and, in a checkout whose Newton solve lifts gradients
+Stages nest: free_terminal inside the model's set-up, follower_spectrum
+inside follower_trace, solve_values inside the distance check (and, in a checkout whose Newton solve lifts gradients
 by Poisson solves, inside that solve too, as _certificate is), solve_adjoint (the tracked row) inside free_terminal,
 sample_responses inside euler_lagrange_residual, and march inside
 sample_responses only on a miss.
 Each stage reports the median over passes of its time per pass, of its
 share of the pass's op time, and of its calls per pass; a stage whose
 function the checkout lacks reads zero.  ``op_s_p50`` is the median warm
-op's wall time.  Wall times follow the host's speed, which can drift by
+op's wall time.  ``cold`` holds the first pass, which fills the caches:
+its wall time and each stage's time and calls, so that work done once per
+mesh, such as the follower factorization, shows.  ``peak_rss_mb`` is the
+process's peak resident set (``ru_maxrss``) at the end, plan included.  Wall times follow the host's speed, which can drift by
 tens of percent between runs on a shared machine; the shares drift far
 less.
 The result is written as ``BENCH_<tag>.json`` in ``--out``.
@@ -76,6 +88,7 @@ import argparse
 import functools
 import json
 import platform
+import resource
 import statistics
 import sys
 import tempfile
@@ -99,6 +112,8 @@ STAGES = {
     "leader_dual._DualModel": [("hierwave.leader_dual", "_DualModel.__init__")],
     "leader_dual._reached": [("hierwave.leader_dual", "_reached")],
     "coupled.free_terminal": [("hierwave.coupled", "CoupledEngine.free_terminal")],
+    "coupled.follower_trace": [("hierwave.coupled", "CoupledEngine.follower_trace")],
+    "wave_core.WaveOperator.follower_spectrum": [("hierwave.wave_core", "WaveOperator.follower_spectrum")],
     "grid.PoissonRiesz.solve_values": [("hierwave.grid", "PoissonRiesz.solve_values")],
     "wave_core.WaveOperator.march": [("hierwave.wave_core", "WaveOperator.march")],
     "wave_core.WaveOperator.solve_adjoint": [("hierwave.wave_core", "WaveOperator.solve_adjoint")],
@@ -191,11 +206,14 @@ def profile(workload: str, seed: int, passes: int) -> dict:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(op["config"]))
         ops.append({"command": op["command"], "config_path": str(path), "out": str(Path("ops") / op["name"])})
-    _, warm_codes = run_pass(ops)
 
     timers = StageTimers()
     timers.install()
     try:
+        cold_times, warm_codes = run_pass(ops)
+        cold_seconds, cold_calls = timers.take()
+        cold_seconds.pop("cli.dispatched", None)
+        cold_calls.pop("cli.dispatched", None)
         op_times, per_pass = [], []
         for _ in range(passes):
             times, codes = run_pass(ops)
@@ -229,6 +247,13 @@ def profile(workload: str, seed: int, passes: int) -> dict:
         "op_s_p50": statistics.median(op_times),
         "pass_s": pass_s,
         "stages": stages,
+        "cold": {
+            "pass_s": sum(cold_times),
+            "stages": {
+                stage: {"s": cold_seconds.get(stage, 0.0), "calls": cold_calls.get(stage, 0)} for stage in STAGES
+            },
+        },
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
 
 
@@ -266,7 +291,8 @@ def main() -> int:
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(json.dumps(result, indent=1) + "\n")
     print(f"{args.workload}, {args.passes} passes of {result['ops_per_pass']} ops: "
-          f"op_s_p50 {result['op_s_p50']:.4f} s; wrote {target}")
+          f"op_s_p50 {result['op_s_p50']:.4f} s; cold pass {result['cold']['pass_s']:.3f} s; "
+          f"peak RSS {result['peak_rss_mb']:.1f} MB; wrote {target}")
     for stage, row in result["stages"].items():
         print(f"  {stage:40s} {row['s_per_pass_p50'] * 1e3:8.2f} ms/pass  "
               f"{row['share_p50']:6.1%} of op time  {row['calls_per_pass']:g} calls")

@@ -64,6 +64,7 @@ from .coupled import (
     cost_J,
     cost_J2,
     euler_lagrange_residual,
+    kept_mesh,
     solve_nash_system,
 )
 from .leader_dual import DualOptions, TargetSpec, minimize_dual
@@ -263,10 +264,12 @@ class RunSetup:
 
         grid = config["grid"]
         if grid["Nt"] is None:
-            self.mesh = Mesh.auto(self.domain, grid["Ny"], grid["cfl_safety"])
+            mesh = Mesh.auto(self.domain, grid["Ny"], grid["cfl_safety"])
         else:
-            self.mesh = Mesh(self.domain, GridSpec(Ny=grid["Ny"], Nt=grid["Nt"], cfl_safety=grid["cfl_safety"]))
-            self.mesh.require_cfl()
+            mesh = Mesh(self.domain, GridSpec(Ny=grid["Ny"], Nt=grid["Nt"], cfl_safety=grid["cfl_safety"]))
+            mesh.require_cfl()
+        # a kept engine's equal mesh, so that a warm op builds no mesh array
+        self.mesh = kept_mesh(mesh)
 
         mode = config["partition"]["mode"]
         n_nodes = self.mesh.Nt + 1

@@ -28,8 +28,13 @@ equilibrium trace solves the symmetric positive definite system
 
     (sigma diag(tau) + H)_22 w2 = (S^T W u_tilde - H chi1 w1)_2,
 
-well posed for every sigma > 0; its Cholesky factor is kept per engine, so
-each solve is exact, with no iteration, relaxation or fallback.  The state
+well posed for every sigma > 0.  For two weights the systems differ by a
+diagonal shift, so the mesh's operator keeps one eigendecomposition of the
+tau-scaled follower block, D^-1 H_22 D^-1 = Q diag(lam) Q^T with
+D = diag(tau_2)^1/2 (:meth:`~hierwave.wave_core.WaveOperator.follower_spectrum`),
+and every engine on the mesh solves through it for its own sigma; a sigma
+ladder holds one (N+1)^2 factor, not one per weight.  Each solve is exact,
+with no iteration, relaxation or fallback.  The state
 then takes one forward march and the companion one backward sweep.  The
 first-order check along follower directions (``hierwave nash`` samples 8
 seeded ones) reads their state responses against the state.  The responses
@@ -87,6 +92,7 @@ __all__ = [
     "euler_lagrange_residual",
     "CoupledEngine",
     "get_engine",
+    "kept_mesh",
 ]
 
 
@@ -99,7 +105,8 @@ PICARD_MIN_RELAXATION = 0.125
 COUPLED_LU_MAX_NY = 64
 # engines kept by get_engine, least recently used first out: the bench's
 # nash-sigma-ladder revisits 7 (six sigma at Ny = 64, plus the Ny = 80 op)
-# and leader-rho-sweep 2; an engine and its operator hold about 27 MB at Ny = 128
+# and leader-rho-sweep 2.  An engine holds no (N+1)^2 array: H and the
+# follower spectrum's Q, 4 MB each at Ny = 128, live on the mesh's operator
 ENGINE_CACHE_SIZE = 8
 
 
@@ -188,9 +195,7 @@ class CoupledEngine:
         self.W, self.tau = mesh.W, mesh.tau
         self._zeros_full = np.zeros(mesh.Ny + 1)
         self._zeros_t = np.zeros(mesh.Nt + 1)
-        self._coupled_lu = None
         self._idx2 = np.flatnonzero(partition.mask2)
-        self._schur = None
         # whitened adjoint-trace columns, their Gram matrix and the Cholesky
         # factor R of the norm blocks of the leader's dual; they do not depend
         # on targets or radii, so a radii ladder shares them
@@ -260,17 +265,26 @@ class CoupledEngine:
     def follower_trace(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (sigma tau + H)_22 x_2 = rhs_2; x vanishes off the follower's nodes.
 
-        ``rhs`` has shape (N+1,) or (N+1, m).  The Cholesky factor is built on
-        first use and kept with the engine.
+        ``rhs`` has shape (N+1,) or (N+1, m).  With the mesh's follower
+        spectrum D^-1 H_22 D^-1 = Q diag(lam) Q^T, D = diag(tau_2)^1/2
+        (:meth:`~hierwave.wave_core.WaveOperator.follower_spectrum`),
+        x_2 = D^-1 Q (lam + sigma)^-1 Q^T D^-1 rhs_2; the engine keeps no
+        factor of its own.  A system that is not numerically positive
+        definite, lam_min + sigma <= 0, raises LinAlgError.
         """
         out = np.zeros_like(rhs)
         i = self._idx2
         if i.size == 0:
             return out
-        if self._schur is None:
-            H = self.op.boundary_response().H
-            self._schur = _cho_factor(H[np.ix_(i, i)] + np.diag(self.sigma * self.tau[i]))
-        out[i] = _cho_solve(self._schur, rhs[i])
+        d, lam, Q = self.op.follower_spectrum(i)
+        shifted = lam + self.sigma
+        if not shifted[0] > 0.0:
+            raise np.linalg.LinAlgError(
+                f"follower system not positive definite: lam_min + sigma = {shifted[0]:.3e}"
+            )
+        if rhs.ndim == 2:
+            d, shifted = d[:, None], shifted[:, None]
+        out[i] = d * (Q @ ((Q.T @ (d * rhs[i])) / shifted))
         return out
 
     def schur_bc(self, w1_values: np.ndarray, utilde: np.ndarray | None = None):
@@ -428,15 +442,15 @@ class CoupledEngine:
         return K
 
     def coupled_lu(self):
-        """Sparse LU of :meth:`coupled_matrix`, built on first use and kept
-        with the engine; refused above Ny = ``COUPLED_LU_MAX_NY``."""
+        """Sparse LU of :meth:`coupled_matrix`, refused above Ny =
+        ``COUPLED_LU_MAX_NY``.  Each call factors anew and the engine keeps
+        nothing: the factors live only for the solve that asked for them
+        (9.7M nonzeros at Ny = 64)."""
         if self.mesh.Ny > COUPLED_LU_MAX_NY:
             raise ConfigurationError(
                 f"the coupled LU is limited to Ny <= {COUPLED_LU_MAX_NY}, got {self.mesh.Ny}"
             )
-        if self._coupled_lu is None:
-            self._coupled_lu = scipy.sparse.linalg.splu(self.coupled_matrix())
-        return self._coupled_lu
+        return scipy.sparse.linalg.splu(self.coupled_matrix())
 
     def coupled_rhs(self, w1_values: np.ndarray, utilde: np.ndarray | None) -> np.ndarray:
         """Right-hand side of :meth:`coupled_matrix` for the leader data and
@@ -505,6 +519,15 @@ def get_engine(mesh: Mesh, cfg: FollowerConfig) -> CoupledEngine:
     return eng
 
 
+def kept_mesh(mesh: Mesh) -> Mesh:
+    """The mesh of a kept engine that compares equal to ``mesh``, else ``mesh``.
+
+    Objects built on it share its node and weight arrays with the engine,
+    so a warm op builds none of them again.
+    """
+    return next((e.mesh for e in _ENGINE_CACHE.values() if e.mesh == mesh), mesh)
+
+
 def _utilde_values(cfg: FollowerConfig, mesh: Mesh) -> np.ndarray | None:
     if cfg.u_tilde2 is None:
         return None
@@ -520,9 +543,10 @@ def _masked_values(trace: Trace, mask: np.ndarray) -> np.ndarray:
 def solve_nash_system(w1: Trace, cfg: FollowerConfig) -> NashSolution:
     """Equilibrium pair for a fixed leader control.
 
-    The follower trace comes from one Cholesky solve in the boundary trace
-    (see the module docstring), the state from one forward march and the
-    companion from one backward sweep.
+    The follower trace comes from one solve in the boundary trace through
+    the mesh's follower spectrum, shared by every sigma on the mesh (see the
+    module docstring), the state from one forward march and the companion
+    from one backward sweep.
     """
     eng = get_engine(w1.mesh, cfg)
     mesh = eng.mesh

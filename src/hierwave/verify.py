@@ -11,7 +11,8 @@ string (k > 0), and u = x, which the scheme reproduces to round-off.
 Each marches the exact field's own boundary and initial data, so a wrong
 moving-boundary coefficient shows as a lost order.  The direct coupled
 solves share the stencils on purpose, so they isolate errors in the
-coupling logic.  They run through the engine's one coupled LU
+coupling logic.  Each runs through one coupled LU, factored for that call
+and dropped with it
 (:meth:`~hierwave.coupled.CoupledEngine.direct_pair`,
 :meth:`~hierwave.coupled.CoupledEngine.direct_adjoint_pair`), which refuses
 grids above Ny = 64.
@@ -71,9 +72,10 @@ def monolithic_solve(
 
     ``system`` is one of nash, free_part, leader_part, adjoint_pair.  All
     unknown fields form a single sparse linear system sharing the stepper's
-    stencils, solved through the engine's coupled LU; ``residual`` is taken
-    against the assembled matrix.  Grids above Ny = 64 are refused (memory
-    guard of :meth:`~hierwave.coupled.CoupledEngine.coupled_lu`).
+    stencils, solved through one coupled LU that lives only for this call;
+    ``residual`` is taken against the assembled matrix.  Grids above Ny = 64
+    are refused (memory guard of
+    :meth:`~hierwave.coupled.CoupledEngine.coupled_lu`).
     """
     eng = get_engine(mesh, cfg)
 

@@ -29,6 +29,9 @@ that the coupled optimality systems are built from; see
 The same march run on all unit Dirichlet data at y = 0 at once gives the
 boundary response S = M^-1 E, reduced to the Gram matrix S^T W S and the
 last three time levels of S (:meth:`WaveOperator.boundary_response`).
+The operator also keeps one eigendecomposition of the follower's block of
+H (:meth:`WaveOperator.follower_spectrum`), through which every follower
+weight on the mesh solves.
 M itself is assembled only for the independent oracles: its sparse LU
 (:meth:`WaveOperator.solve_lu`) in the tests and the direct solves of
 :mod:`hierwave.verify`.
@@ -143,11 +146,13 @@ class WaveOperator:
         self._matrix = None
         self._lu = None
         self._response = None
-        # tracked_row's S^T W u_tilde for the last u_tilde, and
-        # sample_responses' levels for the last boundary data, each kept
-        # read-only with a copy of its input
+        # tracked_row's S^T W u_tilde for the last u_tilde, sample_responses'
+        # levels for the last boundary data and follower_spectrum's
+        # eigendecomposition for the last node set, each kept read-only with
+        # a copy of its input
         self._tracked_row: tuple[np.ndarray, np.ndarray] | None = None
         self._sample: tuple[np.ndarray, np.ndarray] | None = None
+        self._spectrum: tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
 
     def _stencil_table(self) -> tuple[np.ndarray, np.ndarray]:
         """The read-only table of step coefficients, shape (N+1, 2, 3, J+3),
@@ -428,6 +433,32 @@ class WaveOperator:
             self._sample = (read_only(np.array(bc)), read_only(levels))
         return self._sample[1]
 
+    def follower_spectrum(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(d, lam, Q) with D^-1 H_22 D^-1 = Q diag(lam) Q^T, lam ascending.
+
+        H_22 is H on the time nodes ``idx``, D = diag(tau[idx])^1/2 and
+        d = 1 / diag(D).  (sigma diag(tau) + H)_22 then equals
+        D Q (diag(lam) + sigma) Q^T D for every sigma, so one decomposition
+        serves every follower weight on the mesh.  It depends on the mesh and
+        ``idx`` alone; that of the last ``idx`` is kept, read-only.  LAPACK
+        dsyevr runs on one scaled copy of H_22, in place; a failed call
+        raises LinAlgError.
+        """
+        if self._spectrum is None or not np.array_equal(self._spectrum[0], idx):
+            # the old Q goes before the new one is built
+            self._spectrum = None
+            d = 1.0 / np.sqrt(self.mesh.tau[idx])
+            # the fancy-indexed copy is C-ordered and symmetric, so its
+            # transpose is the F-ordered array dsyevr overwrites without a copy
+            a = self.boundary_response().H[np.ix_(idx, idx)].T
+            a *= d
+            a *= d[:, None]
+            lam, Q, _, _, info = scipy.linalg.lapack.dsyevr(a, overwrite_a=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dsyevr failed with info = {info}")
+            self._spectrum = (read_only(np.array(idx)), (read_only(d), read_only(lam), read_only(Q)))
+        return self._spectrum[1]
+
     def _unit_levels(self):
         """Yield (n, level) for the march driven by every unit datum at y = 0.
 
@@ -481,10 +512,13 @@ class WaveOperator:
         # weighted levels enter H a block at a time: one product per level
         # spends most of the build on adding into H
         block = np.zeros((_RESPONSE_BLOCK, J + 1, N + 1))
+        # every block's product goes into this one buffer
+        product = np.empty((N + 1) ** 2)
 
         def add_block(i, n):
             x = block[: i + 1, :, : n + 1].reshape(-1, n + 1)
-            H[: n + 1, : n + 1] += x.T @ x
+            out = product[: (n + 1) ** 2].reshape(n + 1, n + 1)
+            H[: n + 1, : n + 1] += np.matmul(x.T, x, out=out)
 
         for n, level in self._unit_levels():
             i = n % _RESPONSE_BLOCK
@@ -498,7 +532,9 @@ class WaveOperator:
             add_block(N % _RESPONSE_BLOCK, N)
         if not np.all(np.isfinite(H)):
             raise InstabilityError("unstable march of the boundary response", step=N)
-        return BoundaryResponse(0.5 * (H + H.T), tail)
+        # numpy runs x.T @ x as a symmetric rank-k update (BLAS syrk) and
+        # mirrors its triangle, so every block, and H, is symmetric to the bit
+        return BoundaryResponse(H, tail)
 
     # -- sparse space-time matrix (the oracles' form of the operator) --------
 

@@ -351,13 +351,13 @@ def test_warm_nash_op_marches_once(tmp_path, monkeypatch):
 
 
 def test_warm_nash_ops_build_mesh_arrays_once(tmp_path, monkeypatch):
-    """Four nash ops on one grid in one process build the space-time weights,
-    the y weights, alpha(t) and d/dy once: every op builds its own Mesh, and
-    the outputs are built on the engine's, which compares equal to it."""
+    """Four nash ops on one grid in one process build each node array,
+    quadrature weight and d/dy once: a warm op's set-up and outputs are built
+    on the kept engine's mesh, which compares equal to the config's."""
     from hierwave import coupled
 
     monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
-    builds = dict.fromkeys(("W", "wy", "alphas", "D"), 0)
+    builds = dict.fromkeys(("W", "wy", "alphas", "D", "y", "times", "tau"), 0)
     for name in builds:
         prop = Mesh.__dict__[name]
 
@@ -371,6 +371,22 @@ def test_warm_nash_ops_build_mesh_arrays_once(tmp_path, monkeypatch):
     for i in range(4):
         assert main(["nash", "--config", path, "--out", str(tmp_path / f"o{i}")]) == 0
     assert builds == dict.fromkeys(builds, 1)
+
+
+def test_setups_after_a_solve_share_the_engine_mesh(monkeypatch):
+    """Two set-ups of one document, made after a solve, are built on the
+    kept engine's mesh object, not on meshes of their own."""
+    from hierwave import coupled
+    from hierwave.cli import RunSetup
+    from hierwave.coupled import solve_nash_system
+
+    monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
+    doc = base_config(grid={"Ny": 12})
+    first = RunSetup(doc)
+    w1 = first.build_time_trace({"family": "constant", "value": 1.0}, first.partition.mask1, "leader")
+    mesh = solve_nash_system(w1, first.follower).u.mesh
+    a, b = RunSetup(doc), RunSetup(doc)
+    assert a.mesh is mesh and b.mesh is mesh
 
 
 def test_kept_sample_follows_seed_and_partition(tmp_path, monkeypatch):

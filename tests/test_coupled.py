@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hierwave.errors import ConfigurationError, ConvergenceError
 from hierwave.geometry import DomainSpec, SigmaPartition
@@ -425,26 +426,39 @@ def test_kept_row_follows_the_tracked_trajectory(mesh41, overlap41, utilde41, w1
 
 
 def test_kept_values_are_read_only_and_found_by_value(mesh41, overlap41, utilde41, monkeypatch):
-    """The tracked row, the first-order sample's levels and the free state's
-    final pair are kept read-only; an equal input in a new array finds them
-    and runs no march, sweep or follower solve, and a kept input is a copy,
-    so changing the caller's array is a new input."""
+    """The tracked row, the first-order sample's levels, the free state's
+    final pair and the follower spectrum are kept read-only; an equal input
+    in a new array finds them and runs no march, sweep, follower solve or
+    decomposition, and a kept input is a copy, so changing the caller's array
+    is a new input."""
     monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
     eng = get_engine(mesh41, FollowerConfig(sigma=0.5, partition=overlap41, u_tilde2=utilde41))
     utilde = utilde41.values.copy()
     bc = np.random.default_rng(3).standard_normal((mesh41.Nt + 1, 2))
 
-    def kept(utilde, bc):
-        return [eng.op.tracked_row(utilde), eng.op.sample_responses(bc), *eng.free_terminal(utilde)]
+    idx = np.flatnonzero(overlap41.mask2)
 
-    first = kept(utilde, bc)
+    def kept(utilde, bc, idx):
+        return [
+            eng.op.tracked_row(utilde),
+            eng.op.sample_responses(bc),
+            *eng.free_terminal(utilde),
+            *eng.op.follower_spectrum(idx),
+        ]
+
+    first = kept(utilde, bc, idx)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a kept value was computed again")
 
-    for cls, name in ((WaveOperator, "march"), (WaveOperator, "solve_adjoint"), (CoupledEngine, "follower_trace")):
+    for cls, name in (
+        (WaveOperator, "march"),
+        (WaveOperator, "solve_adjoint"),
+        (CoupledEngine, "follower_trace"),
+        (scipy.linalg.lapack, "dsyevr"),
+    ):
         monkeypatch.setattr(cls, name, refuse)
-    again = kept(utilde.copy(), bc.copy())
+    again = kept(utilde.copy(), bc.copy(), idx.copy())
     for a, b in zip(first, again):
         assert a is b and not a.flags.writeable
         with pytest.raises(ValueError):
@@ -472,6 +486,62 @@ def test_engines_share_their_operator_mesh_weights(mesh41, overlap41, monkeypatc
     for name in ("W", "tau", "wy", "D"):
         with pytest.raises(ValueError):
             getattr(twin, name).flat[0] = 1.0
+
+
+@pytest.mark.parametrize("mode", ["overlap", "time-split"])
+def test_follower_trace_matches_dense_solve(mode):
+    """The solve through the mesh's follower spectrum matches numpy's dense
+    solve of (sigma tau + H)_22 at every scale of sigma, vanishes off the
+    follower's nodes, and refuses a sigma that leaves the system singular."""
+    mesh = Mesh.auto(DomainSpec(k=0.1, T=2.0), 16)
+    n = mesh.Nt + 1
+    part = SigmaPartition.overlap(n) if mode == "overlap" else SigmaPartition.time_split(n)
+    op = WaveOperator(mesh)
+    i = np.flatnonzero(part.mask2)
+    H22 = op.boundary_response().H[np.ix_(i, i)]
+    rhs = np.random.default_rng(5).standard_normal((n, 3))
+    for sigma in (1e-300, 1e-6, 1.0, 1e6):
+        eng = CoupledEngine(mesh, sigma, part, op)
+        ref = np.linalg.solve(H22 + np.diag(sigma * mesh.tau[i]), rhs[i])
+        for b, want in ((rhs, ref), (rhs[:, 0], ref[:, 0])):
+            x = eng.follower_trace(b)
+            assert x.shape == b.shape and np.all(x[~part.mask2] == 0.0)
+            assert np.max(np.abs(x[i] - want)) <= 1e-12 * np.max(np.abs(want))
+    lam_min = op.follower_spectrum(i)[1][0]
+    with pytest.raises(np.linalg.LinAlgError):
+        CoupledEngine(mesh, -lam_min, part, op).follower_trace(rhs)
+
+
+def test_sigma_ladder_shares_one_spectrum(monkeypatch):
+    """Three sigma on one mesh decompose the follower block once, on the
+    mesh's operator, and no engine holds an (N+1)^2 array."""
+    monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
+    calls = []
+    dsyevr = scipy.linalg.lapack.dsyevr
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dsyevr(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", counted)
+    mesh = Mesh.auto(DomainSpec(k=0.1, T=2.0), 16)
+    part = SigmaPartition.overlap(mesh.Nt + 1)
+    w1 = Trace(np.sin(np.pi * mesh.times / 2.0), part.mask1, mesh)
+    for sigma in (3.0, 0.3, 0.03):
+        solve_nash_system(w1, FollowerConfig(sigma=sigma, partition=part))
+    assert len(calls) == 1
+    engines = list(coupled._ENGINE_CACHE.values())
+    assert len(engines) == 3 and all(e.op is engines[0].op for e in engines)
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, tuple):
+            for item in value:
+                yield from arrays(item)
+
+    for eng in engines:
+        assert all(a.size < (mesh.Nt + 1) ** 2 for v in vars(eng).values() for a in arrays(v))
 
 
 def test_cholesky_pair_matches_scipy():

@@ -128,9 +128,9 @@ def test_monolithic_memory_guard():
         monolithic_solve("free_part", mesh, cfg)
 
 
-def test_monolithic_factors_once(monkeypatch):
-    """Every system on one engine is solved through the engine's coupled LU:
-    one factorization and no further sparse solve."""
+def test_monolithic_factors_once_per_call(monkeypatch):
+    """Every system is solved through one coupled LU of its own: one
+    factorization per call and no further sparse solve."""
     mesh = Mesh.auto(DomainSpec(k=0.1, T=2.0), 16)
     part = SigmaPartition.overlap(mesh.Nt + 1)
     Y, T = np.meshgrid(mesh.y, mesh.times, indexing="ij")
@@ -156,7 +156,23 @@ def test_monolithic_factors_once(monkeypatch):
     for system in ("nash", "free_part", "leader_part"):
         assert monolithic_solve(system, mesh, cfg, w1=w1)["residual"] <= 1e-10
     assert monolithic_solve("adjoint_pair", mesh, cfg, f=f)["residual"] <= 1e-9
-    assert calls == {"splu": 1, "spsolve": 0}
+    assert calls == {"splu": 4, "spsolve": 0}
+
+
+def test_monolithic_solve_leaves_no_coupled_lu(monkeypatch):
+    """The coupled LU lives only for the call that uses it: after a solve no
+    cached engine holds one (9.7M nonzeros at Ny = 64)."""
+    from hierwave import coupled
+
+    monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
+    mesh = Mesh.auto(DomainSpec(k=0.1, T=2.0), 16)
+    part = SigmaPartition.overlap(mesh.Nt + 1)
+    cfg = FollowerConfig(sigma=0.7, partition=part)
+    w1 = Trace(np.sin(np.pi * mesh.times / 2.0), part.mask1, mesh)
+    assert monolithic_solve("nash", mesh, cfg, w1=w1)["residual"] <= 1e-10
+    assert coupled._ENGINE_CACHE
+    for eng in coupled._ENGINE_CACHE.values():
+        assert not any(isinstance(v, scipy.sparse.linalg.SuperLU) for v in vars(eng).values())
 
 
 def test_transpose_check_report(setup41):

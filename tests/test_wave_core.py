@@ -363,4 +363,6 @@ def test_boundary_response_matches_per_column_marches(Ny, k, T, mirrored):
     H = np.einsum("jna,jn,jnb->ab", S, mesh.W, S)
     resp = op.boundary_response()
     assert np.max(np.abs(resp.H - H)) <= 1e-12 * np.max(np.abs(H))
+    # built from x.T @ x blocks alone, with no symmetrizing pass
+    assert np.array_equal(resp.H, resp.H.T)
     assert np.array_equal(resp.tail, S[:, N - 2 :, :])
