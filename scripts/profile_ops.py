@@ -26,6 +26,11 @@ every pass:
                                  reduced solve (in a checkout that factors
                                  the follower system per engine, a cold
                                  engine's Cholesky factorization too)
+    wave_core.WaveOperator.boundary_response  the lookup of H = S^T W S and
+                                 the last levels of S kept by the mesh's
+                                 operator, which builds them on a miss: the
+                                 march of every unit datum and the blocked
+                                 products, once per mesh
     wave_core.WaveOperator.follower_spectrum  the lookup of the follower
                                  block's eigendecomposition kept by the mesh's
                                  operator, which runs LAPACK dsyevr on a miss:
@@ -53,7 +58,9 @@ every pass:
                                  command: building and running the parser
 
 Stages nest: free_terminal inside the model's set-up, follower_spectrum
-inside follower_trace, solve_values inside the distance check (and, in a checkout whose Newton solve lifts gradients
+inside follower_trace, boundary_response (the H build on a miss) inside
+whichever of free_terminal, follower_trace and follower_spectrum asks
+first, solve_values inside the distance check (and, in a checkout whose Newton solve lifts gradients
 by Poisson solves, inside that solve too, as _certificate is), solve_adjoint (the tracked row) inside free_terminal,
 sample_responses inside euler_lagrange_residual, and march inside
 sample_responses only on a miss.
@@ -113,6 +120,7 @@ STAGES = {
     "leader_dual._reached": [("hierwave.leader_dual", "_reached")],
     "coupled.free_terminal": [("hierwave.coupled", "CoupledEngine.free_terminal")],
     "coupled.follower_trace": [("hierwave.coupled", "CoupledEngine.follower_trace")],
+    "wave_core.WaveOperator.boundary_response": [("hierwave.wave_core", "WaveOperator.boundary_response")],
     "wave_core.WaveOperator.follower_spectrum": [("hierwave.wave_core", "WaveOperator.follower_spectrum")],
     "grid.PoissonRiesz.solve_values": [("hierwave.grid", "PoissonRiesz.solve_values")],
     "wave_core.WaveOperator.march": [("hierwave.wave_core", "WaveOperator.march")],

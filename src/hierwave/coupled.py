@@ -64,8 +64,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import ConfigurationError, ConvergenceError
 from .geometry import SigmaPartition
@@ -427,6 +425,9 @@ class CoupledEngine:
     # -- direct (sparse-factorized) coupled solves ---------------------------
 
     def coupled_matrix(self) -> scipy.sparse.csc_matrix:
+        # only the oracles use scipy.sparse, so production runs never load it
+        import scipy.sparse
+
         M = self.op.matrix()
         size = M.shape[0]
         stride = self.mesh.Ny + 1
@@ -450,6 +451,8 @@ class CoupledEngine:
             raise ConfigurationError(
                 f"the coupled LU is limited to Ny <= {COUPLED_LU_MAX_NY}, got {self.mesh.Ny}"
             )
+        import scipy.sparse.linalg
+
         return scipy.sparse.linalg.splu(self.coupled_matrix())
 
     def coupled_rhs(self, w1_values: np.ndarray, utilde: np.ndarray | None) -> np.ndarray:

@@ -50,7 +50,6 @@ inequality rather than a bare gradient norm.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
@@ -62,8 +61,6 @@ from .errors import ConfigurationError, InfeasibleError, InstabilityError
 from .grid import Mesh, SpatialProfile, Trace
 from .coupled import FollowerConfig, _cho_factor, _cho_solve, apply_A, cost_J, get_engine
 from .wave_core import terminal_adjoint_levels
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "TargetSpec",

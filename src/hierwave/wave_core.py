@@ -28,7 +28,9 @@ that the coupled optimality systems are built from; see
 :mod:`hierwave.coupled`.
 The same march run on all unit Dirichlet data at y = 0 at once gives the
 boundary response S = M^-1 E, reduced to the Gram matrix S^T W S and the
-last three time levels of S (:meth:`WaveOperator.boundary_response`).
+last three time levels of S (:meth:`WaveOperator.boundary_response`); that
+march solves each step's wide batch with LAPACK dgtsv, the pre-factored
+solve's arithmetic swept a row of the batch at a time.
 The operator also keeps one eigendecomposition of the follower's block of
 H (:meth:`WaveOperator.follower_spectrum`), through which every follower
 weight on the mesh solves.
@@ -43,8 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import ConfigurationError, InstabilityError
 from .grid import Field, Mesh, SpatialProfile, Trace, read_only
@@ -82,8 +82,14 @@ def _dyy(z: np.ndarray, dy: float) -> np.ndarray:
 # the space-time operator
 # ---------------------------------------------------------------------------
 
-# time levels per product when H is accumulated
-_RESPONSE_BLOCK = 16
+# time levels per product when H is accumulated.  The block of weighted
+# levels holds _RESPONSE_BLOCK * (Ny+1) * (Nt+1) doubles: 0.3 MB at Ny = 41,
+# 11.6 MB at Ny = 256, 46 MB at Ny = 512.  Four levels per product take
+# about as long as sixteen, in a quarter of the memory.
+_RESPONSE_BLOCK = 4
+# the power of two that lifts the weighted levels out of the subnormal range
+# before they enter H's products (see boundary_response)
+_RESPONSE_SCALE = 2.0**300
 
 
 @dataclass(frozen=True)
@@ -401,9 +407,25 @@ class WaveOperator:
         """H = S^T W S and the last three levels of S, built once per operator.
 
         One march over all N+1 unit data at y = 0 together: each step is one
-        banded solve whose right-hand side holds the active columns only
-        (level n is nonzero only in columns 0..n, the data already seen).
-        H is accumulated level by level, so S is never held whole.
+        LAPACK ``dgtsv`` solve whose right-hand side holds the active columns
+        only (level n is nonzero only in columns 0..n, the data already
+        seen).  H is accumulated a few levels at a time, one product
+        x^T x per block of weighted levels x, so S is never held whole.
+
+        The weights sqrt(W) that form x are multiplied by 2^300, and H is
+        divided by 2^600 at the end.  Far ahead of its wave front a unit
+        response decays into the subnormal range (about 0.4% of the
+        weighted values at Ny = 256), and the BLAS products run far
+        slower on subnormal operands.  Scaled, every nonzero operand is
+        normal: the smallest level value, 2^-1074, times any weight above
+        2^-248 lands above 2^-1022.  Scaling by a power of two changes
+        exponents only, so each operand, each product and each partial sum
+        is exactly 2^300 or 2^600 times the unscaled one wherever that is
+        normal, and the final division is exact too.  Only terms that
+        underflowed unscaled change, and those lie below 2^-1022, far under
+        the last bit of any entry of H.  A stable march keeps H far from the
+        2^423 past which the scaled H would overflow; an unstable one is
+        refused either way.
         """
         if self._response is None:
             self._response = self._march_boundary_response()
@@ -466,6 +488,16 @@ class WaveOperator:
         time node m; only columns 0..n are nonzero.  The arrays are reused
         from one step to the next.  The arithmetic is :meth:`march`'s, with
         the active columns as a batch of right-hand sides.
+
+        Each step solves its batch with LAPACK ``dgtsv`` on the step's own
+        diagonals, where :meth:`march` calls ``dgttrs`` on the kept
+        ``dgttrf`` factors.  The diagonal 1/dt^2 dominates q_n under the
+        CFL bound (q_n dt^2 <= k / (2 (1 + k)) < 1/2), so neither routine
+        swaps a row, and then
+        they do the same operations in the same order: every column still
+        equals its own march bit for bit.  ``dgtsv``'s forward elimination
+        sweeps the whole batch a row at a time, where ``dgttrs`` takes one
+        column at a time, which is faster on the wide batches here.
         """
         J, N = self.J, self.N
         # levels n-1, n and n+1 take turns in three slots; windows[s] reads
@@ -486,7 +518,7 @@ class WaveOperator:
         # full-width ones makes the build slower.
         acc = np.empty((J - 1) * (N + 1))
         term = np.empty((J - 1) * (N + 1))
-        steps = self._step_factors()
+        diag = np.full(J - 1, 1.0 / self.dt**2)
         for n in range(1, N):
             a = n + 2
             rhs = acc[: (J - 1) * a].reshape(J - 1, a)
@@ -498,15 +530,20 @@ class WaveOperator:
                 rhs += product
             # the new level's own datum, in column n + 1, moved to the right
             rhs[0, n + 1] -= row[0, 0, 0, 0]
+            # the step's matrix: 1/dt^2 on the diagonal, q_n below, -q_n above
+            q = row[0, 0, :, 0]
+            *_, x, info = scipy.linalg.lapack.dgtsv(q[1:], diag, -q[:-1], rhs)
+            if info != 0:
+                raise InstabilityError(f"singular step matrix at time step {n + 1}", step=n + 1)
             nxt = ring[(n + 1) % 3]
-            nxt[1:-1, :a] = scipy.linalg.lapack.dgttrs(*steps[n], rhs)[0]
+            nxt[1:-1, :a] = x
             nxt[0, :] = 0.0
             nxt[0, n + 1] = 1.0
             yield n + 1, nxt
 
     def _march_boundary_response(self) -> BoundaryResponse:
         J, N = self.J, self.N
-        sqrt_w = np.sqrt(self.W)
+        sqrt_w = np.sqrt(self.W) * _RESPONSE_SCALE
         H = np.zeros((N + 1, N + 1))
         tail = np.zeros((J + 1, 3, N + 1))
         # weighted levels enter H a block at a time: one product per level
@@ -530,6 +567,7 @@ class WaveOperator:
         # the last, partial block enters once the march has freed its buffers
         if N % _RESPONSE_BLOCK != _RESPONSE_BLOCK - 1:
             add_block(N % _RESPONSE_BLOCK, N)
+        H /= _RESPONSE_SCALE**2
         if not np.all(np.isfinite(H)):
             raise InstabilityError("unstable march of the boundary response", step=N)
         # numpy runs x.T @ x as a symmetric rank-k update (BLAS syrk) and
@@ -539,6 +577,10 @@ class WaveOperator:
     # -- sparse space-time matrix (the oracles' form of the operator) --------
 
     def matrix(self) -> scipy.sparse.csc_matrix:
+        # scipy.sparse is imported here, not with the module: only the
+        # oracles use it, so production runs never load it
+        import scipy.sparse
+
         if self._matrix is not None:
             return self._matrix
         J, N, dy, dt = self.J, self.N, self.dy, self.dt
@@ -593,6 +635,8 @@ class WaveOperator:
         return self._matrix
 
     def lu(self):
+        import scipy.sparse.linalg
+
         if self._lu is None:
             self._lu = scipy.sparse.linalg.splu(self.matrix())
         return self._lu

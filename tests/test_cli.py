@@ -1210,3 +1210,45 @@ def test_every_exported_name_resolves(module):
 
     mod = importlib.import_module(f"hierwave.{module}")
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_production_runs_load_no_sparse_module(tmp_path):
+    """`hierwave nash` and `hierwave leader` never import scipy.sparse: only
+    the oracles (the LUs of M and of the coupled system) use it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hierwave
+
+    nash = write_config(
+        tmp_path,
+        "n.json",
+        base_config(grid={"Ny": 16}, leader={"family": "sine", "amplitude": 0.5, "frequency": 1.0}),
+    )
+    leader = write_config(
+        tmp_path,
+        "l.json",
+        base_config(
+            grid={"Ny": 16},
+            targets={
+                "u0": {"family": "sine", "amplitude": 0.2, "frequency": 1.0},
+                "u1": {"family": "sine", "amplitude": 0.5, "frequency": 2.0},
+                "rho0": 0.05,
+                "rho1": 0.05,
+            },
+        ),
+    )
+    program = (
+        "import sys\n"
+        "from hierwave.cli import main\n"
+        f"codes = [main(['nash', '--config', {nash!r}, '--out', {str(tmp_path / 'n')!r}]),\n"
+        f"         main(['leader', '--config', {leader!r}, '--out', {str(tmp_path / 'l')!r}])]\n"
+        "print(codes, sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+    )
+    src = str(Path(hierwave.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"

@@ -54,19 +54,29 @@ def rand_dual_profiles(mesh, rng):
     )
 
 
-def direct_reach(w1, f0, f1, cfg):
-    """apply_A and apply_A_star's leader trace through the coupled LU."""
-    mesh = w1.mesh
-    state = monolithic_solve("leader_part", mesh, cfg, w1=w1)["state"].values
-    c1, c2 = extract_terminal(mesh, state)
+def direct_reach(draws, cfg):
+    """apply_A and apply_A_star's leader trace through the coupled LU, for
+    every draw (w1, f0, f1): one factorization solves the state systems, and
+    transposed, the adjoint pairs, as verify.monolithic_solve's
+    ``leader_part`` and ``adjoint_pair`` do one at a time."""
+    mesh = draws[0][0].mesh
+    eng = get_engine(mesh, cfg)
+    lu = eng.coupled_lu()
+    size = eng.W.size
+    states = lu.solve(np.stack([eng.coupled_rhs(w1.values, None) for w1, _, _ in draws], axis=1))
+    rhos = [eng.terminal_cotangent(f0.values, f1.values) for _, f0, f1 in draws]
+    mus = lu.solve(np.stack([eng.adjoint_rhs(rho) for rho in rhos], axis=1), trans="T")
     T = mesh.domain.T
-    trace = monolithic_solve("adjoint_pair", mesh, cfg, f=(f0, f1))["leader_trace"].values
-    return SpatialProfile(c1, T, mesh), SpatialProfile(c2, T, mesh), trace
+    out = []
+    for i in range(len(draws)):
+        c1, c2 = extract_terminal(mesh, eng.op._unflatten(states[:size, i]))
+        trace = np.where(cfg.partition.mask1, eng.op._unflatten(mus[:size, i])[0, :] / eng.tau, 0.0)
+        out.append((SpatialProfile(c1, T, mesh), SpatialProfile(c2, T, mesh), trace))
+    return out
 
 
-def reach(w1, f0, f1, cfg):
-    c1, c2 = apply_A(w1, cfg)
-    return c1, c2, apply_A_star(f0, f1, cfg).leader_trace.values
+def reach(draws, cfg):
+    return [(*apply_A(w1, cfg), apply_A_star(f0, f1, cfg).leader_trace.values) for w1, f0, f1 in draws]
 
 
 def el_scale(sol, cfg, direction):
@@ -238,12 +248,10 @@ def test_apply_A_zero_and_linear(mesh41, cfg41_plain):
 
 def _transpose_worst(mesh, cfg, trials, solve=reach, seed=42):
     rng = np.random.default_rng(seed)
+    draws = [(rand_trace(mesh, cfg.partition.mask1, rng), *rand_dual_profiles(mesh, rng)) for _ in range(trials)]
     tau = trapezoid_weights(mesh.Nt + 1, mesh.dt)
     worst = 0.0
-    for _ in range(trials):
-        w1 = rand_trace(mesh, cfg.partition.mask1, rng)
-        f0, f1 = rand_dual_profiles(mesh, rng)
-        c1, c2, trace = solve(w1, f0, f1, cfg)
+    for (w1, f0, f1), (c1, c2, trace) in zip(draws, solve(draws, cfg)):
         lhs = duality_pairing(c1, f0) + l2_inner_physical(c2, f1)
         rhs = float(np.sum(tau * cfg.partition.mask1 * trace * w1.values))
         worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300))

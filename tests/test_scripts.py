@@ -32,6 +32,18 @@ def test_run_manufactured_reaches_both_balls(tmp_path):
     done = run_script("run_manufactured.py", tmp_path, 16)
     assert done.returncode == 0, done.stderr
     assert json.loads((tmp_path / "report.json").read_text())["reached"] == [True, True]
+    lines = done.stdout.splitlines()
+    assert any(line.startswith("H build (boundary response)") for line in lines)
+    assert lines[-1].startswith("peak RSS ") and lines[-1].endswith(" MB")
+
+
+def test_bench_hbuild_times_one_build_per_run(tmp_path):
+    done = run_script("bench_hbuild.py", "--tag", "t", "--ny", "16", "--runs", 1, "--out", tmp_path)
+    assert done.returncode == 0, done.stderr
+    result = json.loads((tmp_path / "BENCH_t.json").read_text())
+    (row,) = result["grids"]["16"]["runs"]
+    assert row["hbuild_count"] == 1 and 0.0 < row["hbuild_s"] < row["wall_s"]
+    assert row["iterations"] >= 1 and row["peak_rss_mb"] > 0.0
 
 
 def test_replay_outputs_runs_every_gated_op_cleanly(tmp_path):

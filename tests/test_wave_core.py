@@ -366,3 +366,36 @@ def test_boundary_response_matches_per_column_marches(Ny, k, T, mirrored):
     # built from x.T @ x blocks alone, with no symmetrizing pass
     assert np.array_equal(resp.H, resp.H.T)
     assert np.array_equal(resp.tail, S[:, N - 2 :, :])
+
+
+def test_boundary_response_lifts_subnormal_operands(monkeypatch):
+    """At Ny = 192 the unit responses decay ahead of their wave fronts into the
+    subnormal range.  The build scales them out of it before its products,
+    and H and the last levels stay those of the marched columns."""
+    mesh = Mesh.auto(DomainSpec(k=0.1, T=0.5), 192)
+    J, N = mesh.Ny, mesh.Nt
+    zeros_t, zeros_y = np.zeros(N + 1), np.zeros(J + 1)
+    # every column of a batched march equals its own march bit for bit
+    S = WaveOperator(mesh).march(np.eye(N + 1), zeros_t, zeros_y, zeros_y)
+    tiny = np.finfo(float).tiny
+
+    def subnormal(x):
+        return (x != 0.0) & (np.abs(x) < tiny)
+
+    weighted = np.sqrt(mesh.W)[:, :, None] * S
+    assert np.count_nonzero(subnormal(weighted)) > 10_000
+    subnormal_operands = []
+    matmul = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        subnormal_operands.append(int(np.count_nonzero(subnormal(a)) + np.count_nonzero(subnormal(b))))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    resp = WaveOperator(mesh).boundary_response()
+    monkeypatch.undo()
+    assert subnormal_operands and not any(subnormal_operands)
+    H = np.tensordot(weighted, weighted, axes=([0, 1], [0, 1]))
+    assert np.max(np.abs(resp.H - H)) <= 1e-12 * np.max(np.abs(H))
+    assert np.array_equal(resp.H, resp.H.T)
+    assert np.array_equal(resp.tail, S[:, N - 2 :, :])
