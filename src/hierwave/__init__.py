@@ -20,9 +20,7 @@ from .geometry import (
     SigmaPartition,
     alpha,
     check_admissible,
-    from_cylinder,
     min_control_time,
-    to_cylinder,
 )
 from .grid import (
     Field,
@@ -32,7 +30,6 @@ from .grid import (
     SpatialProfile,
     Trace,
     duality_pairing,
-    h10_norm_physical,
     hminus1_norm_physical,
     l2_norm_physical,
 )
@@ -53,8 +50,6 @@ from .coupled import (
     cost_J,
     cost_J2,
     euler_lagrange_residual,
-    solve_free_part,
-    solve_leader_part,
     solve_nash_system,
 )
 from .leader_dual import (
@@ -62,9 +57,6 @@ from .leader_dual import (
     DualPoint,
     DualReport,
     TargetSpec,
-    check_target_reached,
-    dual_functional,
-    dual_subgradient,
     duality_gap,
     minimize_dual,
     vi_residual,

@@ -138,7 +138,7 @@ def load_config(path) -> dict:
     try:
         with open(path) as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
         raise ConfigurationError(f"cannot read config {path}: {err}") from err
     if not isinstance(config, dict):
         raise ConfigurationError("config root must be a JSON object")

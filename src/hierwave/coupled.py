@@ -81,8 +81,6 @@ __all__ = [
     "NashSolution",
     "AdjointPair",
     "solve_nash_system",
-    "solve_free_part",
-    "solve_leader_part",
     "apply_A",
     "apply_A_star",
     "cost_J",
@@ -560,29 +558,6 @@ def solve_nash_system(w1: Trace, cfg: FollowerConfig) -> NashSolution:
     p = Field(eng.companion_field(lam), mesh)
     w2_trace = Trace(w2, cfg.partition.mask2, mesh)
     return NashSolution(u, p, w2_trace, residual)
-
-
-def solve_free_part(cfg: FollowerConfig, mesh: Mesh | None = None):
-    """Pair (u0, p0): the equilibrium with zero leader control, on the
-    tracked trajectory's mesh, or else on ``mesh``."""
-    if cfg.u_tilde2 is not None:
-        mesh = cfg.u_tilde2.mesh
-    elif mesh is None:
-        raise ConfigurationError("cannot infer the mesh: pass one explicitly")
-    zero = Trace.zeros(mesh, cfg.partition.mask1)
-    sol = solve_nash_system(zero, cfg)
-    return sol.u, sol.p
-
-
-def solve_leader_part(w1: Trace, cfg: FollowerConfig):
-    """Pair (g, q): the leader-linear part (tracked trajectory removed)."""
-    eng = get_engine(w1.mesh, cfg)
-    mesh = eng.mesh
-    w1v = _masked_values(w1, cfg.partition.mask1)
-    state, lam = eng.schur_pair(w1v, None)[:2]
-    g = Field(state, mesh).check_finite()
-    q = Field(eng.companion_field(lam), mesh)
-    return g, q
 
 
 def apply_A(w1: Trace, cfg: FollowerConfig):

@@ -20,8 +20,6 @@ __all__ = [
     "SigmaPartition",
     "AdmissibilityReport",
     "alpha",
-    "to_cylinder",
-    "from_cylinder",
     "min_control_time",
     "check_admissible",
 ]
@@ -75,26 +73,6 @@ def alpha(spec: DomainSpec, t):
         )
     out = 1.0 + spec.k * t
     return float(out) if out.ndim == 0 else out
-
-
-def to_cylinder(x, t, spec: DomainSpec):
-    """Map a physical position at time t to the reference coordinate y = x / alpha(t)."""
-    a = alpha(spec, t)
-    x = np.asarray(x, dtype=float)
-    tol = 1e-12 * np.maximum(1.0, a)
-    if np.any(x < -tol) or np.any(x > a + tol):
-        raise ConfigurationError(f"position {x} outside [0, {a}] at time {t}")
-    y = x / a
-    return float(y) if y.ndim == 0 else y
-
-
-def from_cylinder(y, t, spec: DomainSpec):
-    """Inverse of :func:`to_cylinder`: x = alpha(t) * y."""
-    y = np.asarray(y, dtype=float)
-    if np.any(y < -1e-12) or np.any(y > 1 + 1e-12):
-        raise ConfigurationError(f"reference coordinate {y} outside [0, 1]")
-    x = alpha(spec, t) * y
-    return float(x) if x.ndim == 0 else x
 
 
 def min_control_time(k: float) -> float:

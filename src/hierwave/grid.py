@@ -2,11 +2,12 @@
 
 All fields are stored on the unit cylinder (0,1) x (0,T); every inner
 product re-applies the Jacobian dx = alpha(t) dy so that norms agree with
-the physical expanding domain.  The negative-order norm is realized through
-a discrete Dirichlet Poisson solve, tridiag(-1, 2, -1) / hx^2, which also
-gives the Riesz lift.  The leader's dual takes its geometry from the
-Cholesky factor R0 of K = tridiag(-1, 2, -1) / hx, built from the same
-stencil in ``leader_dual._DualModel._build_gram``.
+the physical expanding domain.  The negative-order norm, in which the
+leader checks how far its final velocity lies from the target, is realized
+through a discrete Dirichlet Poisson solve, tridiag(-1, 2, -1) / hx^2.  The
+leader's dual takes its geometry from the Cholesky factor R0 of K =
+tridiag(-1, 2, -1) / hx, built from the same stencil in
+``leader_dual._DualModel._build_gram``.
 
 Every output file is written here: CSVs by the ``save_*_csv`` functions,
 :func:`save_table_csv` for tables of rows, and JSON documents by :func:`save_json`.
@@ -34,7 +35,6 @@ __all__ = [
     "Trace",
     "trapezoid_weights",
     "l2_norm_physical",
-    "h10_norm_physical",
     "hminus1_norm_physical",
     "duality_pairing",
     "PoissonRiesz",
@@ -275,19 +275,6 @@ def l2_norm_physical(f: SpatialProfile) -> float:
     return float(np.sqrt(f.alpha * np.sum(f.mesh.wy * f.values**2)))
 
 
-def h10_norm_physical(f: SpatialProfile) -> float:
-    """First-difference energy norm, equal to the integral of f_x^2 in x.
-
-    Requires Dirichlet-compatible endpoint values (both zero).
-    """
-    scale = np.max(np.abs(f.values)) if f.values.size else 0.0
-    if abs(f.values[0]) > 1e-10 * max(1.0, scale) or abs(f.values[-1]) > 1e-10 * max(1.0, scale):
-        raise ConfigurationError("h10 norm requires zero endpoint values")
-    hx = f.alpha * f.mesh.dy
-    d = np.diff(f.values)
-    return float(np.sqrt(np.sum(d * d) / hx))
-
-
 def duality_pairing(f: SpatialProfile, g: SpatialProfile) -> float:
     """Physical-coordinate trapezoid of f * g on (0, alpha(t)): the L2 inner
     product, and the pairing of a rough f against g with zero ends."""
@@ -295,18 +282,14 @@ def duality_pairing(f: SpatialProfile, g: SpatialProfile) -> float:
     return float(f.alpha * np.sum(f.mesh.wy * f.values * g.values))
 
 
-# one rule, two names: the name says which pairing a caller means
-l2_inner_physical = duality_pairing
-
-
 class PoissonRiesz:
-    """Dirichlet Poisson solve on (0, alpha(t)); the single source of the
-    negative-norm geometry.
+    """Dirichlet Poisson solve on (0, alpha(t)), behind :func:`hminus1_norm_physical`.
 
-    solve(f) returns v with -v_xx = f and v = 0 at both ends; the pairing
-    of f against any zero-ended g then equals the first-difference inner
-    product of v and g exactly, which is what keeps descent directions and
-    norms consistent downstream.
+    solve_values(f) returns v with -v_xx = f and v = 0 at both ends; the
+    pairing of f against any zero-ended g then equals the first-difference
+    inner product of v and g exactly, so the H^-1 norm of f is the H^1_0
+    norm of v.  The leader checks the distance of the final velocity to
+    its target with this norm, independently of the dual's factor R0.
     """
 
     def __init__(self, mesh: Mesh, time: float):
@@ -333,16 +316,8 @@ class PoissonRiesz:
         v[1:-1] = scipy.linalg.lapack.dgtsv(*self._diagonals, b)[3]
         return v
 
-    def solve(self, f: SpatialProfile) -> SpatialProfile:
-        return f.with_values(self.solve_values(f.values))
-
     def pairing_values(self, f_values: np.ndarray, g_values: np.ndarray) -> float:
         return float(self.hx * np.sum(f_values[1:-1] * g_values[1:-1]))
-
-    def h10_values(self, g_values: np.ndarray):
-        """First-difference norm of nodal values; row-wise over a 2-D block."""
-        d = np.diff(g_values, axis=-1)
-        return np.sqrt(np.sum(d * d, axis=-1) / self.hx)
 
     def hminus1_values(self, f_values: np.ndarray) -> float:
         v = self.solve_values(f_values)

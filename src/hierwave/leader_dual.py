@@ -67,11 +67,8 @@ __all__ = [
     "DualPoint",
     "DualOptions",
     "DualReport",
-    "dual_functional",
-    "dual_subgradient",
     "minimize_dual",
     "vi_residual",
-    "check_target_reached",
     "duality_gap",
 ]
 
@@ -375,31 +372,7 @@ def _certificates(model: _DualModel, points: list[_Point], counts: list[int], rn
 # public operations
 # ---------------------------------------------------------------------------
 
-def dual_functional(f: DualPoint, targets: TargetSpec, cfg: FollowerConfig) -> float:
-    """Value of the dual objective at ``f``."""
-    model = _DualModel(targets.mesh, cfg, targets)
-    return model.value(model.at(model.whiten(f)))
-
-
-def dual_subgradient(f: DualPoint, targets: TargetSpec, cfg: FollowerConfig) -> DualPoint:
-    """An element of the subdifferential, lifted into the (H, L2) geometry.
-
-    At points where a norm vanishes the corresponding shrinkage direction is
-    taken as zero (a valid subgradient choice).  The gradient in z, mapped
-    back by R^-1, is the lifted one: B^-1 R^T = R^-1.
-    """
-    model = _DualModel(targets.mesh, cfg, targets)
-    point = model.at(model.whiten(f))
-    grad = point.V.copy()
-    nh, nl = point.norms
-    if nh > 0.0:
-        grad[: model.n0] += targets.rho1 * point.z[: model.n0] / nh
-    if nl > 0.0:
-        grad[model.n0 :] += targets.rho0 * point.z[model.n0 :] / nl
-    return model.unwhiten(grad)
-
-
-def check_target_reached(u_T: SpatialProfile, ut_T: SpatialProfile, targets: TargetSpec):
+def _check_target_reached(u_T: SpatialProfile, ut_T: SpatialProfile, targets: TargetSpec):
     """Distances to the two targets and closed-ball membership flags."""
     from .grid import l2_norm_physical, hminus1_norm_physical
 
@@ -423,19 +396,21 @@ def vi_residual(
     the dual minimizer the result is nonnegative up to solver tolerance,
     and a markedly negative value witnesses non-optimality.
     """
+    if sample_count < 1:
+        raise ConfigurationError(f"sample_count must be at least 1, got {sample_count!r}")
     model = _DualModel(targets.mesh, cfg, targets)
     point = model.at(model.whiten(f))
     return float(_certificates(model, [point], [sample_count], [np.random.default_rng(seed)])[0])
 
 
 def _reached(model: _DualModel, w1: Trace) -> tuple[float, float, bool, bool]:
-    """:func:`check_target_reached` on the final state that ``w1`` reaches,
+    """:func:`_check_target_reached` on the final state that ``w1`` reaches,
     from one honest application of the reach operator."""
     c1, c2 = apply_A(w1, model.cfg)
     mesh, T = model.mesh, model.mesh.domain.T
     u_T = SpatialProfile(model.u0T - c2.values, T, mesh)
     ut_T = SpatialProfile(model.u0pT + c1.values, T, mesh)
-    return check_target_reached(u_T, ut_T, model.targets)
+    return _check_target_reached(u_T, ut_T, model.targets)
 
 
 def duality_gap(

@@ -33,7 +33,6 @@ from .grid import (
     SpatialProfile,
     Trace,
     duality_pairing,
-    l2_inner_physical,
 )
 from .coupled import FollowerConfig, apply_A, apply_A_star, get_engine, solve_nash_system
 from .wave_core import WaveProblem, solve_forward
@@ -142,7 +141,7 @@ def transpose_check(mesh: Mesh, cfg: FollowerConfig, trials: int = 20, seed: int
         f0 = SpatialProfile(f0v, T, mesh)
         f1 = SpatialProfile(rng.standard_normal(mesh.Ny + 1), T, mesh)
         c1, c2 = apply_A(w1, cfg)
-        lhs = duality_pairing(c1, f0) + l2_inner_physical(c2, f1)
+        lhs = duality_pairing(c1, f0) + duality_pairing(c2, f1)
         pair = apply_A_star(f0, f1, cfg)
         rhs = float(np.sum(mesh.tau * mask1 * pair.leader_trace.values * w1.values))
         denom = abs(lhs) + abs(rhs) + 1e-300

@@ -731,8 +731,9 @@ def solve_forward(problem: WaveProblem) -> Field:
     return Field(vals, mesh).check_finite()
 
 
-def trace_normal_derivative(field: Field, side: str = "y=0", mask: np.ndarray | None = None) -> Trace:
-    """u_x on one lateral boundary: one-sided 3-point difference over 1/alpha."""
+def trace_normal_derivative(field: Field, side: str = "y=0") -> Trace:
+    """u_x on one lateral boundary at every time level: one-sided 3-point
+    difference over 1/alpha."""
     mesh = field.mesh
     v = field.values
     a = mesh.alphas
@@ -742,9 +743,7 @@ def trace_normal_derivative(field: Field, side: str = "y=0", mask: np.ndarray | 
         deriv = (3.0 * v[-1, :] - 4.0 * v[-2, :] + v[-3, :]) / (2.0 * mesh.dy * a)
     else:
         raise ConfigurationError("side must be 'y=0' or 'y=1'")
-    if mask is None:
-        mask = np.ones(mesh.Nt + 1, dtype=bool)
-    return Trace(deriv, mask, mesh, side)
+    return Trace(deriv, np.ones(mesh.Nt + 1, dtype=bool), mesh, side)
 
 
 def final_value_profile(field: Field) -> SpatialProfile:

@@ -19,7 +19,6 @@ from hierwave.grid import (
     Trace,
     duality_pairing,
     hminus1_norm_physical,
-    l2_inner_physical,
     l2_norm_physical,
     trapezoid_weights,
 )
@@ -31,7 +30,6 @@ from hierwave.coupled import (
     cost_J2,
     euler_lagrange_residual,
     get_engine,
-    solve_free_part,
     solve_nash_system,
 )
 from hierwave.wave_core import final_value_profile, final_velocity_profile
@@ -207,7 +205,7 @@ def test_criterion_6_discretization_order():
 def test_criterion_7_zero_control_optimality(acc):
     mesh, cfg, _, _, _ = acc
     with Timer(120.0) as tm:
-        u0, _ = solve_free_part(cfg, mesh)
+        u0 = solve_nash_system(Trace.zeros(mesh, cfg.partition.mask1), cfg).u
         targets = TargetSpec(
             final_value_profile(u0), final_velocity_profile(u0), 0.05, 0.05
         )

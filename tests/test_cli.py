@@ -115,6 +115,13 @@ def test_missing_config_exits_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 2
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"domain": "\xff"}')
+    assert main(["nash", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_nash_zero_leader(tmp_path):
     cfg = base_config(leader={"family": "constant", "value": 0.0})
     out = tmp_path / "nash"
@@ -1210,6 +1217,42 @@ def test_every_exported_name_resolves(module):
 
     mod = importlib.import_module(f"hierwave.{module}")
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_every_exported_name_has_a_production_caller():
+    """Each name in a module's ``__all__`` or imported by ``hierwave/__init__.py``
+    is used by the library, a script or the benchmark; a name only the tests
+    use belongs under ``tests/``.
+
+    A use is a name or attribute read anywhere in ``src/hierwave``,
+    ``scripts/`` or ``bench/`` (a ``def``, an ``__all__`` entry or an import
+    does not count), or a component of a path that ``bench/tracing.py``
+    wraps: its ``TARGETS`` and ``COUNTED``, read with ``ast``.
+    """
+    import ast
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "hierwave"
+    exported = set()
+    used = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                exported.update(ast.literal_eval(node.value))
+            elif isinstance(node, ast.ImportFrom) and path.name == "__init__.py":
+                exported.update(alias.name for alias in node.names)
+    for path in [*package.glob("*.py"), *(root / "scripts").glob("*.py"), *(root / "bench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Assign) and path.name == "tracing.py" and any(
+                getattr(t, "id", None) in ("TARGETS", "COUNTED") for t in node.targets
+            ):
+                used.update(part for entry in ast.literal_eval(node.value) for part in entry[1].split("."))
+    assert sorted(exported - used) == []
 
 
 def test_production_runs_load_no_sparse_module(tmp_path):

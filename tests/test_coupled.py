@@ -13,7 +13,6 @@ from hierwave.grid import (
     SpatialProfile,
     Trace,
     duality_pairing,
-    l2_inner_physical,
     trapezoid_weights,
 )
 from hierwave import coupled
@@ -27,8 +26,6 @@ from hierwave.coupled import (
     cost_J2,
     euler_lagrange_residual,
     get_engine,
-    solve_free_part,
-    solve_leader_part,
     solve_nash_system,
 )
 from hierwave.verify import monolithic_solve
@@ -112,18 +109,19 @@ def test_linearity_in_data(mesh41, overlap41):
 
 def test_decomposition_identity(mesh41, cfg41, w1_smooth):
     nash = solve_nash_system(w1_smooth, cfg41)
-    u0, p0 = solve_free_part(cfg41, mesh41)
-    g, q = solve_leader_part(w1_smooth, cfg41)
+    free = solve_nash_system(Trace.zeros(mesh41, cfg41.partition.mask1), cfg41)
+    # the leader-linear part: the same system with the tracked trajectory removed
+    lead = solve_nash_system(w1_smooth, FollowerConfig(cfg41.sigma, cfg41.partition))
     scale = np.max(np.abs(nash.u.values)) + 1.0
-    assert np.max(np.abs(nash.u.values - u0.values - g.values)) < 1e-9 * scale
-    assert np.max(np.abs(nash.p.values - p0.values - q.values)) < 1e-9 * scale
+    assert np.max(np.abs(nash.u.values - free.u.values - lead.u.values)) < 1e-9 * scale
+    assert np.max(np.abs(nash.p.values - free.p.values - lead.p.values)) < 1e-9 * scale
 
 
 def test_free_part_zero_without_tracking(mesh41, overlap41):
     cfg = FollowerConfig(sigma=1.0, partition=overlap41)
-    u0, p0 = solve_free_part(cfg, mesh41)
-    assert np.all(u0.values == 0.0)
-    assert np.all(p0.values == 0.0)
+    free = solve_nash_system(Trace.zeros(mesh41, cfg.partition.mask1), cfg)
+    assert np.all(free.u.values == 0.0)
+    assert np.all(free.p.values == 0.0)
 
 
 def test_nash_boundary_condition(mesh41, cfg41, w1_smooth):
@@ -252,7 +250,7 @@ def _transpose_worst(mesh, cfg, trials, solve=reach, seed=42):
     tau = trapezoid_weights(mesh.Nt + 1, mesh.dt)
     worst = 0.0
     for (w1, f0, f1), (c1, c2, trace) in zip(draws, solve(draws, cfg)):
-        lhs = duality_pairing(c1, f0) + l2_inner_physical(c2, f1)
+        lhs = duality_pairing(c1, f0) + duality_pairing(c2, f1)
         rhs = float(np.sum(tau * cfg.partition.mask1 * trace * w1.values))
         worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300))
     return worst

@@ -10,9 +10,7 @@ from hierwave.geometry import (
     SigmaPartition,
     alpha,
     check_admissible,
-    from_cylinder,
     min_control_time,
-    to_cylinder,
 )
 
 # frozen oracle values: high-precision evaluation of the closed form
@@ -45,30 +43,6 @@ def test_alpha_affine(k, t1, t2):
     lhs = alpha(spec, t1) + alpha(spec, t2)
     rhs = alpha(spec, t1 + t2) + 1.0
     assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_cylinder_examples():
-    spec = DomainSpec(k=0.1, T=4.0)
-    assert to_cylinder(0.6, 2.0, spec) == pytest.approx(0.5, abs=1e-15)
-    assert to_cylinder(0.0, 1.3, spec) == 0.0
-    assert to_cylinder(alpha(spec, 3.0), 3.0, spec) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_cylinder_roundtrip():
-    spec = DomainSpec(k=0.37, T=5.0)
-    rng = np.random.default_rng(11)
-    t = rng.uniform(0.0, spec.T, size=1000)
-    x = rng.uniform(0.0, 1.0, size=1000) * alpha(spec, t)
-    back = from_cylinder(to_cylinder(x, t, spec), t, spec)
-    assert np.max(np.abs(back - x)) < 1e-14
-
-
-def test_cylinder_domain_errors():
-    spec = DomainSpec(k=0.1, T=4.0)
-    with pytest.raises(ConfigurationError):
-        to_cylinder(1.5, 0.0, spec)
-    with pytest.raises(ConfigurationError):
-        from_cylinder(1.2, 0.0, spec)
 
 
 def test_min_control_time_values():

@@ -12,7 +12,6 @@ from hierwave.grid import (
     SpatialProfile,
     Trace,
     duality_pairing,
-    h10_norm_physical,
     l2_norm_physical,
     hminus1_norm_physical,
 )
@@ -21,7 +20,6 @@ from hierwave.coupled import (
     apply_A,
     apply_A_star,
     cost_J,
-    solve_free_part,
     solve_nash_system,
 )
 from hierwave.wave_core import extract_terminal, final_value_profile, final_velocity_profile
@@ -31,16 +29,15 @@ from hierwave.leader_dual import (
     DualPoint,
     _DualModel,
     _certificates,
+    _check_target_reached,
     _comparison_points,
     _secular_newton,
     TargetSpec,
-    check_target_reached,
-    dual_functional,
-    dual_subgradient,
     duality_gap,
     minimize_dual,
     vi_residual,
 )
+from references import dual_functional, dual_subgradient, h10_norm_physical
 
 
 @pytest.fixture(scope="module")
@@ -77,9 +74,7 @@ def h_inner(a: DualPoint, b: DualPoint) -> float:
     """The geometry the dual iteration runs in."""
     pr = PoissonRiesz(a.f0.mesh, a.f0.mesh.domain.T)
     e = float(np.sum(np.diff(a.f0.values) * np.diff(b.f0.values)) / pr.hx)
-    from hierwave.grid import l2_inner_physical
-
-    return e + l2_inner_physical(a.f1, b.f1)
+    return e + duality_pairing(a.f1, b.f1)
 
 
 def test_dual_functional_zero(small_setup):
@@ -93,7 +88,6 @@ def test_dual_functional_rho_homogeneity(small_setup):
     mesh, cfg, _, targets = small_setup
     rng = np.random.default_rng(0)
     f = rand_dual_point(mesh, rng)
-    from hierwave.grid import h10_norm_physical
 
     def rho_part(point):
         return targets.rho1 * h10_norm_physical(point.f0) + targets.rho0 * l2_norm_physical(
@@ -131,7 +125,7 @@ def test_subgradient_finite_difference(small_setup):
 
 def test_subgradient_zero_at_origin_with_free_targets(small_setup):
     mesh, cfg, _, _ = small_setup
-    u0, _ = solve_free_part(cfg, mesh)
+    u0 = solve_nash_system(Trace.zeros(mesh, cfg.partition.mask1), cfg).u
     free_targets = TargetSpec(
         final_value_profile(u0), final_velocity_profile(u0), 0.1, 0.1
     )
@@ -148,8 +142,6 @@ def test_smooth_gradient_scales_linearly(small_setup):
     c = 3.0
     gc = dual_subgradient(DualPoint(c * f.f0, c * f.f1), targets, cfg)
     # remove the scale-invariant shrinkage directions, leaving the affine part
-    from hierwave.grid import h10_norm_physical
-
     def shrink_dir(point):
         nh = h10_norm_physical(point.f0)
         nl = l2_norm_physical(point.f1)
@@ -172,7 +164,7 @@ def test_smooth_gradient_scales_linearly(small_setup):
 
 def test_minimize_trivial_zero_control(small_setup):
     mesh, cfg, _, _ = small_setup
-    u0, _ = solve_free_part(cfg, mesh)
+    u0 = solve_nash_system(Trace.zeros(mesh, cfg.partition.mask1), cfg).u
     targets = TargetSpec(final_value_profile(u0), final_velocity_profile(u0), 0.1, 0.1)
     f_star, w1_star, rep = minimize_dual(targets, cfg)
     assert w1_star.norm() <= 1e-8
@@ -203,22 +195,30 @@ def test_vi_residual_detects_perturbation(small_setup):
     assert vi_residual(f_bad, targets, cfg, sample_count=100, seed=5) < -1e-3
 
 
+@pytest.mark.parametrize("count", [0, -5])
+def test_vi_residual_refuses_no_comparison_point(small_setup, count):
+    """With no comparison point the certificate would read 0.0, which passes."""
+    mesh, cfg, _, targets = small_setup
+    with pytest.raises(ConfigurationError, match="sample_count"):
+        vi_residual(DualPoint.zeros(mesh), targets, cfg, sample_count=count)
+
+
 def test_check_target_reached_examples(small_setup):
     mesh, _, _, targets = small_setup
-    d0, d1, r0, r1 = check_target_reached(targets.u_target0, targets.u_target1, targets)
+    d0, d1, r0, r1 = _check_target_reached(targets.u_target0, targets.u_target1, targets)
     assert (d0, d1) == (0.0, 0.0) and r0 and r1
     # a point exactly on the sphere counts as inside (closed ball)
     unit = SpatialProfile(np.ones(mesh.Ny + 1), mesh.domain.T, mesh)
     unit = (1.0 / l2_norm_physical(unit)) * unit
     shifted = targets.u_target0 + targets.rho0 * unit
-    d0, _, r0, _ = check_target_reached(shifted, targets.u_target1, targets)
+    d0, _, r0, _ = _check_target_reached(shifted, targets.u_target1, targets)
     assert d0 == pytest.approx(targets.rho0, rel=1e-12)
     assert r0
 
 
 def test_duality_gap_trivial_and_manufactured(small_setup):
     mesh, cfg, _, targets = small_setup
-    u0, _ = solve_free_part(cfg, mesh)
+    u0 = solve_nash_system(Trace.zeros(mesh, cfg.partition.mask1), cfg).u
     free_targets = TargetSpec(final_value_profile(u0), final_velocity_profile(u0), 0.1, 0.1)
     zero_w = Trace(np.zeros(mesh.Nt + 1), cfg.partition.mask1, mesh)
     assert duality_gap(zero_w, DualPoint.zeros(mesh), free_targets, cfg) == 0.0
@@ -291,7 +291,7 @@ def test_ball_slack_zero_control(small_setup):
     """When the free trajectory already sits strictly inside both balls the
     zero control is optimal and the iteration never leaves the origin."""
     mesh, cfg, _, _ = small_setup
-    u0, _ = solve_free_part(cfg, mesh)
+    u0 = solve_nash_system(Trace.zeros(mesh, cfg.partition.mask1), cfg).u
     u_T = final_value_profile(u0)
     ut_T = final_velocity_profile(u0)
     rng = np.random.default_rng(44)
@@ -303,7 +303,7 @@ def test_ball_slack_zero_control(small_setup):
         rho0=0.5,
         rho1=0.5,
     )
-    d0, d1, r0, r1 = check_target_reached(u_T, ut_T, shifted)
+    d0, d1, r0, r1 = _check_target_reached(u_T, ut_T, shifted)
     assert r0 and r1 and d0 < 0.5 * shifted.rho0 and d1 < 0.5 * shifted.rho1
     _, w1_star, rep = minimize_dual(shifted, cfg)
     assert w1_star.norm() <= 1e-8
@@ -327,7 +327,7 @@ def test_minimize_with_delta_outer_loop(small_setup):
     ut_T = SpatialProfile(c1, T, mesh)
     assert np.allclose(u_T.values, final_value_profile(u).values)
     assert np.allclose(ut_T.values, final_velocity_profile(u).values)
-    _, _, r0, r1 = check_target_reached(u_T, ut_T, targets)
+    _, _, r0, r1 = _check_target_reached(u_T, ut_T, targets)
     assert (r0, r1) == (True, True)
 
 
@@ -531,7 +531,7 @@ def test_dual_matches_the_f_coordinate_values(small_setup):
     agree with the ones built in f from the honest adjoint trace, the
     physical norms and the Poisson lift."""
     mesh, cfg, _, targets = small_setup
-    u0, _ = solve_free_part(cfg, mesh)
+    u0 = solve_nash_system(Trace.zeros(mesh, cfg.partition.mask1), cfg).u
     b0 = targets.u_target1 - final_velocity_profile(u0)
     e1 = targets.u_target0 - final_value_profile(u0)
     pr = PoissonRiesz(mesh, mesh.domain.T)
@@ -548,7 +548,8 @@ def test_dual_matches_the_f_coordinate_values(small_setup):
         # one honest application of the reach operator, with f; the Poisson
         # solve lifts the velocity block into H^1_0
         c1, c2 = apply_A(w1, cfg)
-        g0 = pr.solve(c1 - b0) + (targets.rho1 / nh) * f.f0
+        misfit = c1 - b0
+        g0 = misfit.with_values(pr.solve_values(misfit.values)) + (targets.rho1 / nh) * f.f0
         g1 = c2 + e1 + (targets.rho0 / nl) * f.f1
         got = dual_subgradient(f, targets, cfg)
         scale = max(np.max(np.abs(g0.values)), np.max(np.abs(g1.values)))

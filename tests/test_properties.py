@@ -23,9 +23,10 @@ from hierwave.coupled import (
 )
 from hierwave.geometry import DomainSpec, SigmaPartition, min_control_time
 from hierwave.grid import Field, Mesh, SpatialProfile, Trace
-from hierwave.leader_dual import TargetSpec, dual_functional, minimize_dual
+from hierwave.leader_dual import TargetSpec, minimize_dual
 from hierwave.verify import monolithic_solve
 from hierwave.wave_core import WaveOperator
+from references import dual_functional
 
 # T is drawn from [T0, T0 + 2] with T0 = min(T*(k), T_CAP): T*(k) passes 6
 # near k = 0.17 and is 444 at k = 0.4, where a grid would need 10^4 steps.

@@ -12,7 +12,6 @@ from hierwave.grid import (
     SpatialProfile,
     Trace,
     duality_pairing,
-    l2_inner_physical,
     save_json,
     trapezoid_weights,
 )
@@ -192,7 +191,7 @@ def test_transpose_check_zero_control(setup41):
     f0 = SpatialProfile(f0v, mesh.domain.T, mesh)
     f1 = SpatialProfile(rng.standard_normal(mesh.Ny + 1), mesh.domain.T, mesh)
     c1, c2 = apply_A(zero, cfg)
-    lhs = duality_pairing(c1, f0) + l2_inner_physical(c2, f1)
+    lhs = duality_pairing(c1, f0) + duality_pairing(c2, f1)
     pair = apply_A_star(f0, f1, cfg)
     tau = trapezoid_weights(mesh.Nt + 1, mesh.dt)
     rhs = float(np.sum(tau * pair.leader_trace.values * zero.values))
