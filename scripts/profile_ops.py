@@ -13,8 +13,7 @@ every pass:
                                  step per iterate
     leader_dual.certificate      the sampled certificates of the history rows
                                  and of the answer, in one batch
-                                 (_certificates; in a checkout that still
-                                 samples each point by itself, _certificate)
+                                 (_certificates)
     leader_dual._DualModel       the dual model's set-up (_DualModel.__init__):
                                  the kept whitened Gram and factor, the free
                                  state's final pair, and the data term
@@ -23,9 +22,7 @@ every pass:
     coupled.free_terminal        CoupledEngine.free_terminal, the free state's
                                  final pair
     coupled.follower_trace       CoupledEngine.follower_trace, the follower's
-                                 reduced solve (in a checkout that factors
-                                 the follower system per engine, a cold
-                                 engine's Cholesky factorization too)
+                                 reduced solve
     wave_core.WaveOperator.boundary_response  the lookup of H = S^T W S and
                                  the last levels of S kept by the mesh's
                                  operator, which builds them on a miss: the
@@ -60,19 +57,18 @@ every pass:
 Stages nest: free_terminal inside the model's set-up, follower_spectrum
 inside follower_trace, boundary_response (the H build on a miss) inside
 whichever of free_terminal, follower_trace and follower_spectrum asks
-first, solve_values inside the distance check (and, in a checkout whose Newton solve lifts gradients
-by Poisson solves, inside that solve too, as _certificate is), solve_adjoint (the tracked row) inside free_terminal,
-sample_responses inside euler_lagrange_residual, and march inside
-sample_responses only on a miss.
+first, solve_values inside the distance check, solve_adjoint (the tracked
+row) inside free_terminal, sample_responses inside
+euler_lagrange_residual, and march inside sample_responses only on a miss.
 Each stage reports the median over passes of its time per pass, of its
 share of the pass's op time, and of its calls per pass; a stage whose
 function the checkout lacks reads zero.  ``op_s_p50`` is the median warm
 op's wall time.  ``cold`` holds the first pass, which fills the caches:
 its wall time and each stage's time and calls, so that work done once per
 mesh, such as the follower factorization, shows.  ``peak_rss_mb`` is the
-process's peak resident set (``ru_maxrss``) at the end, plan included.  Wall times follow the host's speed, which can drift by
-tens of percent between runs on a shared machine; the shares drift far
-less.
+process's peak resident set (``ru_maxrss``) at the end, plan included.
+Wall times follow the host's speed, which can drift by tens of percent
+between runs on a shared machine; the shares drift far less.
 The result is written as ``BENCH_<tag>.json`` in ``--out``.
 
 Each checkout imports its own ``src``, so two commits compare on one host
@@ -113,9 +109,7 @@ from plan import build_plan  # noqa: E402
 # stage name -> (module, attribute path) of every function it times
 STAGES = {
     "leader_dual._secular_newton": [("hierwave.leader_dual", "_secular_newton")],
-    "leader_dual.certificate": [
-        ("hierwave.leader_dual", name) for name in ("_certificates", "_certificate")
-    ],
+    "leader_dual.certificate": [("hierwave.leader_dual", "_certificates")],
     "leader_dual._DualModel": [("hierwave.leader_dual", "_DualModel.__init__")],
     "leader_dual._reached": [("hierwave.leader_dual", "_reached")],
     "coupled.free_terminal": [("hierwave.coupled", "CoupledEngine.free_terminal")],

@@ -34,7 +34,6 @@ from .grid import (
     l2_norm_physical,
 )
 from .wave_core import (
-    WaveProblem,
     final_value_profile,
     final_velocity_profile,
     solve_forward,

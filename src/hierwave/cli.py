@@ -53,7 +53,6 @@ from .grid import (
     hminus1_norm_physical,
 )
 from .wave_core import (
-    WaveProblem,
     final_value_profile,
     final_velocity_profile,
     solve_forward,
@@ -235,17 +234,24 @@ def eval_profile(spec: dict, xi: np.ndarray, at: str) -> np.ndarray:
     """The checked analytic profile ``spec`` on the normalized coordinate xi
     in [0, 1]; ``at`` is its dotted path in the config, which messages name."""
     fam = spec["family"]
-    if fam == "sine":
-        return spec["amplitude"] * np.sin(np.pi * spec["frequency"] * xi + spec["phase"])
-    if fam == "gaussian":
-        if spec["width"] <= 0:
-            raise ConfigurationError(f"{at}.width of a gaussian must be positive")
-        return spec["amplitude"] * np.exp(-0.5 * ((xi - spec["center"]) / spec["width"]) ** 2)
-    if fam == "polynomial":
-        if not spec["coefficients"]:
-            raise ConfigurationError(f"{at}.coefficients of a polynomial profile must not be empty")
-        return np.polynomial.polynomial.polyval(xi, np.asarray(spec["coefficients"]))
-    return np.full_like(xi, spec["value"])
+    # a gaussian far narrower than the grid squares past the float range, where
+    # its limit, 0, is exact; any value left past that range is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if fam == "sine":
+            values = spec["amplitude"] * np.sin(np.pi * spec["frequency"] * xi + spec["phase"])
+        elif fam == "gaussian":
+            if spec["width"] <= 0:
+                raise ConfigurationError(f"{at}.width of a gaussian must be positive")
+            values = spec["amplitude"] * np.exp(-0.5 * ((xi - spec["center"]) / spec["width"]) ** 2)
+        elif fam == "polynomial":
+            if not spec["coefficients"]:
+                raise ConfigurationError(f"{at}.coefficients of a polynomial profile must not be empty")
+            values = np.polynomial.polynomial.polyval(xi, np.asarray(spec["coefficients"]))
+        else:
+            values = np.full_like(xi, spec["value"])
+    if not np.all(np.isfinite(values)):
+        raise ConfigurationError(f"{at}: a value on the grid is past the float range")
+    return values
 
 
 class RunSetup:
@@ -299,7 +305,11 @@ class RunSetup:
             return load_field_csv(spec["csv"], self.mesh)
         space = eval_profile(spec["space"], self.mesh.y, "follower.u_tilde2.space")
         time = eval_profile(spec["time"], self.mesh.times / self.domain.T, "follower.u_tilde2.time")
-        return Field(np.outer(space, time), self.mesh)
+        with np.errstate(over="ignore"):
+            values = np.outer(space, time)
+        if not np.all(np.isfinite(values)):
+            raise ConfigurationError("follower.u_tilde2: a value on the grid is past the float range")
+        return Field(values, self.mesh)
 
     def build_time_trace(self, spec: dict, mask, where: str) -> Trace:
         """The trace of the config key ``where``, which holds the checked ``spec``."""
@@ -366,9 +376,8 @@ def cmd_simulate(config: dict, out_dir: Path) -> int:
     setup = RunSetup(config)
     header = setup.header()
     control = setup.build_time_trace(_needs(setup.config, "control"), np.ones(setup.mesh.Nt + 1, dtype=bool), "control")
-    problem = WaveProblem(bc0=control)
-    field = solve_forward(problem)
-    observation = trace_normal_derivative(field, side="y=0")
+    field = solve_forward(control)
+    observation = trace_normal_derivative(field)
     summary = _finite(
         {"header": header, "command": "simulate", "field_max_abs": float(np.max(np.abs(field.values)))},
         "summary.json",
@@ -389,7 +398,7 @@ def cmd_nash(config: dict, out_dir: Path) -> int:
         Trace(rng.standard_normal(setup.mesh.Nt + 1), setup.partition.mask2, setup.mesh)
         for _ in range(8)
     ]
-    el_samples = euler_lagrange_residual(sol, w1, setup.follower, directions)
+    el_samples = euler_lagrange_residual(sol, setup.follower, directions)
     # a cost past the float range is inf, which _finite reports
     with np.errstate(over="ignore"):
         J2, J = cost_J2(sol.u, sol.w2, setup.follower), cost_J(w1)

@@ -15,8 +15,8 @@ Systems provided (all with zero initial data for the state):
 
 * equilibrium pair (u, p): state driven by both controls, companion driven
   by the tracking misfit; the follower trace is recovered from p.
-* free pair (u0, p0): the part independent of the leader.
-* leader pair (g, q): the part linear in the leader control.
+* free pair (u0, p0) and leader pair (g, q): the same system with a zero
+  leader control, or with no tracked trajectory.
 * adjoint pair (phi, psi): the transposed coupled system behind the reach
   operator's adjoint.
 
@@ -203,11 +203,7 @@ class CoupledEngine:
     # -- elementary solves ---------------------------------------------------
 
     def state_solve(self, bc_values: np.ndarray) -> np.ndarray:
-        """Forward march with Dirichlet data at the fixed endpoint, zero initial data.
-
-        ``bc_values`` of shape (N+1, m) marches m boundary data at once and
-        gives fields of shape (J+1, N+1, m).
-        """
+        """Forward march with Dirichlet data at the fixed endpoint, zero initial data."""
         return self.op.march(bc_values, self._zeros_t, self._zeros_full, self._zeros_full)
 
     def normal_trace(self, lam: np.ndarray) -> np.ndarray:
@@ -620,14 +616,13 @@ def cost_J(w1: Trace) -> float:
 
 
 def euler_lagrange_residual(
-    sol: NashSolution, w1: Trace, cfg: FollowerConfig, what2: Trace | Sequence[Trace]
-) -> float | np.ndarray:
-    """First-variation of the follower cost at ``sol`` in the direction ``what2``.
+    sol: NashSolution, cfg: FollowerConfig, directions: Sequence[Trace]
+) -> np.ndarray:
+    """First variation of the follower cost at ``sol``, one per direction.
 
-    Zero (to solver tolerance) exactly when ``sol`` is the equilibrium.  A
-    sequence of directions is answered with one residual per direction.
-    Their state responses come from one batched forward march of the
-    directions, independent of the companion sweep that closed the
+    Each is zero (to solver tolerance) exactly when ``sol`` is the
+    equilibrium.  The directions' state responses come from one batched
+    forward march, independent of the companion sweep that closed the
     equilibrium; the mesh's operator keeps those of the last directions
     (:meth:`~hierwave.wave_core.WaveOperator.sample_responses`), so a
     repeated sample runs no march.
@@ -636,13 +631,10 @@ def euler_lagrange_residual(
     eng = get_engine(mesh, cfg)
     utilde = _utilde_values(cfg, mesh)
     misfit = sol.u.values if utilde is None else sol.u.values - utilde
-    batched = not isinstance(what2, Trace)
-    directions = what2 if batched else [what2]
     # the directions masked to the follower's nodes, one per column
     hat_vals = np.stack([_masked_values(d, cfg.partition.mask2) for d in directions], axis=1)
     # time-major levels (n, j, m), read flattened as (n j, m) by one product
     u_hat = eng.op.sample_responses(hat_vals)
     term1 = (eng.W * misfit).T.ravel() @ u_hat.reshape(-1, u_hat.shape[2])
     term2 = cfg.sigma * ((eng.tau * eng.chi2 * sol.w2.values) @ hat_vals)
-    residuals = term1 + term2
-    return residuals if batched else float(residuals[0])
+    return term1 + term2

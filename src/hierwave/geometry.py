@@ -52,27 +52,18 @@ class AdmissibilityReport:
     ok: bool
     hard_error: str | None
     warnings: tuple[str, ...]
-    t_min: float | None
 
     @property
     def below_threshold(self) -> bool:
         return "below_threshold" in self.warnings
 
 
-def alpha(spec: DomainSpec, t):
-    """Position of the moving endpoint, 1 + k t."""
+def alpha(spec: DomainSpec, t: float) -> float:
+    """Position of the moving endpoint, 1 + k t, at one time t."""
     tol = 1e-12 * max(1.0, spec.T)
-    if isinstance(t, float):  # one time, without the array round trip
-        if t < -tol or t > spec.T + tol:
-            raise ConfigurationError(f"time {t} outside [0, {spec.T}]")
-        return float(1.0 + spec.k * t)
-    t = np.asarray(t, dtype=float)
-    if np.any(t < -tol) or np.any(t > spec.T + tol):
-        raise ConfigurationError(
-            f"time {t} outside [0, {spec.T}]"
-        )
-    out = 1.0 + spec.k * t
-    return float(out) if out.ndim == 0 else out
+    if t < -tol or t > spec.T + tol:
+        raise ConfigurationError(f"time {t} outside [0, {spec.T}]")
+    return float(1.0 + spec.k * t)
 
 
 def min_control_time(k: float) -> float:
@@ -104,11 +95,10 @@ def check_admissible(k: float, T: float, allow_k_zero: bool = False) -> Admissib
                 "must satisfy 0 <= k < 1 (subcharacteristic motion)"
             ),
             warnings=(),
-            t_min=None,
         )
     if not np.isfinite(T) or T <= 0.0:
         return AdmissibilityReport(
-            ok=False, hard_error=f"horizon T must be positive, got {T}", warnings=(), t_min=None
+            ok=False, hard_error=f"horizon T must be positive, got {T}", warnings=()
         )
     if k == 0.0:
         if not allow_k_zero:
@@ -116,14 +106,12 @@ def check_admissible(k: float, T: float, allow_k_zero: bool = False) -> Admissib
                 ok=False,
                 hard_error="k = 0 is reserved for validation runs; set allow_k_zero",
                 warnings=(),
-                t_min=None,
             )
         warnings.append("k_zero_validation_only")
-        return AdmissibilityReport(ok=True, hard_error=None, warnings=tuple(warnings), t_min=None)
-    t_min = min_control_time(k)
-    if T <= t_min:
+        return AdmissibilityReport(ok=True, hard_error=None, warnings=tuple(warnings))
+    if T <= min_control_time(k):
         warnings.append("below_threshold")
-    return AdmissibilityReport(ok=True, hard_error=None, warnings=tuple(warnings), t_min=t_min)
+    return AdmissibilityReport(ok=True, hard_error=None, warnings=tuple(warnings))
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,15 @@ class Mesh:
     domain: DomainSpec
     grid: GridSpec
 
+    def __post_init__(self):
+        # steps hold 2/dt^2; dt * dt, as dt**2 raises OverflowError on a huge dt
+        dt2 = self.dt * self.dt
+        if dt2 == 0.0 or not np.isfinite(2.0 / dt2):
+            raise ConfigurationError(
+                f"domain.T = {self.domain.T!r} over Nt = {self.grid.Nt} steps gives "
+                f"dt = {self.dt:.3e}, too short a step for the stepper: 2/dt^2 is not finite"
+            )
+
     @classmethod
     def auto(cls, domain: DomainSpec, Ny: int, cfl_safety: float = 0.8) -> "Mesh":
         """Pick the smallest Nt satisfying dt <= cfl_safety * dy / (1 + k)."""
@@ -150,16 +159,12 @@ class Mesh:
         D[-1, -3:] = np.array([1.0, -4.0, 3.0]) / h
         return read_only(D)
 
-    def cfl_ok(self) -> bool:
-        bound = self.grid.cfl_safety * self.dy / (1.0 + self.domain.k)
-        return self.dt <= bound * (1.0 + 1e-12)
-
     def require_cfl(self) -> None:
-        if not self.cfl_ok():
+        bound = self.grid.cfl_safety * self.dy / (1.0 + self.domain.k)
+        if not self.dt <= bound * (1.0 + 1e-12):
             raise ConfigurationError(
                 f"CFL violated: dt={self.dt:.3e} exceeds "
-                f"{self.grid.cfl_safety} * dy / (1 + k) = "
-                f"{self.grid.cfl_safety * self.dy / (1 + self.domain.k):.3e}"
+                f"{self.grid.cfl_safety} * dy / (1 + k) = {bound:.3e}"
             )
 
 
@@ -220,7 +225,7 @@ class SpatialProfile:
 
     @property
     def alpha(self) -> float:
-        return float(alpha(self.mesh.domain, self.time))
+        return alpha(self.mesh.domain, self.time)
 
     def with_values(self, values: np.ndarray) -> "SpatialProfile":
         return SpatialProfile(values, self.time, self.mesh)
@@ -293,9 +298,7 @@ class PoissonRiesz:
     """
 
     def __init__(self, mesh: Mesh, time: float):
-        self.mesh = mesh
-        self.time = float(time)
-        self.hx = float(alpha(mesh.domain, time)) * mesh.dy
+        self.hx = alpha(mesh.domain, time) * mesh.dy
         n = mesh.Ny - 1
         # sub-, main and super-diagonal of tridiag(-1, 2, -1) / hx^2
         off = np.full(n - 1, -1.0 / self.hx**2)
@@ -316,18 +319,13 @@ class PoissonRiesz:
         v[1:-1] = scipy.linalg.lapack.dgtsv(*self._diagonals, b)[3]
         return v
 
-    def pairing_values(self, f_values: np.ndarray, g_values: np.ndarray) -> float:
-        return float(self.hx * np.sum(f_values[1:-1] * g_values[1:-1]))
-
-    def hminus1_values(self, f_values: np.ndarray) -> float:
-        v = self.solve_values(f_values)
-        val = self.pairing_values(f_values, v)
-        return float(np.sqrt(max(val, 0.0)))
-
 
 def hminus1_norm_physical(f: SpatialProfile) -> float:
-    """Negative-order norm via the Riesz map: sqrt(<f, (-d_xx)^{-1} f>)."""
-    return PoissonRiesz(f.mesh, f.time).hminus1_values(f.values)
+    """sqrt(<f, (-d_xx)^{-1} f>): f paired with its Poisson lift over the interior nodes."""
+    pr = PoissonRiesz(f.mesh, f.time)
+    v = pr.solve_values(f.values)
+    val = float(pr.hx * np.sum(f.values[1:-1] * v[1:-1]))
+    return float(np.sqrt(max(val, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +644,7 @@ def save_trace_csv(path, trace: Trace, extra_header: dict | None = None) -> None
     _write_csv(path, header, ["coordinate", "value"], _row_template(trace.mesh.times), trace.values)
 
 
-def load_trace_csv(path, mesh: Mesh, mask: np.ndarray | None = None, side: str = "y=0") -> Trace:
+def load_trace_csv(path, mesh: Mesh, mask: np.ndarray) -> Trace:
     data = _read_csv(path, 2)
     if data.shape[0] != mesh.Nt + 1:
         raise ConfigurationError(
@@ -654,9 +652,7 @@ def load_trace_csv(path, mesh: Mesh, mask: np.ndarray | None = None, side: str =
         )
     if not np.allclose(data[:, 0], mesh.times, atol=1e-8 * max(1.0, mesh.domain.T)):
         raise ConfigurationError(f"{path}: time column does not match the grid")
-    if mask is None:
-        mask = np.ones(mesh.Nt + 1, dtype=bool)
-    return Trace(data[:, 1], mask, mesh, side)
+    return Trace(data[:, 1], mask, mesh)
 
 
 def load_field_csv(path, mesh: Mesh) -> Field:

@@ -533,7 +533,10 @@ def _secular_newton(model: _DualModel, opts: DualOptions) -> tuple[list[_Point],
         r[:n0, 0] = V[:n0]
         r[n0:, 1] = V[n0:]
         r = G @ r
-        u = _cho_solve(chol, s[:, None] * r)
+        try:
+            u = _cho_solve(chol, s[:, None] * r)
+        except ValueError:  # a right-hand side past the float range
+            return iterates, rows, best, "newton_stopped_not_finite"
         dg = r - G @ (s[:, None] * u)
         jac = (-2.0 * np.array([V[b] @ dg[b] for b in blocks])).tolist()
         step = _newton_step(jac, n, radii, free)

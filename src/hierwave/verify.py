@@ -35,7 +35,7 @@ from .grid import (
     duality_pairing,
 )
 from .coupled import FollowerConfig, apply_A, apply_A_star, get_engine, solve_nash_system
-from .wave_core import WaveProblem, solve_forward
+from .wave_core import solve_forward
 
 __all__ = [
     "dalembert_reference",
@@ -69,25 +69,23 @@ def monolithic_solve(
 ):
     """Solve a coupled system in one shot, no fixed-point iteration.
 
-    ``system`` is one of nash, free_part, leader_part, adjoint_pair.  All
-    unknown fields form a single sparse linear system sharing the stepper's
-    stencils, solved through one coupled LU that lives only for this call;
+    ``system`` is ``nash``, the equilibrium pair for the leader trace ``w1``
+    and ``cfg``'s tracked trajectory, or ``adjoint_pair``, the transposed
+    system driven by the final data ``f`` = (f0, f1).  All unknown fields
+    form a single sparse linear system sharing the stepper's stencils,
+    solved through one coupled LU that lives only for this call;
     ``residual`` is taken against the assembled matrix.  Grids above Ny = 64
     are refused (memory guard of
     :meth:`~hierwave.coupled.CoupledEngine.coupled_lu`).
     """
     eng = get_engine(mesh, cfg)
 
-    if system in ("nash", "free_part", "leader_part"):
-        if system == "free_part":
-            w1_values = np.zeros(mesh.Nt + 1)
-        elif w1 is None:
-            raise ConfigurationError(f"system {system!r} needs a leader trace")
-        else:
-            w1_values = w1.values
-        utilde = cfg.u_tilde2.values if system != "leader_part" and cfg.u_tilde2 is not None else None
-        state, lam, w2 = eng.direct_pair(w1_values, utilde)
-        rhs = eng.coupled_rhs(w1_values, utilde)
+    if system == "nash":
+        if w1 is None:
+            raise ConfigurationError("system 'nash' needs a leader trace")
+        utilde = cfg.u_tilde2.values if cfg.u_tilde2 is not None else None
+        state, lam, w2 = eng.direct_pair(w1.values, utilde)
+        rhs = eng.coupled_rhs(w1.values, utilde)
         return {
             "state": Field(state, mesh),
             "companion": Field(eng.companion_field(lam), mesh),
@@ -226,7 +224,7 @@ def _march(mesh: Mesh, exact: np.ndarray, velocity: np.ndarray) -> np.ndarray:
     every = np.ones(mesh.Nt + 1, bool)
     data = (SpatialProfile(exact[:, 0], 0.0, mesh), SpatialProfile(velocity, 0.0, mesh))
     bc0, bc1 = Trace(exact[0], every, mesh), Trace(exact[-1], every, mesh, side="y=1")
-    return solve_forward(WaveProblem(bc0, bc1, None, data)).values
+    return solve_forward(bc0, bc1, data).values
 
 
 def convergence_study(case: OracleCase) -> list[dict]:

@@ -19,10 +19,11 @@ coefficients (levels n-1 and n at offsets j-1, j, j+1; see
 :class:`WaveOperator`), and each step's tridiagonal matrix factored once
 (LAPACK dgttrf).  A step is one contraction of its table row with a
 strided window of the two previous levels plus one pre-factored solve, for
-any number of columns.  M^T lambda = rho is solved exactly by one backward
-sweep over the same factors, the reverse (discrete-adjoint) sweep of
-Griewank & Walther, Evaluating Derivatives, SIAM 2008, which reads the same
-table transposed: each level is again one contraction and one solve.  Both
+any number of columns.  M^T lambda = rho, one cotangent rho at a time, is
+solved exactly by one backward sweep over the same factors, the reverse
+(discrete-adjoint) sweep of Griewank & Walther, Evaluating Derivatives,
+SIAM 2008, which reads the same table transposed: each level is again one
+contraction and one solve.  Both
 take O(N J) memory.  The transposed solves are the exact discrete adjoints
 that the coupled optimality systems are built from; see
 :mod:`hierwave.coupled`.
@@ -51,7 +52,6 @@ from .grid import Field, Mesh, SpatialProfile, Trace, read_only
 from .geometry import alpha
 
 __all__ = [
-    "WaveProblem",
     "WaveOperator",
     "BoundaryResponse",
     "solve_forward",
@@ -133,16 +133,16 @@ class WaveOperator:
         self.dy, self.dt = mesh.dy, mesh.dt
         st, self.b0 = self._stencil_table()
         self.stencil = st
-        # two views of it, with a trailing axis so that a column batch
-        # broadcasts: the interior rows, shape (N+1, 2, 3, J-1, 1), and the
-        # table read transposed, shape (N, 2, 3, J+1, 1), whose entry
+        # two views of it: the interior rows, shape (N+1, 2, 3, J-1, 1), with
+        # a trailing axis so that the march's column batch broadcasts, and the
+        # table read transposed, shape (N, 2, 3, J+1), whose entry
         # [n, l, o + 1, i] is stencil[n + l, 1 - l, 1 - o, i + 1 + o]
         self._rows = st[:, :, :, 2:-2, None]
         Ss, Sl, So, Sj = st.strides
         self._rows_transposed = np.lib.stride_tricks.as_strided(
             st[0, 1, 2],
-            shape=(N, 2, 3, J + 1, 1),
-            strides=(Ss, Ss - Sl, Sj - So, Sj, 0),
+            shape=(N, 2, 3, J + 1),
+            strides=(Ss, Ss - Sl, Sj - So, Sj),
             writeable=False,
         )
         # the mesh's space-time quadrature weights, shape (J+1, N+1), shared
@@ -354,13 +354,12 @@ class WaveOperator:
     # -- the exact transposed sweep (backward substitution of M^T) ---------
 
     def solve_adjoint(self, rho: np.ndarray) -> np.ndarray:
-        """Multiplier field lambda with M^T lambda = rho (rho full-grid).
+        """Multiplier field lambda with M^T lambda = rho, both of shape (J+1, N+1).
 
         M is block lower-triangular in time, so M^T is solved exactly by one
         backward sweep from t = T: each level takes the transposed factors
         of its own step matrix, after the levels above it have pushed their
-        couplings down.  ``rho`` of shape (J+1, N+1, m) solves m cotangents
-        at once.
+        couplings down.
 
         The couplings are the stencil table read transposed: node i of
         level n takes, at offset o, the row of node i - o of step n (on level
@@ -371,18 +370,15 @@ class WaveOperator:
         levels.
         """
         J, N = self.J, self.N
-        batched = np.ndim(rho) == 3
-        rho = np.asarray(rho, dtype=float).reshape(J + 1, N + 1, -1)
-        width = rho.shape[2]
         # time-major, with a zero node at each end and a zero level N+1 for
         # the windows to read; each level is overwritten by its solution
-        lam = np.zeros((N + 2, J + 3, width))
-        lam[: N + 1, 1:-1] = rho.transpose(1, 0, 2)
+        lam = np.zeros((N + 2, J + 3))
+        lam[: N + 1, 1:-1] = np.asarray(rho, dtype=float).T
         windows = self._windows(lam[1:], N)
         rows = self._rows_transposed
-        terms = np.empty((2, 3, J + 1, width))
-        summands = terms.reshape(6, J + 1, width)
-        coupled = np.empty((J + 1, width))
+        terms = np.empty((2, 3, J + 1))
+        summands = terms.reshape(6, J + 1)
+        coupled = np.empty(J + 1)
         steps = self._step_factors()
         r = lam[N, 2:-2]
         r[:] = scipy.linalg.lapack.dgttrs(*steps[N - 1], r, trans="T")[0]
@@ -395,11 +391,10 @@ class WaveOperator:
                 # level n's own step matrix, transposed
                 r[1:-1] = scipy.linalg.lapack.dgttrs(*steps[n - 1], r[1:-1], trans="T")[0]
         # the boundary nodes of levels 2..N, which no lower level reads
-        q = self.stencil[1:N, 0, 0, :, None]
+        q = self.stencil[1:N, 0, 0]
         lam[2 : N + 1, 1] -= q[:, 2] * lam[2 : N + 1, 2]
         lam[2 : N + 1, J + 1] += q[:, J] * lam[2 : N + 1, J]
-        field = np.ascontiguousarray(lam[: N + 1, 1:-1].transpose(1, 0, 2))
-        return field if batched else field[:, :, 0]
+        return np.ascontiguousarray(lam[: N + 1, 1:-1].T)
 
     # -- the response to unit boundary data, all columns in one march -------
 
@@ -679,71 +674,52 @@ class WaveOperator:
 # public solve interface
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WaveProblem:
-    """One forward solve.
-
-    ``data`` holds the initial (value, physical velocity) profiles on the
-    unit interval.  Velocities are physical time derivatives; the conversion
-    to cylinder velocities happens inside the solver.
-    """
-
-    bc0: Trace
-    bc1: Trace | None = None
-    source: Field | None = None
-    data: tuple[SpatialProfile, SpatialProfile] | None = None
-
-    def __post_init__(self):
-        mesh = self.bc0.mesh
-        if self.bc1 is None:
-            self.bc1 = Trace.zeros(mesh, side="y=1")
-        if self.data is None:
-            self.data = (SpatialProfile.zeros(mesh, 0.0), SpatialProfile.zeros(mesh, 0.0))
-        for part in (self.bc1, self.source, *self.data):
-            if part is not None and part.mesh != mesh:
-                raise ConfigurationError("all problem pieces must share one mesh")
-        # corner compatibility between boundary data and initial values
-        val = self.data[0].values
-        tol = mesh.dy * max(1.0, float(np.max(np.abs(val))) if val.size else 1.0)
-        for trace, idx in ((self.bc0, 0), (self.bc1, -1)):
-            if abs(trace.values[0] - val[idx]) > tol:
-                raise ConfigurationError(
-                    "boundary trace and data disagree at the corner "
-                    f"(|{trace.values[0]:.3e} - {val[idx]:.3e}| > {tol:.1e})"
-                )
-
-
 def _cylinder_velocity(mesh: Mesh, value: np.ndarray, velocity: np.ndarray, time: float) -> np.ndarray:
     """v_t = u_t + k y u_x evaluated on the reference grid at a fixed time."""
-    a = float(alpha(mesh.domain, time))
+    a = alpha(mesh.domain, time)
     return velocity + (mesh.domain.k * mesh.y / a) * (mesh.D @ value)
 
 
-def solve_forward(problem: WaveProblem) -> Field:
-    """March the state equation from t = 0."""
-    mesh = problem.bc0.mesh
+def solve_forward(
+    bc0: Trace, bc1: Trace | None = None, data: tuple[SpatialProfile, SpatialProfile] | None = None
+) -> Field:
+    """March the state equation from t = 0.
+
+    ``bc1`` (Dirichlet data at y = 1) and ``data`` (the initial value and
+    physical velocity on the unit interval) are zero when None.  Every piece
+    shares ``bc0``'s mesh, and the boundary data meet the initial value at
+    both corners.
+    """
+    mesh = bc0.mesh
+    if bc1 is None:
+        bc1 = Trace.zeros(mesh, side="y=1")
+    if data is None:
+        data = (SpatialProfile.zeros(mesh, 0.0), SpatialProfile.zeros(mesh, 0.0))
+    for part in (bc1, *data):
+        if part.mesh != mesh:
+            raise ConfigurationError("all problem pieces must share one mesh")
+    val = data[0].values
+    tol = mesh.dy * max(1.0, float(np.max(np.abs(val))))
+    for trace, idx in ((bc0, 0), (bc1, -1)):
+        if abs(trace.values[0] - val[idx]) > tol:
+            raise ConfigurationError(
+                "boundary trace and data disagree at the corner "
+                f"(|{trace.values[0]:.3e} - {val[idx]:.3e}| > {tol:.1e})"
+            )
     mesh.require_cfl()
     op = WaveOperator(mesh)
-    a_full = problem.data[0].values
-    m_cyl = _cylinder_velocity(mesh, a_full, problem.data[1].values, 0.0)
-    src = problem.source.values if problem.source is not None else None
-    vals = op.march(problem.bc0.values, problem.bc1.values, a_full, m_cyl, src)
+    m_cyl = _cylinder_velocity(mesh, val, data[1].values, 0.0)
+    vals = op.march(bc0.values, bc1.values, val, m_cyl)
     return Field(vals, mesh).check_finite()
 
 
-def trace_normal_derivative(field: Field, side: str = "y=0") -> Trace:
-    """u_x on one lateral boundary at every time level: one-sided 3-point
-    difference over 1/alpha."""
+def trace_normal_derivative(field: Field) -> Trace:
+    """u_x at y = 0 at every time level: one-sided 3-point difference over 1/alpha."""
     mesh = field.mesh
     v = field.values
     a = mesh.alphas
-    if side == "y=0":
-        deriv = (-3.0 * v[0, :] + 4.0 * v[1, :] - v[2, :]) / (2.0 * mesh.dy * a)
-    elif side == "y=1":
-        deriv = (3.0 * v[-1, :] - 4.0 * v[-2, :] + v[-3, :]) / (2.0 * mesh.dy * a)
-    else:
-        raise ConfigurationError("side must be 'y=0' or 'y=1'")
-    return Trace(deriv, np.ones(mesh.Nt + 1, dtype=bool), mesh, side)
+    deriv = (-3.0 * v[0, :] + 4.0 * v[1, :] - v[2, :]) / (2.0 * mesh.dy * a)
+    return Trace(deriv, np.ones(mesh.Nt + 1, dtype=bool), mesh)
 
 
 def final_value_profile(field: Field) -> SpatialProfile:
@@ -777,7 +753,7 @@ def terminal_first_step(
     mesh: Mesh,
     f0_vals: np.ndarray,
     f1_vals: np.ndarray,
-    source_at_T: np.ndarray | None = None,
+    source_at_T: np.ndarray,
 ) -> np.ndarray:
     """Second-order reconstruction of a final-data field one step before T.
 
@@ -789,13 +765,12 @@ def terminal_first_step(
     aT = mesh.alphas[-1]
     k, y = mesh.domain.k, mesh.y[1:-1]
     m_rev = -((k * mesh.y / aT) * (mesh.D @ f0_vals) + f1_vals)
-    S0 = source_at_T[1:-1] if source_at_T is not None else 0.0
     # the reversed-time coefficients -b, c, d at t = T, the march's first level
     acc = (
         (-2.0 * k * y / aT) * _dc(m_rev, dy)
         + ((1.0 - (k * y) ** 2) / aT**2) * _dyy(f0_vals, dy)
         - (2.0 * k**2 * y / aT**2) * _dc(f0_vals, dy)
-        + S0
+        + source_at_T[1:-1]
     )
     out = np.zeros_like(f0_vals)
     out[1:-1] = f0_vals[1:-1] + dt * m_rev[1:-1] + 0.5 * dt**2 * acc

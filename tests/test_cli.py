@@ -341,7 +341,7 @@ def test_warm_nash_op_marches_once(tmp_path, monkeypatch):
     ]
     sol = solve_nash_system(w1, setup.follower)
     widths.clear()
-    warm = euler_lagrange_residual(sol, w1, setup.follower, directions)
+    warm = euler_lagrange_residual(sol, setup.follower, directions)
     assert widths == []
     assert written == float(np.max(np.abs(warm))) > 0.0
     # the overlap partition masks no follower node
@@ -352,7 +352,7 @@ def test_warm_nash_op_marches_once(tmp_path, monkeypatch):
         levels[1, 1, 0] = 0.0
 
     monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
-    cold = euler_lagrange_residual(solve_nash_system(w1, setup.follower), w1, setup.follower, directions)
+    cold = euler_lagrange_residual(solve_nash_system(w1, setup.follower), setup.follower, directions)
     assert widths == [1, 8]
     assert warm.tobytes() == cold.tobytes()
 
@@ -720,6 +720,13 @@ NASH_NY12 = base_config(
         (("leader", "amplitude"), "inf", "leader.amplitude"),
         (("leader", "width"), "nan", "leader.width"),
         (("follower", "u_tilde2", "space", "amplitude"), "inf", "follower.u_tilde2.space.amplitude"),
+        (("leader",), {"family": "polynomial", "coefficients": [1e308, 1e308]}, "leader:"),
+        (("leader",), {"family": "sine", "frequency": 1e308}, "leader:"),
+        (
+            ("follower", "u_tilde2"),
+            {"space": {"family": "constant", "value": 1e200}, "time": {"family": "constant", "value": 1e200}},
+            "follower.u_tilde2:",
+        ),
         (("grid", "cfl_safety"), 0, "cfl_safety"),
         (("grid", "cfl_safety"), 1e-320, "cfl_safety"),
         (("grid", "cfl_safety"), "nan", "cfl_safety"),
@@ -730,6 +737,9 @@ NASH_NY12 = base_config(
         "amplitude-inf",
         "width-nan",
         "tracked-amplitude-inf",
+        "polynomial-past-float-range",
+        "sine-frequency-past-float-range",
+        "tracked-field-past-float-range",
         "cfl-0",
         "cfl-1e-320",
         "cfl-nan",
@@ -739,7 +749,9 @@ NASH_NY12 = base_config(
 def test_validated_config_values_exit_2(tmp_path, capsys, path, value, key):
     """A non-finite profile value, a cfl_safety that gives no finite step
     count and a negative seed exit 2 with a message naming the key; each used
-    to escape as a ValueError, ZeroDivisionError or OverflowError (exit 1)."""
+    to escape as a ValueError, ZeroDivisionError or OverflowError (exit 1).
+    So do a profile and a tracked field whose values on the grid pass the
+    float range; they used to exit 3 on an "unstable march" of NaNs."""
     cfg = json.loads(json.dumps(NASH_NY12))
     *parents, last = path
     section = cfg
@@ -985,6 +997,72 @@ def test_leader_newton_stop_is_noted(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["iterations"] == 1
     assert report["notes"] == ["newton_stopped_not_finite", "not_certified"]
+
+
+def test_leader_newton_jacobian_past_float_range_stops_cleanly(tmp_path):
+    """At domain.T = 1e-150 the Newton Jacobian's right-hand side is not
+    finite; the iteration stops with newton_stopped_not_finite and the run
+    exits 3 or 4 with at most its exit message on stderr, where a ValueError
+    traceback (exit 1) used to escape."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hierwave
+
+    cfg = base_config(
+        grid={"Ny": 12},
+        targets={
+            "u0": {"family": "sine", "amplitude": 0.1},
+            "u1": {"family": "constant", "value": 0.0},
+            "rho0": 0.01,
+            "rho1": 0.01,
+        },
+    )
+    cfg["domain"]["T"] = 1e-150
+    out = tmp_path / "o"
+    argv = ["leader", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)]
+    src = str(Path(hierwave.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "hierwave", *argv], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode in (3, 4), proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) <= 1 and all(line.startswith("solver error:") for line in lines), proc.stderr
+    if proc.returncode == 4:
+        assert "newton_stopped_not_finite" in json.loads((out / "report.json").read_text())["notes"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "nash", "leader"])
+@pytest.mark.parametrize("T, Nt", [(1e-155, None), (1e-160, None), (1e-200, None), (1e-300, None), (5e-324, None),
+                                   (1e-200, 8)])
+def test_step_too_short_to_square_exits_2(tmp_path, capsys, command, T, Nt):
+    """A horizon so short that 2/dt^2, which every step's coefficients hold,
+    is not finite exits 2 naming domain.T and dt, before any output.  dt^2
+    used to underflow to zero (a ZeroDivisionError traceback, exit 1) or
+    its inverse to overflow (exit 3, "unstable march")."""
+    cfg = {**LEADER_NY12, "control": {"family": "constant", "value": 0.0}}
+    cfg["domain"] = {"k": 0.1, "T": T}
+    if Nt is not None:
+        cfg["grid"] = {"Ny": 12, "Nt": Nt}
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "domain.T" in err and "dt =" in err
+    assert not out.exists()
+
+
+def test_gaussian_narrower_than_float_range_warns_nothing(tmp_path, capsys):
+    """A leader gaussian of width 1e-300 squares past the float range off
+    its center, where its limit, 0, is exact: the run exits 0 with no
+    warning, where numpy's overflow RuntimeWarning used to reach stderr."""
+    import warnings
+
+    cfg = {**NASH_NY12, "leader": {"family": "gaussian", "width": 1e-300}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["nash", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_nash_tiny_sigma_residual_is_finite(tmp_path):

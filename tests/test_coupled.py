@@ -54,8 +54,8 @@ def rand_dual_profiles(mesh, rng):
 def direct_reach(draws, cfg):
     """apply_A and apply_A_star's leader trace through the coupled LU, for
     every draw (w1, f0, f1): one factorization solves the state systems, and
-    transposed, the adjoint pairs, as verify.monolithic_solve's
-    ``leader_part`` and ``adjoint_pair`` do one at a time."""
+    transposed, the adjoint pairs, as verify.monolithic_solve's ``nash``
+    with no tracked trajectory and ``adjoint_pair`` do one at a time."""
     mesh = draws[0][0].mesh
     eng = get_engine(mesh, cfg)
     lu = eng.coupled_lu()
@@ -140,7 +140,7 @@ def test_nash_boundary_condition(mesh41, cfg41, w1_smooth):
 def test_euler_lagrange_residual_zero_direction(mesh41, cfg41, w1_smooth):
     sol = solve_nash_system(w1_smooth, cfg41)
     zero = Trace(np.zeros(mesh41.Nt + 1), cfg41.partition.mask2, mesh41)
-    assert euler_lagrange_residual(sol, w1_smooth, cfg41, zero) == 0.0
+    assert euler_lagrange_residual(sol, cfg41, [zero])[0] == 0.0
 
 
 def test_euler_lagrange_residual_small(mesh41, cfg41, w1_smooth):
@@ -148,7 +148,7 @@ def test_euler_lagrange_residual_small(mesh41, cfg41, w1_smooth):
     rng = np.random.default_rng(5)
     for _ in range(50):
         direction = rand_trace(mesh41, cfg41.partition.mask2, rng)
-        res = euler_lagrange_residual(sol, w1_smooth, cfg41, direction)
+        res = euler_lagrange_residual(sol, cfg41, [direction])[0]
         assert abs(res) <= 1e-6 * el_scale(sol, cfg41, direction)
 
 
@@ -191,7 +191,7 @@ def test_companion_matches_natural_backward(mesh41, cfg41, w1_smooth):
     assert np.max(np.abs(sol.p.values - p_nat.values)) < 1e-2 * scale
     # follower trace against the natural outward normal derivative, in the
     # time-quadratured norm (corner layers keep the max-norm O(1))
-    tr = -trace_normal_derivative(p_nat, side="y=0").values
+    tr = -trace_normal_derivative(p_nat).values
     tau = trapezoid_weights(mesh41.Nt + 1, mesh41.dt)
     num = np.sqrt(np.sum(tau * (cfg41.sigma * sol.w2.values - tr) ** 2))
     den = np.sqrt(np.sum(tau * tr**2))
@@ -600,7 +600,7 @@ def test_time_split_nash(mesh41):
     rng = np.random.default_rng(15)
     for _ in range(10):
         direction = rand_trace(mesh41, part.mask2, rng)
-        res = euler_lagrange_residual(sol, w1, cfg, direction)
+        res = euler_lagrange_residual(sol, cfg, [direction])[0]
         assert abs(res) <= 1e-6 * el_scale(sol, cfg, direction)
 
 

@@ -94,9 +94,11 @@ def test_monolithic_residual_and_agreement(setup41):
 
 
 def test_monolithic_leader_and_free(setup41):
+    """The equilibrium is the free part (zero leader control) plus the
+    leader part (no tracked trajectory), each through the coupled LU."""
     mesh, cfg, w1 = setup41
-    lead = monolithic_solve("leader_part", mesh, cfg, w1=w1)
-    free = monolithic_solve("free_part", mesh, cfg)
+    lead = monolithic_solve("nash", mesh, FollowerConfig(cfg.sigma, cfg.partition), w1=w1)
+    free = monolithic_solve("nash", mesh, cfg, w1=Trace.zeros(mesh, cfg.partition.mask1))
     nash = monolithic_solve("nash", mesh, cfg, w1=w1)
     scale = np.max(np.abs(nash["state"].values))
     recon = free["state"].values + lead["state"].values
@@ -124,7 +126,7 @@ def test_monolithic_memory_guard():
     mesh = Mesh.auto(DomainSpec(k=0.1, T=1.0), 80)
     cfg = FollowerConfig(sigma=1.0, partition=SigmaPartition.overlap(mesh.Nt + 1))
     with pytest.raises(ConfigurationError):
-        monolithic_solve("free_part", mesh, cfg)
+        monolithic_solve("nash", mesh, cfg, w1=Trace.zeros(mesh, cfg.partition.mask1))
 
 
 def test_monolithic_factors_once_per_call(monkeypatch):
@@ -152,8 +154,10 @@ def test_monolithic_factors_once_per_call(monkeypatch):
         monkeypatch.setattr(scipy.sparse.linalg, name, counted(name))
     # a fresh engine, so that no earlier test's factorization is reused
     monkeypatch.setattr("hierwave.coupled._ENGINE_CACHE", {})
-    for system in ("nash", "free_part", "leader_part"):
-        assert monolithic_solve(system, mesh, cfg, w1=w1)["residual"] <= 1e-10
+    # the equilibrium, its free part and its leader part
+    zero = Trace.zeros(mesh, part.mask1)
+    for c, w in ((cfg, w1), (cfg, zero), (FollowerConfig(cfg.sigma, part), w1)):
+        assert monolithic_solve("nash", mesh, c, w1=w)["residual"] <= 1e-10
     assert monolithic_solve("adjoint_pair", mesh, cfg, f=f)["residual"] <= 1e-9
     assert calls == {"splu": 4, "spsolve": 0}
 
@@ -307,7 +311,7 @@ def test_monolithic_leader_part_vs_picard(setup41):
     mesh, cfg, w1 = setup41
     eng = get_engine(mesh, cfg)
     g, lam, _, _, _ = eng.picard_pair(np.where(cfg.partition.mask1, w1.values, 0.0), None)
-    mono = monolithic_solve("leader_part", mesh, cfg, w1=w1)
+    mono = monolithic_solve("nash", mesh, FollowerConfig(cfg.sigma, cfg.partition), w1=w1)
     scale = np.max(np.abs(mono["state"].values))
     assert np.max(np.abs(g - mono["state"].values)) <= 1e-6 * scale
     assert np.max(np.abs(eng.companion_field(lam) - mono["companion"].values)) <= 1e-6 * scale

@@ -9,7 +9,6 @@ from hierwave.geometry import DomainSpec
 from hierwave.grid import Field, GridSpec, Mesh, SpatialProfile, Trace, trapezoid_weights
 from hierwave.wave_core import (
     WaveOperator,
-    WaveProblem,
     extract_terminal,
     final_value_profile,
     final_velocity_profile,
@@ -90,7 +89,7 @@ def test_adjoint_solve_dot_product():
 
 def test_zero_data_gives_zero_field():
     mesh = Mesh.auto(DomainSpec(k=0.1, T=2.0), 16)
-    fld = solve_forward(WaveProblem(zero_trace(mesh)))
+    fld = solve_forward(zero_trace(mesh))
     assert np.all(fld.values == 0.0)
     bld = solve_backward(zero_trace(mesh))
     assert np.all(bld.values == 0.0)
@@ -114,7 +113,7 @@ def test_solver_linearity(a, b, seed):
 def test_dalembert_pointwise():
     mesh = Mesh.auto(DomainSpec(k=0.0, T=1.0, allow_k_zero=True), 200)
     bc = Trace(np.sin(np.pi * mesh.times), full_mask(mesh), mesh)
-    fld = solve_forward(WaveProblem(bc))
+    fld = solve_forward(bc)
     j = np.argmin(np.abs(mesh.y - 0.25))
     n = np.argmin(np.abs(mesh.times - 0.5))
     assert fld.values[j, n] == pytest.approx(SIN_QUARTER, abs=5e-3)
@@ -123,23 +122,21 @@ def test_dalembert_pointwise():
 def test_trace_exact_for_linear_field():
     mesh = Mesh.auto(DomainSpec(k=0.3, T=2.0), 24)
     vals = np.outer(mesh.y, mesh.alphas)  # u = x
-    tr = trace_normal_derivative(Field(vals, mesh), side="y=0")
+    tr = trace_normal_derivative(Field(vals, mesh))
     assert np.max(np.abs(tr.values - 1.0)) < 1e-12
-    tr1 = trace_normal_derivative(Field(vals, mesh), side="y=1")
-    assert np.max(np.abs(tr1.values - 1.0)) < 1e-12
 
 
 def test_trace_zero_field():
     mesh = Mesh.auto(DomainSpec(k=0.1, T=1.0), 16)
-    tr = trace_normal_derivative(Field.zeros(mesh), side="y=0")
+    tr = trace_normal_derivative(Field.zeros(mesh))
     assert np.all(tr.values == 0.0)
 
 
 def test_dalembert_trace_derivative():
     mesh = Mesh.auto(DomainSpec(k=0.0, T=0.9, allow_k_zero=True), 200)
     bc = Trace(np.sin(np.pi * mesh.times), full_mask(mesh), mesh)
-    fld = solve_forward(WaveProblem(bc))
-    tr = trace_normal_derivative(fld, side="y=0")
+    fld = solve_forward(bc)
+    tr = trace_normal_derivative(fld)
     # before any reflection returns: u_x(0, t) = -pi cos(pi t)
     sel = (mesh.times > 0.1) & (mesh.times < 0.9)
     expected = -np.pi * np.cos(np.pi * mesh.times[sel])
@@ -150,7 +147,7 @@ def test_finite_speed_of_propagation():
     mesh = Mesh.auto(DomainSpec(k=0.0, T=1.0, allow_k_zero=True), 128)
     t = mesh.times
     bc_vals = np.where(t < 0.1, np.sin(np.pi * t / 0.1) ** 2, 0.0)
-    fld = solve_forward(WaveProblem(Trace(bc_vals, full_mask(mesh), mesh)))
+    fld = solve_forward(Trace(bc_vals, full_mask(mesh), mesh))
     Y, Tm = np.meshgrid(mesh.y, t, indexing="ij")
     ahead = Tm < Y - 0.1 - 5 * mesh.dy
     assert np.max(np.abs(fld.values[ahead])) < 1e-10
@@ -160,9 +157,7 @@ def test_energy_conservation():
     mesh = Mesh.auto(DomainSpec(k=0.0, T=2.0, allow_k_zero=True), 200)
     init = SpatialProfile(np.sin(np.pi * mesh.y), 0.0, mesh)
     vel = SpatialProfile(np.zeros(mesh.Ny + 1), 0.0, mesh)
-    fld = solve_forward(
-        WaveProblem(zero_trace(mesh), zero_trace(mesh, "y=1"), None, (init, vel))
-    )
+    fld = solve_forward(zero_trace(mesh), zero_trace(mesh, "y=1"), (init, vel))
     v = fld.values
     wy = trapezoid_weights(mesh.Ny + 1, mesh.dy)
     e_exact = np.pi**2 / 4.0
@@ -180,10 +175,9 @@ def test_backward_time_mirror_at_k0():
     rng = np.random.default_rng(4)
     S = rng.standard_normal((mesh.Ny + 1, mesh.Nt + 1))
     back = solve_backward(zero_trace(mesh), source=Field(S, mesh))
-    fwd = solve_forward(
-        WaveProblem(zero_trace(mesh), source=Field(S[:, ::-1].copy(), mesh))
-    )
-    assert np.max(np.abs(back.values - fwd.values[:, ::-1])) < 1e-10
+    zeros_t, zeros_y = np.zeros(mesh.Nt + 1), np.zeros(mesh.Ny + 1)
+    fwd = WaveOperator(mesh).march(zeros_t, zeros_t, zeros_y, zeros_y, S[:, ::-1].copy())
+    assert np.max(np.abs(back.values - fwd[:, ::-1])) < 1e-10
 
 
 def test_backward_matches_monolithic_direct():
@@ -221,13 +215,13 @@ def test_corner_compatibility_enforced():
     mesh = Mesh.auto(DomainSpec(k=0.1, T=1.0), 16)
     bad_bc = Trace(np.ones(mesh.Nt + 1), full_mask(mesh), mesh)
     with pytest.raises(ConfigurationError):
-        WaveProblem(bad_bc)  # zero data but bc(0) = 1
+        solve_forward(bad_bc)  # zero data but bc(0) = 1
 
 
 def test_cfl_violation_raises():
     mesh = Mesh(DomainSpec(k=0.1, T=2.0), GridSpec(Ny=32, Nt=20))
     with pytest.raises(ConfigurationError):
-        solve_forward(WaveProblem(zero_trace(mesh)))
+        solve_forward(zero_trace(mesh))
 
 
 def _unstable_march(scale, quiet_columns=0):
@@ -282,7 +276,7 @@ def test_final_profiles_linear_solution():
     bc1 = Trace(a.copy(), full_mask(mesh), mesh, side="y=1")
     init_val = SpatialProfile(mesh.y.copy(), 0.0, mesh)
     init_vel = SpatialProfile(np.zeros(mesh.Ny + 1), 0.0, mesh)
-    fld = solve_forward(WaveProblem(zero_trace(mesh), bc1, None, (init_val, init_vel)))
+    fld = solve_forward(zero_trace(mesh), bc1, (init_val, init_vel))
     uT = final_value_profile(fld)
     assert np.max(np.abs(uT.values - a[-1] * mesh.y)) < 1e-12
     utT = final_velocity_profile(fld)
@@ -325,7 +319,8 @@ def test_convergence_order_quick():
     seed=st.integers(0, 1000),
 )
 def test_transposed_sweep_and_batched_march(Ny, k, T, mirrored, width, seed):
-    """The backward sweep solves M^T exactly, and a batch marches column by column."""
+    """The backward sweep solves M^T exactly, one cotangent at a time, and a
+    batch marches column by column."""
     import scipy.sparse.linalg
 
     mesh = Mesh.auto(DomainSpec(k=k, T=T), Ny)
@@ -333,12 +328,12 @@ def test_transposed_sweep_and_batched_march(Ny, k, T, mirrored, width, seed):
     rng = np.random.default_rng(seed)
     J, N = mesh.Ny, mesh.Nt
     rho = rng.standard_normal((J + 1, N + 1, width))
-    lam = op.solve_adjoint(rho if width > 1 else rho[:, :, 0]).reshape(J + 1, N + 1, width)
     for i in range(width):
+        lam = op.solve_adjoint(rho[:, :, i])
         flat = op._flatten(rho[:, :, i])
         for ref in (op.lu().solve(flat, trans="T"), scipy.sparse.linalg.spsolve(op.matrix().T.tocsc(), flat)):
             ref = op._unflatten(ref)
-            assert np.max(np.abs(lam[:, :, i] - ref)) <= 1e-11 * np.max(np.abs(ref))
+            assert np.max(np.abs(lam - ref)) <= 1e-11 * np.max(np.abs(ref))
 
     bc0 = rng.standard_normal((N + 1, width))
     bc1 = rng.standard_normal(N + 1)
