@@ -40,7 +40,6 @@ from .wave_core import (
     trace_normal_derivative,
 )
 from .coupled import (
-    AdjointPair,
     FollowerConfig,
     NashSolution,
     PicardOptions,

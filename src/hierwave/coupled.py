@@ -17,8 +17,8 @@ Systems provided (all with zero initial data for the state):
   by the tracking misfit; the follower trace is recovered from p.
 * free pair (u0, p0) and leader pair (g, q): the same system with a zero
   leader control, or with no tracked trajectory.
-* adjoint pair (phi, psi): the transposed coupled system behind the reach
-  operator's adjoint.
+* the reach operator's adjoint: the transposed coupled system, of which the
+  leader reads only the boundary trace of its first field.
 
 Every system is solved in the follower's boundary trace.  Let S = M^-1 E be
 the state's response to unit Dirichlet data at the controlled endpoint and
@@ -68,18 +68,12 @@ import scipy.linalg
 from .errors import ConfigurationError, ConvergenceError
 from .geometry import SigmaPartition
 from .grid import Field, Mesh, SpatialProfile, Trace, read_only
-from .wave_core import (
-    WaveOperator,
-    extract_terminal,
-    terminal_adjoint,
-    terminal_first_step,
-)
+from .wave_core import WaveOperator, extract_terminal, terminal_adjoint
 
 __all__ = [
     "PicardOptions",
     "FollowerConfig",
     "NashSolution",
-    "AdjointPair",
     "solve_nash_system",
     "apply_A",
     "apply_A_star",
@@ -160,14 +154,6 @@ class NashSolution:
     residual: float  # sigma times the follower's optimality residual (CoupledEngine.schur_pair)
 
 
-@dataclass
-class AdjointPair:
-    phi: Field
-    psi: Field
-    leader_trace: Trace
-    residual: float
-
-
 class CoupledEngine:
     """Shared machinery for one (mesh, sigma, partition) triple.
 
@@ -230,22 +216,11 @@ class CoupledEngine:
         return vals / self.W
 
     def terminal_cotangent(self, f0_vals: np.ndarray, f1_vals: np.ndarray) -> np.ndarray:
-        """Cotangent that drives the adjoint pair: the transpose of the reach
-        output, paired against final data (f0, f1) on (0, alpha(T))."""
+        """Cotangent that drives the transposed coupled system: the transpose
+        of the reach output, paired against final data (f0, f1) on (0, alpha(T))."""
         mesh = self.mesh
         aT = mesh.alphas[-1]
         return terminal_adjoint(mesh, aT * mesh.wy * f0_vals, aT * mesh.wy * f1_vals)
-
-    def phi_field(self, mu: np.ndarray, psi: np.ndarray, f0_vals: np.ndarray, f1_vals: np.ndarray) -> np.ndarray:
-        """Nodal values of the adjoint pair's phi from its multiplier mu.
-
-        The step rows stop one level short of T, so the final level carries
-        f0 and the one before it the reversed march's first step.
-        """
-        phi = self.companion_field(mu)
-        phi[:, -1] = f0_vals
-        phi[:, -2] = terminal_first_step(self.mesh, f0_vals, f1_vals, psi[:, -1])
-        return phi
 
     def trace_norm(self, values: np.ndarray) -> float:
         # overflow to inf is fine here: divergence is detected from the norm
@@ -313,9 +288,9 @@ class CoupledEngine:
         """Reduced solves of the transposed coupled system, one per column.
 
         ``rho_tails`` holds cotangents on the last three time levels, shape
-        (J+1, 3, m).  Returns (s, mu0), each (N+1, m): the boundary data of
-        psi and the boundary row of the multiplier mu, from
-        (sigma tau + H)_22 z_2 = (S^T rho)_2, s = -z and mu0 = S^T rho - H z.
+        (J+1, 3, m).  Returns mu0, (N+1, m): the boundary row of the
+        multiplier mu, from (sigma tau + H)_22 z_2 = (S^T rho)_2 and
+        mu0 = S^T rho - H z; the second field psi has boundary data -z.
         On the follower's nodes mu0 is taken as sigma tau z, the same
         equation's left side, so that sigma psi(0, t) = -mu0 / tau holds
         there exactly.
@@ -326,7 +301,7 @@ class CoupledEngine:
         mu0 = y - resp.H @ z
         i = self._idx2
         mu0[i] = (self.sigma * self.tau[i])[:, None] * z[i]
-        return -z, mu0
+        return mu0
 
     def free_terminal(self, utilde: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
         """Final value and physical velocity of the zero-leader equilibrium
@@ -570,14 +545,15 @@ def apply_A(w1: Trace, cfg: FollowerConfig):
     return SpatialProfile(c1, T, mesh), SpatialProfile(c2, T, mesh)
 
 
-def apply_A_star(f0: SpatialProfile, f1: SpatialProfile, cfg: FollowerConfig) -> AdjointPair:
-    """Adjoint of the reach operator through the transposed coupled system.
+def apply_A_star(f0: SpatialProfile, f1: SpatialProfile, cfg: FollowerConfig) -> Trace:
+    """Adjoint of the reach operator: the leader's trace of the transposed
+    coupled system driven by the final data (f0, f1).
 
-    The returned trace is minus the boundary derivative of the first adjoint
-    field on the leader's part of the boundary; it satisfies the duality
-    identity against :func:`apply_A` exactly (to solver tolerance).  The
-    trace and psi's boundary data both come from one reduced solve; the
-    fields psi and phi then take one forward march and one transposed sweep.
+    The trace is minus the boundary derivative of the first adjoint field on
+    the leader's part of the boundary, mu0 / tau from the boundary row of
+    one reduced solve (:meth:`CoupledEngine.schur_adjoint`), with no wave
+    solve.  It satisfies the duality identity against :func:`apply_A`
+    exactly (to solver tolerance).
     """
     scale0 = np.max(np.abs(f0.values)) if f0.values.size else 0.0
     if abs(f0.values[0]) > 1e-9 * max(1.0, scale0) or abs(f0.values[-1]) > 1e-9 * max(1.0, scale0):
@@ -585,18 +561,8 @@ def apply_A_star(f0: SpatialProfile, f1: SpatialProfile, cfg: FollowerConfig) ->
     if f1.mesh != f0.mesh:
         raise ConfigurationError("f0 and f1 must share a mesh")
     eng = get_engine(f0.mesh, cfg)
-    mesh = eng.mesh
-    rho = eng.terminal_cotangent(f0.values, f1.values)
-    s, mu0 = eng.schur_adjoint(rho[:, -3:, None])
-    s, mu0 = s[:, 0], mu0[:, 0]
-    # the march carries the Dirichlet data s into psi's boundary row exactly
-    psi = eng.state_solve(s)
-    mu = eng.op.solve_adjoint(rho + eng.W * psi)
-    residual = eng.trace_norm((mu[0, :] - mu0) / eng.tau)
-    trace_vals = np.where(cfg.partition.mask1, mu0 / eng.tau, 0.0)
-    phi = Field(eng.phi_field(mu, psi, f0.values, f1.values), mesh)
-    leader_trace = Trace(trace_vals, cfg.partition.mask1, mesh)
-    return AdjointPair(phi, Field(psi, mesh), leader_trace, residual)
+    mu0 = eng.schur_adjoint(eng.terminal_cotangent(f0.values, f1.values)[:, -3:, None])
+    return Trace(mu0[:, 0] / eng.tau, cfg.partition.mask1, eng.mesh)
 
 
 def cost_J2(u: Field, w2: Trace, cfg: FollowerConfig) -> float:

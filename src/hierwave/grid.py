@@ -193,10 +193,6 @@ class Field:
         self.values = values
         self.mesh = mesh
 
-    @classmethod
-    def zeros(cls, mesh: Mesh) -> "Field":
-        return cls(np.zeros((mesh.Ny + 1, mesh.Nt + 1)), mesh)
-
     def check_finite(self) -> "Field":
         if not np.all(np.isfinite(self.values)):
             raise ConfigurationError("field contains non-finite entries")
@@ -227,21 +223,9 @@ class SpatialProfile:
     def alpha(self) -> float:
         return alpha(self.mesh.domain, self.time)
 
-    def with_values(self, values: np.ndarray) -> "SpatialProfile":
-        return SpatialProfile(values, self.time, self.mesh)
-
     def __sub__(self, other: "SpatialProfile") -> "SpatialProfile":
         _require_same_profile_grid(self, other)
-        return self.with_values(self.values - other.values)
-
-    def __add__(self, other: "SpatialProfile") -> "SpatialProfile":
-        _require_same_profile_grid(self, other)
-        return self.with_values(self.values + other.values)
-
-    def __mul__(self, c: float) -> "SpatialProfile":
-        return self.with_values(self.values * float(c))
-
-    __rmul__ = __mul__
+        return SpatialProfile(self.values - other.values, self.time, self.mesh)
 
 
 class Trace:
@@ -264,10 +248,6 @@ class Trace:
         if mask is None:
             mask = np.ones(mesh.Nt + 1, dtype=bool)
         return cls(np.zeros(mesh.Nt + 1), mask, mesh, side)
-
-    def norm(self) -> float:
-        """Time-trapezoid L2 norm over the masked boundary piece."""
-        return float(np.sqrt(np.sum(self.mesh.tau * self.mask * self.values**2)))
 
 
 def _require_same_profile_grid(f: SpatialProfile, g: SpatialProfile) -> None:

@@ -123,11 +123,6 @@ class DualPoint:
         if self.f0.mesh != self.f1.mesh:
             raise ConfigurationError("f0 and f1 must share a mesh")
 
-    @classmethod
-    def zeros(cls, mesh: Mesh) -> "DualPoint":
-        T = mesh.domain.T
-        return cls(SpatialProfile.zeros(mesh, T), SpatialProfile.zeros(mesh, T))
-
 
 @dataclass(frozen=True)
 class DualOptions:
@@ -241,7 +236,7 @@ class _DualModel:
         theta1[1:-1, : self.n0] = np.diag(self.omega[1:-1])
         theta2[:, self.n0 :] = np.diag(self.omega)
         rho_tails = terminal_adjoint_levels(self.mesh, theta1, theta2)
-        _, mu0 = self.eng.schur_adjoint(rho_tails)
+        mu0 = self.eng.schur_adjoint(rho_tails)
         cols = np.where(self.cfg.partition.mask1[:, None], mu0 / self.eng.tau[:, None], 0.0)
         hx = self.mesh.alphas[-1] * self.mesh.dy
         K = (2.0 * np.eye(self.n0) - np.eye(self.n0, k=1) - np.eye(self.n0, k=-1)) / hx
@@ -565,7 +560,7 @@ def _secular_newton(model: _DualModel, opts: DualOptions) -> tuple[list[_Point],
     return iterates, rows, best, None
 
 
-def minimize_dual(targets: TargetSpec, cfg: FollowerConfig, opts: DualOptions | None = None):
+def minimize_dual(targets: TargetSpec, cfg: FollowerConfig, opts: DualOptions):
     """Minimize the dual functional and reconstruct the optimal leader.
 
     Returns (f_star, w1_star, report).  The Gram matrix is built once per
@@ -576,7 +571,6 @@ def minimize_dual(targets: TargetSpec, cfg: FollowerConfig, opts: DualOptions | 
     stream [seed, iteration]) and the final one (from the stream seed) are
     computed after the iteration, in one batch.
     """
-    opts = opts or DualOptions()
     notes: list[str] = []
     if cfg.partition.mode == "time-split":
         notes.append("time_split_experimental")

@@ -65,17 +65,12 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# small stencil helpers (interior <-> full-grid index conventions)
+# small stencil helper (interior <-> full-grid index conventions)
 # ---------------------------------------------------------------------------
 
 def _dc(z: np.ndarray, dy: float) -> np.ndarray:
     """Central first difference at interior nodes of a full-grid vector."""
     return (z[2:] - z[:-2]) / (2.0 * dy)
-
-
-def _dyy(z: np.ndarray, dy: float) -> np.ndarray:
-    """Central second difference at interior nodes of a full-grid vector."""
-    return (z[2:] - 2.0 * z[1:-1] + z[:-2]) / dy**2
 
 
 # ---------------------------------------------------------------------------
@@ -747,34 +742,6 @@ def extract_terminal(mesh: Mesh, values: np.ndarray) -> tuple[np.ndarray, np.nda
     just those levels (shape (Ny+1, 3)) will do.
     """
     return _terminal_velocity(mesh, values), -values[:, -1]
-
-
-def terminal_first_step(
-    mesh: Mesh,
-    f0_vals: np.ndarray,
-    f1_vals: np.ndarray,
-    source_at_T: np.ndarray,
-) -> np.ndarray:
-    """Second-order reconstruction of a final-data field one step before T.
-
-    Matches the first step of the reversed-time march; used to fill the
-    terminal layer of multiplier-normalized adjoint fields, whose step rows
-    stop one level short of the final time.
-    """
-    dy, dt = mesh.dy, mesh.dt
-    aT = mesh.alphas[-1]
-    k, y = mesh.domain.k, mesh.y[1:-1]
-    m_rev = -((k * mesh.y / aT) * (mesh.D @ f0_vals) + f1_vals)
-    # the reversed-time coefficients -b, c, d at t = T, the march's first level
-    acc = (
-        (-2.0 * k * y / aT) * _dc(m_rev, dy)
-        + ((1.0 - (k * y) ** 2) / aT**2) * _dyy(f0_vals, dy)
-        - (2.0 * k**2 * y / aT**2) * _dc(f0_vals, dy)
-        + source_at_T[1:-1]
-    )
-    out = np.zeros_like(f0_vals)
-    out[1:-1] = f0_vals[1:-1] + dt * m_rev[1:-1] + 0.5 * dt**2 * acc
-    return out
 
 
 def terminal_adjoint_levels(mesh: Mesh, theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:

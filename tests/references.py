@@ -7,12 +7,14 @@
 - The dual objective and a subgradient at a point in f coordinates,
   evaluated on a fresh ``leader_dual._DualModel``: the library runs the model
   only from inside ``minimize_dual`` and its certificates.
+- The time-trapezoid L2 norm of a boundary trace over its mask, the norm the
+  leader's cost is half the square of.
 """
 
 import numpy as np
 
 from hierwave.errors import ConfigurationError
-from hierwave.grid import SpatialProfile
+from hierwave.grid import SpatialProfile, Trace
 from hierwave.leader_dual import DualPoint, _DualModel
 
 
@@ -31,6 +33,11 @@ def h10_norm_physical(f: SpatialProfile) -> float:
     if abs(f.values[0]) > 1e-10 * max(1.0, scale) or abs(f.values[-1]) > 1e-10 * max(1.0, scale):
         raise ConfigurationError("h10 norm requires zero endpoint values")
     return float(h10_values(f.values, f.alpha * f.mesh.dy))
+
+
+def trace_norm(trace: Trace) -> float:
+    """Time-trapezoid L2 norm over the masked boundary piece."""
+    return float(np.sqrt(np.sum(trace.mesh.tau * trace.mask * trace.values**2)))
 
 
 def dual_functional(f: DualPoint, targets, cfg) -> float:

@@ -1297,40 +1297,94 @@ def test_every_exported_name_resolves(module):
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
-def test_every_exported_name_has_a_production_caller():
-    """Each name in a module's ``__all__`` or imported by ``hierwave/__init__.py``
-    is used by the library, a script or the benchmark; a name only the tests
-    use belongs under ``tests/``.
-
-    A use is a name or attribute read anywhere in ``src/hierwave``,
-    ``scripts/`` or ``bench/`` (a ``def``, an ``__all__`` entry or an import
-    does not count), or a component of a path that ``bench/tracing.py``
-    wraps: its ``TARGETS`` and ``COUNTED``, read with ``ast``.
-    """
+def _production_reads():
+    """Names and attributes read in ``src/hierwave``, ``scripts/`` and ``bench/``
+    (a ``def``, an ``__all__`` entry or an import does not count), and the
+    components of the paths that ``bench/tracing.py`` wraps: its ``TARGETS``
+    and ``COUNTED``, read with ``ast``.  Returns (names, attributes)."""
     import ast
     from pathlib import Path
 
     root = Path(__file__).resolve().parents[1]
-    package = root / "src" / "hierwave"
-    exported = set()
-    used = set()
-    for path in package.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-                exported.update(ast.literal_eval(node.value))
-            elif isinstance(node, ast.ImportFrom) and path.name == "__init__.py":
-                exported.update(alias.name for alias in node.names)
-    for path in [*package.glob("*.py"), *(root / "scripts").glob("*.py"), *(root / "bench").glob("*.py")]:
+    names, attributes = set(), set()
+    for path in [*(root / "src" / "hierwave").glob("*.py"), *root.glob("scripts/*.py"), *root.glob("bench/*.py")]:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.Assign) and path.name == "tracing.py" and any(
                 getattr(t, "id", None) in ("TARGETS", "COUNTED") for t in node.targets
             ):
-                used.update(part for entry in ast.literal_eval(node.value) for part in entry[1].split("."))
-    assert sorted(exported - used) == []
+                attributes.update(part for entry in ast.literal_eval(node.value) for part in entry[1].split("."))
+    return names, attributes
+
+
+def _library_modules():
+    """(file name, parsed module, the names in its ``__all__``) for each
+    module of ``src/hierwave``."""
+    import ast
+    from pathlib import Path
+
+    out = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "hierwave").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exported = {
+            name
+            for node in tree.body
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)
+        }
+        out.append((path.name, tree, exported))
+    return out
+
+
+def test_every_exported_name_has_a_production_caller():
+    """Each name in a module's ``__all__`` or imported by ``hierwave/__init__.py``
+    is used by the library, a script or the benchmark (see
+    :func:`_production_reads`); a name only the tests use belongs under
+    ``tests/``.
+    """
+    import ast
+
+    exported = set()
+    for name, tree, listed in _library_modules():
+        exported |= listed
+        if name == "__init__.py":
+            imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+            exported.update(alias.name for node in imports for alias in node.names)
+    names, attributes = _production_reads()
+    assert sorted(exported - names - attributes) == []
+
+
+def test_every_member_of_an_exported_class_has_a_production_reader():
+    """Each public method, property and dataclass field of a class named in a
+    module's ``__all__`` is read as an attribute by the library, a script or
+    the benchmark, or is a path component that ``bench/tracing.py`` wraps
+    (see :func:`_production_reads`); a member only the tests read belongs
+    under ``tests/``.
+
+    The match is by name, so a member that shares its name with an attribute
+    read elsewhere (a ``zeros`` classmethod and numpy's ``zeros``) passes
+    unseen, and so do dunder methods, which operators call without naming
+    them.
+    """
+    import ast
+
+    members = set()
+    for _, tree, exported in _library_modules():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in exported):
+                continue
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef):
+                    members.add((cls.name, item.name))
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    members.add((cls.name, item.target.id))
+    _, attributes = _production_reads()
+    public = sorted((cls, name) for cls, name in members if not name.startswith("_"))
+    unread = [f"{cls}.{name}" for cls, name in public if name not in attributes]
+    assert unread == []
 
 
 def test_production_runs_load_no_sparse_module(tmp_path):

@@ -105,7 +105,8 @@ def test_h10_norm_examples():
     zero = profile(mesh, lambda y: 0.0 * y)
     assert h10_norm_physical(zero) == 0.0
     f = profile(mesh, lambda y: y * (1 - y) ** 2)
-    assert h10_norm_physical(3.0 * f) == pytest.approx(3.0 * h10_norm_physical(f), rel=1e-12)
+    scaled = SpatialProfile(3.0 * f.values, f.time, mesh)
+    assert h10_norm_physical(scaled) == pytest.approx(3.0 * h10_norm_physical(f), rel=1e-12)
 
 
 def test_h10_requires_zero_endpoints():

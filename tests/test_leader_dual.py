@@ -37,7 +37,7 @@ from hierwave.leader_dual import (
     minimize_dual,
     vi_residual,
 )
-from references import dual_functional, dual_subgradient, h10_norm_physical
+from references import dual_functional, dual_subgradient, h10_norm_physical, trace_norm
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +70,21 @@ def rand_dual_point(mesh, rng, scale=1.0):
     return DualPoint(SpatialProfile(f0, T, mesh), SpatialProfile(f1, T, mesh))
 
 
+def zero_point(mesh):
+    T = mesh.domain.T
+    zero = np.zeros(mesh.Ny + 1)
+    return DualPoint(SpatialProfile(zero, T, mesh), SpatialProfile(zero, T, mesh))
+
+
+def combine(a: DualPoint, b: DualPoint, c: float) -> DualPoint:
+    """The point a + c b."""
+    T = a.f0.mesh.domain.T
+    return DualPoint(
+        SpatialProfile(a.f0.values + c * b.f0.values, T, a.f0.mesh),
+        SpatialProfile(a.f1.values + c * b.f1.values, T, a.f1.mesh),
+    )
+
+
 def h_inner(a: DualPoint, b: DualPoint) -> float:
     """The geometry the dual iteration runs in."""
     pr = PoissonRiesz(a.f0.mesh, a.f0.mesh.domain.T)
@@ -79,7 +94,7 @@ def h_inner(a: DualPoint, b: DualPoint) -> float:
 
 def test_dual_functional_zero(small_setup):
     mesh, cfg, _, targets = small_setup
-    z = DualPoint.zeros(mesh)
+    z = zero_point(mesh)
     assert dual_functional(z, targets, cfg) == 0.0
 
 
@@ -95,7 +110,7 @@ def test_dual_functional_rho_homogeneity(small_setup):
         )
 
     c = 2.0
-    cf = DualPoint(c * f.f0, c * f.f1)
+    cf = combine(zero_point(mesh), f, c)
     smooth_f = dual_functional(f, targets, cfg) - rho_part(f)
     smooth_cf = dual_functional(cf, targets, cfg) - rho_part(cf)
     # after removing the smooth quadratic, what is left is 1-homogeneous
@@ -115,8 +130,8 @@ def test_subgradient_finite_difference(small_setup):
         g = dual_subgradient(f, targets, cfg)
         h = rand_dual_point(mesh, rng)
         eps = 1e-5
-        fp = DualPoint(f.f0 + eps * h.f0, f.f1 + eps * h.f1)
-        fm = DualPoint(f.f0 + (-eps) * h.f0, f.f1 + (-eps) * h.f1)
+        fp = combine(f, h, eps)
+        fm = combine(f, h, -eps)
         fd = (dual_functional(fp, targets, cfg) - dual_functional(fm, targets, cfg)) / (2 * eps)
         an = h_inner(g, h)
         worst = max(worst, abs(fd - an) / (abs(fd) + abs(an) + 1e-30))
@@ -129,7 +144,7 @@ def test_subgradient_zero_at_origin_with_free_targets(small_setup):
     free_targets = TargetSpec(
         final_value_profile(u0), final_velocity_profile(u0), 0.1, 0.1
     )
-    g = dual_subgradient(DualPoint.zeros(mesh), free_targets, cfg)
+    g = dual_subgradient(zero_point(mesh), free_targets, cfg)
     assert np.max(np.abs(g.f0.values)) < 1e-10
     assert np.max(np.abs(g.f1.values)) < 1e-10
 
@@ -140,7 +155,8 @@ def test_smooth_gradient_scales_linearly(small_setup):
     f = rand_dual_point(mesh, rng)
     g1 = dual_subgradient(f, targets, cfg)
     c = 3.0
-    gc = dual_subgradient(DualPoint(c * f.f0, c * f.f1), targets, cfg)
+    cf = combine(zero_point(mesh), f, c)
+    gc = dual_subgradient(cf, targets, cfg)
     # remove the scale-invariant shrinkage directions, leaving the affine part
     def shrink_dir(point):
         nh = h10_norm_physical(point.f0)
@@ -152,9 +168,9 @@ def test_smooth_gradient_scales_linearly(small_setup):
 
     s1 = shrink_dir(f)
     smooth1 = (g1.f0.values - s1[0], g1.f1.values - s1[1])
-    sc = shrink_dir(DualPoint(c * f.f0, c * f.f1))
+    sc = shrink_dir(cf)
     smoothc = (gc.f0.values - sc[0], gc.f1.values - sc[1])
-    zero = DualPoint.zeros(mesh)
+    zero = zero_point(mesh)
     g0 = dual_subgradient(zero, targets, cfg)
     for block in (0, 1):
         lin = smoothc[block] - (g0.f0.values, g0.f1.values)[block]
@@ -166,8 +182,8 @@ def test_minimize_trivial_zero_control(small_setup):
     mesh, cfg, _, _ = small_setup
     u0 = solve_nash_system(Trace.zeros(mesh, cfg.partition.mask1), cfg).u
     targets = TargetSpec(final_value_profile(u0), final_velocity_profile(u0), 0.1, 0.1)
-    f_star, w1_star, rep = minimize_dual(targets, cfg)
-    assert w1_star.norm() <= 1e-8
+    f_star, w1_star, rep = minimize_dual(targets, cfg, DualOptions())
+    assert trace_norm(w1_star) <= 1e-8
     assert abs(rep.dual_value) <= 1e-10
     assert rep.reached == (True, True)
     assert rep.certified
@@ -175,7 +191,7 @@ def test_minimize_trivial_zero_control(small_setup):
 
 def test_minimize_manufactured(small_setup):
     mesh, cfg, w1_ref, targets = small_setup
-    f_star, w1_star, rep = minimize_dual(targets, cfg)
+    f_star, w1_star, rep = minimize_dual(targets, cfg, DualOptions())
     assert rep.reached == (True, True)
     assert rep.certified
     assert rep.vi_residual >= -1e-5
@@ -187,11 +203,11 @@ def test_minimize_manufactured(small_setup):
 
 def test_vi_residual_detects_perturbation(small_setup):
     mesh, cfg, _, targets = small_setup
-    f_star, _, rep = minimize_dual(targets, cfg)
+    f_star, _, rep = minimize_dual(targets, cfg, DualOptions())
     assert vi_residual(f_star, targets, cfg, sample_count=100, seed=5) >= -1e-5
     rng = np.random.default_rng(6)
     bad = rand_dual_point(mesh, rng, scale=1.0)
-    f_bad = DualPoint(f_star.f0 + bad.f0, f_star.f1 + bad.f1)
+    f_bad = combine(f_star, bad, 1.0)
     assert vi_residual(f_bad, targets, cfg, sample_count=100, seed=5) < -1e-3
 
 
@@ -200,7 +216,7 @@ def test_vi_residual_refuses_no_comparison_point(small_setup, count):
     """With no comparison point the certificate would read 0.0, which passes."""
     mesh, cfg, _, targets = small_setup
     with pytest.raises(ConfigurationError, match="sample_count"):
-        vi_residual(DualPoint.zeros(mesh), targets, cfg, sample_count=count)
+        vi_residual(zero_point(mesh), targets, cfg, sample_count=count)
 
 
 def test_check_target_reached_examples(small_setup):
@@ -208,9 +224,9 @@ def test_check_target_reached_examples(small_setup):
     d0, d1, r0, r1 = _check_target_reached(targets.u_target0, targets.u_target1, targets)
     assert (d0, d1) == (0.0, 0.0) and r0 and r1
     # a point exactly on the sphere counts as inside (closed ball)
-    unit = SpatialProfile(np.ones(mesh.Ny + 1), mesh.domain.T, mesh)
-    unit = (1.0 / l2_norm_physical(unit)) * unit
-    shifted = targets.u_target0 + targets.rho0 * unit
+    T = mesh.domain.T
+    unit = np.ones(mesh.Ny + 1) / l2_norm_physical(SpatialProfile(np.ones(mesh.Ny + 1), T, mesh))
+    shifted = SpatialProfile(targets.u_target0.values + targets.rho0 * unit, T, mesh)
     d0, _, r0, _ = _check_target_reached(shifted, targets.u_target1, targets)
     assert d0 == pytest.approx(targets.rho0, rel=1e-12)
     assert r0
@@ -221,9 +237,9 @@ def test_duality_gap_trivial_and_manufactured(small_setup):
     u0 = solve_nash_system(Trace.zeros(mesh, cfg.partition.mask1), cfg).u
     free_targets = TargetSpec(final_value_profile(u0), final_velocity_profile(u0), 0.1, 0.1)
     zero_w = Trace(np.zeros(mesh.Nt + 1), cfg.partition.mask1, mesh)
-    assert duality_gap(zero_w, DualPoint.zeros(mesh), free_targets, cfg) == 0.0
+    assert duality_gap(zero_w, zero_point(mesh), free_targets, cfg) == 0.0
 
-    f_star, w1_star, rep = minimize_dual(targets, cfg)
+    f_star, w1_star, rep = minimize_dual(targets, cfg, DualOptions())
     gap = duality_gap(w1_star, f_star, targets, cfg)
     assert gap <= 1e-4 * max(rep.primal_J, 1e-30)
 
@@ -233,14 +249,14 @@ def test_duality_gap_requires_feasibility(small_setup):
     tiny = TargetSpec(targets.u_target0, targets.u_target1, 1e-9, 1e-9)
     bad_w = Trace(np.zeros(mesh.Nt + 1), cfg.partition.mask1, mesh)
     with pytest.raises(InfeasibleError):
-        duality_gap(bad_w, DualPoint.zeros(mesh), tiny, cfg)
+        duality_gap(bad_w, zero_point(mesh), tiny, cfg)
 
 
 def test_gap_scaling_invariance(small_setup):
     """Scaling the data scales both optimal values quadratically; the
     relative gap is unchanged."""
     mesh, cfg, w1_ref, targets = small_setup
-    _, _, rep1 = minimize_dual(targets, cfg)
+    _, _, rep1 = minimize_dual(targets, cfg, DualOptions())
     c = 2.5
     Y, T = np.meshgrid(mesh.y, mesh.times, indexing="ij")
     cfg_scaled = FollowerConfig(
@@ -249,9 +265,12 @@ def test_gap_scaling_invariance(small_setup):
         u_tilde2=Field(c * cfg.u_tilde2.values, mesh),
     )
     targets_scaled = TargetSpec(
-        c * targets.u_target0, c * targets.u_target1, c * targets.rho0, c * targets.rho1
+        SpatialProfile(c * targets.u_target0.values, mesh.domain.T, mesh),
+        SpatialProfile(c * targets.u_target1.values, mesh.domain.T, mesh),
+        c * targets.rho0,
+        c * targets.rho1,
     )
-    _, _, rep2 = minimize_dual(targets_scaled, cfg_scaled)
+    _, _, rep2 = minimize_dual(targets_scaled, cfg_scaled, DualOptions())
     assert rep2.primal_J == pytest.approx(c**2 * rep1.primal_J, rel=1e-5)
     assert rep2.gap_rel <= 1e-4
     # the secular residuals are scale free, so the Newton path is too
@@ -268,7 +287,7 @@ def test_radius_monotonicity(small_setup):
             frac * l2_norm_physical(targets.u_target0),
             frac * hminus1_norm_physical(targets.u_target1),
         )
-        _, _, rep = minimize_dual(tg, cfg)
+        _, _, rep = minimize_dual(tg, cfg, DualOptions())
         assert rep.reached == (True, True), frac
         assert rep.certified, frac
         assert rep.iterations <= 12, frac
@@ -298,15 +317,15 @@ def test_ball_slack_zero_control(small_setup):
     bump0 = rng.standard_normal(mesh.Ny + 1) * 1e-3
     bump1 = rng.standard_normal(mesh.Ny + 1) * 1e-3
     shifted = TargetSpec(
-        u_T.with_values(u_T.values + bump0),
-        ut_T.with_values(ut_T.values + bump1),
+        SpatialProfile(u_T.values + bump0, u_T.time, mesh),
+        SpatialProfile(ut_T.values + bump1, ut_T.time, mesh),
         rho0=0.5,
         rho1=0.5,
     )
     d0, d1, r0, r1 = _check_target_reached(u_T, ut_T, shifted)
     assert r0 and r1 and d0 < 0.5 * shifted.rho0 and d1 < 0.5 * shifted.rho1
-    _, w1_star, rep = minimize_dual(shifted, cfg)
-    assert w1_star.norm() <= 1e-8
+    _, w1_star, rep = minimize_dual(shifted, cfg, DualOptions())
+    assert trace_norm(w1_star) <= 1e-8
     assert rep.reached == (True, True)
 
 
@@ -316,7 +335,7 @@ def test_minimize_with_delta_outer_loop(small_setup):
     answer, mapped back to (u(T), u_t(T)), lands in both balls at no more
     cost than the reference control."""
     mesh, cfg, w1_ref, targets = small_setup
-    f_star, w1_star, rep = minimize_dual(targets, cfg)
+    f_star, w1_star, rep = minimize_dual(targets, cfg, DualOptions())
     assert rep.reached == (True, True)
     assert rep.gap_rel <= 1e-3
     assert rep.primal_J <= cost_J(w1_ref) + 1e-3
@@ -351,7 +370,7 @@ def test_minimize_time_split_partition():
     targets = TargetSpec(
         u_T, ut_T, 0.05 * l2_norm_physical(u_T), 0.05 * hminus1_norm_physical(ut_T)
     )
-    f_star, w1_star, rep = minimize_dual(targets, cfg)
+    f_star, w1_star, rep = minimize_dual(targets, cfg, DualOptions())
     assert "time_split_experimental" in rep.notes
     assert rep.reached == (True, True)
     assert rep.certified
@@ -381,7 +400,7 @@ def test_minimize_robust_across_follower_weights(sigma):
     targets = TargetSpec(
         u_T, ut_T, 0.05 * l2_norm_physical(u_T), 0.05 * hminus1_norm_physical(ut_T)
     )
-    _, w1_star, rep = minimize_dual(targets, cfg)
+    _, w1_star, rep = minimize_dual(targets, cfg, DualOptions())
     assert rep.reached == (True, True)
     assert rep.certified
     assert rep.iterations <= 12
@@ -538,7 +557,7 @@ def test_dual_matches_the_f_coordinate_values(small_setup):
     rng = np.random.default_rng(8)
     for _ in range(3):
         f = rand_dual_point(mesh, rng)
-        w1 = apply_A_star(f.f0, f.f1, cfg).leader_trace
+        w1 = apply_A_star(f.f0, f.f1, cfg)
         nh, nl = h10_norm_physical(f.f0), l2_norm_physical(f.f1)
         linear = -duality_pairing(b0, f.f0) + duality_pairing(e1, f.f1)
         want = cost_J(w1) + linear + targets.rho1 * nh + targets.rho0 * nl
@@ -548,13 +567,12 @@ def test_dual_matches_the_f_coordinate_values(small_setup):
         # one honest application of the reach operator, with f; the Poisson
         # solve lifts the velocity block into H^1_0
         c1, c2 = apply_A(w1, cfg)
-        misfit = c1 - b0
-        g0 = misfit.with_values(pr.solve_values(misfit.values)) + (targets.rho1 / nh) * f.f0
-        g1 = c2 + e1 + (targets.rho0 / nl) * f.f1
+        g0 = pr.solve_values((c1 - b0).values) + (targets.rho1 / nh) * f.f0.values
+        g1 = c2.values + e1.values + (targets.rho0 / nl) * f.f1.values
         got = dual_subgradient(f, targets, cfg)
-        scale = max(np.max(np.abs(g0.values)), np.max(np.abs(g1.values)))
-        assert np.max(np.abs(got.f0.values - g0.values)) <= 1e-9 * scale
-        assert np.max(np.abs(got.f1.values - g1.values)) <= 1e-9 * scale
+        scale = max(np.max(np.abs(g0)), np.max(np.abs(g1)))
+        assert np.max(np.abs(got.f0.values - g0)) <= 1e-9 * scale
+        assert np.max(np.abs(got.f1.values - g1)) <= 1e-9 * scale
 
 
 def test_kept_free_terminal_follows_the_tracked_trajectory(mesh41, overlap41, utilde41, monkeypatch):

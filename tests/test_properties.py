@@ -23,7 +23,7 @@ from hierwave.coupled import (
 )
 from hierwave.geometry import DomainSpec, SigmaPartition, min_control_time
 from hierwave.grid import Field, Mesh, SpatialProfile, Trace
-from hierwave.leader_dual import TargetSpec, minimize_dual
+from hierwave.leader_dual import DualOptions, TargetSpec, minimize_dual
 from hierwave.verify import monolithic_solve
 from hierwave.wave_core import WaveOperator
 from references import dual_functional
@@ -119,8 +119,8 @@ def test_default_path_properties(Ny, k, T_extra, log_sigma, time_split, seed):
     f1v = rng.standard_normal(Ny + 1)
     c1, c2 = apply_A(w1, plain)
     lhs = float(np.sum(omega * (c1.values * f0v + c2.values * f1v)))
-    pair = apply_A_star(SpatialProfile(f0v, T, mesh), SpatialProfile(f1v, T, mesh), plain)
-    rhs = float(np.sum(tau * chi1 * pair.leader_trace.values * leader))
+    trace = apply_A_star(SpatialProfile(f0v, T, mesh), SpatialProfile(f1v, T, mesh), plain)
+    rhs = float(np.sum(tau * chi1 * trace.values * leader))
     assert abs(lhs - rhs) <= TRANSPOSE_RTOL * (abs(lhs) + abs(rhs)), (lhs, rhs)
 
 
@@ -185,7 +185,7 @@ def test_leader_default_path_properties(Ny, k, T_extra, log_sigma, time_split, s
             rho_rel * l2_norm(mesh, u_T),
             rho_rel * hminus1_norm(mesh, ut_T),
         )
-        f_star, w1_star, rep = minimize_dual(targets, cfg)
+        f_star, w1_star, rep = minimize_dual(targets, cfg, DualOptions())
         assert rep.certified, rep.notes
 
         # the reach, replayed through the equilibrium solve
