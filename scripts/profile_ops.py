@@ -67,6 +67,11 @@ op's wall time.  ``cold`` holds the first pass, which fills the caches:
 its wall time and each stage's time and calls, so that work done once per
 mesh, such as the follower factorization, shows.  ``peak_rss_mb`` is the
 process's peak resident set (``ru_maxrss``) at the end, plan included.
+``kept`` counts, for each name under which the mesh's operator keeps a
+value (``WaveOperator.kept``), the lookups that found it (hits) and those
+that built it (misses): ``cold`` for the first pass, ``passes`` one entry
+per warm pass.  A warm pass of a workload that repeats its ops should miss
+nothing; a checkout without ``WaveOperator.kept`` reports none.
 Wall times follow the host's speed, which can drift by tens of percent
 between runs on a shared machine; the shares drift far less.
 The result is written as ``BENCH_<tag>.json`` in ``--out``.
@@ -131,11 +136,13 @@ STAGES = {
 
 
 class StageTimers:
-    """Wrappers that add each call's wall time to its stage's running total."""
+    """Wrappers that add each call's wall time to its stage's running total,
+    and count the hits and misses of every kept value by name."""
 
     def __init__(self):
         self.seconds: dict[str, float] = {}
         self.calls: dict[str, int] = {}
+        self.kept: dict[str, dict[str, int]] = {}
         self._patched: list[tuple[object, str, object]] = []
 
     def _timed(self, fn, stage: str):
@@ -150,6 +157,25 @@ class StageTimers:
 
         return timed
 
+    def _counted(self, kept):
+        """``WaveOperator.kept``, counting a lookup as a miss when it builds."""
+
+        @functools.wraps(kept)
+        def counted(op, name, key, build):
+            built = []
+
+            def counted_build():
+                built.append(True)
+                return build()
+
+            try:
+                return kept(op, name, key, counted_build)
+            finally:
+                row = self.kept.setdefault(name, {"hits": 0, "misses": 0})
+                row["misses" if built else "hits"] += 1
+
+        return counted
+
     def _patch(self, owner, attr: str, wrapper) -> None:
         self._patched.append((owner, attr, getattr(owner, attr)))
         setattr(owner, attr, wrapper)
@@ -159,6 +185,9 @@ class StageTimers:
         targets = [(stage, *t) for stage, ts in STAGES.items() for t in ts]
         for name in ("load_config", "cmd_leader", "cmd_nash"):
             targets.append(("cli.dispatched", "hierwave.cli", name))
+        operator = sys.modules["hierwave.wave_core"].WaveOperator
+        if hasattr(operator, "kept"):
+            self._patch(operator, "kept", self._counted(operator.kept))
         for stage, module, path in targets:
             *owners, attr = path.split(".")
             owner = sys.modules[module]
@@ -182,10 +211,10 @@ class StageTimers:
             setattr(owner, attr, original)
         self._patched.clear()
 
-    def take(self) -> tuple[dict[str, float], dict[str, int]]:
-        """The totals since the last take, and reset."""
-        out = (self.seconds, self.calls)
-        self.seconds, self.calls = {}, {}
+    def take(self) -> tuple[dict[str, float], dict[str, int], dict[str, dict[str, int]]]:
+        """The totals and kept counts since the last take, and reset."""
+        out = (self.seconds, self.calls, self.kept)
+        self.seconds, self.calls, self.kept = {}, {}, {}
         return out
 
 
@@ -213,15 +242,16 @@ def profile(workload: str, seed: int, passes: int) -> dict:
     timers.install()
     try:
         cold_times, warm_codes = run_pass(ops)
-        cold_seconds, cold_calls = timers.take()
+        cold_seconds, cold_calls, cold_kept = timers.take()
         cold_seconds.pop("cli.dispatched", None)
         cold_calls.pop("cli.dispatched", None)
-        op_times, per_pass = [], []
+        op_times, per_pass, kept_passes = [], [], []
         for _ in range(passes):
             times, codes = run_pass(ops)
             if codes != warm_codes:
                 raise RuntimeError(f"exit codes changed between passes: {warm_codes} -> {codes}")
-            seconds, calls = timers.take()
+            seconds, calls, kept = timers.take()
+            kept_passes.append(kept)
             seconds["cli.parse"] = sum(times) - seconds.pop("cli.dispatched", 0.0)
             calls["cli.parse"] = len(ops)
             calls.pop("cli.dispatched", None)
@@ -255,6 +285,7 @@ def profile(workload: str, seed: int, passes: int) -> dict:
                 stage: {"s": cold_seconds.get(stage, 0.0), "calls": cold_calls.get(stage, 0)} for stage in STAGES
             },
         },
+        "kept": {"cold": cold_kept, "passes": kept_passes},
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
 
@@ -298,6 +329,11 @@ def main() -> int:
     for stage, row in result["stages"].items():
         print(f"  {stage:40s} {row['s_per_pass_p50'] * 1e3:8.2f} ms/pass  "
               f"{row['share_p50']:6.1%} of op time  {row['calls_per_pass']:g} calls")
+    kept = result["kept"]
+    for name in sorted({*kept["cold"], *(n for p in kept["passes"] for n in p)}):
+        warm = [p.get(name, {"hits": 0, "misses": 0}) for p in kept["passes"]]
+        print(f"  kept {name:35s} cold {kept['cold'].get(name, {}).get('misses', 0)} misses; "
+              f"warm passes {sum(w['hits'] for w in warm)} hits, {sum(w['misses'] for w in warm)} misses")
     return 0
 
 

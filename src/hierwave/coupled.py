@@ -49,6 +49,10 @@ only S^T on them, so neither runs a wave solve.  This is the control-space
 Glowinski, Lions & He, Exact and Approximate Controllability for
 Distributed Parameter Systems, CUP 2008.
 
+The one cache holds the wave operators of the last meshes (:func:`get_engine`),
+each with every value kept for its mesh; a :class:`CoupledEngine` is a view of
+one sigma and partition on an operator, built per call, that keeps nothing.
+
 The public functions below take this path and no other.  Two independent
 oracles remain as :class:`CoupledEngine` methods, reached by name from the
 tests and :mod:`hierwave.verify`: relaxed Picard on the coupling trace
@@ -67,7 +71,7 @@ import scipy.linalg
 
 from .errors import ConfigurationError, ConvergenceError
 from .geometry import SigmaPartition
-from .grid import Field, Mesh, SpatialProfile, Trace, read_only
+from .grid import Field, Mesh, SpatialProfile, Trace
 from .wave_core import WaveOperator, extract_terminal, terminal_adjoint
 
 __all__ = [
@@ -93,11 +97,10 @@ PICARD_MIN_RELAXATION = 0.125
 # the coupled LU's memory guard: its factors hold 9.7M nonzeros at Ny = 64
 # and 52M at Ny = 128
 COUPLED_LU_MAX_NY = 64
-# engines kept by get_engine, least recently used first out: the bench's
-# nash-sigma-ladder revisits 7 (six sigma at Ny = 64, plus the Ny = 80 op)
-# and leader-rho-sweep 2.  An engine holds no (N+1)^2 array: H and the
-# follower spectrum's Q, 4 MB each at Ny = 128, live on the mesh's operator
-ENGINE_CACHE_SIZE = 8
+# meshes whose wave operator get_engine keeps, least recently used first out
+# (each gated bench workload revisits 2); an operator holds every value kept
+# for its mesh, H and the follower spectrum's Q among them, 4 MB each at Ny = 128
+OPERATOR_CACHE_SIZE = 8
 
 
 def _cho_factor(a: np.ndarray) -> np.ndarray:
@@ -155,21 +158,20 @@ class NashSolution:
 
 
 class CoupledEngine:
-    """Shared machinery for one (mesh, sigma, partition) triple.
+    """The coupled solves of one (sigma, partition) pair on the mesh of ``op``.
 
-    ``op`` is the mesh's :class:`~hierwave.wave_core.WaveOperator`, which
-    engines on one mesh share; None builds a new one.  The engine reads the
-    operator's mesh, so that it shares that mesh's weights with the operator.
+    The engine keeps nothing: what outlives a call is kept by the mesh's
+    :class:`~hierwave.wave_core.WaveOperator` (:meth:`~hierwave.wave_core.WaveOperator.kept`).
+    It reads the operator's mesh, so that it shares that mesh's weights.
     """
 
-    def __init__(self, mesh: Mesh, sigma: float, partition: SigmaPartition, op: WaveOperator | None = None):
+    def __init__(self, op: WaveOperator, sigma: float, partition: SigmaPartition):
+        self.op = op
+        self.mesh = mesh = op.mesh
         if partition.mask1.shape != (mesh.Nt + 1,):
             raise ConfigurationError(
                 f"partition masks have length {partition.mask1.shape[0]}, grid wants {mesh.Nt + 1}"
             )
-        mesh.require_cfl()
-        self.op = WaveOperator(mesh) if op is None else op
-        self.mesh = mesh = self.op.mesh
         self.sigma = float(sigma)
         self.partition = partition
         self.chi1 = partition.mask1.astype(float)
@@ -178,13 +180,6 @@ class CoupledEngine:
         self._zeros_full = np.zeros(mesh.Ny + 1)
         self._zeros_t = np.zeros(mesh.Nt + 1)
         self._idx2 = np.flatnonzero(partition.mask2)
-        # whitened adjoint-trace columns, their Gram matrix and the Cholesky
-        # factor R of the norm blocks of the leader's dual; they do not depend
-        # on targets or radii, so a radii ladder shares them
-        self.leader_gram: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        # free_terminal's pair for the last u_tilde, kept read-only with a
-        # copy of that u_tilde
-        self._free_terminal: tuple[np.ndarray, tuple[np.ndarray, np.ndarray]] | None = None
 
     # -- elementary solves ---------------------------------------------------
 
@@ -307,17 +302,20 @@ class CoupledEngine:
         """Final value and physical velocity of the zero-leader equilibrium
         tracking ``utilde``; with the tracked row kept, it runs no wave solve.
 
-        The pair of the last ``utilde`` is kept with the engine, read-only;
-        a repeated ``utilde`` runs no solve at all.
+        The mesh's operator keeps the pair of the last (sigma, partition,
+        ``utilde``) (:meth:`~hierwave.wave_core.WaveOperator.kept`); a
+        repeated one runs no solve at all.
         """
         if utilde is None:
             zero = np.zeros(self.mesh.Ny + 1)
             return zero, zero.copy()
-        if self._free_terminal is None or not np.array_equal(self._free_terminal[0], utilde):
+
+        def build():
             bc, _ = self.schur_bc(self._zeros_t, utilde)
             vel, neg_val = extract_terminal(self.mesh, self.op.boundary_response().terminal_levels(bc))
-            self._free_terminal = (read_only(np.array(utilde)), (read_only(-neg_val), read_only(vel)))
-        return self._free_terminal[1]
+            return -neg_val, vel
+
+        return self.op.kept("free_terminal", (self.sigma, self.partition.mask1, self.partition.mask2, utilde), build)
 
     # -- relaxed Picard on the coupling trace ---------------------------------
 
@@ -469,35 +467,34 @@ class CoupledEngine:
         return mu, psi, s, it, residuals
 
 
-_ENGINE_CACHE: dict[tuple, CoupledEngine] = {}
+_OPERATOR_CACHE: dict[Mesh, WaveOperator] = {}
 
 
 def get_engine(mesh: Mesh, cfg: FollowerConfig) -> CoupledEngine:
-    """The engine of (mesh, sigma, partition), from the cache when kept there.
+    """A new engine for ``cfg`` on the mesh's cached operator.
 
-    A new engine takes the wave operator of a kept engine on the same mesh;
-    the operator is freed with the last engine that holds it.  Meshes
-    compare as their grid, so every op on one grid finds the same engine.
+    Meshes compare as their grid, so every op on one grid finds the same
+    operator and the values it keeps; a mesh not in the cache gets a new
+    operator once its CFL condition holds.
     """
-    key = (mesh, float(cfg.sigma), cfg.partition.fingerprint())
     # dict order is the recency order: a hit moves to the back
-    eng = _ENGINE_CACHE.pop(key, None)
-    if eng is None:
-        op = next((e.op for k, e in _ENGINE_CACHE.items() if k[0] == key[0]), None)
-        eng = CoupledEngine(mesh, cfg.sigma, cfg.partition, op)
-    _ENGINE_CACHE[key] = eng
-    while len(_ENGINE_CACHE) > ENGINE_CACHE_SIZE:
-        del _ENGINE_CACHE[next(iter(_ENGINE_CACHE))]
-    return eng
+    op = _OPERATOR_CACHE.pop(mesh, None)
+    if op is None:
+        mesh.require_cfl()
+        op = WaveOperator(mesh)
+    _OPERATOR_CACHE[mesh] = op
+    while len(_OPERATOR_CACHE) > OPERATOR_CACHE_SIZE:
+        del _OPERATOR_CACHE[next(iter(_OPERATOR_CACHE))]
+    return CoupledEngine(op, cfg.sigma, cfg.partition)
 
 
 def kept_mesh(mesh: Mesh) -> Mesh:
-    """The mesh of a kept engine that compares equal to ``mesh``, else ``mesh``.
+    """The mesh of the kept operator that compares equal to ``mesh``, else ``mesh``.
 
-    Objects built on it share its node and weight arrays with the engine,
+    Objects built on it share its node and weight arrays with the operator,
     so a warm op builds none of them again.
     """
-    return next((e.mesh for e in _ENGINE_CACHE.values() if e.mesh == mesh), mesh)
+    return _OPERATOR_CACHE[mesh].mesh if mesh in _OPERATOR_CACHE else mesh
 
 
 def _utilde_values(cfg: FollowerConfig, mesh: Mesh) -> np.ndarray | None:

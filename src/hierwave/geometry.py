@@ -160,6 +160,3 @@ class SigmaPartition:
         m1 = np.zeros(n_nodes, dtype=bool)
         m1[: cut + 1] = True
         return cls("time-split", m1, ~m1)
-
-    def fingerprint(self) -> tuple:
-        return (self.mode, self.mask1.tobytes(), self.mask2.tobytes())

@@ -59,7 +59,7 @@ import scipy.linalg
 
 from .errors import ConfigurationError, InfeasibleError, InstabilityError
 from .grid import Mesh, SpatialProfile, Trace
-from .coupled import FollowerConfig, _cho_factor, _cho_solve, apply_A, cost_J, get_engine
+from .coupled import FollowerConfig, _cho_factor, _cho_solve, _utilde_values, apply_A, cost_J, get_engine
 from .wave_core import terminal_adjoint_levels
 
 __all__ = [
@@ -197,8 +197,9 @@ class _DualModel:
     smooth part in z, and its two block norms are the distances of the final
     state to the velocity and value targets.
     The whitened columns, their Gram matrix and R depend on the mesh and the
-    follower only, and are kept with the follower's engine, as is the free
-    state's final pair for the last tracked trajectory; the targets enter
+    follower only; the mesh's operator keeps them for the last follower, and
+    the free state's final pair for the last tracked trajectory too
+    (:meth:`~hierwave.wave_core.WaveOperator.kept`).  The targets enter
     through ell^ alone.
     """
 
@@ -213,11 +214,9 @@ class _DualModel:
         self.m = self.n0 + self.n1
         self.blocks = (slice(0, self.n0), slice(self.n0, self.m))
         self.omega = mesh.alphas[-1] * mesh.wy
-        if self.eng.leader_gram is None:
-            self.eng.leader_gram = self._build_gram()
-        self.C, self.G, self.R = self.eng.leader_gram
-        utilde = cfg.u_tilde2.values if cfg.u_tilde2 is not None else None
-        self.u0T, self.u0pT = self.eng.free_terminal(utilde)
+        key = (self.eng.sigma, cfg.partition.mask1, cfg.partition.mask2)
+        self.C, self.G, self.R = self.eng.op.kept("dual_gram", key, self._build_gram)
+        self.u0T, self.u0pT = self.eng.free_terminal(_utilde_values(cfg, mesh))
         b0 = targets.u_target1.values - self.u0pT
         e1 = targets.u_target0.values - self.u0T
         ell = np.concatenate([-self.omega[1:-1] * b0[1:-1], self.omega * e1])

@@ -35,7 +35,7 @@ from .grid import (
     Trace,
     duality_pairing,
 )
-from .coupled import FollowerConfig, apply_A, apply_A_star, get_engine, solve_nash_system
+from .coupled import FollowerConfig, _utilde_values, apply_A, apply_A_star, get_engine, solve_nash_system
 from .wave_core import solve_forward
 
 __all__ = [
@@ -84,7 +84,7 @@ def monolithic_solve(
     if system == "nash":
         if w1 is None:
             raise ConfigurationError("system 'nash' needs a leader trace")
-        utilde = cfg.u_tilde2.values if cfg.u_tilde2 is not None else None
+        utilde = _utilde_values(cfg, mesh)
         state, lam, w2 = eng.direct_pair(w1.values, utilde)
         rhs = eng.coupled_rhs(w1.values, utilde)
         return {

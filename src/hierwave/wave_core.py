@@ -32,9 +32,9 @@ boundary response S = M^-1 E, reduced to the Gram matrix S^T W S and the
 last three time levels of S (:meth:`WaveOperator.boundary_response`); that
 march solves each step's wide batch with LAPACK dgtsv, the pre-factored
 solve's arithmetic swept a row of the batch at a time.
-The operator also keeps one eigendecomposition of the follower's block of
-H (:meth:`WaveOperator.follower_spectrum`), through which every follower
-weight on the mesh solves.
+The operator keeps what later ops ask for again under one rule
+(:meth:`WaveOperator.kept`), among it one eigendecomposition of the follower's
+block of H (:meth:`WaveOperator.follower_spectrum`) for every follower weight.
 M itself is assembled only for the independent oracles: its sparse LU
 (:meth:`WaveOperator.solve_lu`) in the tests and the direct solves of
 :mod:`hierwave.verify`.
@@ -42,7 +42,7 @@ M itself is assembled only for the independent oracles: its sparse LU
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -87,8 +87,7 @@ _RESPONSE_BLOCK = 4
 _RESPONSE_SCALE = 2.0**300
 
 
-@dataclass(frozen=True)
-class BoundaryResponse:
+class BoundaryResponse(NamedTuple):
     """The march's response to unit Dirichlet data at y = 0, in reduced form.
 
     Column m of S = M^-1 E is the field driven by a unit datum at time node
@@ -146,14 +145,8 @@ class WaveOperator:
         self._steps = None
         self._matrix = None
         self._lu = None
-        self._response = None
-        # tracked_row's S^T W u_tilde for the last u_tilde, sample_responses'
-        # levels for the last boundary data and follower_spectrum's
-        # eigendecomposition for the last node set, each kept read-only with
-        # a copy of its input
-        self._tracked_row: tuple[np.ndarray, np.ndarray] | None = None
-        self._sample: tuple[np.ndarray, np.ndarray] | None = None
-        self._spectrum: tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
+        # kept's values by name, each with a read-only copy of its key
+        self._kept: dict[str, tuple[tuple, object]] = {}
 
     def _stencil_table(self) -> tuple[np.ndarray, np.ndarray]:
         """The read-only table of step coefficients, shape (N+1, 2, 3, J+3),
@@ -394,7 +387,7 @@ class WaveOperator:
     # -- the response to unit boundary data, all columns in one march -------
 
     def boundary_response(self) -> BoundaryResponse:
-        """H = S^T W S and the last three levels of S, built once per operator.
+        """H = S^T W S and the last three levels of S, kept once built (:meth:`kept`).
 
         One march over all N+1 unit data at y = 0 together: each step is one
         LAPACK ``dgtsv`` solve whose right-hand side holds the active columns
@@ -417,33 +410,41 @@ class WaveOperator:
         2^423 past which the scaled H would overflow; an unstable one is
         refused either way.
         """
-        if self._response is None:
-            self._response = self._march_boundary_response()
-        return self._response
+        return self.kept("boundary_response", (), self._march_boundary_response)
+
+    def kept(self, name: str, key: tuple, build):
+        """``build()``'s value for the last ``key`` under ``name``, kept read-only.
+
+        A key whose items equal the kept key's as arrays, by value, finds it
+        with no build; another frees it first.  The key is kept as read-only
+        copies, and the value's arrays (it is one or a tuple) made read-only.
+        """
+        entry = self._kept.get(name)
+        if entry is None or not all(np.array_equal(a, b) for a, b in zip(entry[0], key)):
+            self._kept.pop(name, None)
+            value = build()
+            for a in value if isinstance(value, tuple) else (value,):
+                read_only(a)
+            entry = self._kept[name] = (tuple(read_only(np.array(k)) for k in key), value)
+        return entry[1]
 
     def tracked_row(self, utilde: np.ndarray) -> np.ndarray:
         """S^T W u_tilde: the boundary row of the transposed sweep of W u_tilde.
 
         It depends on the mesh and u_tilde alone, so every engine on the
-        mesh shares it; the row of the last u_tilde is kept, read-only.
+        mesh shares it; the row of the last u_tilde is kept (:meth:`kept`).
         """
-        if self._tracked_row is None or not np.array_equal(self._tracked_row[0], utilde):
-            row = self.solve_adjoint(self.W * utilde)[0, :]
-            self._tracked_row = (read_only(np.array(utilde)), read_only(row.copy()))
-        return self._tracked_row[1]
+        return self.kept("tracked_row", (utilde,), lambda: self.solve_adjoint(self.W * utilde)[0, :].copy())
 
     def sample_responses(self, bc: np.ndarray) -> np.ndarray:
         """Time-major levels, shape (N+1, J+1, m), of the march of the
         Dirichlet data ``bc`` at y = 0, shape (N+1, m), from zero initial data.
 
         They depend on the mesh and ``bc`` alone, so every engine on the mesh
-        shares them; the levels of the last ``bc`` are kept, read-only.
+        shares them; the levels of the last ``bc`` are kept (:meth:`kept`).
         """
-        if self._sample is None or not np.array_equal(self._sample[0], bc):
-            zeros_t, zeros = np.zeros(self.N + 1), np.zeros(self.J + 1)
-            levels = self.march(bc, zeros_t, zeros, zeros, time_major=True)
-            self._sample = (read_only(np.array(bc)), read_only(levels))
-        return self._sample[1]
+        zeros_t, zeros = np.zeros(self.N + 1), np.zeros(self.J + 1)
+        return self.kept("sample_responses", (bc,), lambda: self.march(bc, zeros_t, zeros, zeros, time_major=True))
 
     def follower_spectrum(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(d, lam, Q) with D^-1 H_22 D^-1 = Q diag(lam) Q^T, lam ascending.
@@ -452,13 +453,11 @@ class WaveOperator:
         d = 1 / diag(D).  (sigma diag(tau) + H)_22 then equals
         D Q (diag(lam) + sigma) Q^T D for every sigma, so one decomposition
         serves every follower weight on the mesh.  It depends on the mesh and
-        ``idx`` alone; that of the last ``idx`` is kept, read-only.  LAPACK
-        dsyevr runs on one scaled copy of H_22, in place; a failed call
-        raises LinAlgError.
+        ``idx`` alone; that of the last ``idx`` is kept (:meth:`kept`).
+        LAPACK dsyevr runs on one scaled copy of H_22, in place; a failed
+        call raises LinAlgError.
         """
-        if self._spectrum is None or not np.array_equal(self._spectrum[0], idx):
-            # the old Q goes before the new one is built
-            self._spectrum = None
+        def build():
             d = 1.0 / np.sqrt(self.mesh.tau[idx])
             # the fancy-indexed copy is C-ordered and symmetric, so its
             # transpose is the F-ordered array dsyevr overwrites without a copy
@@ -468,8 +467,9 @@ class WaveOperator:
             lam, Q, _, _, info = scipy.linalg.lapack.dsyevr(a, overwrite_a=1)
             if info != 0:
                 raise np.linalg.LinAlgError(f"dsyevr failed with info = {info}")
-            self._spectrum = (read_only(np.array(idx)), (read_only(d), read_only(lam), read_only(Q)))
-        return self._spectrum[1]
+            return d, lam, Q
+
+        return self.kept("follower_spectrum", (idx,), build)
 
     def _unit_levels(self):
         """Yield (n, level) for the march driven by every unit datum at y = 0.

@@ -304,7 +304,7 @@ def test_warm_nash_op_marches_once(tmp_path, monkeypatch):
     """A warm nash op marches its state alone: the mesh's operator keeps the
     first-order sample's responses.  A later euler_lagrange_residual on the
     same directions marches nothing, and its residuals are, bit for bit,
-    those computed with every engine dropped; the kept levels are read-only."""
+    those computed with every operator dropped; the kept levels are read-only."""
     from hierwave import coupled
     from hierwave.cli import RunSetup
     from hierwave.coupled import euler_lagrange_residual, get_engine, solve_nash_system
@@ -351,7 +351,7 @@ def test_warm_nash_op_marches_once(tmp_path, monkeypatch):
     with pytest.raises(ValueError):
         levels[1, 1, 0] = 0.0
 
-    monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
+    monkeypatch.setattr(coupled, "_OPERATOR_CACHE", {})
     cold = euler_lagrange_residual(solve_nash_system(w1, setup.follower), setup.follower, directions)
     assert widths == [1, 8]
     assert warm.tobytes() == cold.tobytes()
@@ -360,10 +360,10 @@ def test_warm_nash_op_marches_once(tmp_path, monkeypatch):
 def test_warm_nash_ops_build_mesh_arrays_once(tmp_path, monkeypatch):
     """Four nash ops on one grid in one process build each node array,
     quadrature weight and d/dy once: a warm op's set-up and outputs are built
-    on the kept engine's mesh, which compares equal to the config's."""
+    on the kept operator's mesh, which compares equal to the config's."""
     from hierwave import coupled
 
-    monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
+    monkeypatch.setattr(coupled, "_OPERATOR_CACHE", {})
     builds = dict.fromkeys(("W", "wy", "alphas", "D", "y", "times", "tau"), 0)
     for name in builds:
         prop = Mesh.__dict__[name]
@@ -382,12 +382,12 @@ def test_warm_nash_ops_build_mesh_arrays_once(tmp_path, monkeypatch):
 
 def test_setups_after_a_solve_share_the_engine_mesh(monkeypatch):
     """Two set-ups of one document, made after a solve, are built on the
-    kept engine's mesh object, not on meshes of their own."""
+    kept operator's mesh object, not on meshes of their own."""
     from hierwave import coupled
     from hierwave.cli import RunSetup
     from hierwave.coupled import solve_nash_system
 
-    monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
+    monkeypatch.setattr(coupled, "_OPERATOR_CACHE", {})
     doc = base_config(grid={"Ny": 12})
     first = RunSetup(doc)
     w1 = first.build_time_trace({"family": "constant", "value": 1.0}, first.partition.mask1, "leader")
@@ -398,7 +398,7 @@ def test_setups_after_a_solve_share_the_engine_mesh(monkeypatch):
 
 def test_kept_sample_follows_seed_and_partition(tmp_path, monkeypatch):
     """Runs in one process whose seed or partition changes between them
-    write, byte for byte, what the same config writes with every engine
+    write, byte for byte, what the same config writes with every operator
     dropped: the first-order sample kept by the mesh's operator never answers
     for other directions."""
     from hierwave import coupled
@@ -418,7 +418,7 @@ def test_kept_sample_follows_seed_and_partition(tmp_path, monkeypatch):
         warm = tmp_path / f"warm{i}"
         assert main(["nash", "--config", path, "--out", str(warm)]) == 0
         with monkeypatch.context() as m:
-            m.setattr(coupled, "_ENGINE_CACHE", {})
+            m.setattr(coupled, "_OPERATOR_CACHE", {})
             cold = tmp_path / f"cold{i}"
             assert main(["nash", "--config", path, "--out", str(cold)]) == 0
         for name in ("u.csv", "p.csv", "w2.csv", "u_T.csv", "ut_T.csv", "summary.json"):

@@ -364,24 +364,25 @@ def test_engines_on_one_mesh_share_the_operator(mesh41, overlap41):
 
 
 def test_engine_cache_evicts_least_recent(monkeypatch):
-    """The least recently used engine is dropped, and its wave operator with it."""
-    monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
+    """The least recently used mesh's wave operator is dropped from the cache
+    and freed."""
+    monkeypatch.setattr(coupled, "_OPERATOR_CACHE", {})
 
     def engine(Ny):
         mesh = Mesh.auto(DomainSpec(k=0.1, T=1.0), Ny)
         return get_engine(mesh, FollowerConfig(sigma=1.0, partition=SigmaPartition.overlap(mesh.Nt + 1)))
 
     first_op = weakref.ref(engine(8).op)
-    for Ny in range(9, 9 + coupled.ENGINE_CACHE_SIZE):
+    for Ny in range(9, 9 + coupled.OPERATOR_CACHE_SIZE):
         engine(Ny)
     gc.collect()
     assert first_op() is None
-    assert len(coupled._ENGINE_CACHE) == coupled.ENGINE_CACHE_SIZE
-    # a hit makes the engine the most recent, so the next one out is Ny = 10
+    assert len(coupled._OPERATOR_CACHE) == coupled.OPERATOR_CACHE_SIZE
+    # a hit makes the mesh the most recent, so the next one out is Ny = 10
     engine(9)
-    engine(9 + coupled.ENGINE_CACHE_SIZE)
-    kept = [key[0].Ny for key in coupled._ENGINE_CACHE]
-    assert kept == [*range(11, 9 + coupled.ENGINE_CACHE_SIZE), 9, 9 + coupled.ENGINE_CACHE_SIZE]
+    engine(9 + coupled.OPERATOR_CACHE_SIZE)
+    kept = [mesh.Ny for mesh in coupled._OPERATOR_CACHE]
+    assert kept == [*range(11, 9 + coupled.OPERATOR_CACHE_SIZE), 9, 9 + coupled.OPERATOR_CACHE_SIZE]
 
 
 def test_warm_nash_sweeps_once(cfg41, w1_smooth, monkeypatch):
@@ -403,7 +404,7 @@ def test_warm_nash_sweeps_once(cfg41, w1_smooth, monkeypatch):
 def test_engines_on_one_mesh_share_the_tracked_row(mesh41, overlap41, utilde41, w1_smooth, monkeypatch):
     """A second sigma on the mesh finds S^T W u_tilde with the shared operator:
     its first solve runs the companion's sweep and no other."""
-    monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
+    monkeypatch.setattr(coupled, "_OPERATOR_CACHE", {})
     solve_nash_system(w1_smooth, FollowerConfig(sigma=1.0, partition=overlap41, u_tilde2=utilde41))
     calls = []
     sweep = WaveOperator.solve_adjoint
@@ -414,12 +415,13 @@ def test_engines_on_one_mesh_share_the_tracked_row(mesh41, overlap41, utilde41, 
 
     monkeypatch.setattr(WaveOperator, "solve_adjoint", counted)
     solve_nash_system(w1_smooth, FollowerConfig(sigma=0.3, partition=overlap41, u_tilde2=utilde41))
-    assert len(coupled._ENGINE_CACHE) == 2
+    assert len(coupled._OPERATOR_CACHE) == 1
     assert len(calls) == 1
 
 
 def test_kept_row_follows_the_tracked_trajectory(mesh41, overlap41, utilde41, w1_smooth, monkeypatch):
-    """Alternating trajectories on one engine give a fresh engine's answers bit for bit."""
+    """Alternating trajectories on one mesh's operator give a fresh operator's
+    answers bit for bit."""
     other = Field(np.roll(utilde41.values, 7, axis=1), mesh41)
 
     def run(utilde):
@@ -427,11 +429,11 @@ def test_kept_row_follows_the_tracked_trajectory(mesh41, overlap41, utilde41, w1
         sol = solve_nash_system(w1_smooth, cfg)
         return sol.u.values, sol.p.values, sol.w2.values, *get_engine(mesh41, cfg).free_terminal(utilde.values)
 
-    monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
+    monkeypatch.setattr(coupled, "_OPERATOR_CACHE", {})
     warm = [run(u) for u in (utilde41, other, utilde41)]
-    assert len(coupled._ENGINE_CACHE) == 1
+    assert len(coupled._OPERATOR_CACHE) == 1
     for u, got in zip((utilde41, other, utilde41), warm):
-        monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
+        monkeypatch.setattr(coupled, "_OPERATOR_CACHE", {})
         for a, b in zip(got, run(u)):
             assert np.array_equal(a, b)
     assert not np.array_equal(warm[0][0], warm[1][0])
@@ -439,26 +441,42 @@ def test_kept_row_follows_the_tracked_trajectory(mesh41, overlap41, utilde41, w1
 
 def test_kept_values_are_read_only_and_found_by_value(mesh41, overlap41, utilde41, monkeypatch):
     """The tracked row, the first-order sample's levels, the free state's
-    final pair and the follower spectrum are kept read-only; an equal input
-    in a new array finds them and runs no march, sweep, follower solve or
+    final pair, the follower spectrum, the leader's whitened Gram (C, G, R)
+    and H with the last levels of S are kept read-only; an equal input in a
+    new array finds them and runs no march, sweep, follower solve or
     decomposition, and a kept input is a copy, so changing the caller's array
     is a new input."""
-    monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
-    eng = get_engine(mesh41, FollowerConfig(sigma=0.5, partition=overlap41, u_tilde2=utilde41))
+    from hierwave.leader_dual import TargetSpec, _DualModel
+
+    monkeypatch.setattr(coupled, "_OPERATOR_CACHE", {})
     utilde = utilde41.values.copy()
     bc = np.random.default_rng(3).standard_normal((mesh41.Nt + 1, 2))
+    T = mesh41.domain.T
+    targets = TargetSpec(
+        SpatialProfile(0.2 * np.sin(np.pi * mesh41.y), T, mesh41),
+        SpatialProfile(0.5 * np.sin(2 * np.pi * mesh41.y), T, mesh41),
+        0.01,
+        0.01,
+    )
 
-    idx = np.flatnonzero(overlap41.mask2)
-
-    def kept(utilde, bc, idx):
+    def kept(utilde, bc, sigma, mask1, mask2):
+        # every input a new array of the same values
+        cfg = FollowerConfig(sigma, SigmaPartition("overlap", mask1, mask2), Field(utilde, mesh41))
+        eng = get_engine(mesh41, cfg)
+        model = _DualModel(mesh41, cfg, targets)
         return [
             eng.op.tracked_row(utilde),
             eng.op.sample_responses(bc),
             *eng.free_terminal(utilde),
-            *eng.op.follower_spectrum(idx),
+            *eng.op.follower_spectrum(np.flatnonzero(mask2)),
+            model.C,
+            model.G,
+            model.R,
+            eng.op.boundary_response().H,
+            eng.op.boundary_response().tail,
         ]
 
-    first = kept(utilde, bc, idx)
+    first = kept(utilde, bc, 0.5, overlap41.mask1, overlap41.mask2)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a kept value was computed again")
@@ -470,21 +488,22 @@ def test_kept_values_are_read_only_and_found_by_value(mesh41, overlap41, utilde4
         (scipy.linalg.lapack, "dsyevr"),
     ):
         monkeypatch.setattr(cls, name, refuse)
-    again = kept(utilde.copy(), bc.copy(), idx.copy())
+    again = kept(utilde.copy(), bc.copy(), 0.5, overlap41.mask1.copy(), overlap41.mask2.copy())
+    assert len(first) == len(again) == 12
     for a, b in zip(first, again):
         assert a is b and not a.flags.writeable
         with pytest.raises(ValueError):
             a.flat[0] = 1.0
     monkeypatch.undo()
     utilde *= 2.0
-    assert np.array_equal(eng.op.tracked_row(utilde), 2.0 * first[0])
+    assert np.array_equal(get_engine(mesh41, FollowerConfig(0.5, overlap41)).op.tracked_row(utilde), 2.0 * first[0])
 
 
 def test_engines_share_their_operator_mesh_weights(mesh41, overlap41, monkeypatch):
     """Two engines (two sigma) on one mesh, the second asked for with an equal
     but distinct Mesh, hold the operator's mesh's W and tau themselves, and
     the mesh's quadrature and d/dy arrays are read-only."""
-    monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
+    monkeypatch.setattr(coupled, "_OPERATOR_CACHE", {})
     first = get_engine(mesh41, FollowerConfig(sigma=1.0, partition=overlap41))
     twin = Mesh(mesh41.domain, mesh41.grid)
     assert twin == mesh41 and twin is not mesh41
@@ -513,7 +532,7 @@ def test_follower_trace_matches_dense_solve(mode):
     H22 = op.boundary_response().H[np.ix_(i, i)]
     rhs = np.random.default_rng(5).standard_normal((n, 3))
     for sigma in (1e-300, 1e-6, 1.0, 1e6):
-        eng = CoupledEngine(mesh, sigma, part, op)
+        eng = CoupledEngine(op, sigma, part)
         ref = np.linalg.solve(H22 + np.diag(sigma * mesh.tau[i]), rhs[i])
         for b, want in ((rhs, ref), (rhs[:, 0], ref[:, 0])):
             x = eng.follower_trace(b)
@@ -521,13 +540,13 @@ def test_follower_trace_matches_dense_solve(mode):
             assert np.max(np.abs(x[i] - want)) <= 1e-12 * np.max(np.abs(want))
     lam_min = op.follower_spectrum(i)[1][0]
     with pytest.raises(np.linalg.LinAlgError):
-        CoupledEngine(mesh, -lam_min, part, op).follower_trace(rhs)
+        CoupledEngine(op, -lam_min, part).follower_trace(rhs)
 
 
 def test_sigma_ladder_shares_one_spectrum(monkeypatch):
     """Three sigma on one mesh decompose the follower block once, on the
-    mesh's operator, and no engine holds an (N+1)^2 array."""
-    monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
+    mesh's one cached operator, and no engine holds an (N+1)^2 array."""
+    monkeypatch.setattr(coupled, "_OPERATOR_CACHE", {})
     calls = []
     dsyevr = scipy.linalg.lapack.dsyevr
 
@@ -542,8 +561,9 @@ def test_sigma_ladder_shares_one_spectrum(monkeypatch):
     for sigma in (3.0, 0.3, 0.03):
         solve_nash_system(w1, FollowerConfig(sigma=sigma, partition=part))
     assert len(calls) == 1
-    engines = list(coupled._ENGINE_CACHE.values())
-    assert len(engines) == 3 and all(e.op is engines[0].op for e in engines)
+    assert list(coupled._OPERATOR_CACHE) == [mesh]
+    engines = [get_engine(mesh, FollowerConfig(sigma=sigma, partition=part)) for sigma in (3.0, 0.3, 0.03)]
+    assert all(e.op is coupled._OPERATOR_CACHE[mesh] for e in engines)
 
     def arrays(value):
         if isinstance(value, np.ndarray):

@@ -40,10 +40,10 @@ from hierwave.leader_dual import (
 from references import dual_functional, dual_subgradient, h10_norm_physical, trace_norm
 
 
-@pytest.fixture(scope="module")
-def small_setup():
-    """Everything the leader tests need, on a quick grid."""
-    mesh = Mesh.auto(DomainSpec(k=0.1, T=4.0), 24)
+def manufactured_setup(Ny):
+    """The manufactured case of scripts/run_manufactured.py: 5% balls around
+    the final state that a reference leader control reaches."""
+    mesh = Mesh.auto(DomainSpec(k=0.1, T=4.0), Ny)
     part = SigmaPartition.overlap(mesh.Nt + 1)
     Y, T = np.meshgrid(mesh.y, mesh.times, indexing="ij")
     cfg = FollowerConfig(
@@ -60,6 +60,12 @@ def small_setup():
         u_T, ut_T, 0.05 * l2_norm_physical(u_T), 0.05 * hminus1_norm_physical(ut_T)
     )
     return mesh, cfg, w1_ref, targets
+
+
+@pytest.fixture(scope="module")
+def small_setup():
+    """Everything the leader tests need, on a quick grid."""
+    return manufactured_setup(24)
 
 
 def rand_dual_point(mesh, rng, scale=1.0):
@@ -199,6 +205,28 @@ def test_minimize_manufactured(small_setup):
     hist = [h["dual_value"] for h in rep.history]
     assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
     assert rep.gap_rel <= 1e-4
+
+
+@pytest.mark.parametrize("Ny", [16, 41])
+def test_reached_distances_keep_the_radius_margin(Ny):
+    """The secular equation aims at radii shrunk by RADIUS_MARGIN, so the
+    state that the reach operator itself reaches lands at most (1 - 5e-8) rho
+    from each target, not on the sphere to round-off."""
+    _, cfg, _, targets = manufactured_setup(Ny)
+    _, _, rep = minimize_dual(targets, cfg, DualOptions())
+    assert rep.reached == (True, True)
+    assert rep.dist_L2 <= (1.0 - 5e-8) * targets.rho0
+    assert rep.dist_Hm1 <= (1.0 - 5e-8) * targets.rho1
+
+
+def test_dual_refuses_a_tracked_field_on_another_mesh(small_setup):
+    """The leader checks the tracked field's mesh as the follower's solve
+    does: u_tilde2 on a k = 0.2 mesh is refused on a k = 0.1 one."""
+    mesh, cfg, _, targets = small_setup
+    other = Mesh(DomainSpec(k=0.2, T=mesh.domain.T), mesh.grid)
+    moved = FollowerConfig(cfg.sigma, cfg.partition, Field(cfg.u_tilde2.values, other))
+    with pytest.raises(ConfigurationError, match="different mesh"):
+        minimize_dual(targets, moved, DualOptions())
 
 
 def test_vi_residual_detects_perturbation(small_setup):
@@ -576,9 +604,10 @@ def test_dual_matches_the_f_coordinate_values(small_setup):
 
 
 def test_kept_free_terminal_follows_the_tracked_trajectory(mesh41, overlap41, utilde41, monkeypatch):
-    """A second dual model on the engine and tracked trajectory finds the free
-    state's final pair kept and runs no follower solve; a changed trajectory
-    gives a fresh engine's pair bit for bit."""
+    """A second dual model on the mesh, follower and tracked trajectory finds
+    the free state's final pair kept by the mesh's operator and runs no
+    follower solve; a changed trajectory gives a fresh operator's pair bit
+    for bit."""
     from hierwave import coupled
     from hierwave.coupled import CoupledEngine
 
@@ -594,7 +623,7 @@ def test_kept_free_terminal_follows_the_tracked_trajectory(mesh41, overlap41, ut
     def model(utilde):
         return _DualModel(mesh41, FollowerConfig(sigma=0.5, partition=overlap41, u_tilde2=utilde), targets)
 
-    monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
+    monkeypatch.setattr(coupled, "_OPERATOR_CACHE", {})
     first = model(utilde41)
     calls = []
     solve = CoupledEngine.follower_trace
@@ -605,7 +634,7 @@ def test_kept_free_terminal_follows_the_tracked_trajectory(mesh41, overlap41, ut
 
     monkeypatch.setattr(CoupledEngine, "follower_trace", counted)
     second = model(utilde41)
-    assert second.eng is first.eng
+    assert second.eng.op is first.eng.op
     assert calls == []
     changed = model(other)
     assert len(calls) == 1
@@ -613,7 +642,7 @@ def test_kept_free_terminal_follows_the_tracked_trajectory(mesh41, overlap41, ut
     assert len(calls) == 2
     for a, b in ((second, first), (again, first)):
         assert np.array_equal(a.u0T, b.u0T) and np.array_equal(a.u0pT, b.u0pT)
-    monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
+    monkeypatch.setattr(coupled, "_OPERATOR_CACHE", {})
     fresh = model(other)
     assert np.array_equal(changed.u0T, fresh.u0T) and np.array_equal(changed.u0pT, fresh.u0pT)
     assert not np.array_equal(changed.u0T, first.u0T)

@@ -76,3 +76,8 @@ def test_profile_ops_times_every_stage(tmp_path):
                  "wave_core.WaveOperator.sample_responses", "coupled.euler_lagrange_residual"}
     idle = [s for s in stages if s not in nash_only and result["stages"][s]["calls_per_pass"] == 0]
     assert not idle
+    # the cold pass looks up every value a leader op keeps, and the warm pass finds each
+    kept = result["kept"]
+    assert {"boundary_response", "follower_spectrum", "free_terminal", "dual_gram"} <= set(kept["cold"])
+    (warm,) = kept["passes"]
+    assert warm and all(row["misses"] == 0 and row["hits"] > 0 for row in warm.values())

@@ -8,6 +8,7 @@ from hierwave.errors import ConfigurationError
 from hierwave.geometry import DomainSpec, SigmaPartition
 from hierwave.grid import (
     Field,
+    GridSpec,
     Mesh,
     SpatialProfile,
     Trace,
@@ -15,7 +16,7 @@ from hierwave.grid import (
     save_json,
     trapezoid_weights,
 )
-from hierwave.coupled import FollowerConfig, apply_A, apply_A_star, get_engine
+from hierwave.coupled import FollowerConfig, apply_A, apply_A_star, get_engine, solve_nash_system
 from hierwave.wave_core import WaveOperator
 from hierwave.verify import (
     OracleCase,
@@ -150,8 +151,8 @@ def test_monolithic_factors_once_per_call(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(scipy.sparse.linalg, name, counted(name))
-    # a fresh engine, so that no earlier test's factorization is reused
-    monkeypatch.setattr("hierwave.coupled._ENGINE_CACHE", {})
+    # a fresh operator, so that no earlier test's factorization is reused
+    monkeypatch.setattr("hierwave.coupled._OPERATOR_CACHE", {})
     # the equilibrium, its free part and its leader part
     zero = Trace.zeros(mesh, part.mask1)
     for c, w in ((cfg, w1), (cfg, zero), (FollowerConfig(cfg.sigma, part), w1)):
@@ -160,20 +161,37 @@ def test_monolithic_factors_once_per_call(monkeypatch):
     assert calls == {"splu": 4, "spsolve": 0}
 
 
+def test_monolithic_nash_refuses_a_tracked_field_on_another_mesh():
+    """The oracle checks the tracked field's mesh as solve_nash_system does:
+    u_tilde2 on a k = 0.2 mesh is refused on a k = 0.1 one of the same grid,
+    not solved."""
+    grid = GridSpec(Ny=16, Nt=48)
+    mesh, other = (Mesh(DomainSpec(k=k, T=2.0), grid) for k in (0.1, 0.2))
+    part = SigmaPartition.overlap(mesh.Nt + 1)
+    utilde = Field(0.3 * np.outer(np.sin(np.pi * other.y), np.sin(other.times)), other)
+    cfg = FollowerConfig(sigma=0.5, partition=part, u_tilde2=utilde)
+    w1 = Trace(np.sin(np.pi * mesh.times / 2.0), part.mask1, mesh)
+    for solve in (lambda: solve_nash_system(w1, cfg), lambda: monolithic_solve("nash", mesh, cfg, w1=w1)):
+        with pytest.raises(ConfigurationError, match="different mesh"):
+            solve()
+
+
 def test_monolithic_solve_leaves_no_coupled_lu(monkeypatch):
     """The coupled LU lives only for the call that uses it: after a solve no
-    cached engine holds one (9.7M nonzeros at Ny = 64)."""
+    cached operator holds one, as a member or a kept value (9.7M nonzeros at
+    Ny = 64)."""
     from hierwave import coupled
 
-    monkeypatch.setattr(coupled, "_ENGINE_CACHE", {})
+    monkeypatch.setattr(coupled, "_OPERATOR_CACHE", {})
     mesh = Mesh.auto(DomainSpec(k=0.1, T=2.0), 16)
     part = SigmaPartition.overlap(mesh.Nt + 1)
     cfg = FollowerConfig(sigma=0.7, partition=part)
     w1 = Trace(np.sin(np.pi * mesh.times / 2.0), part.mask1, mesh)
     assert monolithic_solve("nash", mesh, cfg, w1=w1)["residual"] <= 1e-10
-    assert coupled._ENGINE_CACHE
-    for eng in coupled._ENGINE_CACHE.values():
-        assert not any(isinstance(v, scipy.sparse.linalg.SuperLU) for v in vars(eng).values())
+    assert coupled._OPERATOR_CACHE
+    for op in coupled._OPERATOR_CACHE.values():
+        held = [*vars(op).values(), *(value for _, value in op._kept.values())]
+        assert not any(isinstance(v, scipy.sparse.linalg.SuperLU) for v in held)
 
 
 def test_transpose_check_report(setup41):
