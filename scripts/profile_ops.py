@@ -2,10 +2,11 @@
 """Time the stages of a gated benchmark workload's ops, pass by pass.
 
 Builds the workload's plan with ``bench/plan.py``'s ``build_plan`` (its
-reference solves included), runs every op once through
-``hierwave.cli.main`` in this process to fill the caches (the cold pass),
-then runs ``--passes`` more passes, with a timer around each stage in
-every pass:
+reference solves included), empties the cache of wave operators that those
+solves filled (``coupled._OPERATOR_CACHE``), runs every op once through
+``hierwave.cli.main`` in this process to fill the caches again (the cold
+pass), then runs ``--passes`` more passes, with a timer around each stage
+in every pass:
 
     leader_dual._secular_newton  the multipliers' Newton solve in whitened
                                  coordinates: one Cholesky factorization,
@@ -50,6 +51,9 @@ every pass:
                                  (Euler-Lagrange) residual, the lookup of its
                                  directions' responses included
     grid.csv_write               the grid module's CSV writers
+    grid.npy_write               the grid module's .npy writer
+                                 (save_field_npy): hierwave nash's companion
+                                 field p.npy
     grid.csv_read                the grid module's CSV readers
     cli.parse                    main's time outside load_config and the
                                  command: building and running the parser
@@ -108,7 +112,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from hierwave import cli  # noqa: E402
+from hierwave import cli, coupled  # noqa: E402
 from plan import build_plan  # noqa: E402
 
 # stage name -> (module, attribute path) of every function it times
@@ -129,6 +133,7 @@ STAGES = {
     "grid.csv_write": [
         ("hierwave.grid", name) for name in ("save_field_csv", "save_profile_csv", "save_trace_csv")
     ],
+    "grid.npy_write": [("hierwave.grid", "save_field_npy")],
     "grid.csv_read": [
         ("hierwave.grid", name) for name in ("load_field_csv", "load_profile_csv", "load_trace_csv")
     ],
@@ -231,6 +236,8 @@ def run_pass(ops: list[dict]) -> tuple[list[float], list[int]]:
 
 def profile(workload: str, seed: int, passes: int) -> dict:
     plan = build_plan(workload, seed, Path("plan"), cli.main)
+    # the reference solves built operators; the cold pass builds its own
+    coupled._OPERATOR_CACHE.clear()
     ops = []
     for op in plan["ops"]:
         path = Path("configs") / f"{op['name']}.json"

@@ -25,8 +25,12 @@ difference of its numeric cells and where it is, the files whose row count
 or integers changed (a leader's ``history.csv`` or ``iterations``), and the
 files whose text cells differ.  A CSV cell's difference is taken relative
 to the largest magnitude in its column, a JSON number's relative to its own
-magnitude.  ``config_hash`` is skipped: it hashes the configs, whose numbers
-come from the reference solves.  It exits 1 if an exit code differs.
+magnitude.  An ``.npy`` file is compared bit for bit: a value whose bits
+differ counts with its difference relative to the largest magnitude in the
+file (a signed zero as a text change), and a change of dtype or shape is
+listed as a layout change.  ``config_hash`` is skipped: it hashes the
+configs, whose numbers come from the reference solves.  It exits 1 if an
+exit code differs.
 
 Usage: python scripts/replay_outputs.py --out DIR [--seed 7] [--compare DIR]
 """
@@ -42,6 +46,8 @@ import json
 import shutil
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
@@ -97,6 +103,11 @@ def _number(text: str) -> float | None:
         return None
 
 
+def _bits(values: np.ndarray) -> np.ndarray:
+    """The bytes of each element of ``values``, one row per element."""
+    return np.ascontiguousarray(values).reshape(-1).view(np.uint8).reshape(values.size, values.itemsize)
+
+
 class _Kind:
     """Differences over the files of one kind."""
 
@@ -104,6 +115,7 @@ class _Kind:
         self.files = 0
         self.rel, self.where = 0.0, ""
         self.counts: list[str] = []
+        self.layout: list[str] = []
         self.text: list[str] = []
 
     def number(self, a: float, b: float, scale: float, where: str) -> None:
@@ -129,6 +141,23 @@ class _Kind:
             scale = max((max(abs(x), abs(y)) for x, y in nums), default=0.0)
             for x, y in nums:
                 self.number(x, y, scale, f"{name} ({columns[col]})")
+
+    def npy(self, ours: Path, theirs: Path, name: str) -> None:
+        a, b = np.load(ours, allow_pickle=False), np.load(theirs, allow_pickle=False)
+        if (a.dtype, a.shape) != (b.dtype, b.shape):
+            self.layout.append(f"{name}: {b.dtype} {b.shape} -> {a.dtype} {a.shape}")
+            return
+        differ = np.flatnonzero((_bits(a) != _bits(b)).any(axis=1))
+        if differ.size == 0:
+            return
+        x, y = a.reshape(-1).astype(float), b.reshape(-1).astype(float)
+        scale = float(max(np.max(np.abs(x)), np.max(np.abs(y))))
+        for i in differ.tolist():
+            where = f"{name} {tuple(int(j) for j in np.unravel_index(i, a.shape))}"
+            if x[i] == y[i]:
+                self.text.append(f"{where} (bits)")
+            else:
+                self.number(x[i], y[i], scale, where)
 
     def json(self, a, b, name: str, at: str = "") -> None:
         if isinstance(a, dict) and isinstance(b, dict):
@@ -178,13 +207,15 @@ def compare(ours: Path, theirs: Path) -> int:
         name = "/".join(rel.parts[2:]) if len(rel.parts) > 2 else str(rel)
         if rel.suffix == ".json":
             kind.json(json.loads(a.read_text()), json.loads(b.read_text()), name)
+        elif rel.suffix == ".npy":
+            kind.npy(a, b, name)
         else:
             kind.csv(a, b, name)
     width = max(len(k) for k in kinds)
     print(f"{'file kind':<{width}}  files  max rel diff  at")
     for name, kind in kinds.items():
         print(f"{name:<{width}}  {kind.files:5d}  {kind.rel:12.3e}  {kind.where}")
-        for what, lines in (("count", kind.counts), ("text", kind.text)):
+        for what, lines in (("count", kind.counts), ("layout", kind.layout), ("text", kind.text)):
             for line in lines[:5]:
                 print(f"{'':<{width}}    {what} changed: {line}")
             if len(lines) > 5:

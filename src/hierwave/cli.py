@@ -45,6 +45,7 @@ from .grid import (
     load_profile_csv,
     load_trace_csv,
     save_field_csv,
+    save_field_npy,
     save_json,
     save_profile_csv,
     save_table_csv,
@@ -417,7 +418,7 @@ def cmd_nash(config: dict, out_dir: Path) -> int:
         "summary.json",
     )
     save_field_csv(out_dir / "u.csv", sol.u, header)
-    save_field_csv(out_dir / "p.csv", sol.p, header)
+    save_field_npy(out_dir / "p.npy", sol.p)
     save_trace_csv(out_dir / "w2.csv", sol.w2, header)
     save_profile_csv(out_dir / "u_T.csv", final_value_profile(sol.u), header)
     save_profile_csv(out_dir / "ut_T.csv", final_velocity_profile(sol.u), header)

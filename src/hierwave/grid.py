@@ -10,7 +10,8 @@ tridiag(-1, 2, -1) / hx, built from the same stencil in
 ``leader_dual._DualModel._build_gram``.
 
 Every output file is written here: CSVs by the ``save_*_csv`` functions,
-:func:`save_table_csv` for tables of rows, and JSON documents by :func:`save_json`.
+:func:`save_table_csv` for tables of rows, a field in NumPy's binary format
+by :func:`save_field_npy`, and JSON documents by :func:`save_json`.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "save_trace_csv",
     "load_trace_csv",
     "save_field_csv",
+    "save_field_npy",
     "load_field_csv",
     "save_table_csv",
     "save_json",
@@ -520,16 +522,18 @@ def check_out_dir(out_dir) -> None:
         raise ConfigurationError(f"{out_dir}: cannot write: {near} is not a writable directory")
 
 
-def _create(path):
-    """``path`` opened to write text without newline translation; its parent
-    directory is made only when the open finds it missing.  A path that
-    cannot be written is a configuration error that names it."""
+def _create(path, mode="w"):
+    """``path`` opened to write text without newline translation ("w") or
+    bytes ("wb"); its parent directory is made only when the open finds it
+    missing.  A path that cannot be written is a configuration error that
+    names it."""
+    newline = None if "b" in mode else ""
     try:
         try:
-            return open(path, "w", newline="")
+            return open(path, mode, newline=newline)
         except FileNotFoundError:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
-            return open(path, "w", newline="")
+            return open(path, mode, newline=newline)
     except OSError as err:
         raise ConfigurationError(f"{path}: cannot write: {err}") from err
 
@@ -682,3 +686,11 @@ def save_field_csv(path, fld: Field, extra_header: dict | None = None) -> None:
             cells = _g17_cells(values[n : n + len(block)].ravel())
             block[:, :, start : start + 45] = cells[:, :45].reshape(len(block), mesh.Ny + 1, 45)
             fh.buffer.write(block.tobytes().translate(None, b"\0"))
+
+
+def save_field_npy(path, fld: Field) -> None:
+    """The values as NumPy's binary .npy (``np.load(path)`` reads them back):
+    float64, C order, shape (Nt+1, Ny+1), so they run in the field CSV's row
+    order, j fastest, then n."""
+    with _create(path, "wb") as fh:
+        np.save(fh, np.ascontiguousarray(fld.values.T), allow_pickle=False)

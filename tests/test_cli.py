@@ -421,7 +421,7 @@ def test_kept_sample_follows_seed_and_partition(tmp_path, monkeypatch):
             m.setattr(coupled, "_OPERATOR_CACHE", {})
             cold = tmp_path / f"cold{i}"
             assert main(["nash", "--config", path, "--out", str(cold)]) == 0
-        for name in ("u.csv", "p.csv", "w2.csv", "u_T.csv", "ut_T.csv", "summary.json"):
+        for name in ("u.csv", "p.npy", "w2.csv", "u_T.csv", "ut_T.csv", "summary.json"):
             assert (warm / name).read_bytes() == (cold / name).read_bytes(), (i, name)
         samples.append(json.loads((warm / "summary.json").read_text())["el_residual_max_abs"])
     # the sample differs across seeds and partitions, so a stale one would show
@@ -820,6 +820,37 @@ def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, command):
     assert out.read_text() == "kept"
 
 
+def test_unwritable_npy_output_exits_2(tmp_path, capsys):
+    """An output file that cannot be opened, here a p.npy that is a
+    directory, exits 2 with one stderr line naming the file: the binary
+    writer opens its file as every text writer does."""
+    out = tmp_path / "o"
+    (out / "p.npy").mkdir(parents=True)
+    assert main(["nash", "--config", write_config(tmp_path, "c.json", NASH_NY12), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"configuration error: {out / 'p.npy'}: cannot write")
+
+
+def test_nash_writes_the_companion_as_npy(tmp_path):
+    """p.npy holds solve_nash_system's companion p bit for bit, transposed:
+    float64, C order, shape (Nt+1, Ny+1), so the values run j fastest, then
+    n, as a field CSV's rows do; it loads with allow_pickle=False, and no
+    p.csv is written."""
+    from hierwave.cli import RunSetup
+    from hierwave.coupled import solve_nash_system
+
+    out = tmp_path / "o"
+    assert main(["nash", "--config", write_config(tmp_path, "c.json", NASH_NY12), "--out", str(out)]) == 0
+    p = np.load(out / "p.npy", allow_pickle=False)
+    setup = RunSetup(NASH_NY12)
+    w1 = setup.build_time_trace(NASH_NY12["leader"], setup.partition.mask1, "leader")
+    expected = solve_nash_system(w1, setup.follower).p.values.T
+    assert p.dtype == np.float64 and p.flags.c_contiguous
+    assert p.shape == (setup.mesh.Nt + 1, setup.mesh.Ny + 1) == expected.shape
+    assert p.tobytes() == np.ascontiguousarray(expected).tobytes()
+    assert not (out / "p.csv").exists()
+
+
 def assert_key_rejected(tmp_path, capsys, command, path, value, what):
     """``command`` on LEADER_NY12 with the key at ``path`` set to ``value``
     exits 2, writes nothing, and says the key must be ``what``."""
@@ -874,8 +905,9 @@ def test_integral_float_config_keys_still_load(tmp_path):
     cfg["seed"] = float(cfg["seed"])
     # the header names the config's hash, which sees the floats
     assert main(["nash", "--config", write_config(tmp_path, "f.json", cfg), "--out", str(as_floats)]) == 0
-    for name in ("u.csv", "p.csv", "w2.csv"):
+    for name in ("u.csv", "w2.csv"):
         assert read_csv_values(as_floats / name).tolist() == read_csv_values(as_ints / name).tolist()
+    assert (as_floats / "p.npy").read_bytes() == (as_ints / "p.npy").read_bytes()
     summaries = [json.loads((d / "summary.json").read_text()) for d in (as_ints, as_floats)]
     for summary in summaries:
         del summary["header"]
@@ -1226,7 +1258,7 @@ def test_nash_outputs_same_bytes_on_the_per_value_route(tmp_path, monkeypatch):
     monkeypatch.setattr(grid, "_BULK_G17", False)
     assert main(["nash", "--config", path, "--out", str(per_value)]) == 0
     names = sorted(p.name for p in bulk.iterdir())
-    assert {"u.csv", "p.csv"} <= set(names)
+    assert {"u.csv", "p.npy"} <= set(names)
     assert names == sorted(p.name for p in per_value.iterdir())
     for name in names:
         assert (bulk / name).read_bytes() == (per_value / name).read_bytes(), name

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -73,11 +75,49 @@ def test_profile_ops_times_every_stage(tmp_path):
     assert set(result["stages"]) == {*stages, "cli.parse"}
     # a warm leader op marches nothing and samples no first-order residual
     nash_only = {"wave_core.WaveOperator.march", "wave_core.WaveOperator.solve_adjoint",
-                 "wave_core.WaveOperator.sample_responses", "coupled.euler_lagrange_residual"}
+                 "wave_core.WaveOperator.sample_responses", "coupled.euler_lagrange_residual",
+                 "grid.npy_write"}
     idle = [s for s in stages if s not in nash_only and result["stages"][s]["calls_per_pass"] == 0]
     assert not idle
     # the cold pass looks up every value a leader op keeps, and the warm pass finds each
     kept = result["kept"]
     assert {"boundary_response", "follower_spectrum", "free_terminal", "dual_gram"} <= set(kept["cold"])
+    # the cold pass starts from no operator, though the plan's reference
+    # solves built one per mesh: each of the two meshes builds H and the
+    # follower spectrum in it
+    assert kept["cold"]["boundary_response"]["misses"] == 2
+    assert kept["cold"]["follower_spectrum"]["misses"] == 2
     (warm,) = kept["passes"]
     assert warm and all(row["misses"] == 0 and row["hits"] > 0 for row in warm.values())
+
+
+def test_replay_compare_reports_a_perturbed_npy(tmp_path):
+    """replay_outputs.py's compare reads .npy outputs bit for bit: one
+    perturbed value is the file kind's largest relative difference, at its
+    index, and a dtype or shape change is flagged as a layout change."""
+    import numpy as np
+
+    values = np.linspace(-1.0, 2.0, 12).reshape(3, 4)
+    perturbed = values.copy()
+    perturbed[1, 2] += 1e-3
+    files = {"p.npy": (perturbed, values), "same.npy": (values, values),
+             "q.npy": (values.astype(np.float32), values)}
+    for side, pick in (("ours", 0), ("theirs", 1)):
+        op = tmp_path / side / "nash-sigma-ladder" / "ops" / "op0"
+        op.mkdir(parents=True)
+        for name, pair in files.items():
+            np.save(op / name, pair[pick], allow_pickle=False)
+        (tmp_path / side / "exit_codes.json").write_text(json.dumps({"nash-sigma-ladder": {"op0": 0}}))
+    code = ("import runpy, sys; from pathlib import Path; "
+            "sys.exit(runpy.run_path(sys.argv[1])['compare'](Path(sys.argv[2]), Path(sys.argv[3])))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code, str(ROOT / "scripts" / "replay_outputs.py"),
+                           str(tmp_path / "ours"), str(tmp_path / "theirs")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    rows = {row[0]: row for row in map(str.split, done.stdout.splitlines()) if row}
+    # the perturbed cell, 1e-3 against the file's largest magnitude, 2
+    assert float(rows["nash-sigma-ladder/ops/*/p.npy"][2]) == pytest.approx(1e-3 / 2.0, rel=1e-9)
+    assert rows["nash-sigma-ladder/ops/*/p.npy"][3:] == ["op0/p.npy", "(1,", "2)"]
+    assert float(rows["nash-sigma-ladder/ops/*/same.npy"][2]) == 0.0
+    assert "layout changed: op0/q.npy: float64 (3, 4) -> float32 (3, 4)" in done.stdout
