@@ -69,13 +69,19 @@ share of the pass's op time, and of its calls per pass; a stage whose
 function the checkout lacks reads zero.  ``op_s_p50`` is the median warm
 op's wall time.  ``cold`` holds the first pass, which fills the caches:
 its wall time and each stage's time and calls, so that work done once per
-mesh, such as the follower factorization, shows.  ``peak_rss_mb`` is the
+mesh, such as the follower factorization, shows; ``scipy.linalg``, which
+hierwave imports at its first LAPACK call, is imported before it, as the
+benchmark's process holds it before its first op.  ``peak_rss_mb`` is the
 process's peak resident set (``ru_maxrss``) at the end, plan included.
 ``kept`` counts, for each name under which the mesh's operator keeps a
 value (``WaveOperator.kept``), the lookups that found it (hits) and those
 that built it (misses): ``cold`` for the first pass, ``passes`` one entry
 per warm pass.  A warm pass of a workload that repeats its ops should miss
 nothing; a checkout without ``WaveOperator.kept`` reports none.
+``import_s`` is the median wall time of 3 fresh ``python -c "import
+hierwave.cli"`` children, each with one BLAS thread as pinned here, and
+``import_scipy`` the sorted ``scipy*`` modules such a child holds after the
+import: what every process pays before it runs a command.
 Wall times follow the host's speed, which can drift by tens of percent
 between runs on a shared machine; the shares drift far less.
 The result is written as ``BENCH_<tag>.json`` in ``--out``.
@@ -102,6 +108,7 @@ import json
 import platform
 import resource
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -245,6 +252,9 @@ def profile(workload: str, seed: int, passes: int) -> dict:
         path.write_text(json.dumps(op["config"]))
         ops.append({"command": op["command"], "config_path": str(path), "out": str(Path("ops") / op["name"])})
 
+    # held before the first op, as in the benchmark's process (hostspeed.py)
+    import scipy.linalg  # noqa: F401
+
     timers = StageTimers()
     timers.install()
     try:
@@ -297,6 +307,21 @@ def profile(workload: str, seed: int, passes: int) -> dict:
     }
 
 
+def import_cost() -> tuple[float, list[str]]:
+    """(import_s, import_scipy): the median wall time of 3 fresh interpreters
+    that import this checkout's ``hierwave.cli``, and the ``scipy*`` modules
+    the last of them holds."""
+    program = ("import json, sys, hierwave.cli\n"
+               "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True, text=True, check=True)
+        seconds.append(time.perf_counter() - start)
+    return statistics.median(seconds), json.loads(done.stdout)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--tag", required=True, help="names the output, BENCH_<tag>.json")
@@ -310,6 +335,7 @@ def main() -> int:
         parser.error("--passes must be at least 1")
 
     target = Path(args.out).resolve() / f"BENCH_{args.tag}.json"
+    import_s, import_scipy = import_cost()
     home = Path.cwd()
     with tempfile.TemporaryDirectory(prefix="profile_ops-") as work:
         os.chdir(work)
@@ -327,12 +353,15 @@ def main() -> int:
             "numpy": np.__version__,
         },
         **result,
+        "import_s": import_s,
+        "import_scipy": import_scipy,
     }
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(json.dumps(result, indent=1) + "\n")
     print(f"{args.workload}, {args.passes} passes of {result['ops_per_pass']} ops: "
           f"op_s_p50 {result['op_s_p50']:.4f} s; cold pass {result['cold']['pass_s']:.3f} s; "
           f"peak RSS {result['peak_rss_mb']:.1f} MB; wrote {target}")
+    print(f"  import hierwave.cli {import_s:.3f} s, scipy modules loaded: {len(import_scipy)}")
     for stage, row in result["stages"].items():
         print(f"  {stage:40s} {row['s_per_pass_p50'] * 1e3:8.2f} ms/pass  "
               f"{row['share_p50']:6.1%} of op time  {row['calls_per_pass']:g} calls")

@@ -19,7 +19,6 @@ failure, 4 uncertified optimum, 5 verification failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import difflib
 import functools
 import hashlib
@@ -67,8 +66,8 @@ from .coupled import (
     kept_mesh,
     solve_nash_system,
 )
+from ._lapack import lapack
 from .leader_dual import DualOptions, TargetSpec, minimize_dual
-from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -442,6 +441,7 @@ def cmd_leader(config: dict, out_dir: Path) -> int:
 
 
 def cmd_verify(level: str, out_dir: Path, seed: int = 0) -> int:
+    from .verify import run_verification
     report = run_verification(level, seed=seed)
     save_json(out_dir / "verification_report.json", report)
     for check in report["checks"]:
@@ -522,6 +522,8 @@ def cmd_sweep(document: dict, out_dir: Path, workers: int = 1) -> int:
     if workers <= 1:
         rows = list(map(_run_sweep_cell, jobs))
     else:
+        import concurrent.futures
+        lapack()  # loaded once here: forked workers inherit it instead of each importing it
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_sweep_cell, jobs))
     header = {

@@ -67,8 +67,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from ._lapack import lapack
 from .errors import ConfigurationError, ConvergenceError
 from .geometry import SigmaPartition
 from .grid import Field, Mesh, SpatialProfile, Trace
@@ -114,7 +114,7 @@ def _cho_factor(a: np.ndarray) -> np.ndarray:
     """
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
-    c, info = scipy.linalg.lapack.dpotrf(a, lower=False, clean=False)
+    c, info = lapack().dpotrf(a, lower=False, clean=False)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
     return c
@@ -125,7 +125,7 @@ def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     :func:`scipy.linalg.cho_solve` does; ``b`` is (n,) or (n, m)."""
     if not np.isfinite(b).all():
         raise ValueError("array must not contain infs or NaNs")
-    return scipy.linalg.lapack.dpotrs(c, b, lower=False)[0]
+    return lapack().dpotrs(c, b, lower=False)[0]
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
+from ._lapack import lapack
 from .errors import ConfigurationError
 from .geometry import DomainSpec, alpha
 
@@ -298,7 +298,7 @@ class PoissonRiesz:
         if not np.isfinite(b).all():
             raise ValueError("array must not contain infs or NaNs")
         v = np.zeros_like(f_values, dtype=float)
-        v[1:-1] = scipy.linalg.lapack.dgtsv(*self._diagonals, b)[3]
+        v[1:-1] = lapack().dgtsv(*self._diagonals, b)[3]
         return v
 
 

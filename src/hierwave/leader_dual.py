@@ -55,8 +55,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
+from ._lapack import lapack
 from .errors import ConfigurationError, InfeasibleError, InstabilityError
 from .grid import Mesh, SpatialProfile, Trace
 from .coupled import FollowerConfig, _cho_factor, _cho_solve, _utilde_values, apply_A, cost_J, get_engine
@@ -239,7 +239,10 @@ class _DualModel:
         cols = np.where(self.cfg.partition.mask1[:, None], mu0 / self.eng.tau[:, None], 0.0)
         hx = self.mesh.alphas[-1] * self.mesh.dy
         K = (2.0 * np.eye(self.n0) - np.eye(self.n0, k=1) - np.eye(self.n0, k=-1)) / hx
-        R = scipy.linalg.block_diag(scipy.linalg.cholesky(K), np.diag(np.sqrt(self.omega)))
+        R = np.zeros((self.m, self.m))
+        # scipy.linalg.cholesky(K): the upper factor, its lower triangle zeroed
+        R[: self.n0, : self.n0] = np.triu(_cho_factor(K))
+        R[self.n0 :, self.n0 :] = np.diag(np.sqrt(self.omega))
         cols = _triangular_solve(R, cols.T, trans=1).T
         w = self.eng.tau * self.cfg.partition.mask1
         G = cols.T @ (w[:, None] * cols)
@@ -280,7 +283,7 @@ def _triangular_solve(R: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarra
     """R^-1 b, or R^-T b with ``trans=1``, for an upper triangular R: LAPACK
     ``dtrtrs``, as :func:`scipy.linalg.solve_triangular` calls it, without
     that wrapper's per-call cost."""
-    return scipy.linalg.lapack.dtrtrs(R, b, trans=trans)[0]
+    return lapack().dtrtrs(R, b, trans=trans)[0]
 
 
 def _pack(f: DualPoint) -> np.ndarray:

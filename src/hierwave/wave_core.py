@@ -45,8 +45,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
+from ._lapack import lapack
 from .errors import ConfigurationError, InstabilityError
 from .grid import Field, Mesh, SpatialProfile, Trace, read_only
 from .geometry import alpha
@@ -214,7 +214,7 @@ class WaveOperator:
             steps = [None]
             for n in range(1, self.N):
                 q = self.stencil[n, 0, 0, 2:-2]
-                *factors, info = scipy.linalg.lapack.dgttrf(q[1:], diag, -q[:-1])
+                *factors, info = lapack().dgttrf(q[1:], diag, -q[:-1])
                 if info != 0:
                     raise InstabilityError(f"singular step matrix at time step {n + 1}", step=n + 1)
                 steps.append(tuple(factors))
@@ -314,7 +314,7 @@ class WaveOperator:
         rhs = np.empty((J - 1, width))
         ends = rhs[:: J - 2]
 
-        steps = self._step_factors()
+        steps, dgttrs = self._step_factors(), lapack().dgttrs
         with np.errstate(over="ignore", invalid="ignore"):
             for n in range(1, N):
                 np.multiply(rows[n], windows[n - 1], out=terms)
@@ -322,7 +322,7 @@ class WaveOperator:
                 if source is not None:
                     rhs += source[1:-1, n]
                 ends += edges[n]
-                v[n + 1, 1:-1] = scipy.linalg.lapack.dgttrs(*steps[n], rhs)[0]
+                v[n + 1, 1:-1] = dgttrs(*steps[n], rhs)[0]
             # the largest magnitude of each new level; NaN propagates
             inner = v[2:, 1:-1]
             peaks = np.maximum(inner.max(axis=(1, 2)), -inner.min(axis=(1, 2)))
@@ -367,9 +367,9 @@ class WaveOperator:
         terms = np.empty((2, 3, J + 1))
         summands = terms.reshape(6, J + 1)
         coupled = np.empty(J + 1)
-        steps = self._step_factors()
+        steps, dgttrs = self._step_factors(), lapack().dgttrs
         r = lam[N, 2:-2]
-        r[:] = scipy.linalg.lapack.dgttrs(*steps[N - 1], r, trans="T")[0]
+        r[:] = dgttrs(*steps[N - 1], r, trans="T")[0]
         for n in range(N - 1, -1, -1):
             np.multiply(rows[n], windows[n], out=terms)
             np.add.reduce(summands, axis=0, out=coupled)
@@ -377,7 +377,7 @@ class WaveOperator:
             r += coupled
             if n >= 2:
                 # level n's own step matrix, transposed
-                r[1:-1] = scipy.linalg.lapack.dgttrs(*steps[n - 1], r[1:-1], trans="T")[0]
+                r[1:-1] = dgttrs(*steps[n - 1], r[1:-1], trans="T")[0]
         # the boundary nodes of levels 2..N, which no lower level reads
         q = self.stencil[1:N, 0, 0]
         lam[2 : N + 1, 1] -= q[:, 2] * lam[2 : N + 1, 2]
@@ -464,7 +464,7 @@ class WaveOperator:
             a = self.boundary_response().H[np.ix_(idx, idx)].T
             a *= d
             a *= d[:, None]
-            lam, Q, _, _, info = scipy.linalg.lapack.dsyevr(a, overwrite_a=1)
+            lam, Q, _, _, info = lapack().dsyevr(a, overwrite_a=1)
             if info != 0:
                 raise np.linalg.LinAlgError(f"dsyevr failed with info = {info}")
             return d, lam, Q
@@ -508,7 +508,7 @@ class WaveOperator:
         # full-width ones makes the build slower.
         acc = np.empty((J - 1) * (N + 1))
         term = np.empty((J - 1) * (N + 1))
-        diag = np.full(J - 1, 1.0 / self.dt**2)
+        diag, dgtsv = np.full(J - 1, 1.0 / self.dt**2), lapack().dgtsv
         for n in range(1, N):
             a = n + 2
             rhs = acc[: (J - 1) * a].reshape(J - 1, a)
@@ -522,7 +522,7 @@ class WaveOperator:
             rhs[0, n + 1] -= row[0, 0, 0, 0]
             # the step's matrix: 1/dt^2 on the diagonal, q_n below, -q_n above
             q = row[0, 0, :, 0]
-            *_, x, info = scipy.linalg.lapack.dgtsv(q[1:], diag, -q[:-1], rhs)
+            *_, x, info = dgtsv(q[1:], diag, -q[:-1], rhs)
             if info != 0:
                 raise InstabilityError(f"singular step matrix at time step {n + 1}", step=n + 1)
             nxt = ring[(n + 1) % 3]

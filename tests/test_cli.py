@@ -803,12 +803,14 @@ def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, command):
     used to escape as a NotADirectoryError traceback (exit 1).  The check
     comes before anything is solved: a verification, a leader run or a
     sweep cell fails the test."""
-    from hierwave import cli
+    from hierwave import cli, verify
 
     def solve(*args, **kwargs):
         pytest.fail("solved before the output directory was checked")
 
-    for name in ("run_verification", "minimize_dual", "_run_sweep_cell"):
+    # cmd_verify imports run_verification when it runs
+    monkeypatch.setattr(verify, "run_verification", solve)
+    for name in ("minimize_dual", "_run_sweep_cell"):
         monkeypatch.setattr(cli, name, solve)
     out = tmp_path / "taken"
     out.write_text("kept")
@@ -1419,9 +1421,9 @@ def test_every_member_of_an_exported_class_has_a_production_reader():
     assert unread == []
 
 
-def test_production_runs_load_no_sparse_module(tmp_path):
-    """`hierwave nash` and `hierwave leader` never import scipy.sparse: only
-    the oracles (the LUs of M and of the coupled system) use it."""
+def _run_child(program: str) -> list[str]:
+    """The stdout lines of ``program`` run by a fresh interpreter on this
+    checkout's ``src``, so that ``sys.modules`` holds only what it imported."""
     import os
     import subprocess
     import sys
@@ -1429,6 +1431,17 @@ def test_production_runs_load_no_sparse_module(tmp_path):
 
     import hierwave
 
+    src = str(Path(hierwave.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_production_runs_load_no_sparse_module(tmp_path):
+    """`hierwave nash` and `hierwave leader` never import scipy.sparse: only
+    the oracles (the LUs of M and of the coupled system) use it.  Their
+    LAPACK calls load scipy.linalg.lapack."""
     nash = write_config(
         tmp_path,
         "n.json",
@@ -1452,10 +1465,64 @@ def test_production_runs_load_no_sparse_module(tmp_path):
         "from hierwave.cli import main\n"
         f"codes = [main(['nash', '--config', {nash!r}, '--out', {str(tmp_path / 'n')!r}]),\n"
         f"         main(['leader', '--config', {leader!r}, '--out', {str(tmp_path / 'l')!r}])]\n"
-        "print(codes, sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+        "print(codes, sorted(m for m in sys.modules if m.startswith('scipy.sparse')),\n"
+        "      'scipy.linalg.lapack' in sys.modules)\n"
     )
-    src = str(Path(hierwave.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+    assert _run_child(program)[-1] == "[0, 0] [] True"
+
+
+def test_runs_that_never_solve_load_no_scipy(tmp_path):
+    """Importing the package, `hierwave threshold` and a config refused with
+    exit 2 load no scipy module: scipy.linalg, about a quarter of a second
+    of import, waits for the first LAPACK call."""
+    bad = write_config(tmp_path, "bad.json", base_config(grid={"Ny": "x"}))
+    program = (
+        "import sys\n"
+        "def loaded():\n"
+        "    print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "import hierwave\n"
+        "loaded()\n"
+        "from hierwave.cli import main\n"
+        "loaded()\n"
+        "print(main(['threshold', '--k', '0.1']))\n"
+        "loaded()\n"
+        f"print(main(['nash', '--config', {bad!r}, '--out', {str(tmp_path / 'n')!r}]))\n"
+        "loaded()\n"
+    )
+    lines = _run_child(program)
+    assert lines[:2] == ["[]", "[]"]
+    assert lines[-4:] == ["0", "[]", "2", "[]"]
+
+
+def test_sweep_pool_starts_with_lapack_loaded(tmp_path):
+    """`hierwave sweep --workers 2` loads LAPACK before its pool starts, so
+    that workers forked from it inherit the module instead of each importing
+    it.  The stub executor records whether it is loaded when the pool is
+    built, and runs the cells in the child itself."""
+    cfg = base_config(
+        grid={"Ny": 12},
+        sweep={
+            "rho_rel": [0.05, 0.1],
+            "reference_control": {"family": "gaussian", "amplitude": 1.0, "center": 0.4, "width": 0.15},
+        },
+    )
+    path, out = write_config(tmp_path, "c.json", cfg), str(tmp_path / "sw")
+    program = (
+        "import concurrent.futures, os, sys\n"
+        "seen = []\n"
+        "class Stub:\n"
+        "    def __init__(self, max_workers):\n"
+        "        seen.append('scipy.linalg.lapack' in sys.modules)\n"
+        "    def __enter__(self):\n"
+        "        return self\n"
+        "    def __exit__(self, *exc):\n"
+        "        return False\n"
+        "    def map(self, fn, jobs):\n"
+        "        return map(fn, jobs)\n"
+        "concurrent.futures.ProcessPoolExecutor = Stub\n"
+        "os.cpu_count = lambda: 2\n"
+        "from hierwave.cli import main\n"
+        f"print(main(['sweep', '--config', {path!r}, '--out', {out!r}, '--workers', '2']), seen)\n"
+    )
+    assert _run_child(program)[-1] == "0 [True]"
+    assert read_csv_values(tmp_path / "sw" / "sweep.csv").shape[0] == 2

@@ -511,6 +511,20 @@ def model16():
     return _DualModel(mesh, FollowerConfig(sigma=1.0, partition=part), targets)
 
 
+def test_gram_factor_is_scipy_block_cholesky(model16):
+    """The whitening factor R is blkdiag(cholesky(K), Omega^1/2) as
+    scipy.linalg builds it, bit for bit, though the model calls LAPACK
+    directly: the lower triangle of K's factor is zero, as whiten's R @ f
+    needs."""
+    import scipy.linalg
+
+    n0, hx = model16.n0, model16.mesh.alphas[-1] * model16.mesh.dy
+    K = (2.0 * np.eye(n0) - np.eye(n0, k=1) - np.eye(n0, k=-1)) / hx
+    want = scipy.linalg.block_diag(scipy.linalg.cholesky(K), np.diag(np.sqrt(model16.omega)))
+    assert model16.R.dtype == want.dtype and model16.R.shape == want.shape
+    assert model16.R.tobytes() == want.tobytes()
+
+
 def _batch(model, fvec, count):
     """``fvec`` and two more points, each compared with ``count`` points
     drawn from its own stream: the inputs of one batched certificate, and

@@ -72,6 +72,8 @@ def test_profile_ops_times_every_stage(tmp_path):
     assert done.returncode == 0, done.stderr
     result = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert result["workload"] == "leader-rho-sweep" and result["exit_codes"] == [0]
+    # a fresh `import hierwave.cli` takes time and loads no scipy module
+    assert result["import_s"] > 0 and result["import_scipy"] == []
     assert set(result["stages"]) == {*stages, "cli.parse"}
     # a warm leader op marches nothing and samples no first-order residual
     nash_only = {"wave_core.WaveOperator.march", "wave_core.WaveOperator.solve_adjoint",
