@@ -69,9 +69,11 @@ share of the pass's op time, and of its calls per pass; a stage whose
 function the checkout lacks reads zero.  ``op_s_p50`` is the median warm
 op's wall time.  ``cold`` holds the first pass, which fills the caches:
 its wall time and each stage's time and calls, so that work done once per
-mesh, such as the follower factorization, shows; ``scipy.linalg``, which
-hierwave imports at its first LAPACK call, is imported before it, as the
-benchmark's process holds it before its first op.  ``peak_rss_mb`` is the
+mesh, such as the follower factorization, shows.  ``scipy.linalg`` is
+imported before it, as the benchmark's process holds it (through
+``bench/hostspeed.py``'s ``scipy.sparse.linalg``) before its first op, so
+hierwave's LAPACK loader finds its extension already loaded, and neither
+pass times loading it (``lapack_s`` does).  ``peak_rss_mb`` is the
 process's peak resident set (``ru_maxrss``) at the end, plan included.
 ``kept`` counts, for each name under which the mesh's operator keeps a
 value (``WaveOperator.kept``), the lookups that found it (hits) and those
@@ -81,7 +83,12 @@ nothing; a checkout without ``WaveOperator.kept`` reports none.
 ``import_s`` is the median wall time of 3 fresh ``python -c "import
 hierwave.cli"`` children, each with one BLAS thread as pinned here, and
 ``import_scipy`` the sorted ``scipy*`` modules such a child holds after the
-import: what every process pays before it runs a command.
+import: what every process pays before it runs a command.  ``lapack_s`` is
+the median, over 3 such children, of the wall time of their first
+``hierwave._lapack.lapack()`` call after that import, and ``lapack_scipy``
+the ``scipy*`` modules such a child then holds: what a process adds at its
+first solve.  A checkout without ``hierwave._lapack``, which imports scipy
+with the package, reads about zero there.
 Wall times follow the host's speed, which can drift by tens of percent
 between runs on a shared machine; the shares drift far less.
 The result is written as ``BENCH_<tag>.json`` in ``--out``.
@@ -307,19 +314,45 @@ def profile(workload: str, seed: int, passes: int) -> dict:
     }
 
 
+def fresh_children(program: str) -> list[tuple[float, object]]:
+    """(wall time, the JSON value printed) of 3 fresh interpreters running
+    ``program`` on this checkout's ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    runs = []
+    for _ in range(3):
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True, text=True, check=True)
+        runs.append((time.perf_counter() - start, json.loads(done.stdout)))
+    return runs
+
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+
+
 def import_cost() -> tuple[float, list[str]]:
     """(import_s, import_scipy): the median wall time of 3 fresh interpreters
     that import this checkout's ``hierwave.cli``, and the ``scipy*`` modules
     the last of them holds."""
-    program = ("import json, sys, hierwave.cli\n"
-               "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))")
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    seconds = []
-    for _ in range(3):
-        start = time.perf_counter()
-        done = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True, text=True, check=True)
-        seconds.append(time.perf_counter() - start)
-    return statistics.median(seconds), json.loads(done.stdout)
+    runs = fresh_children(f"import json, sys, hierwave.cli\nprint(json.dumps({SCIPY_MODULES}))")
+    return statistics.median(s for s, _ in runs), runs[-1][1]
+
+
+def lapack_cost() -> tuple[float, list[str]]:
+    """(lapack_s, lapack_scipy): the median time of the first ``lapack()``
+    call in 3 fresh interpreters that imported ``hierwave.cli``, and the
+    ``scipy*`` modules the last of them then holds."""
+    runs = fresh_children(
+        "import json, sys, time, hierwave.cli\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        "    from hierwave._lapack import lapack\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "else:\n"
+        "    lapack()\n"
+        f"print(json.dumps([time.perf_counter() - start, {SCIPY_MODULES}]))"
+    )
+    return statistics.median(r[0] for _, r in runs), runs[-1][1][1]
 
 
 def main() -> int:
@@ -336,6 +369,7 @@ def main() -> int:
 
     target = Path(args.out).resolve() / f"BENCH_{args.tag}.json"
     import_s, import_scipy = import_cost()
+    lapack_s, lapack_scipy = lapack_cost()
     home = Path.cwd()
     with tempfile.TemporaryDirectory(prefix="profile_ops-") as work:
         os.chdir(work)
@@ -355,6 +389,8 @@ def main() -> int:
         **result,
         "import_s": import_s,
         "import_scipy": import_scipy,
+        "lapack_s": lapack_s,
+        "lapack_scipy": lapack_scipy,
     }
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(json.dumps(result, indent=1) + "\n")
@@ -362,6 +398,7 @@ def main() -> int:
           f"op_s_p50 {result['op_s_p50']:.4f} s; cold pass {result['cold']['pass_s']:.3f} s; "
           f"peak RSS {result['peak_rss_mb']:.1f} MB; wrote {target}")
     print(f"  import hierwave.cli {import_s:.3f} s, scipy modules loaded: {len(import_scipy)}")
+    print(f"  first lapack() {lapack_s:.3f} s, scipy modules then loaded: {len(lapack_scipy)}")
     for stage, row in result["stages"].items():
         print(f"  {stage:40s} {row['s_per_pass_p50'] * 1e3:8.2f} ms/pass  "
               f"{row['share_p50']:6.1%} of op time  {row['calls_per_pass']:g} calls")

@@ -523,7 +523,7 @@ def cmd_sweep(document: dict, out_dir: Path, workers: int = 1) -> int:
         rows = list(map(_run_sweep_cell, jobs))
     else:
         import concurrent.futures
-        lapack()  # loaded once here: forked workers inherit it instead of each importing it
+        lapack()  # loaded once here: forked workers inherit the extension instead of each loading it
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_sweep_cell, jobs))
     header = {

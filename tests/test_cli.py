@@ -1439,9 +1439,10 @@ def _run_child(program: str) -> list[str]:
 
 
 def test_production_runs_load_no_sparse_module(tmp_path):
-    """`hierwave nash` and `hierwave leader` never import scipy.sparse: only
-    the oracles (the LUs of M and of the coupled system) use it.  Their
-    LAPACK calls load scipy.linalg.lapack."""
+    """`hierwave nash` and `hierwave leader` load one scipy module, the LAPACK
+    extension scipy.linalg._flapack: neither runs scipy's package imports,
+    and scipy.sparse is for the oracles (the LUs of M and of the coupled
+    system) alone."""
     nash = write_config(
         tmp_path,
         "n.json",
@@ -1465,16 +1466,15 @@ def test_production_runs_load_no_sparse_module(tmp_path):
         "from hierwave.cli import main\n"
         f"codes = [main(['nash', '--config', {nash!r}, '--out', {str(tmp_path / 'n')!r}]),\n"
         f"         main(['leader', '--config', {leader!r}, '--out', {str(tmp_path / 'l')!r}])]\n"
-        "print(codes, sorted(m for m in sys.modules if m.startswith('scipy.sparse')),\n"
-        "      'scipy.linalg.lapack' in sys.modules)\n"
+        "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
-    assert _run_child(program)[-1] == "[0, 0] [] True"
+    assert _run_child(program)[-1] == "[0, 0] ['scipy.linalg._flapack']"
 
 
 def test_runs_that_never_solve_load_no_scipy(tmp_path):
     """Importing the package, `hierwave threshold` and a config refused with
-    exit 2 load no scipy module: scipy.linalg, about a quarter of a second
-    of import, waits for the first LAPACK call."""
+    exit 2 load no scipy module: the LAPACK extension waits for the first
+    LAPACK call."""
     bad = write_config(tmp_path, "bad.json", base_config(grid={"Ny": "x"}))
     program = (
         "import sys\n"
@@ -1512,7 +1512,7 @@ def test_sweep_pool_starts_with_lapack_loaded(tmp_path):
         "seen = []\n"
         "class Stub:\n"
         "    def __init__(self, max_workers):\n"
-        "        seen.append('scipy.linalg.lapack' in sys.modules)\n"
+        "        seen.append('scipy.linalg._flapack' in sys.modules)\n"
         "    def __enter__(self):\n"
         "        return self\n"
         "    def __exit__(self, *exc):\n"
@@ -1526,3 +1526,52 @@ def test_sweep_pool_starts_with_lapack_loaded(tmp_path):
     )
     assert _run_child(program)[-1] == "0 [True]"
     assert read_csv_values(tmp_path / "sw" / "sweep.csv").shape[0] == 2
+
+
+@pytest.mark.parametrize("first", ["lapack", "scipy.linalg"])
+def test_lapack_is_scipys_extension(first):
+    """Whichever a fresh process runs first, lapack() or `import scipy.linalg`,
+    lapack() is the extension scipy.linalg.lapack re-exports from, and each
+    routine src/hierwave looks up on it is scipy.linalg.lapack's own object;
+    run first, lapack() loads no other scipy module."""
+    from pathlib import Path
+
+    import hierwave
+
+    sources = (path.read_text() for path in Path(hierwave.__file__).parent.glob("*.py"))
+    names = sorted({name for text in sources for name in re.findall(r"lapack\(\)\.(\w+)", text)})
+    assert names == ["dgtsv", "dgttrf", "dgttrs", "dpotrf", "dpotrs", "dsyevr", "dtrtrs"]
+    program = (
+        "import sys\n"
+        + ("import scipy.linalg\n" if first == "scipy.linalg" else "")
+        + "from hierwave._lapack import lapack\n"
+        "m = lapack()\n"
+        "print(sorted(k for k in sys.modules if k.startswith('scipy')) == ['scipy.linalg._flapack'])\n"
+        "import scipy.linalg\n"
+        "print(scipy.linalg.lapack._flapack is m,\n"
+        f"      [n for n in {names!r} if getattr(m, n) is not getattr(scipy.linalg.lapack, n)])\n"
+    )
+    lines = _run_child(program)
+    assert lines[-2:] == [str(first == "lapack"), "True []"]
+
+
+def test_lapack_names_the_directory_it_searched(tmp_path, monkeypatch):
+    """With the extension not yet loaded and the finder pointed at an empty
+    directory, lapack() raises ImportError naming that directory."""
+    import importlib.machinery
+    import sys
+
+    from hierwave._lapack import lapack
+
+    class EmptyFinder(importlib.machinery.FileFinder):
+        def __init__(self, path, *details):
+            super().__init__(str(tmp_path), *details)
+
+    monkeypatch.setattr(importlib.machinery, "FileFinder", EmptyFinder)
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    lapack.cache_clear()
+    try:
+        with pytest.raises(ImportError, match=re.escape(f"in {tmp_path}")):
+            lapack()
+    finally:
+        lapack.cache_clear()

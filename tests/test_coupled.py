@@ -3,8 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
-import scipy.linalg
 
+from hierwave._lapack import lapack
 from hierwave.errors import ConfigurationError, ConvergenceError
 from hierwave.geometry import DomainSpec, SigmaPartition
 from hierwave.grid import (
@@ -485,7 +485,7 @@ def test_kept_values_are_read_only_and_found_by_value(mesh41, overlap41, utilde4
         (WaveOperator, "march"),
         (WaveOperator, "solve_adjoint"),
         (CoupledEngine, "follower_trace"),
-        (scipy.linalg.lapack, "dsyevr"),
+        (lapack(), "dsyevr"),
     ):
         monkeypatch.setattr(cls, name, refuse)
     again = kept(utilde.copy(), bc.copy(), 0.5, overlap41.mask1.copy(), overlap41.mask2.copy())
@@ -548,13 +548,13 @@ def test_sigma_ladder_shares_one_spectrum(monkeypatch):
     mesh's one cached operator, and no engine holds an (N+1)^2 array."""
     monkeypatch.setattr(coupled, "_OPERATOR_CACHE", {})
     calls = []
-    dsyevr = scipy.linalg.lapack.dsyevr
+    dsyevr = lapack().dsyevr
 
     def counted(*args, **kwargs):
         calls.append(1)
         return dsyevr(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", counted)
+    monkeypatch.setattr(lapack(), "dsyevr", counted)
     mesh = Mesh.auto(DomainSpec(k=0.1, T=2.0), 16)
     part = SigmaPartition.overlap(mesh.Nt + 1)
     w1 = Trace(np.sin(np.pi * mesh.times / 2.0), part.mask1, mesh)

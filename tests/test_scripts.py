@@ -74,6 +74,8 @@ def test_profile_ops_times_every_stage(tmp_path):
     assert result["workload"] == "leader-rho-sweep" and result["exit_codes"] == [0]
     # a fresh `import hierwave.cli` takes time and loads no scipy module
     assert result["import_s"] > 0 and result["import_scipy"] == []
+    # its first LAPACK call then loads the extension alone
+    assert result["lapack_s"] > 0 and result["lapack_scipy"] == ["scipy.linalg._flapack"]
     assert set(result["stages"]) == {*stages, "cli.parse"}
     # a warm leader op marches nothing and samples no first-order residual
     nash_only = {"wave_core.WaveOperator.march", "wave_core.WaveOperator.solve_adjoint",
