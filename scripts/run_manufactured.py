@@ -12,6 +12,12 @@ line gives the process's peak resident set (ru_maxrss).
 Usage: python scripts/run_manufactured.py [out_dir] [Ny]
 """
 
+import os
+
+# one BLAS thread, as in the benchmark, so that sums keep one order
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import resource
 import sys
 import time

@@ -409,9 +409,6 @@ def cmd_nash(config: dict, out_dir: Path) -> int:
             "J2": J2,
             "J": J,
             "el_residual_max_abs": float(np.max(np.abs(el_samples))),
-            # kept for readers of summary.json: the reduced solve is one step
-            "iterations": 1,
-            "method": "schur",
             "residual_tail": [sol.residual],
         },
         "summary.json",

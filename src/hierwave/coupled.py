@@ -97,10 +97,11 @@ PICARD_MIN_RELAXATION = 0.125
 # the coupled LU's memory guard: its factors hold 9.7M nonzeros at Ny = 64
 # and 52M at Ny = 128
 COUPLED_LU_MAX_NY = 64
-# meshes whose wave operator get_engine keeps, least recently used first out
-# (each gated bench workload revisits 2); an operator holds every value kept
+# meshes whose wave operator get_engine keeps, least recently used first out:
+# each gated bench workload revisits exactly two (Ny = 41 at k = 0.05 and 0.1;
+# Ny = 64 and 80) and a serial sweep none.  An operator holds every value kept
 # for its mesh, H and the follower spectrum's Q among them, 4 MB each at Ny = 128
-OPERATOR_CACHE_SIZE = 8
+OPERATOR_CACHE_SIZE = 2
 
 
 def _cho_factor(a: np.ndarray) -> np.ndarray:

@@ -151,12 +151,11 @@ class DualReport:
     certified: bool
     iterations: int
     history: list[dict]
-    method: str
     notes: list[str] = dc_field(default_factory=list)
 
     def payload(self) -> dict:
-        """The report's JSON document: every scalar field, and the history's
-        length."""
+        """The report's JSON document: every scalar field; ``iterations`` is
+        the history's length."""
         return {
             "dual_value": self.dual_value,
             "primal_J": self.primal_J,
@@ -168,9 +167,7 @@ class DualReport:
             "reached": list(self.reached),
             "certified": self.certified,
             "iterations": self.iterations,
-            "method": self.method,
             "notes": self.notes,
-            "history_length": len(self.history),
         }
 
 
@@ -620,7 +617,6 @@ def minimize_dual(targets: TargetSpec, cfg: FollowerConfig, opts: DualOptions):
         certified=certified,
         iterations=len(history),
         history=history,
-        method="secular-newton",
         notes=notes,
     )
     return f_star, w1_star, report
